@@ -7,10 +7,10 @@ indices <= -r has vanishing s-fold iterated polar power.
 Addition is the stabilized windowed Witt sum: the entry at index -n is the
 eventual value of the level-m sum component evaluated on the windows
 (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  The windowed
-polynomials are produced by re-running the ghost/Dwork lifting inside a
-quotient of Z[window variables] by a monomial ideal; such quotients stay
-torsion free and carry the v -> v^p lift, so the recursion's exact
-divisions survive verbatim, while three sound kill rules keep the
+polynomials are produced by `wittuniv.dwork_lift`, run inside a quotient of
+Z[window variables] by a monomial ideal; such quotients stay torsion free
+and carry the v -> v^p lift, so the recursion's exact divisions and its
+congruence check survive verbatim, while three sound kill rules keep the
 polynomials tiny:
 
   * variables bound to 0 are killed on sight;
@@ -19,6 +19,12 @@ polynomials tiny:
   * monomials die at deep-variable degree >= p^s, because p^s deep
     factors can be regrouped (scheme independence) into a complete p-ary
     subtree landing in the vanishing s-fold polar power.
+
+The kill rules read only which window entries are zero, which positions are
+deep, and two caps computed once per operation from all operands, so the
+lifted polynomial depends on that pattern and not on the entry values: it
+is built once per pattern key and memoized, and each window only binds its
+entries and evaluates it on the algebra.
 
 Stabilization is detected by K consecutive equal values under a hard cap,
 plus an exact shortcut: once both tails are zero and the window covers all
@@ -29,6 +35,7 @@ the value literally constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exact import MultiPoly
@@ -36,7 +43,7 @@ from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      ideal_power_nilpotent, polar_power,
                      product_length_threshold, vec_is_zero)
 from .wittmod import eval_polar_poly
-from .wittuniv import DworkCongruenceFailed
+from .wittuniv import dwork_lift
 
 
 class StabilizationNotDetected(RuntimeError):
@@ -158,21 +165,21 @@ def _settled(x: CoWittElement) -> CoWittElement:
 # -- windowed stabilized sums ----------------------------------------------------
 
 
-def _window_value(A: PPolarAlgebra, windows: Sequence[Sequence[tuple]],
-                  deep: Sequence[bool], caps: tuple, op: str) -> tuple:
-    """Top Witt component of `op` on the given coordinate windows.
+@lru_cache(maxsize=None)
+def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
+                 caps: tuple) -> MultiPoly:
+    """Top Witt component of `op` on windows of m+1 variables, mod p.
 
-    Each window is a list of m+1 vectors (deepest first); `deep[i]` flags
-    window position i.  The ghost targets are lifted inside the monomial
-    quotient cut out by the kill rules and evaluated on A.
+    The polynomial depends only on the pattern, never on the entry values:
+    `zero` flags the variables bound to 0 (x0..xm, then y0..ym for a sum),
+    `deep[i]` flags window position i, and `caps` = (t_total, t_deep).  The
+    ghost targets are lifted by `dwork_lift` inside the monomial quotient
+    cut out by the kill rules, congruence check included.
     """
-    p = A.p
     t_total, t_deep = caps
-    m = len(windows[0]) - 1
-    blocks = ["x", "y"][:len(windows)]
-    names = tuple(f"{b}{i}" for b in blocks for i in range(m + 1))
-    zero = [vec_is_zero(u) for w in windows for u in w]
-    deepfl = list(deep) * len(windows)
+    nblocks = len(zero) // (m + 1)
+    names = tuple(f"{b}{i}" for b in "xy"[:nblocks] for i in range(m + 1))
+    deepfl = deep * nblocks
 
     def kill(exp) -> bool:
         tot = 0
@@ -208,25 +215,21 @@ def _window_value(A: PPolarAlgebra, windows: Sequence[Sequence[tuple]],
         targets = [ghost_entry(0, lv, -1) for lv in range(m + 1)]
     else:
         raise ValueError(f"unknown windowed op {op!r}")
-    comps: list = []
-    powers: list = []
-    for lv, t in enumerate(targets):
-        if lv:
-            frob = targets[lv - 1].frobenius_vars(p)
-            frob = MultiPoly(frob.vars, {e: c for e, c in frob.terms.items()
-                                         if not kill(e)})
-            if not (t - frob).divisible_by(p ** lv):
-                raise DworkCongruenceFailed(lv)
-        powers = [pw.pow(p, kill) for pw in powers]
-        acc = t
-        for i, pw in enumerate(powers):
-            acc = acc - pw * (p ** i)
-        c = acc.divide_exact_int(p ** lv)
-        comps.append(c)
-        powers.append(c)
-    top = comps[m].reduce_mod(p)
+    return dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)
+
+
+def _window_value(A: PPolarAlgebra, windows: Sequence[Sequence[tuple]],
+                  deep: Sequence[bool], caps: tuple, op: str) -> tuple:
+    """Top Witt component of `op` on the given coordinate windows.
+
+    Each window is a list of m+1 vectors (deepest first); `deep[i]` flags
+    window position i.
+    """
+    m = len(windows[0]) - 1
+    zero = tuple(vec_is_zero(u) for w in windows for u in w)
+    top = _window_poly(A.p, m, op, zero, tuple(deep), caps)
     binding = {}
-    for b, w in zip(blocks, windows):
+    for b, w in zip("xy", windows):
         for i in range(m + 1):
             binding[f"{b}{i}"] = w[i]
     return eval_polar_poly(A, top, binding)
@@ -254,6 +257,14 @@ def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
                      K: int | None = None, cap: int | None = None,
                      start_m: int = 0) -> tuple:
     """The eventual value of the windowed `op` at index -n."""
+    r = max(e.witness[0] for e in elems)
+    caps = _caps_for(elems[0].algebra, elems, r)
+    return _stabilized_entry(elems, n, op, accessors, K, cap, start_m, caps)
+
+
+def _stabilized_entry(elems, n, op, accessors, K, cap, start_m,
+                      caps) -> tuple:
+    """`stabilized_entry` with the kill caps of `elems` already computed."""
     A = elems[0].algebra
     r = max(e.witness[0] for e in elems)
     s = max(e.witness[1] for e in elems)
@@ -262,7 +273,6 @@ def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
         K = A.dim + 2
     if cap is None:
         cap = max(16, 4 * (r + s + 1) * max(A.dim, 1))
-    caps = _caps_for(A, elems, r)
 
     def windows_at(m: int):
         idxs = [-n - m + i for i in range(m + 1)]
@@ -291,16 +301,16 @@ def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
 
 def _stabilized_op(elems: list, op: str, K, cap) -> CoWittElement:
     A = elems[0].algebra
+    r = max(e.witness[0] for e in elems)
+    caps = _caps_for(A, elems, r)
     tail_fns = [(lambda i, e=e: e.tail) for e in elems]
-    new_tail = stabilized_entry(elems, 0, op, accessors=tail_fns, K=K, cap=cap)
-    n_explicit = max(max(e.depth() for e in elems),
-                     max(e.witness[0] for e in elems))
+    new_tail = _stabilized_entry(elems, 0, op, tail_fns, K, cap, 0, caps)
+    n_explicit = max(max(e.depth() for e in elems), r)
     exceptions = {}
     for nn in range(n_explicit + 1):
-        v = stabilized_entry(elems, nn, op, K=K, cap=cap)
+        v = _stabilized_entry(elems, nn, op, None, K, cap, 0, caps)
         if v != new_tail:
             exceptions[-nn] = v
-    r = max(e.witness[0] for e in elems)
     s = 2 * max(e.witness[1] for e in elems) + 1
     return _settled(CoWittElement(A, new_tail, exceptions, (r, s)))
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .exact import MultiPoly, TruncSeries
+from .gfq import _is_prime
 from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
                      vec_add, vec_is_zero, vec_scale)
 
@@ -41,6 +42,8 @@ class PTypicalLog:
     coeffs: tuple  # l_i for p^i <= prec
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         if self.coeffs[0] != 1:
             raise ValueError("l_0 must be 1")
 

@@ -176,7 +176,11 @@ class FqField:
     def from_json(cls, data: dict) -> "FqField":
         f = gf_build(data["p"], data["m"])
         if tuple(data["modulus"]) != f.modulus:
-            return cls(data["p"], data["m"], data["modulus"])
+            g = cls(data["p"], data["m"], data["modulus"])
+            if not _fp_irreducible(list(g.modulus), g.p):
+                raise ValueError(f"modulus {list(g.modulus)} is reducible "
+                                 f"over GF({g.p})")
+            return g
         return f
 
 

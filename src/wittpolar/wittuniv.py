@@ -106,11 +106,19 @@ def ghost_polys(p: int, n: int, block: str = "a",
     return GhostSequence(p, tuple(entries))
 
 
-def dwork_congruence_holds(p: int, targets: Sequence[MultiPoly]):
-    """Level of the first failed congruence, or None if all hold."""
+def dwork_congruence_holds(p: int, targets: Sequence[MultiPoly],
+                           kill: Callable | None = None):
+    """Level of the first failed congruence, or None if all hold.
+
+    With `kill`, the congruence is taken in the quotient by the killed
+    monomials: the Frobenius image drops them before the comparison.
+    """
     for m in range(1, len(targets)):
-        diff = targets[m] - targets[m - 1].frobenius_vars(p)
-        if not diff.divisible_by(p ** m):
+        frob = targets[m - 1].frobenius_vars(p)
+        if kill is not None:
+            frob = MultiPoly(frob.vars, {e: c for e, c in frob.terms.items()
+                                         if not kill(e)})
+        if not (targets[m] - frob).divisible_by(p ** m):
             return m
     return None
 
@@ -120,10 +128,12 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
     """Unique coordinate polynomials c with w(c) = targets.
 
     With `check`, the congruence is verified first and a violation raises
-    DworkCongruenceFailed; the exact division can then never fail.
+    DworkCongruenceFailed; the exact division can then never fail.  A
+    `kill(exp) -> bool` predicate lifts inside the quotient of Z[vars] by
+    the killed monomials, which must form an ideal stable under v -> v^p.
     """
     if check:
-        bad = dwork_congruence_holds(p, targets)
+        bad = dwork_congruence_holds(p, targets, kill)
         if bad is not None:
             raise DworkCongruenceFailed(bad)
     comps: list = []
@@ -218,6 +228,27 @@ def _atomic_write(path: str, payload: str):
         raise
 
 
+def _read_family(path: str, p: int, n: int, kind: str):
+    """The family cached at `path`, or None when the file is missing, cannot
+    be decoded, or holds another (p, n, kind) or a wrong number of levels."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(data, dict) or (
+            data.get("format"), data.get("p"), data.get("n"),
+            data.get("kind")) != (FORMAT, p, n, kind):
+        return None
+    levels = data.get("levels")
+    if not isinstance(levels, list) or len(levels) != n:
+        return None
+    try:
+        return family_from_json(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
 _memo: dict = {}
 
 
@@ -237,11 +268,9 @@ def universal_polys(p: int, n: int, kind: str, use_disk: bool = True) -> list:
     if key in _memo:
         return _memo[key]
     path = cache_path(p, n, kind)
-    if use_disk and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("format") == FORMAT and (data["p"], data["n"]) == (p, n):
-            polys = family_from_json(data)
+    if use_disk:
+        polys = _read_family(path, p, n, kind)
+        if polys is not None:
             _memo[key] = polys
             return polys
     comps = dwork_lift(p, _targets(p, n, kind))

@@ -142,6 +142,70 @@ def test_fgl_subcommand(capsys):
     assert data["law_associative"] is True
 
 
+def test_fgl_rejects_non_prime(capsys):
+    rc, out, err = run(capsys, "fgl", "--p", "4", "--precision", "12",
+                       "--log-coeffs", "1,1/4")
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty disk cache and an empty in-process memo."""
+    from wittpolar import wittuniv
+    monkeypatch.setenv("WITTPOLAR_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(wittuniv, "_memo", {})
+    return wittuniv
+
+
+def _level_terms(data):
+    return [{tuple(t["exp"]): int(t["num"]) for t in lv["terms"]}
+            for lv in data["levels"]]
+
+
+# -x over W_2 at p = 2: (-x0, -x1 - x0^2)
+NEG_P2_N2 = [{(1, 0): -1}, {(0, 1): -1, (2, 0): -1}]
+
+
+def test_witt_poly_recomputes_cache_of_wrong_kind(capsys, fresh_cache):
+    wu = fresh_cache
+    assert main(["witt-poly", "--p", "2", "--n", "2", "--kind", "sum"]) == 0
+    capsys.readouterr()
+    sum_path = wu.cache_path(2, 2, "sum")
+    neg_path = wu.cache_path(2, 2, "neg")
+    with open(sum_path) as src, open(neg_path, "w") as dst:
+        dst.write(src.read())
+    wu._memo.clear()
+    rc, out, err = run(capsys, "witt-poly", "--p", "2", "--n", "2",
+                       "--kind", "neg")
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    assert data["kind"] == "neg"
+    assert _level_terms(data) == NEG_P2_N2
+    with open(neg_path) as fh:
+        assert json.load(fh)["kind"] == "neg"
+
+
+@pytest.mark.parametrize("payload", [None, "[1, 2]", '{"format": 1}'])
+def test_witt_poly_recomputes_broken_cache_file(capsys, fresh_cache,
+                                                payload):
+    wu = fresh_cache
+    assert main(["witt-poly", "--p", "2", "--n", "2", "--kind", "neg"]) == 0
+    good = capsys.readouterr().out
+    path = wu.cache_path(2, 2, "neg")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[:40] if payload is None else payload)
+    wu._memo.clear()
+    rc, out, err = run(capsys, "witt-poly", "--p", "2", "--n", "2",
+                       "--kind", "neg")
+    assert rc == 0 and err == ""
+    assert out == good and _level_terms(json.loads(out)) == NEG_P2_N2
+    with open(path) as fh:
+        assert fh.read() == text
+
+
 def test_outputs_are_byte_identical(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittpolar import samples
+from wittpolar import cowitt, samples
 from wittpolar.cowitt import (CoWittElement, StabilizationNotDetected, cw_F,
                               cw_V, cw_add, cw_from_cwu, cw_neg, cw_validate,
                               cw_zero, cwu_from_cw, stabilized_entry,
@@ -177,3 +179,73 @@ def test_json_round_trip():
     data = x.to_json()
     assert data["exceptions"]["-2"] == [[0], [0], [1]]
     assert cw_from_json(A2, data) == x
+
+
+# -- the pattern-keyed window memo ----------------------------------------------
+
+
+def test_memo_cold_and_warm_agree():
+    rng = random.Random(37)
+    for A in (A2, A3):
+        pairs = [(rand_cw(A, rng), rand_cw(A, rng)) for _ in range(4)]
+        cowitt._window_poly.cache_clear()
+        cold = [(cw_add(x, y), cw_neg(x)) for x, y in pairs]
+        assert cowitt._window_poly.cache_info().misses > 0
+        warm = [(cw_add(x, y), cw_neg(x)) for x, y in pairs]
+        assert warm == cold
+
+
+def test_memo_entry_reused_across_values():
+    # x and x + x^2 (likewise x^2 and x^2 + x^3) are nonzero and generate
+    # the same ideals, so both pairs share every window key
+    x = CoWittElement(A2, (0, 1, 0), {0: (1, 0, 0), -1: (0, 0, 1)}, (0, 0))
+    y = CoWittElement(A2, (1, 0, 0), {-2: (0, 1, 0)}, (0, 0))
+    x2 = CoWittElement(A2, (0, 1, 1), {0: (1, 1, 0), -1: (0, 0, 1)}, (0, 0))
+    y2 = CoWittElement(A2, (1, 1, 0), {-2: (0, 1, 1)}, (0, 0))
+    cowitt._window_poly.cache_clear()
+    s = cw_add(x, y)
+    info = cowitt._window_poly.cache_info()
+    s2 = cw_add(x2, y2)
+    after = cowitt._window_poly.cache_info()
+    assert after.misses == info.misses and after.hits > info.hits
+    assert after.currsize == info.currsize
+    assert s != s2 and s2 == cw_add(y2, x2)
+
+
+def test_memo_builder_keeps_the_congruence_check(monkeypatch):
+    from wittpolar import wittuniv
+    from wittpolar.wittuniv import DworkCongruenceFailed
+    key = (2, 2, "sum", (False,) * 6, (True, False, False), (None, 4))
+    cowitt._window_poly.cache_clear()
+    monkeypatch.setattr(wittuniv, "dwork_congruence_holds",
+                        lambda p, targets, kill=None: 1)
+    with pytest.raises(DworkCongruenceFailed):
+        cowitt._window_poly(*key)
+    monkeypatch.undo()
+    # the failure was not memoized: the same key now builds
+    assert cowitt._window_poly.cache_info().currsize == 0
+    assert not cowitt._window_poly(*key).is_zero()
+
+
+_NIL = {(q, N): samples.trunc_nil_polar(gf_build(q, 1), N)
+        for q in (2, 3) for N in (2, 3, 4, 5)}
+
+
+@st.composite
+def nil_cw_pair(draw):
+    A = _NIL[(draw(st.sampled_from((2, 3))), draw(st.integers(2, 5)))]
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+
+    def element():
+        exc = draw(st.dictionaries(st.integers(-2, 0), vec, max_size=3))
+        return CoWittElement(A, draw(vec), exc, (0, 0))
+
+    return element(), element()
+
+
+@settings(max_examples=40, deadline=None)
+@given(nil_cw_pair())
+def test_add_commutes_and_neg_inverts_property(pair):
+    x, y = pair
+    assert cw_add(x, y) == cw_add(y, x)
+    assert cw_add(x, cw_neg(x)).is_zero()

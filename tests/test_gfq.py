@@ -147,3 +147,19 @@ def test_field_json_round_trip():
     from wittpolar.gfq import FqField
     assert FqField.from_json(F9.to_json()) == F9
     assert F9.to_json() == {"p": 3, "m": 2, "modulus": [1, 0, 1]}
+
+
+def test_field_json_rejects_reducible_modulus():
+    from wittpolar.gfq import FqField
+    # x^2 = x * x over GF(2): not a field
+    with pytest.raises(ValueError):
+        FqField.from_json({"p": 2, "m": 2, "modulus": [0, 0, 1]})
+    # x^2 + 1 = (x + 1)^2 over GF(2), x^3 + 1 = (x + 1)(x^2 + x + 1)
+    with pytest.raises(ValueError):
+        FqField.from_json({"p": 2, "m": 2, "modulus": [1, 0, 1]})
+    with pytest.raises(ValueError):
+        FqField.from_json({"p": 2, "m": 3, "modulus": [1, 0, 0, 1]})
+    # a non-canonical irreducible modulus is still accepted
+    F8 = FqField.from_json({"p": 2, "m": 3, "modulus": [1, 0, 1, 1]})
+    assert F8.modulus == (1, 0, 1, 1) and F8 != gf_build(2, 3)
+    assert all(F8.mul(a, F8.inv(a)) == 1 for a in range(1, 8))

@@ -213,3 +213,18 @@ def test_disk_cache_round_trip_and_determinism():
 def test_envelope_warning():
     with pytest.warns(UserWarning, match="envelope"):
         universal_polys(5, 3, "neg")
+
+
+def test_congruence_checked_in_the_kill_quotient():
+    x = V("x0")
+    # killing x^2 leaves phi(x) = 0 in the quotient, so level 1 fails there
+    kill_sq = lambda e: e[0] == 2  # noqa: E731 -- not stable under x -> x^2
+    assert dwork_congruence_holds(2, [x, x ** 2]) is None
+    assert dwork_congruence_holds(2, [x, x ** 2], kill_sq) == 1
+    with pytest.raises(DworkCongruenceFailed) as err:
+        dwork_lift(2, [x, x ** 2], kill=kill_sq)
+    assert err.value.level == 1
+    # a Frobenius-stable ideal (degree >= 4) keeps the congruence
+    kill_deg = lambda e: sum(e) >= 4  # noqa: E731
+    comps = dwork_lift(2, [x, x ** 2, MultiPoly.zero()], kill=kill_deg)
+    assert comps[0] == x and all(c.is_zero() for c in comps[1:])
