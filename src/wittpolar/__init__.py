@@ -1,10 +1,9 @@
 """Exact arithmetic for p-polar rings, p-typical Witt and co-Witt vectors,
 idempotent splitting of reduced algebras, and p-typical formal group laws."""
 
-from .exact import (IntegralityViolation, MultiPoly, Rational, TruncSeries,
-                    exact_div_int, poly_arith, poly_substitute, series_reverse)
-from .gfq import (FqField, FqMatrix, additive_poly_roots, embed, frobenius,
-                  gf_build, linear_kernel, semilinear_kernel)
+from .exact import IntegralityViolation, MultiPoly, Rational, TruncSeries
+from .gfq import (FqField, FqMatrix, additive_poly_roots, embed, gf_build,
+                  linear_kernel, semilinear_kernel)
 from .ppolar import (LengthNotAdmissible, PolarIdeal, PPolarAlgebra,
                      check_assoc, extend_scalars, free_polar_basis,
                      ideal_generated, ideal_power_nilpotent, nilradical,

@@ -42,7 +42,7 @@ from .exact import MultiPoly
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      ideal_power_nilpotent, polar_power,
                      product_length_threshold, vec_is_zero)
-from .wittmod import eval_polar_poly
+from .wittmod import eval_polar_poly, polar_terms
 from .wittuniv import dwork_lift
 
 
@@ -167,8 +167,9 @@ def _settled(x: CoWittElement) -> CoWittElement:
 
 @lru_cache(maxsize=None)
 def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
-                 caps: tuple) -> MultiPoly:
-    """Top Witt component of `op` on windows of m+1 variables, mod p.
+                 caps: tuple, mu_zero: bool) -> tuple:
+    """Top Witt component of `op` on windows of m+1 variables, mod p,
+    compiled by `polar_terms` for an algebra whose mu is zero or not.
 
     The polynomial depends only on the pattern, never on the entry values:
     `zero` flags the variables bound to 0 (x0..xm, then y0..ym for a sum),
@@ -215,7 +216,8 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
         targets = [ghost_entry(0, lv, -1) for lv in range(m + 1)]
     else:
         raise ValueError(f"unknown windowed op {op!r}")
-    return dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)
+    return polar_terms(dwork_lift(p, targets, kill=kill)[m].reduce_mod(p),
+                       mu_zero)
 
 
 def _window_value(A: PPolarAlgebra, windows: Sequence[Sequence[tuple]],
@@ -227,7 +229,7 @@ def _window_value(A: PPolarAlgebra, windows: Sequence[Sequence[tuple]],
     """
     m = len(windows[0]) - 1
     zero = tuple(vec_is_zero(u) for w in windows for u in w)
-    top = _window_poly(A.p, m, op, zero, tuple(deep), caps)
+    top = _window_poly(A.p, m, op, zero, tuple(deep), caps, A.mu_is_zero)
     binding = {}
     for b, w in zip("xy", windows):
         for i in range(m + 1):

@@ -19,7 +19,7 @@ from itertools import product as iproduct
 from math import gcd
 
 from .gfq import (FqField, FqMatrix, additive_poly_roots, echelon_span,
-                  embed, linear_kernel)
+                  embed, linear_kernel, solve)
 from .ppolar import (PPolarAlgebra, check_assoc, extend_scalars,
                      nilradical, quotient)
 
@@ -72,46 +72,14 @@ def power_dependence(A: PPolarAlgebra, y):
     powers = [tuple(y)]
     while True:
         nxt = A.ppow(powers[-1])
-        # solve sum alpha_i powers[i] = nxt by augmented elimination
-        cols = list(powers)
-        aug = [[cols[c][r] for c in range(len(cols))] + [nxt[r]]
-               for r in range(A.dim)]
-        sol = _solve(F, aug, len(cols))
+        # solve sum alpha_i powers[i] = nxt
+        rows = [[w[r] for w in powers] for r in range(A.dim)]
+        sol = solve(F, rows, nxt)
         if sol is not None:
             return len(powers), sol
         powers.append(nxt)
         if len(powers) > A.dim:
             raise AssertionError("no Frobenius dependence within dimension")
-
-
-def _solve(field: FqField, aug, ncols):
-    """One solution of an augmented system, or None if inconsistent."""
-    rows = [list(r) for r in aug]
-    piv_of_col = {}
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][-1]:
-            return None
-    if any(any(rows[r][:ncols]) for r in range(rank, len(rows))):
-        pass
-    sol = [0] * ncols
-    for col, r in piv_of_col.items():
-        sol[col] = rows[r][-1]
-    return tuple(sol)
 
 
 def _additive_poly(field: FqField, j: int, alphas) -> list:

@@ -84,9 +84,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_profile(self, names: frozenset) -> set:
         """Set of total degrees, restricted to the given variables, over all terms."""
         idx = [i for i, v in enumerate(self.vars) if v in names]
@@ -207,8 +204,10 @@ class MultiPoly:
 
     # -- named operations --------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute a polynomial for every occurring variable."""
+    def substitute(self, bindings: Mapping[str, "MultiPoly"],
+                   kill: Callable | None = None) -> "MultiPoly":
+        """Substitute a polynomial for every occurring variable; `kill`
+        drops monomials of every power and product, as in `mul`."""
         occ = [i for i in range(len(self.vars))
                if any(e[i] for e in self.terms)]
         for i in occ:
@@ -225,9 +224,11 @@ class MultiPoly:
                 v = self.vars[i]
                 pw = pow_cache.get((v, k))
                 if pw is None:
-                    pw = bindings[v] ** k
+                    pw = bindings[v].pow(k, kill)
                     pow_cache[(v, k)] = pw
-                term = term * pw
+                term = term.mul(pw, kill)
+                if term.is_zero():
+                    break
             acc = acc + term
         return acc
 
@@ -261,9 +262,6 @@ class MultiPoly:
                 raise ValueError("cannot reduce fractional coefficients")
             out[e] = c % n
         return MultiPoly(self.vars, out)
-
-    def map_coeffs(self, fn: Callable) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
 
     def divisible_by(self, n: int) -> bool:
         return all(isinstance(c, int) and c % n == 0
@@ -307,34 +305,6 @@ def _rekey(p: MultiPoly, union: tuple) -> dict:
                 e[pos[v]] = k
         out[tuple(e)] = c
     return out
-
-
-def align_to(p: MultiPoly, universe: Sequence[str]) -> MultiPoly:
-    """Re-express p over the given variable universe (must cover p's)."""
-    universe = tuple(universe)
-    missing = set(v for i, v in enumerate(p.vars)
-                  if any(e[i] for e in p.terms)) - set(universe)
-    if missing:
-        raise ValueError(f"universe does not cover {sorted(missing)}")
-    return MultiPoly(universe, _rekey(p, universe))
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_substitute(f: MultiPoly, bindings: Mapping[str, MultiPoly]) -> MultiPoly:
-    return f.substitute(bindings)
-
-
-def exact_div_int(f: MultiPoly, n: int) -> MultiPoly:
-    return f.divide_exact_int(n)
 
 
 class TruncSeries:
@@ -429,7 +399,3 @@ class TruncSeries:
 
     def support(self) -> list:
         return [k for k, c in enumerate(self.coeffs) if c]
-
-
-def series_reverse(f: TruncSeries) -> TruncSeries:
-    return f.reverse()

@@ -19,6 +19,7 @@ from .exact import MultiPoly, TruncSeries
 from .gfq import _is_prime
 from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
                      vec_add, vec_is_zero, vec_scale)
+from .wittmod import eval_polar_poly, polar_terms
 
 
 class NonNilpotentElement(ValueError):
@@ -101,30 +102,6 @@ class BivariateLaw:
                           for ab, c in self.terms]}
 
 
-def _subst_trunc(f: MultiPoly, bindings: dict, D: int) -> MultiPoly:
-    """Substitute with truncation beyond total degree D."""
-
-    def kill(exp):
-        return sum(exp) > D
-
-    pow_cache: dict = {}
-    acc = MultiPoly.zero()
-    for exp, c in f.terms.items():
-        term = MultiPoly.const(c)
-        for v, k in zip(f.vars, exp):
-            if not k:
-                continue
-            pw = pow_cache.get((v, k))
-            if pw is None:
-                pw = bindings[v].pow(k, kill)
-                pow_cache[(v, k)] = pw
-            term = term.mul(pw, kill)
-            if term.is_zero():
-                break
-        acc = acc + term
-    return acc
-
-
 def group_law(log: PTypicalLog, D: int) -> BivariateLaw:
     """F(x,y) = exp(log x + log y) truncated beyond total degree D.
 
@@ -187,12 +164,16 @@ def law_polynomial(law: BivariateLaw) -> MultiPoly:
 def law_associative(law: BivariateLaw) -> bool:
     """F(F(x,y),z) = F(x,F(y,z)) to the law's precision."""
     D = law.prec
+
+    def kill(exp):
+        return sum(exp) > D
+
     F = law_polynomial(law)
     x, y, z = (MultiPoly.variable(v) for v in ("x", "y", "z"))
-    fxy = _subst_trunc(F, {"x": x, "y": y}, D)
-    fyz = _subst_trunc(F, {"x": y, "y": z}, D)
-    left = _subst_trunc(F, {"x": fxy, "y": z}, D)
-    right = _subst_trunc(F, {"x": x, "y": fyz}, D)
+    fxy = F.substitute({"x": x, "y": y}, kill)
+    fyz = F.substitute({"x": y, "y": z}, kill)
+    left = F.substitute({"x": fxy, "y": z}, kill)
+    right = F.substitute({"x": x, "y": fyz}, kill)
     return left == right
 
 
@@ -218,13 +199,15 @@ class StarGroup:
                 f"denominators at {law.denominator_offenders()}")
         if self.threshold is None or law.prec < self.threshold - 1:
             raise ValueError("law precision below the nilpotency length")
-        F = algebra.field
-        self.modp_terms = []
+        p = algebra.p
+        modp = {}
         for (a, b), c in law.terms:
             cm = (Fraction(c).numerator * pow(Fraction(c).denominator,
-                                              -1, F.p)) % F.p
+                                              -1, p)) % p
             if cm and a + b < self.threshold:
-                self.modp_terms.append(((a, b), cm))
+                modp[(a, b)] = cm
+        self.modp_terms = polar_terms(MultiPoly(("x", "y"), modp),
+                                      algebra.mu_is_zero)
 
     def elements(self) -> list:
         F = self.algebra.field
@@ -243,16 +226,10 @@ class StarGroup:
             raise NonNilpotentElement(f"{v} is not nilpotent")
 
     def star(self, u, v) -> tuple:
-        A = self.algebra
-        F = A.field
         self._require_nil(u)
         self._require_nil(v)
-        out = A.zero
-        for (a, b), c in self.modp_terms:
-            val = A.mu_eval([tuple(u)] * a + [tuple(v)] * b)
-            if not vec_is_zero(val):
-                out = vec_add(F, out, vec_scale(F, c, val))
-        return out
+        return eval_polar_poly(self.algebra, self.modp_terms,
+                               {"x": tuple(u), "y": tuple(v)})
 
     def order(self) -> int:
         return self.algebra.field.q ** len(self.nil_basis)

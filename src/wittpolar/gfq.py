@@ -52,9 +52,18 @@ class FqField:
         return tuple(out)
 
     def from_coords(self, cs: Sequence[int]) -> int:
+        """The element with digits cs (at most m, each an int in [0, p))."""
+        p = self.p
+        if not isinstance(cs, (list, tuple)):
+            raise ValueError(f"field coordinates must be a list, got {cs!r}")
+        if len(cs) > self.m:
+            raise ValueError(f"{list(cs)} has more than m = {self.m} digits")
         a = 0
-        for c in reversed(list(cs)):
-            a = a * self.p + (int(c) % self.p)
+        for c in reversed(cs):
+            if type(c) is not int or not 0 <= c < p:
+                raise ValueError(f"digit {c!r} of {list(cs)} is not in "
+                                 f"[0, {p})")
+            a = a * p + c
         return a
 
     def elements(self):
@@ -163,9 +172,6 @@ class FqField:
             a = self._pow_direct(a, self.p)
         return a
 
-    def pth_root(self, a: int) -> int:
-        return self.frobenius(a, -1)
-
     def in_prime_field(self, a: int) -> bool:
         return self.frobenius(a, 1) == a
 
@@ -247,10 +253,6 @@ def gf_build(p: int, m: int) -> FqField:
         if _fp_irreducible(poly, p):
             return FqField(p, m, poly)
     raise AssertionError("no irreducible polynomial found")
-
-
-def frobenius(field: FqField, a: int, k: int) -> int:
-    return field.frobenius(a, k)
 
 
 @lru_cache(maxsize=None)
@@ -378,6 +380,30 @@ def rref(field: FqField, rows: Sequence[Sequence[int]]):
         if rank == len(R):
             break
     return [tuple(r) for r in R[:rank]], pivots
+
+
+def solve(field: FqField, rows: Sequence[Sequence[int]],
+          rhs: Sequence[int]):
+    """One x with rows . x = rhs, free variables set to 0, or None if the
+    system is inconsistent."""
+    ncols = len(rows[0])
+    R, pivots = rref(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    sol = [0] * ncols
+    for r, col in zip(R, pivots):
+        sol[col] = r[-1]
+    return tuple(sol)
+
+
+def invert(field: FqField, rows: Sequence[Sequence[int]]) -> list:
+    """Rows of the inverse of a square matrix; ValueError if singular."""
+    d = len(rows)
+    R, pivots = rref(field, [list(r) + [1 if c == i else 0 for c in range(d)]
+                             for i, r in enumerate(rows)])
+    if pivots != list(range(d)):
+        raise ValueError("matrix not invertible")
+    return [r[d:] for r in R]
 
 
 def linear_kernel(M: FqMatrix) -> list:

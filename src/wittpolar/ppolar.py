@@ -24,9 +24,6 @@ class LengthNotAdmissible(ValueError):
 def vec_add(field: FqField, u: Sequence[int], v: Sequence[int]) -> tuple:
     return tuple(field.add(a, b) for a, b in zip(u, v))
 
-def vec_sub(field: FqField, u: Sequence[int], v: Sequence[int]) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
 def vec_scale(field: FqField, c: int, v: Sequence[int]) -> tuple:
     if c == 0:
         return (0,) * len(v)
@@ -147,7 +144,12 @@ class PPolarAlgebra:
             key = tuple(entry["idx"])
             val = tuple(field.from_coords(c) for c in entry["val"])
             mu[key] = val
-        return cls(field, data["dim"], mu)
+        A = cls(field, data["dim"], mu)
+        ok, witness = check_assoc(A)
+        if not ok:
+            raise ValueError(f"mu fails the permutation axiom (ASSOC): "
+                             f"{witness}")
+        return A
 
 
 # -- polarization of honest commutative algebras -----------------------------
@@ -335,20 +337,6 @@ def ideal_power_nilpotent(A: PPolarAlgebra, I: PolarIdeal, s: int) -> bool:
             return True
         cur = polar_power(A, cur)
     return cur.is_zero()
-
-
-def nilpotence_exponent(A: PPolarAlgebra, I: PolarIdeal, cap: int | None = None):
-    """Least s with I^(p^s) = 0, or None if the chain stabilizes nonzero."""
-    cap = cap if cap is not None else A.dim + 1
-    cur = I
-    for s in range(cap + 1):
-        if cur.is_zero():
-            return s
-        nxt = polar_power(A, cur)
-        if nxt.basis == cur.basis:
-            return None
-        cur = nxt
-    return None
 
 
 def nilradical(A: PPolarAlgebra) -> PolarIdeal:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement
 
-from .gfq import FqField, FqMatrix, embed, gf_build, rank
+from .gfq import FqField, FqMatrix, embed, gf_build, invert, rank
 from .ppolar import PPolarAlgebra, polarize
 
 
@@ -67,13 +67,12 @@ def field_ext_table(base: FqField, t: int) -> list:
                 [1 if s == j else 0 for s in range(base.m)]))
             cols.append(big.coords(big.mul(bj, gi)))
     fp = gf_build(base.p, 1)
-    # invert the change of basis once: solve M * c = flat(target)
+    # invert the change of basis once: c = M^-1 * flat(target)
     M = [[cols[c][r] for c in range(len(cols))] for r in range(big.m)]
+    Minv = FqMatrix(fp, invert(fp, M))
 
     def to_coords(elt: int) -> tuple:
-        aug = [row[:] + [digit] for row, digit in zip([list(r) for r in M],
-                                                      big.coords(elt))]
-        sol = _solve_fp(fp, aug)
+        sol = Minv.mul_vec(big.coords(elt))
         return tuple(base.from_coords(sol[i * base.m:(i + 1) * base.m])
                      for i in range(t))
 
@@ -82,31 +81,6 @@ def field_ext_table(base: FqField, t: int) -> list:
         for j in range(t):
             table[i][j] = to_coords(big.pow(gamma, i + j))
     return table
-
-
-def _solve_fp(fp: FqField, aug: list) -> list:
-    """Solve the consistent square augmented system over F_p."""
-    n = len(aug)
-    p = fp.p
-    rowi = 0
-    piv_cols = []
-    for col in range(n):
-        piv = next((r for r in range(rowi, n) if aug[r][col] % p), None)
-        if piv is None:
-            continue
-        aug[rowi], aug[piv] = aug[piv], aug[rowi]
-        inv = pow(aug[rowi][col], -1, p)
-        aug[rowi] = [(inv * c) % p for c in aug[rowi]]
-        for r in range(n):
-            if r != rowi and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[rowi])]
-        piv_cols.append(col)
-        rowi += 1
-    sol = [0] * n
-    for r, col in enumerate(piv_cols):
-        sol[col] = aug[r][-1]
-    return sol
 
 
 def field_ext_polar(base: FqField, t: int) -> PPolarAlgebra:
@@ -164,7 +138,7 @@ def scramble(A: PPolarAlgebra, rng: random.Random) -> PPolarAlgebra:
     d = A.dim
     T = random_invertible(rng, F, d)
     Tcols = [tuple(T[r][c] for r in range(d)) for c in range(d)]
-    Tinv_rows = _invert_matrix(F, T)
+    Tinv_rows = invert(F, T)
     mu = {}
     for key in combinations_with_replacement(range(d), A.p):
         v = A.mu_p([Tcols[i] for i in key])
@@ -172,26 +146,6 @@ def scramble(A: PPolarAlgebra, rng: random.Random) -> PPolarAlgebra:
         if any(w):
             mu[key] = w
     return PPolarAlgebra(F, d, mu)
-
-
-def _invert_matrix(field: FqField, M: list) -> list:
-    d = len(M)
-    aug = [list(M[r]) + [1 if c == r else 0 for c in range(d)] for r in range(d)]
-    rowi = 0
-    for col in range(d):
-        piv = next((r for r in range(rowi, d) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix not invertible")
-        aug[rowi], aug[piv] = aug[piv], aug[rowi]
-        inv = field.inv(aug[rowi][col])
-        aug[rowi] = [field.mul(inv, c) for c in aug[rowi]]
-        for r in range(d):
-            if r != rowi and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(aug[r], aug[rowi])]
-        rowi += 1
-    return [row[d:] for row in aug]
 
 
 def random_vector(rng: random.Random, A: PPolarAlgebra) -> tuple:

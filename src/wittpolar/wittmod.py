@@ -6,9 +6,13 @@ left-associative scheme.  Verschiebung is the coordinate shift and the
 characteristic-p Frobenius is the componentwise p-th power (certified
 against the universal Frobenius polynomials by the test suite).
 
-Scalars act through Witt vectors over the polarization of the base field,
-so a single evaluation engine serves both the module structure and the
-group structure.
+One evaluator, `eval_polar_poly` on terms compiled by `polar_terms`,
+serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
+law's star product in `fgl`; each caller compiles its polynomial once.
+Scalars act through Witt vectors over the polarization of the base field.
+`scalar_mul` keeps its own loop: its a-variables are F_q scalars folded
+into each term's coefficient, not inputs to mu, so they cannot be bound
+like the x-variables.
 """
 
 from __future__ import annotations
@@ -66,23 +70,33 @@ def _reduced(p: int, n: int, kind: str) -> tuple:
     return tuple(reduce_mod_p(universal_polys(p, n, kind)))
 
 
+def polar_terms(poly, mu_zero: bool) -> tuple:
+    """Compile a mod-p polynomial into terms (coeff, ((var, mult), ...)).
+
+    On a zero-mu algebra every monomial of degree > 1 evaluates to 0, so
+    only the linear monomials are kept.
+    """
+    terms = []
+    for exp, c in poly.terms.items():
+        if mu_zero and sum(exp) > 1:
+            continue
+        mono = tuple((name, e) for name, e in zip(poly.vars, exp) if e)
+        terms.append((c, mono))
+    return tuple(terms)
+
+
 @lru_cache(maxsize=None)
 def _compiled(p: int, n: int, kind: str, mu_zero: bool) -> tuple:
-    """Per-level term lists (coeff, ((var, mult), ...)), pre-filtered for
-    zero-mu algebras where only linear monomials survive."""
-    out = []
-    for q in _reduced(p, n, kind):
-        terms = []
-        for exp, c in q.terms.items():
-            if mu_zero and sum(exp) > 1:
-                continue
-            mono = tuple((name, e) for name, e in zip(q.vars, exp) if e)
-            terms.append((c, mono))
-        out.append(tuple(terms))
-    return tuple(out)
+    """Per-level compiled terms of the reduced universal polynomials."""
+    return tuple(polar_terms(q, mu_zero) for q in _reduced(p, n, kind))
 
 
-def _eval_terms(A: PPolarAlgebra, terms, binding: dict) -> tuple:
+def eval_polar_poly(A: PPolarAlgebra, terms, binding: dict) -> tuple:
+    """Evaluate compiled terms (see `polar_terms`) on A.
+
+    Every monomial's variable list (with multiplicity) is fed to mu_eval;
+    the F_p coefficient scales the result inside the prime subfield.
+    """
     F = A.field
     out = A.zero
     for c, mono in terms:
@@ -93,34 +107,6 @@ def _eval_terms(A: PPolarAlgebra, terms, binding: dict) -> tuple:
             for name, e in mono:
                 elems.extend([binding[name]] * e)
             val = A.mu_eval(elems)
-        if vec_is_zero(val):
-            continue
-        out = vec_add(F, out, vec_scale(F, c % F.p, val))
-    return out
-
-
-def eval_polar_poly(A: PPolarAlgebra, poly, binding: dict) -> tuple:
-    """Evaluate a mod-p polynomial with polar-admissible monomials on A.
-
-    Every monomial's variable list (with multiplicity) is fed to mu_eval;
-    the F_p coefficient scales the result inside the prime subfield.
-    """
-    F = A.field
-    out = A.zero
-    mu0 = A.mu_is_zero
-    names = poly.vars
-    for exp, c in poly.terms.items():
-        deg = 0
-        for e in exp:
-            deg += e
-        if mu0 and deg > 1:
-            continue
-        elems = []
-        for name, e in zip(names, exp):
-            if e:
-                v = binding[name]
-                elems.extend([v] * e)
-        val = A.mu_eval(elems)
         if vec_is_zero(val):
             continue
         out = vec_add(F, out, vec_scale(F, c % F.p, val))
@@ -148,7 +134,7 @@ def w_add(x: WittVector, y: WittVector) -> WittVector:
     n = x.length
     levels = _compiled(A.p, n, "sum", A.mu_is_zero)
     bind = _binding({"x": x.coords, "y": y.coords}, n)
-    return WittVector(A, tuple(_eval_terms(A, t, bind) for t in levels))
+    return WittVector(A, tuple(eval_polar_poly(A, t, bind) for t in levels))
 
 
 def w_neg(x: WittVector) -> WittVector:
@@ -156,11 +142,7 @@ def w_neg(x: WittVector) -> WittVector:
     n = x.length
     levels = _compiled(A.p, n, "neg", A.mu_is_zero)
     bind = _binding({"x": x.coords}, n)
-    return WittVector(A, tuple(_eval_terms(A, t, bind) for t in levels))
-
-
-def w_sub(x: WittVector, y: WittVector) -> WittVector:
-    return w_add(x, w_neg(y))
+    return WittVector(A, tuple(eval_polar_poly(A, t, bind) for t in levels))
 
 
 def w_product(xs: Sequence[WittVector]) -> WittVector:
@@ -176,7 +158,7 @@ def w_product(xs: Sequence[WittVector]) -> WittVector:
     levels = _compiled(A.p, n, "prod", A.mu_is_zero)
     blocks = witt_blocks("prod", A.p)
     bind = _binding({b: x.coords for b, x in zip(blocks, xs)}, n)
-    return WittVector(A, tuple(_eval_terms(A, t, bind) for t in levels))
+    return WittVector(A, tuple(eval_polar_poly(A, t, bind) for t in levels))
 
 
 def teichmuller(A: PPolarAlgebra, a: Sequence[int], n: int) -> WittVector:
@@ -194,12 +176,6 @@ def frobenius_charp(x: WittVector) -> WittVector:
         raise ValueError("Frobenius needs length >= 2")
     A = x.algebra
     return WittVector(A, tuple(A.ppow(c) for c in x.coords[:-1]))
-
-
-def frobenius_endo(x: WittVector) -> WittVector:
-    """The length-preserving componentwise p-th power W_n(Frob)."""
-    A = x.algebra
-    return WittVector(A, tuple(A.ppow(c) for c in x.coords))
 
 
 def truncate(x: WittVector, n: int) -> WittVector:
@@ -254,6 +230,8 @@ def scalar_mul(a: WittVector, x: WittVector) -> WittVector:
     if a.length != x.length:
         raise ValueError("length mismatch")
     n = x.length
+    # not eval_polar_poly: the a-variables are F_q scalars multiplied into
+    # the coefficient, and only the x-variables are fed to mu
     polys = _reduced(A.p, n, "scalar")
     bind = _binding({"x": x.coords}, n)
     scalars = {name: c[0] for name, c in zip(block_vars("a", n), a.coords)}

@@ -234,3 +234,53 @@ def test_verify_teichmuller_suite_filtered(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "Teichmuller" in out
+
+
+# -- rejected input ---------------------------------------------------------------
+
+
+@pytest.fixture
+def nonassoc_algebra():
+    # mu(e0, e1) = e0 on GF(2)^2: mu(mu(e0,e1),e1) = e0 but
+    # mu(mu(e1,e1),e0) = 0, so the permutation axiom fails
+    return {"format": "wittpolar/1", "p": 2, "field": F2.to_json(), "dim": 2,
+            "mu": [{"idx": [0, 1], "val": [[1], [0]]}]}
+
+
+def _assert_rejected(rc, out, err):
+    assert rc == 1 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "validation"
+    return diag["message"]
+
+
+def test_split_rejects_non_associative_algebra(capsys, tmp_path,
+                                               nonassoc_algebra):
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(nonassoc_algebra))
+    msg = _assert_rejected(*run(capsys, "split", str(path)))
+    assert "ASSOC" in msg
+
+
+def test_witt_eval_rejects_non_associative_algebra(capsys, tmp_path,
+                                                   nonassoc_algebra):
+    lit = {"op": "lit", "coords": [[[1], [1]]]}
+    expr = {"format": "wittpolar/1", "algebra": nonassoc_algebra,
+            "expr": {"op": "add", "args": [lit, lit]}}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "ASSOC" in msg
+
+
+@pytest.mark.parametrize("coord", [1, [1, 1], [2]])
+def test_witt_eval_rejects_malformed_coordinates(capsys, tmp_path,
+                                                 algebra_file, coord):
+    # a bare int where a digit list belongs, too many digits, a digit >= p
+    lit = {"op": "lit", "coords": [[coord, [0], [0]]]}
+    expr = {"format": "wittpolar/1",
+            "algebra": json.loads(algebra_file.read_text()),
+            "expr": {"op": "neg", "arg": lit}}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    _assert_rejected(*run(capsys, "witt-eval", str(path)))

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from wittpolar.gfq import (FqMatrix, additive_poly_roots, embed, embedding,
-                           gf_build, linear_kernel, rank, semilinear_kernel)
+                           gf_build, invert, linear_kernel, rank,
+                           semilinear_kernel, solve)
 
 
 def test_prime_field_convention():
@@ -163,3 +164,82 @@ def test_field_json_rejects_reducible_modulus():
     F8 = FqField.from_json({"p": 2, "m": 3, "modulus": [1, 0, 1, 1]})
     assert F8.modulus == (1, 0, 1, 1) and F8 != gf_build(2, 3)
     assert all(F8.mul(a, F8.inv(a)) == 1 for a in range(1, 8))
+
+
+def test_from_coords_round_trip_and_short_lists():
+    F9 = gf_build(3, 2)
+    for a in F9.elements():
+        assert F9.from_coords(list(F9.coords(a))) == a
+        assert F9.from_coords(F9.coords(a)) == a
+    assert F9.from_coords([2]) == 2 and F9.from_coords([]) == 0
+
+
+@pytest.mark.parametrize("cs", [3, "1", None, [1, 1, 1], [0, 2], [-1],
+                                [1.0], [True]])
+def test_from_coords_rejects_malformed_input(cs):
+    # GF(4) has two digits, each in {0, 1}
+    with pytest.raises(ValueError):
+        gf_build(2, 2).from_coords(cs)
+
+
+SOLVE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("p,m", SOLVE_FIELDS)
+def test_solve_returns_a_solution(p, m):
+    F = gf_build(p, m)
+    rng = random.Random(100 * p + m)
+    for _ in range(30):
+        nr, nc = rng.randrange(1, 5), rng.randrange(1, 5)
+        M = [[rng.randrange(F.q) for _ in range(nc)] for _ in range(nr)]
+        x = tuple(rng.randrange(F.q) for _ in range(nc))
+        b = FqMatrix(F, M).mul_vec(x)
+        sol = solve(F, M, b)
+        assert sol is not None and len(sol) == nc
+        assert FqMatrix(F, M).mul_vec(sol) == b
+
+
+@pytest.mark.parametrize("p,m", SOLVE_FIELDS)
+def test_solve_detects_inconsistent_systems(p, m):
+    F = gf_build(p, m)
+    rng = random.Random(7 * p + m)
+    for _ in range(20):
+        nc = rng.randrange(1, 4)
+        row = [rng.randrange(F.q) for _ in range(nc)]
+        c = rng.randrange(1, F.q)
+        # the same row twice with right-hand sides differing by c != 0
+        b = rng.randrange(F.q)
+        assert solve(F, [row, row], (b, F.add(b, c))) is None
+    assert solve(F, [[0, 0]], (1,)) is None
+
+
+@pytest.mark.parametrize("p,m", SOLVE_FIELDS)
+def test_invert_gives_the_inverse(p, m):
+    F = gf_build(p, m)
+    rng = random.Random(11 * p + m)
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            M = [[rng.randrange(F.q) for _ in range(d)] for _ in range(d)]
+            if rank(F, M) < d:
+                with pytest.raises(ValueError):
+                    invert(F, M)
+                continue
+            Minv = invert(F, M)
+            ident = tuple(tuple(1 if i == j else 0 for j in range(d))
+                          for i in range(d))
+            assert FqMatrix(F, M).matmul(FqMatrix(F, Minv)).rows == ident
+            assert FqMatrix(F, Minv).matmul(FqMatrix(F, M)).rows == ident
+
+
+@pytest.mark.parametrize("p,m", SOLVE_FIELDS)
+def test_invert_rejects_singular_matrices(p, m):
+    F = gf_build(p, m)
+    rng = random.Random(13 * p + m)
+    for d in (2, 3, 4):
+        M = [[rng.randrange(F.q) for _ in range(d)] for _ in range(d - 1)]
+        c = rng.randrange(F.q)
+        M.append([F.mul(c, a) for a in M[0]])  # a multiple of row 0
+        with pytest.raises(ValueError):
+            invert(F, M)
+    with pytest.raises(ValueError):
+        invert(F, [[0]])

@@ -142,14 +142,17 @@ def test_fv_vf_p():
 
 def test_frobenius_matches_universal_polys():
     rng = random.Random(29)
-    from wittpolar.wittmod import _reduced, eval_polar_poly, _binding
+    from wittpolar.wittmod import (_reduced, eval_polar_poly, _binding,
+                                   polar_terms)
     for A in (samples.trunc_nil_polar(F2, 4), samples.trunc_nil_polar(F3, 3)):
         for n in (1, 2, 3):
             polys = _reduced(A.p, n, "frob")
             for _ in range(5):
                 x = rand_witt(rng, A, n + 1)
                 bind = _binding({"x": x.coords}, n + 1)
-                via_polys = tuple(eval_polar_poly(A, q, bind) for q in polys)
+                via_polys = tuple(
+                    eval_polar_poly(A, polar_terms(q, A.mu_is_zero), bind)
+                    for q in polys)
                 assert frobenius_charp(x).coords == via_polys
 
 
