@@ -6,8 +6,8 @@ from .gfq import (FqField, FqMatrix, additive_poly_roots, embed, gf_build,
                   linear_kernel, semilinear_kernel)
 from .ppolar import (LengthNotAdmissible, PolarIdeal, PPolarAlgebra,
                      check_assoc, extend_scalars, free_polar_basis,
-                     ideal_generated, ideal_power_nilpotent, nilradical,
-                     polarize, quotient)
+                     ideal_generated, ideal_power_nilpotent,
+                     nilpotence_index, nilradical, polarize, quotient)
 from .wittuniv import (DworkCongruenceFailed, GhostSequence, UnivWittPoly,
                        dwork_lift, ghost_polys, polar_degree_check,
                        reduce_mod_p, universal_polys)

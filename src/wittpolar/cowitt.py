@@ -26,6 +26,11 @@ lifted polynomial depends on that pattern and not on the entry values: it
 is built once per pattern key and memoized, and each window only binds its
 entries and evaluates it on the algebra.
 
+The witness searches and the caps ask only for ideal closures, nilpotence
+indices and product-length thresholds of subspaces of the algebra; each is
+answered from the algebra's ideal memo (see `ppolar`), so an operation pays
+for a closure only the first time its subspace comes up.
+
 Stabilization is detected by K consecutive equal values under a hard cap,
 plus an exact shortcut: once both tails are zero and the window covers all
 nonzero entries, deeper windows only prepend zeros, and V-padding leaves
@@ -40,7 +45,7 @@ from typing import Callable, Sequence
 
 from .exact import MultiPoly
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
-                     ideal_power_nilpotent, polar_power,
+                     ideal_power_nilpotent, nilpotence_index,
                      product_length_threshold, vec_is_zero)
 from .wittmod import eval_polar_poly, polar_terms
 from .wittuniv import dwork_lift
@@ -107,11 +112,23 @@ class CoWittElement:
 
 
 def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
+    if not isinstance(data, dict):
+        raise ValueError("a co-Witt element is a JSON object")
+    exceptions = data.get("exceptions", {})
+    witness = data.get("witness", [0, 0])
+    if (not isinstance(data.get("tail"), list)
+            or not isinstance(exceptions, dict)
+            or not all(isinstance(v, list) for v in exceptions.values())):
+        raise ValueError("a co-Witt element is an object with a 'tail' list "
+                         "and an 'exceptions' object of lists")
+    if (not isinstance(witness, (list, tuple)) or len(witness) != 2
+            or any(type(w) is not int for w in witness)):
+        raise ValueError(f"witness must be two ints, got {witness!r}")
     F = A.field
     tail = tuple(F.from_coords(c) for c in data["tail"])
     exc = {int(i): tuple(F.from_coords(c) for c in v)
-           for i, v in data.get("exceptions", {}).items()}
-    return CoWittElement(A, tail, exc, tuple(data.get("witness", (0, 0))))
+           for i, v in exceptions.items()}
+    return CoWittElement(A, tail, exc, tuple(witness))
 
 
 def cw_zero(A: PPolarAlgebra) -> CoWittElement:
@@ -126,20 +143,10 @@ def _deep_ideal(x: CoWittElement, r: int) -> PolarIdeal:
     return ideal_generated(x.algebra, [g for g in gens if any(g)])
 
 
-def _min_nilpotence(A: PPolarAlgebra, I: PolarIdeal):
-    """Least s with vanishing s-fold polar power, or None."""
-    cur = I
-    for s in range(A.dim + 2):
-        if cur.is_zero():
-            return s
-        cur = polar_power(A, cur)
-    return None
-
-
 def witness_search(x: CoWittElement):
     """Smallest valid (r, s), or None; validity is monotone in r."""
     for r in range(x.depth() + 2):
-        s = _min_nilpotence(x.algebra, _deep_ideal(x, r))
+        s = nilpotence_index(x.algebra, _deep_ideal(x, r))
         if s is not None:
             return (r, s)
     return None
@@ -247,7 +254,7 @@ def _caps_for(A: PPolarAlgebra, elems: Sequence[CoWittElement], r: int) -> tuple
         all_vals.append(e.tail)
     deep_vals = [v for v in deep_vals if any(v)]
     all_vals = [v for v in all_vals if any(v)]
-    s_star = _min_nilpotence(A, ideal_generated(A, deep_vals))
+    s_star = nilpotence_index(A, ideal_generated(A, deep_vals))
     if s_star is None:
         raise ValueError("deep entries do not generate a nilpotent ideal")
     t_total = product_length_threshold(A, all_vals)
@@ -321,7 +328,7 @@ def cw_add(x: CoWittElement, y: CoWittElement, K: int | None = None,
            cap: int | None = None) -> CoWittElement:
     """Stabilized sum; entries deeper than every exception reuse one
     translation-invariant computation for the new tail."""
-    if x.algebra != y.algebra:
+    if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise ValueError("operands live over different algebras")
     x = _settled(x)
     y = _settled(y)

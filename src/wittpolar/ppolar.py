@@ -5,6 +5,16 @@ structure tensor mu: sorted p-multisets of basis indices -> vectors in
 F_q^d (absent keys mean zero).  Symmetry is structural, multilinearity is
 automatic from the tensor representation, and the permutation-invariance
 axiom on (2p-1)-fold products is checked by `check_assoc`.
+
+Ideal closure (`ideal_generated`), the nilpotence index
+(`nilpotence_index`) and the product-length threshold
+(`product_length_threshold`) depend only on the algebra and on the
+subspace they are asked about.  Each algebra remembers their answers in one
+memo, `_ideals`, keyed by the query's kind and the reduced echelon basis of
+that subspace (as `echelon_span` returns it, which is canonical: equal
+subspaces give equal keys), plus the cap for the threshold.  A repeated
+query returns the stored answer (the same `PolarIdeal` object for a
+closure); the function body runs only on the first one.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ def vec_is_zero(v: Sequence[int]) -> bool:
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
-    __slots__ = ("field", "dim", "mu", "mu_is_zero")
+    __slots__ = ("field", "dim", "mu", "mu_is_zero", "_ideals")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -58,6 +68,7 @@ class PPolarAlgebra:
                 clean[key] = val
         self.mu = clean
         self.mu_is_zero = not clean
+        self._ideals = {}     # (query, echelon basis) -> answer
 
     @property
     def p(self) -> int:
@@ -136,11 +147,26 @@ class PPolarAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "PPolarAlgebra":
+        if not isinstance(data, dict) or not isinstance(data.get("field"),
+                                                        dict):
+            raise ValueError("an algebra is an object with a 'field' object")
         field = FqField.from_json(data["field"])
         if data.get("p", field.p) != field.p:
             raise ValueError("p must equal the field characteristic")
+        if type(data.get("dim")) is not int or data["dim"] < 0:
+            raise ValueError(f"dim must be a nonnegative int, got "
+                             f"{data.get('dim')!r}")
+        entries = data.get("mu")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("idx"), list)
+                and isinstance(e.get("val"), list) for e in entries):
+            raise ValueError("mu must be a list of objects with list 'idx' "
+                             "and 'val'")
         mu = {}
-        for entry in data["mu"]:
+        for entry in entries:
+            if any(type(i) is not int for i in entry["idx"]):
+                raise ValueError(f"mu index {entry['idx']!r} is not a list "
+                                 f"of ints")
             key = tuple(entry["idx"])
             val = tuple(field.from_coords(c) for c in entry["val"])
             mu[key] = val
@@ -303,9 +329,11 @@ class PolarIdeal:
 
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
     """Smallest F_q-subspace containing gens closed under mu(A,..,A,-)."""
-    rows: list = []
-    for v in gens:
-        echelon_insert(A.field, rows, v)
+    rows = echelon_span(A.field, gens)
+    query = ("ideal", tuple(rows))
+    memo = A._ideals
+    if query in memo:
+        return memo[query]
     outer_keys = list(combinations_with_replacement(range(A.dim), A.p - 1))
     changed = True
     while changed:
@@ -316,7 +344,8 @@ def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIde
                 v = A.mu_p(outer + [list(b)])
                 if any(v) and echelon_insert(A.field, rows, v):
                     changed = True
-    return PolarIdeal(A, rows, verify=False)
+    memo[query] = PolarIdeal(A, rows, verify=False)
+    return memo[query]
 
 
 def polar_power(A: PPolarAlgebra, I: PolarIdeal) -> PolarIdeal:
@@ -329,14 +358,29 @@ def polar_power(A: PPolarAlgebra, I: PolarIdeal) -> PolarIdeal:
     return ideal_generated(A, gens)
 
 
+def nilpotence_index(A: PPolarAlgebra, I: PolarIdeal):
+    """Least s whose s-fold iterated polar power of I vanishes, or None.
+
+    The powers of an ideal form a descending chain of subspaces, so a
+    nonzero power that is still nonzero after dim + 1 steps never vanishes.
+    """
+    query = ("nilpotence", I.basis)
+    memo = A._ideals
+    if query not in memo:
+        memo[query] = None
+        cur = I
+        for s in range(A.dim + 2):
+            if cur.is_zero():
+                memo[query] = s
+                break
+            cur = polar_power(A, cur)
+    return memo[query]
+
+
 def ideal_power_nilpotent(A: PPolarAlgebra, I: PolarIdeal, s: int) -> bool:
     """True iff the s-fold iterated polar power of I vanishes."""
-    cur = I
-    for _ in range(s):
-        if cur.is_zero():
-            return True
-        cur = polar_power(A, cur)
-    return cur.is_zero()
+    index = nilpotence_index(A, I)
+    return index is not None and index <= s
 
 
 def nilradical(A: PPolarAlgebra) -> PolarIdeal:
@@ -363,19 +407,30 @@ def nilradical(A: PPolarAlgebra) -> PolarIdeal:
 def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
                              cap: int | None = None):
     """Least L = 1 + j(p-1) such that every product of >= L elements drawn
-    from the span of `vectors` vanishes, or None if no such L exists.
+    from the span of `vectors` vanishes, or None if no such L exists (or
+    none with j <= cap)."""
+    span = tuple(echelon_span(A.field, vectors))
+    p = A.p
+    if cap is None:
+        cap = (p ** (A.dim + 1) - 1) // (p - 1) + 1
+    query = ("threshold", span, cap)
+    memo = A._ideals
+    if query not in memo:
+        memo[query] = _length_threshold(A, span, cap)
+    return memo[query]
+
+
+def _length_threshold(A: PPolarAlgebra, span: tuple, cap: int):
+    """`product_length_threshold` on an echelon basis `span`.
 
     Products of span elements of length 1 + j(p-1) are spanned, by
     multilinearity and scheme independence, by mu applied to span basis
     vectors, so the chain is computed on basis combinations only.
     """
-    F = A.field
-    span = echelon_span(F, vectors)
     if not span:
         return 1
+    F = A.field
     p = A.p
-    if cap is None:
-        cap = (p ** (A.dim + 1) - 1) // (p - 1) + 1
     outer = list(combinations_with_replacement(range(len(span)), p - 1))
     cur = list(span)
     for j in range(1, cap + 1):

@@ -62,7 +62,12 @@ def w_zero(algebra: PPolarAlgebra, n: int) -> WittVector:
 
 def witt_from_json(algebra: PPolarAlgebra, data: dict) -> WittVector:
     F = algebra.field
-    return witt(algebra, [[F.from_coords(a) for a in c] for c in data["coords"]])
+    coords = data["coords"]
+    if not isinstance(coords, list) or not all(isinstance(c, list)
+                                               for c in coords):
+        raise ValueError(f"coords must be a list of coordinate lists, got "
+                         f"{coords!r}")
+    return witt(algebra, [[F.from_coords(a) for a in c] for c in coords])
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +127,7 @@ def _binding(blocks_to_vectors: dict, n: int) -> dict:
 
 
 def _check_pair(x: WittVector, y: WittVector):
-    if x.algebra != y.algebra:
+    if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise ValueError("operands live over different algebras")
     if x.length != y.length:
         raise ValueError("length mismatch")

@@ -284,3 +284,36 @@ def test_witt_eval_rejects_malformed_coordinates(capsys, tmp_path,
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(expr))
     _assert_rejected(*run(capsys, "witt-eval", str(path)))
+
+
+def test_witt_eval_rejects_ints_for_coordinate_vectors(capsys, tmp_path,
+                                                      algebra_file):
+    expr = {"format": "wittpolar/1",
+            "algebra": json.loads(algebra_file.read_text()),
+            "expr": {"op": "lit", "coords": [1, 2]}}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "coords" in msg
+
+
+def test_split_rejects_mu_that_is_not_a_list(capsys, tmp_path, algebra_file):
+    data = json.loads(algebra_file.read_text())
+    data["mu"] = 5
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    msg = _assert_rejected(*run(capsys, "split", str(path)))
+    assert "mu" in msg
+
+
+@pytest.mark.parametrize("bad", [
+    {"tail": 1},
+    {"tail": [[0], [0], [0]], "exceptions": {"0": 3}},
+    {"tail": [[0], [0], [0]], "exceptions": [[0], [0], [0]]},
+    {"tail": [[0], [0], [0]], "witness": 2},
+])
+def test_cw_rejects_malformed_elements(capsys, tmp_path, algebra_file, bad):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(dict(bad, format="wittpolar/1")))
+    _assert_rejected(*run(capsys, "cw", "validate", "--algebra",
+                          str(algebra_file), str(path)))

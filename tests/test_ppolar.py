@@ -4,14 +4,16 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittpolar import samples
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
                               ideal_generated, ideal_power_nilpotent,
-                              nilradical, polarize, product_length_threshold,
-                              quotient)
+                              nilpotence_index, nilradical, polarize,
+                              product_length_threshold, quotient)
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -214,3 +216,81 @@ def test_algebra_json_round_trip():
     A = samples.field_ext_polar(F3, 2)
     data = A.to_json()
     assert PPolarAlgebra.from_json(data) == A
+
+
+# -- the per-algebra ideal memo -------------------------------------------------
+
+
+# built once, so the memo stays warm across examples
+NIL_ALGEBRAS = {(q, N): samples.trunc_nil_polar(F, N)
+                for q, F in ((2, F2), (3, F3), (4, F4)) for N in (3, 4, 5)}
+
+
+def _cold_copy(A):
+    return PPolarAlgebra(A.field, A.dim, A.mu)
+
+
+def _queries(A, gens):
+    I = ideal_generated(A, gens)
+    return I.basis, nilpotence_index(A, I), product_length_threshold(A, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NIL_ALGEBRAS)), st.data())
+def test_memo_answers_equal_memo_cold_answers(key, data):
+    A = NIL_ALGEBRAS[key]
+    q = A.field.q
+    vec = st.tuples(*[st.integers(0, q - 1)] * A.dim)
+    gens = data.draw(st.lists(vec, max_size=3))
+    assert _queries(A, gens) == _queries(_cold_copy(A), gens)
+
+
+def test_repeated_query_makes_no_mu_call(monkeypatch):
+    A = samples.trunc_nil_polar(F3, 5)
+    gens = [(0, 1, 0, 2)]
+    first = _queries(A, gens)
+    I = ideal_generated(A, gens)
+    calls = []
+    real = PPolarAlgebra.mu_p
+    monkeypatch.setattr(PPolarAlgebra, "mu_p",
+                        lambda self, vecs: calls.append(1) or real(self, vecs))
+    assert _queries(A, gens) == first
+    # the key is the subspace: another spanning set of it hits as well
+    assert ideal_generated(A, [(0, 2, 0, 1), (0, 0, 0, 0)]) is I
+    assert calls == []
+    assert _queries(_cold_copy(A), gens) == first
+    assert calls
+
+
+def test_memo_is_not_shared_between_algebras():
+    # same field and dimension, different mu: x F2[x]/(x^4) and mu = 0
+    A = samples.trunc_nil_polar(F2, 4)
+    B = samples.trivial_polar(F2, 3)
+    gens = [A.basis_vector(0)]
+    for _ in range(2):
+        IA, IB = ideal_generated(A, gens), ideal_generated(B, gens)
+        assert (IA.dim, IB.dim) == (3, 1)
+        assert IA.algebra is A and IB.algebra is B
+        assert (nilpotence_index(A, IA), nilpotence_index(B, IB)) == (2, 1)
+        assert product_length_threshold(A, gens) == 4
+        assert product_length_threshold(B, gens) == 2
+
+
+def test_ideal_power_nilpotent_is_nilpotence_index_bound():
+    rng = random.Random(5)
+    algebras = [samples.trunc_nil_polar(F2, 4), samples.trunc_nil_polar(F3, 5),
+                samples.split_polar(F3, 2),
+                samples.polar_direct_sum(samples.split_polar(F2, 1),
+                                         samples.trunc_nil_polar(F2, 3))]
+    indices = set()
+    for A in algebras:
+        for _ in range(6):
+            gens = [samples.random_vector(rng, A)
+                    for _ in range(rng.randrange(3))]
+            I = ideal_generated(A, gens)
+            index = nilpotence_index(A, I)
+            indices.add(index)
+            for s in range(A.dim + 3):
+                assert ideal_power_nilpotent(A, I, s) == (
+                    index is not None and index <= s)
+    assert None in indices and len(indices) > 2
