@@ -14,8 +14,7 @@ from .wittuniv import (DworkCongruenceFailed, GhostSequence, UnivWittPoly,
 from .wittmod import (CwuClass, WittVector, cwu_add, cwu_class, cwu_F, cwu_V,
                       frobenius_charp, scalar_mul, teichmuller, verschiebung,
                       w_add, w_neg, w_product, witt)
-from .cowitt import (CoWittElement, StabilizationNotDetected, cw_add, cw_F,
-                     cw_V, cw_validate)
+from .cowitt import CoWittElement, cw_add, cw_F, cw_V, cw_validate
 from .etale import (Decomposition, ExtensionCapExceeded, NotAMorphism,
                     NotReduced, decompose, find_idempotent, geometric_points,
                     hom_check, phi_matrix, split_once)

@@ -69,6 +69,15 @@ def cmd_witt_poly(args) -> int:
     return 0
 
 
+def _part(node: dict, key: str, kind: type):
+    """node[key], which must be a JSON value of the given Python type."""
+    value = node.get(key)
+    if type(value) is not kind:
+        raise CliError(f"{node['op']!r} node: {key!r} must be a JSON "
+                       f"{kind.__name__}, got {value!r}")
+    return value
+
+
 def _eval_expr(A: PPolarAlgebra, node) -> wittmod.WittVector:
     if not isinstance(node, dict) or "op" not in node:
         raise CliError("expression nodes are objects with an 'op' key")
@@ -76,15 +85,16 @@ def _eval_expr(A: PPolarAlgebra, node) -> wittmod.WittVector:
     if op == "lit":
         return wittmod.witt_from_json(A, node)
     if op == "teich":
-        a = tuple(A.field.from_coords(c) for c in node["value"])
-        return wittmod.teichmuller(A, a, int(node["length"]))
+        a = tuple(A.field.from_coords(c) for c in _part(node, "value", list))
+        return wittmod.teichmuller(A, a, _part(node, "length", int))
     if op == "add":
-        x, y = (_eval_expr(A, a) for a in node["args"])
+        x, y = (_eval_expr(A, a) for a in _part(node, "args", list))
         return wittmod.w_add(x, y)
     if op == "neg":
         return wittmod.w_neg(_eval_expr(A, node["arg"]))
     if op == "prod":
-        return wittmod.w_product([_eval_expr(A, a) for a in node["args"]])
+        return wittmod.w_product([_eval_expr(A, a)
+                                  for a in _part(node, "args", list)])
     if op == "frob":
         return wittmod.frobenius_charp(_eval_expr(A, node["arg"]))
     if op == "versch":
@@ -258,8 +268,7 @@ def main(argv=None) -> int:
         sys.stderr.write(_dump({"error": "validation", "message": str(exc)}))
         return 1
     except (ValueError, KeyError, OSError, ArithmeticError,
-            json.JSONDecodeError, cowitt.StabilizationNotDetected,
-            etale.ExtensionCapExceeded) as exc:
+            json.JSONDecodeError, etale.ExtensionCapExceeded) as exc:
         sys.stderr.write(_dump({"error": "validation",
                                 "message": f"{type(exc).__name__}: {exc}"}))
         return 1

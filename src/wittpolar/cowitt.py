@@ -15,8 +15,8 @@ polynomials tiny:
 
   * variables bound to 0 are killed on sight;
   * if the span of every window value is nilpotent, monomials die at
-    total degree >= the product-length threshold of that span;
-  * monomials die at deep-variable degree >= p^s, because p^s deep
+    total degree >= t_total, the product-length threshold of that span;
+  * monomials die at deep-variable degree >= t_deep = p^s, because p^s deep
     factors can be regrouped (scheme independence) into a complete p-ary
     subtree landing in the vanishing s-fold polar power.
 
@@ -31,17 +31,37 @@ indices and product-length thresholds of subspaces of the algebra; each is
 answered from the algebra's ideal memo (see `ppolar`), so an operation pays
 for a closure only the first time its subspace comes up.
 
-Stabilization is detected by K consecutive equal values under a hard cap,
-plus an exact shortcut: once both tails are zero and the window covers all
-nonzero entries, deeper windows only prepend zeros, and V-padding leaves
-the value literally constant.
+Each entry is read off one window, at a certified depth m*.  Give x_i and
+y_i weight p^i; the top component of the level-L sum or negation is then
+isobaric of weight p^L.  V-padding (binding the position-0 variables to 0
+turns the level-L polynomial into the level L-1 one) makes the level-L
+value differ from the level L-1 value only by the monomials in a position-0
+variable (weight 1).  For L >= 1 such a monomial has only factors of weight
+below p^L.  If its factors of weight p^k and above have weights divisible
+by p^k, the factors below p^k sum to a positive multiple of p^k, which
+base-p carries allow only with at least (p-1)k+1 of them.  Take k = L to
+bound the total degree.  The window's last R = max(0, r-n) positions are
+not deep; when L >= max(R, 1), take k = L - max(R, 1) + 1, whose positions
+of weight below p^k are all deep, to bound the deep degree.  Call level L
+dead when every such monomial is killed:
+
+  (a) every tail is zero and n + L > d, where -d is the deepest index
+      holding a nonzero entry (the position-0 entries are zero);
+  (b) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep;
+  (c) t_total is set and (p-1)L + 1 >= t_total.
+
+Each condition stays true as L grows, so with L0 the least dead level the
+window at m* = max(start_m, L0 - 1) has the value of every deeper window.
+Deep entries generate a nilpotent ideal (Fontaine, Groupes p-divisibles sur
+les corps locaux, Asterisque 47-48, ch. II), so t_deep is finite and (b)
+always gives a level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exact import MultiPoly
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
@@ -49,10 +69,6 @@ from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      product_length_threshold, vec_is_zero)
 from .wittmod import eval_polar_poly, polar_terms
 from .wittuniv import dwork_lift
-
-
-class StabilizationNotDetected(RuntimeError):
-    """Windowed sums did not repeat within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -200,11 +216,7 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
             tot += e
             if deepfl[i]:
                 dd += e
-        if t_total is not None and tot >= t_total:
-            return True
-        if t_deep is not None and dd >= t_deep:
-            return True
-        return False
+        return (t_total is not None and tot >= t_total) or dd >= t_deep
 
     def ghost_entry(offset: int, level: int, sign: int) -> MultiPoly:
         terms = {}
@@ -227,23 +239,6 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
                        mu_zero)
 
 
-def _window_value(A: PPolarAlgebra, windows: Sequence[Sequence[tuple]],
-                  deep: Sequence[bool], caps: tuple, op: str) -> tuple:
-    """Top Witt component of `op` on the given coordinate windows.
-
-    Each window is a list of m+1 vectors (deepest first); `deep[i]` flags
-    window position i.
-    """
-    m = len(windows[0]) - 1
-    zero = tuple(vec_is_zero(u) for w in windows for u in w)
-    top = _window_poly(A.p, m, op, zero, tuple(deep), caps, A.mu_is_zero)
-    binding = {}
-    for b, w in zip("xy", windows):
-        for i in range(m + 1):
-            binding[f"{b}{i}"] = w[i]
-    return eval_polar_poly(A, top, binding)
-
-
 def _caps_for(A: PPolarAlgebra, elems: Sequence[CoWittElement], r: int) -> tuple:
     deep_vals = []
     all_vals = []
@@ -262,70 +257,65 @@ def _caps_for(A: PPolarAlgebra, elems: Sequence[CoWittElement], r: int) -> tuple
 
 
 def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
-                     accessors: Sequence[Callable] | None = None,
-                     K: int | None = None, cap: int | None = None,
                      start_m: int = 0) -> tuple:
-    """The eventual value of the windowed `op` at index -n."""
+    """The eventual value of the windowed `op` at index -n, read off the
+    window at the certified depth (at least `start_m`)."""
     r = max(e.witness[0] for e in elems)
     caps = _caps_for(elems[0].algebra, elems, r)
-    return _stabilized_entry(elems, n, op, accessors, K, cap, start_m, caps)
+    return _stabilized_entry(elems, n, op, start_m, caps)
 
 
-def _stabilized_entry(elems, n, op, accessors, K, cap, start_m,
-                      caps) -> tuple:
-    """`stabilized_entry` with the kill caps of `elems` already computed."""
-    A = elems[0].algebra
-    r = max(e.witness[0] for e in elems)
-    s = max(e.witness[1] for e in elems)
-    entry_fns = accessors or [e.entry for e in elems]
-    if K is None:
-        K = A.dim + 2
-    if cap is None:
-        cap = max(16, 4 * (r + s + 1) * max(A.dim, 1))
-
-    def windows_at(m: int):
-        idxs = [-n - m + i for i in range(m + 1)]
-        deep = [i <= -r for i in idxs]
-        return [[fn(i) for i in idxs] for fn in entry_fns], deep
-
-    # exact shortcut: zero tails and a window already covering every
-    # nonzero entry mean deeper windows only prepend zeros (V-padding)
-    if accessors is None and all(vec_is_zero(e.tail) for e in elems):
+def _certified_depth(elems, n: int, r: int, caps: tuple, start_m: int) -> int:
+    """Least level m >= start_m whose window value every deeper window
+    repeats: one below the least dead level (module docstring)."""
+    p = elems[0].algebra.p
+    t_total, t_deep = caps
+    R1 = max(1, r - n)
+    # -(-(t - 1) // (p - 1)) is the least k with (p-1)k + 1 >= t
+    dead = [R1 - 1 + max(1, -(-(t_deep - 1) // (p - 1)))]           # (b)
+    if t_total is not None:
+        dead.append(-(-(t_total - 1) // (p - 1)))                    # (c)
+    if all(vec_is_zero(e.tail) for e in elems):
         deepest = max([0] + [-i for e in elems
                              for i, v in e.exceptions.items() if any(v)])
-        m0 = max(start_m, deepest - n, 0)
-        windows, deep = windows_at(m0)
-        return _window_value(A, windows, deep, caps, op)
-
-    history: list = []
-    for m in range(start_m, cap + 1):
-        windows, deep = windows_at(m)
-        v = _window_value(A, windows, deep, caps, op)
-        history.append(v)
-        if len(history) >= K and all(h == v for h in history[-K:]):
-            return v
-    raise StabilizationNotDetected(
-        f"no repeat of length {K} within window cap {cap} at index {-n}")
+        dead.append(deepest - n + 1)                                 # (a)
+    return max(start_m, min(dead) - 1, 0)
 
 
-def _stabilized_op(elems: list, op: str, K, cap) -> CoWittElement:
+def _stabilized_entry(elems, n, op, start_m, caps) -> tuple:
+    """`stabilized_entry` with the kill caps of `elems` already computed:
+    the top component of `op` on the windows (deepest entry first) at the
+    certified depth."""
+    A = elems[0].algebra
+    r = max(e.witness[0] for e in elems)
+    m = _certified_depth(elems, n, r, caps, start_m)
+    idxs = range(-n - m, -n + 1)
+    windows = [[e.entry(i) for i in idxs] for e in elems]
+    zero = tuple(vec_is_zero(u) for w in windows for u in w)
+    deep = tuple(i <= -r for i in idxs)
+    top = _window_poly(A.p, m, op, zero, deep, caps, A.mu_is_zero)
+    binding = {f"{b}{i}": u for b, w in zip("xy", windows)
+               for i, u in enumerate(w)}
+    return eval_polar_poly(A, top, binding)
+
+
+def _stabilized_op(elems: list, op: str) -> CoWittElement:
     A = elems[0].algebra
     r = max(e.witness[0] for e in elems)
     caps = _caps_for(A, elems, r)
-    tail_fns = [(lambda i, e=e: e.tail) for e in elems]
-    new_tail = _stabilized_entry(elems, 0, op, tail_fns, K, cap, 0, caps)
+    tails = [CoWittElement(A, e.tail, {}, e.witness) for e in elems]
+    new_tail = _stabilized_entry(tails, 0, op, 0, caps)
     n_explicit = max(max(e.depth() for e in elems), r)
     exceptions = {}
     for nn in range(n_explicit + 1):
-        v = _stabilized_entry(elems, nn, op, None, K, cap, 0, caps)
+        v = _stabilized_entry(elems, nn, op, 0, caps)
         if v != new_tail:
             exceptions[-nn] = v
     s = 2 * max(e.witness[1] for e in elems) + 1
     return _settled(CoWittElement(A, new_tail, exceptions, (r, s)))
 
 
-def cw_add(x: CoWittElement, y: CoWittElement, K: int | None = None,
-           cap: int | None = None) -> CoWittElement:
+def cw_add(x: CoWittElement, y: CoWittElement) -> CoWittElement:
     """Stabilized sum; entries deeper than every exception reuse one
     translation-invariant computation for the new tail."""
     if x.algebra is not y.algebra and x.algebra != y.algebra:
@@ -336,16 +326,15 @@ def cw_add(x: CoWittElement, y: CoWittElement, K: int | None = None,
         return y
     if y.is_zero():
         return x
-    return _stabilized_op([x, y], "sum", K, cap)
+    return _stabilized_op([x, y], "sum")
 
 
-def cw_neg(x: CoWittElement, K: int | None = None,
-           cap: int | None = None) -> CoWittElement:
+def cw_neg(x: CoWittElement) -> CoWittElement:
     """Stabilized windowed Witt negation (componentwise minus for odd p)."""
     x = _settled(x)
     if x.is_zero():
         return x
-    return _stabilized_op([x], "neg", K, cap)
+    return _stabilized_op([x], "neg")
 
 
 def cw_F(x: CoWittElement) -> CoWittElement:

@@ -317,3 +317,27 @@ def test_cw_rejects_malformed_elements(capsys, tmp_path, algebra_file, bad):
     path.write_text(json.dumps(dict(bad, format="wittpolar/1")))
     _assert_rejected(*run(capsys, "cw", "validate", "--algebra",
                           str(algebra_file), str(path)))
+
+
+@pytest.mark.parametrize("field", [{"modulus": 5}, {"p": "2"}])
+def test_split_rejects_malformed_field(capsys, tmp_path, algebra_file, field):
+    data = json.loads(algebra_file.read_text())
+    data["field"] = dict(data["field"], **field)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    msg = _assert_rejected(*run(capsys, "split", str(path)))
+    assert "field" in msg
+
+
+@pytest.mark.parametrize("node", [
+    {"op": "add", "args": 5},
+    {"op": "teich", "value": 5, "length": 2},
+])
+def test_witt_eval_rejects_malformed_nodes(capsys, tmp_path, algebra_file,
+                                           node):
+    expr = {"format": "wittpolar/1",
+            "algebra": json.loads(algebra_file.read_text()), "expr": node}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert node["op"] in msg

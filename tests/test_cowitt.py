@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittpolar import cowitt, samples
-from wittpolar.cowitt import (CoWittElement, StabilizationNotDetected, cw_F,
-                              cw_V, cw_add, cw_from_cwu, cw_neg, cw_validate,
-                              cw_zero, cwu_from_cw, stabilized_entry,
-                              witness_search)
+from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_from_cwu,
+                              cw_neg, cw_validate, cw_zero, cwu_from_cw,
+                              stabilized_entry, witness_search)
 from wittpolar.gfq import gf_build
 from wittpolar.wittmod import cwu_add, cwu_class, cwu_F, cwu_V
 
@@ -151,14 +150,6 @@ def test_validation_required_for_add():
         cw_add(bad, cw_zero(B))
 
 
-def test_stabilization_cap_escape():
-    rng = random.Random(31)
-    x, y = rand_cw(A2, rng), rand_cw(A2, rng)
-    with pytest.raises(StabilizationNotDetected):
-        stabilized_entry([x, y], 0, "sum", K=50, cap=3,
-                         accessors=[x.entry, y.entry])
-
-
 def test_mixed_algebra_with_unit_component():
     # F_2 x (x F_2[x]/(x^3)): valid elements may carry unit entries at
     # shallow indices as long as the deep entries stay nilpotent
@@ -232,7 +223,7 @@ _NIL = {(q, N): samples.trunc_nil_polar(gf_build(q, 1), N)
 
 
 @st.composite
-def nil_cw_pair(draw):
+def nil_cw_triple(draw):
     A = _NIL[(draw(st.sampled_from((2, 3))), draw(st.integers(2, 5)))]
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
 
@@ -240,12 +231,59 @@ def nil_cw_pair(draw):
         exc = draw(st.dictionaries(st.integers(-2, 0), vec, max_size=3))
         return CoWittElement(A, draw(vec), exc, (0, 0))
 
-    return element(), element()
+    return element(), element(), element()
 
 
 @settings(max_examples=40, deadline=None)
-@given(nil_cw_pair())
-def test_add_commutes_and_neg_inverts_property(pair):
-    x, y = pair
+@given(nil_cw_triple())
+def test_add_commutes_and_neg_inverts_property(triple):
+    x, y, z = triple
     assert cw_add(x, y) == cw_add(y, x)
     assert cw_add(x, cw_neg(x)).is_zero()
+    assert cw_add(cw_add(x, y), z) == cw_add(x, cw_add(y, z))
+
+
+# -- the certified window depth -------------------------------------------------
+
+
+_MIXED = samples.polar_direct_sum(samples.split_polar(F2, 1),
+                                  samples.trunc_nil_polar(F2, 3))
+
+
+def _settled_cw(A, rng):
+    """A random valid element with its minimal witness."""
+    while True:
+        x = rand_cw(A, rng)
+        w = witness_search(x)
+        if w is not None:
+            return CoWittElement(A, x.tail, x.exceptions, w)
+
+
+def test_certified_depth_matches_deeper_windows():
+    # the window at the certified depth m* agrees with the windows at
+    # m*+1 .. m*+dim+2 for every entry a sum or negation reads, tail
+    # included, on pol(x F_q[x]/(x^N)) and on F_2 x x F_2[x]/(x^3), whose
+    # unit component allows witnesses with r > 0
+    rng = random.Random(41)
+    max_r = 0
+    for A in [_NIL[(q, N)] for q in (2, 3) for N in (3, 4, 5)] + [_MIXED]:
+        for _ in range(4):
+            x, y = _settled_cw(A, rng), _settled_cw(A, rng)
+            for elems, op in (([x, y], "sum"), ([x], "neg")):
+                r = max(e.witness[0] for e in elems)
+                max_r = max(max_r, r)
+                caps = cowitt._caps_for(A, elems, r)
+                tails = [CoWittElement(A, e.tail, {}, e.witness)
+                         for e in elems]
+                entries = [(tails, 0, 0)] + [
+                    (elems, n, start_m)
+                    for n in range(max(e.depth() for e in elems) + r + 1)
+                    for start_m in (0, 1)]
+                for es, n, start_m in entries:
+                    m = cowitt._certified_depth(es, n, r, caps, start_m)
+                    v = cowitt._stabilized_entry(es, n, op, start_m, caps)
+                    # start_m = deeper reads the window at that level
+                    for deeper in range(m + 1, m + A.dim + 3):
+                        assert cowitt._stabilized_entry(
+                            es, n, op, deeper, caps) == v, (es, n, deeper)
+    assert max_r > 0
