@@ -67,7 +67,7 @@ from .exact import MultiPoly
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      ideal_power_nilpotent, nilpotence_index,
                      product_length_threshold, vec_is_zero)
-from .wittmod import eval_polar_poly, polar_terms
+from .wittmod import eval_polar_poly, polar_plan
 from .wittuniv import dwork_lift
 
 
@@ -192,7 +192,7 @@ def _settled(x: CoWittElement) -> CoWittElement:
 def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
                  caps: tuple, mu_zero: bool) -> tuple:
     """Top Witt component of `op` on windows of m+1 variables, mod p,
-    compiled by `polar_terms` for an algebra whose mu is zero or not.
+    compiled by `polar_plan` for an algebra whose mu is zero or not.
 
     The polynomial depends only on the pattern, never on the entry values:
     `zero` flags the variables bound to 0 (x0..xm, then y0..ym for a sum),
@@ -235,8 +235,8 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
         targets = [ghost_entry(0, lv, -1) for lv in range(m + 1)]
     else:
         raise ValueError(f"unknown windowed op {op!r}")
-    return polar_terms(dwork_lift(p, targets, kill=kill)[m].reduce_mod(p),
-                       mu_zero)
+    return polar_plan(p, [dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)],
+                      names, mu_zero)
 
 
 def _caps_for(A: PPolarAlgebra, elems: Sequence[CoWittElement], r: int) -> tuple:
@@ -294,9 +294,7 @@ def _stabilized_entry(elems, n, op, start_m, caps) -> tuple:
     zero = tuple(vec_is_zero(u) for w in windows for u in w)
     deep = tuple(i <= -r for i in idxs)
     top = _window_poly(A.p, m, op, zero, deep, caps, A.mu_is_zero)
-    binding = {f"{b}{i}": u for b, w in zip("xy", windows)
-               for i, u in enumerate(w)}
-    return eval_polar_poly(A, top, binding)
+    return eval_polar_poly(A, top, [u for w in windows for u in w])[0]
 
 
 def _stabilized_op(elems: list, op: str) -> CoWittElement:

@@ -19,7 +19,7 @@ from .exact import MultiPoly, TruncSeries
 from .gfq import _is_prime
 from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
                      vec_add, vec_is_zero, vec_scale)
-from .wittmod import eval_polar_poly, polar_terms
+from .wittmod import eval_polar_poly, polar_plan
 
 
 class NonNilpotentElement(ValueError):
@@ -206,8 +206,8 @@ class StarGroup:
                                               -1, p)) % p
             if cm and a + b < self.threshold:
                 modp[(a, b)] = cm
-        self.modp_terms = polar_terms(MultiPoly(("x", "y"), modp),
-                                      algebra.mu_is_zero)
+        self.modp_plan = polar_plan(p, [MultiPoly(("x", "y"), modp)],
+                                    ("x", "y"), algebra.mu_is_zero)
 
     def elements(self) -> list:
         F = self.algebra.field
@@ -228,8 +228,8 @@ class StarGroup:
     def star(self, u, v) -> tuple:
         self._require_nil(u)
         self._require_nil(v)
-        return eval_polar_poly(self.algebra, self.modp_terms,
-                               {"x": tuple(u), "y": tuple(v)})
+        return eval_polar_poly(self.algebra, self.modp_plan,
+                               (tuple(u), tuple(v)))[0]
 
     def order(self) -> int:
         return self.algebra.field.q ** len(self.nil_basis)

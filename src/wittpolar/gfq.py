@@ -18,7 +18,8 @@ _MUL_TABLE_MAX_Q = 256
 class FqField:
     """Immutable descriptor of GF(p^m) with element arithmetic."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("p", "m", "q", "modulus", "_mul_table", "_add_table",
+                 "_inv_table")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
@@ -28,6 +29,7 @@ class FqField:
         if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
         self._mul_table = None
+        self._add_table = None
         self._inv_table = None
 
     def __repr__(self):
@@ -77,9 +79,16 @@ class FqField:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
+        if self._add_table is None and self.q <= _MUL_TABLE_MAX_Q:
+            self._build_tables()
+        if self._add_table is not None:
+            return self._add_table[a * self.q + b]
+        return self._add_direct(a, b)
+
+    def _add_direct(self, a: int, b: int) -> int:
+        p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
@@ -139,10 +148,28 @@ class FqField:
                 table[row + b] = v
                 table[b * q + a] = v
         self._mul_table = table
+        if self.p != 2:
+            self._add_table = [self._add_direct(a, b)
+                               for a in range(q) for b in range(q)]
         inv = [0] * q
         for a in range(1, q):
             inv[a] = self._pow_direct(a, q - 2)
         self._inv_table = inv
+
+    def tables(self) -> tuple:
+        """(mul, add), each indexed by a * q + b, for inner loops.
+
+        Up to _MUL_TABLE_MAX_Q elements both are lists built once; above it
+        each lookup calls `_mul_direct` / `_add_direct`.  For p = 2 add is
+        XOR and its table is None.
+        """
+        if self._mul_table is None:
+            q = self.q
+            if q > _MUL_TABLE_MAX_Q:
+                return (_Computed(self._mul_direct, q),
+                        None if self.p == 2 else _Computed(self._add_direct, q))
+            self._build_tables()
+        return self._mul_table, self._add_table
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -194,6 +221,20 @@ class FqField:
                                  f"over GF({g.p})")
             return g
         return f
+
+
+class _Computed:
+    """An operation table too large to store: entry a * q + b is computed
+    on each lookup."""
+
+    __slots__ = ("op", "q")
+
+    def __init__(self, op: Callable, q: int):
+        self.op = op
+        self.q = q
+
+    def __getitem__(self, k: int) -> int:
+        return self.op(*divmod(k, self.q))
 
 
 # -- field construction ----------------------------------------------------

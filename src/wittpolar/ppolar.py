@@ -6,6 +6,13 @@ F_q^d (absent keys mean zero).  Symmetry is structural, multilinearity is
 automatic from the tensor representation, and the permutation-invariance
 axiom on (2p-1)-fold products is checked by `check_assoc`.
 
+`mu_p` contracts its p arguments with a kernel table built on its first
+call: every ordering of every stored key, under the ordered index
+((i_1 d + i_2) d + ...) d + i_p, maps to the key's nonzero entries, so the
+table has at most |mu| p! entries.  Each argument contributes only its
+coordinates on basis vectors that occur in some key, and the field
+arithmetic goes through `FqField.tables`.
+
 Ideal closure (`ideal_generated`), the nilpotence index
 (`nilpotence_index`) and the product-length threshold
 (`product_length_threshold`) depend only on the algebra and on the
@@ -19,7 +26,7 @@ closure); the function body runs only on the first one.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Sequence
 
 from .gfq import (FqField, echelon_insert, echelon_reduce, echelon_span,
@@ -48,7 +55,7 @@ def vec_is_zero(v: Sequence[int]) -> bool:
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
-    __slots__ = ("field", "dim", "mu", "mu_is_zero", "_ideals")
+    __slots__ = ("field", "dim", "mu", "mu_is_zero", "_ideals", "_mu_table")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -69,6 +76,7 @@ class PPolarAlgebra:
         self.mu = clean
         self.mu_is_zero = not clean
         self._ideals = {}     # (query, echelon basis) -> answer
+        self._mu_table = None  # built by the first mu_p call
 
     @property
     def p(self) -> int:
@@ -95,26 +103,50 @@ class PPolarAlgebra:
         return self.mu.get(tuple(sorted(key)), self.zero)
 
     def mu_p(self, vecs: Sequence[Sequence[int]]) -> tuple:
-        """One application of mu to exactly p vectors (multilinear expansion)."""
-        F = self.field
-        if len(vecs) != self.p:
-            raise ValueError(f"mu takes exactly {self.p} arguments")
+        """One application of mu to exactly p vectors: the multilinear
+        contraction of their supports with the kernel table."""
+        p = self.p
+        if len(vecs) != p:
+            raise ValueError(f"mu takes exactly {p} arguments")
         if self.mu_is_zero:
             return self.zero
-        supports = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
-        out = list(self.zero)
-        for combo in product(*supports):
-            key = tuple(sorted(i for i, _ in combo))
-            val = self.mu.get(key)
+        if self._mu_table is None:
+            self._mu_table = self._build_mu_table()
+        used, table = self._mu_table
+        F = self.field
+        q, d = F.q, self.dim
+        mt, at = F.tables()
+        # (ordered index of the factors' basis vectors so far, coefficient)
+        part = [(0, 1)]
+        for v in vecs:
+            part = [(k * d + i, mt[c * q + v[i]])
+                    for k, c in part for i in used if v[i]]
+        out = [0] * d
+        for k, c in part:
+            val = table.get(k)
             if val is None:
                 continue
-            coeff = 1
-            for _, c in combo:
-                coeff = F.mul(coeff, c)
-            for j, vj in enumerate(val):
-                if vj:
-                    out[j] = F.add(out[j], F.mul(coeff, vj))
+            for j, vj in val:
+                t = mt[c * q + vj]
+                out[j] = out[j] ^ t if at is None else at[out[j] * q + t]
         return tuple(out)
+
+    def _build_mu_table(self) -> tuple:
+        """(used, table): the basis indices occurring in some mu key, and
+        the ordered index ((i_1 d + i_2) d + ...) d + i_p -> the nonzero
+        (coordinate, value) pairs of mu(e_i1, ..., e_ip), for every ordering
+        of every stored key."""
+        d = self.dim
+        table = {}
+        for key, val in self.mu.items():
+            entry = tuple((j, vj) for j, vj in enumerate(val) if vj)
+            for perm in set(permutations(key)):
+                k = 0
+                for i in perm:
+                    k = k * d + i
+                table[k] = entry
+        used = tuple(sorted({i for key in self.mu for i in key}))
+        return used, table
 
     def mu_eval(self, elements: Sequence[Sequence[int]]) -> tuple:
         """The unique product of the given elements (left-associative scheme)."""

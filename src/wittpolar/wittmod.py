@@ -6,13 +6,15 @@ left-associative scheme.  Verschiebung is the coordinate shift and the
 characteristic-p Frobenius is the componentwise p-th power (certified
 against the universal Frobenius polynomials by the test suite).
 
-One evaluator, `eval_polar_poly` on terms compiled by `polar_terms`,
+One evaluator, `eval_polar_poly` on slot plans compiled by `polar_plan`,
 serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
-law's star product in `fgl`; each caller compiles its polynomial once.
-Scalars act through Witt vectors over the polarization of the base field.
-`scalar_mul` keeps its own loop: its a-variables are F_q scalars folded
-into each term's coefficient, not inputs to mu, so they cannot be bound
-like the x-variables.
+law's star product in `fgl`; each caller compiles its polynomials once
+(here per (p, n, kind, mu = 0)) and binds inputs by position in one flat
+tuple, the coordinates of each Witt block in turn.  Monomials sharing a
+sorted prefix share its partial products, each computed once per call.
+Scalars act through Witt vectors over the polarization of the base field:
+in `scalar_mul` the scalar coordinates a_i are coefficient slots of the
+same plan, multiplied into each term's F_p coefficient.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .gfq import FqField
-from .ppolar import PPolarAlgebra, vec_add, vec_is_zero, vec_scale
-from .wittuniv import block_vars, reduce_mod_p, universal_polys, witt_blocks
+from .ppolar import LengthNotAdmissible, PPolarAlgebra, vec_is_zero
+from .wittuniv import reduce_mod_p, universal_polys, witt_blocks
 
 
 @dataclass(frozen=True)
@@ -75,79 +77,118 @@ def _reduced(p: int, n: int, kind: str) -> tuple:
     return tuple(reduce_mod_p(universal_polys(p, n, kind)))
 
 
-def polar_terms(poly, mu_zero: bool) -> tuple:
-    """Compile a mod-p polynomial into terms (coeff, ((var, mult), ...)).
+def polar_plan(p: int, polys, names: Sequence[str], mu_zero: bool,
+               scalars: frozenset = frozenset()) -> tuple:
+    """Compile mod-p polynomials into one slot plan (nodes, levels).
+
+    Slot s of the flat input tuple holds the value bound to names[s]: a
+    vector of the algebra, or an F_q scalar for the names in `scalars`.
+    A monomial's vector slots, sorted with multiplicity, are multiplied by
+    the left-associative scheme of `mu_eval`: mu of the first p, then mu of
+    that and the next p-1, and so on.  Each of these partial products is a
+    node, shared by every monomial with the same prefix: p indices into the
+    values (the inputs, then the nodes in order).  A level is a tuple of
+    terms (F_p coefficient, scalar slots with multiplicity, value index).
 
     On a zero-mu algebra every monomial of degree > 1 evaluates to 0, so
     only the linear monomials are kept.
     """
-    terms = []
-    for exp, c in poly.terms.items():
-        if mu_zero and sum(exp) > 1:
-            continue
-        mono = tuple((name, e) for name, e in zip(poly.vars, exp) if e)
-        terms.append((c, mono))
-    return tuple(terms)
+    slot = {name: s for s, name in enumerate(names)}
+    base = len(names)
+    nodes: dict = {}    # node -> its value index, in evaluation order
+    levels = []
+    for poly in polys:
+        cols = [slot[v] for v in poly.vars]
+        terms = []
+        for exp, c in poly.terms.items():
+            xs, cs = [], []
+            for s, e in zip(cols, exp):
+                if e:
+                    (cs if names[s] in scalars else xs).extend([s] * e)
+            if not xs or (len(xs) - 1) % (p - 1):
+                raise LengthNotAdmissible(
+                    f"cannot multiply {len(xs)} elements in a {p}-polar "
+                    f"algebra")
+            if mu_zero and len(xs) > 1:
+                continue
+            xs.sort()
+            at = xs[0]
+            if len(xs) > 1:
+                at = nodes.setdefault(tuple(xs[:p]), base + len(nodes))
+                for i in range(p, len(xs), p - 1):
+                    at = nodes.setdefault((at,) + tuple(xs[i:i + p - 1]),
+                                          base + len(nodes))
+            terms.append((c % p, tuple(cs), at))
+        levels.append(tuple(terms))
+    return tuple(nodes), tuple(levels)
+
+
+def eval_polar_poly(A: PPolarAlgebra, plan: tuple, inputs: Sequence) -> tuple:
+    """Evaluate a plan (see `polar_plan`) on A at the flat input tuple: one
+    vector per compiled polynomial.
+
+    Each node is one `mu_p` call; each term scales its value by the F_p
+    coefficient times its scalar slots.
+    """
+    nodes, levels = plan
+    vals = list(inputs)
+    mu_p = A.mu_p
+    for args in nodes:
+        vals.append(mu_p([vals[i] for i in args]))
+    F = A.field
+    q = F.q
+    mt, at = F.tables()
+    zero = A.zero
+    out = []
+    for terms in levels:
+        acc = zero
+        for c, cs, i in terms:
+            for s in cs:
+                c = mt[c * q + vals[s]]
+            v = vals[i]
+            if not c or not any(v):
+                continue
+            if c != 1:
+                v = [mt[c * q + a] for a in v]
+            if acc is zero:
+                acc = tuple(v)
+            elif at is None:
+                acc = tuple([a ^ b for a, b in zip(acc, v)])
+            else:
+                acc = tuple([at[a * q + b] for a, b in zip(acc, v)])
+        out.append(acc)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _compiled(p: int, n: int, kind: str, mu_zero: bool) -> tuple:
-    """Per-level compiled terms of the reduced universal polynomials."""
-    return tuple(polar_terms(q, mu_zero) for q in _reduced(p, n, kind))
-
-
-def eval_polar_poly(A: PPolarAlgebra, terms, binding: dict) -> tuple:
-    """Evaluate compiled terms (see `polar_terms`) on A.
-
-    Every monomial's variable list (with multiplicity) is fed to mu_eval;
-    the F_p coefficient scales the result inside the prime subfield.
-    """
-    F = A.field
-    out = A.zero
-    for c, mono in terms:
-        if len(mono) == 1 and mono[0][1] == 1:
-            val = binding[mono[0][0]]
-        else:
-            elems = []
-            for name, e in mono:
-                elems.extend([binding[name]] * e)
-            val = A.mu_eval(elems)
-        if vec_is_zero(val):
-            continue
-        out = vec_add(F, out, vec_scale(F, c % F.p, val))
-    return out
-
-
-def _binding(blocks_to_vectors: dict, n: int) -> dict:
-    out = {}
-    for block, coords in blocks_to_vectors.items():
-        for name, v in zip(block_vars(block, n), coords):
-            out[name] = v
-    return out
+def _plan(p: int, n: int, kind: str, mu_zero: bool) -> tuple:
+    """The plan of one universal family on the flat input tuple: the
+    coordinates of each Witt block in turn, then for the scalar action the
+    n scalars of a."""
+    blocks = witt_blocks(kind, p) + (("a",) if kind == "scalar" else ())
+    names = [f"{b}{i}" for b in blocks for i in range(n)]
+    scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
+    return polar_plan(p, _reduced(p, n, kind), names, mu_zero, scalars)
 
 
 def _check_pair(x: WittVector, y: WittVector):
     if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise ValueError("operands live over different algebras")
-    if x.length != y.length:
+    if len(x.coords) != len(y.coords):
         raise ValueError("length mismatch")
 
 
 def w_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
     A = x.algebra
-    n = x.length
-    levels = _compiled(A.p, n, "sum", A.mu_is_zero)
-    bind = _binding({"x": x.coords, "y": y.coords}, n)
-    return WittVector(A, tuple(eval_polar_poly(A, t, bind) for t in levels))
+    plan = _plan(A.p, len(x.coords), "sum", A.mu_is_zero)
+    return WittVector(A, eval_polar_poly(A, plan, x.coords + y.coords))
 
 
 def w_neg(x: WittVector) -> WittVector:
     A = x.algebra
-    n = x.length
-    levels = _compiled(A.p, n, "neg", A.mu_is_zero)
-    bind = _binding({"x": x.coords}, n)
-    return WittVector(A, tuple(eval_polar_poly(A, t, bind) for t in levels))
+    plan = _plan(A.p, len(x.coords), "neg", A.mu_is_zero)
+    return WittVector(A, eval_polar_poly(A, plan, x.coords))
 
 
 def w_product(xs: Sequence[WittVector]) -> WittVector:
@@ -155,18 +196,19 @@ def w_product(xs: Sequence[WittVector]) -> WittVector:
     if not xs:
         raise ValueError("empty product")
     A = xs[0].algebra
-    if len(xs) != A.p:
-        raise ValueError(f"product takes exactly p = {A.p} factors")
+    p = A.p
+    if len(xs) != p:
+        raise ValueError(f"product takes exactly p = {p} factors")
     for x in xs[1:]:
         _check_pair(xs[0], x)
-    n = xs[0].length
-    levels = _compiled(A.p, n, "prod", A.mu_is_zero)
-    blocks = witt_blocks("prod", A.p)
-    bind = _binding({b: x.coords for b, x in zip(blocks, xs)}, n)
-    return WittVector(A, tuple(eval_polar_poly(A, t, bind) for t in levels))
+    plan = _plan(p, len(xs[0].coords), "prod", A.mu_is_zero)
+    flat = [c for x in xs for c in x.coords]
+    return WittVector(A, eval_polar_poly(A, plan, flat))
 
 
 def teichmuller(A: PPolarAlgebra, a: Sequence[int], n: int) -> WittVector:
+    if n < 1:
+        raise ValueError(f"Teichmuller length must be >= 1, got {n}")
     coords = [tuple(a)] + [A.zero] * (n - 1)
     return WittVector(A, tuple(coords))
 
@@ -234,34 +276,9 @@ def scalar_mul(a: WittVector, x: WittVector) -> WittVector:
         raise ValueError("scalar must live over the polarized base field")
     if a.length != x.length:
         raise ValueError("length mismatch")
-    n = x.length
-    # not eval_polar_poly: the a-variables are F_q scalars multiplied into
-    # the coefficient, and only the x-variables are fed to mu
-    polys = _reduced(A.p, n, "scalar")
-    bind = _binding({"x": x.coords}, n)
-    scalars = {name: c[0] for name, c in zip(block_vars("a", n), a.coords)}
-    F = A.field
-    out = []
-    for q in polys:
-        acc = A.zero
-        a_idx = [i for i, v in enumerate(q.vars) if v.startswith("a")]
-        x_idx = [i for i, v in enumerate(q.vars) if not v.startswith("a")]
-        for exp, c in q.terms.items():
-            coeff = c % F.p
-            for i in a_idx:
-                if exp[i]:
-                    coeff = F.mul(coeff, F.pow(scalars[q.vars[i]], exp[i]))
-            if not coeff:
-                continue
-            elems = []
-            for i in x_idx:
-                if exp[i]:
-                    elems.extend([bind[q.vars[i]]] * exp[i])
-            val = A.mu_eval(elems)
-            if not vec_is_zero(val):
-                acc = vec_add(F, acc, vec_scale(F, coeff, val))
-        out.append(acc)
-    return WittVector(A, tuple(out))
+    plan = _plan(A.p, x.length, "scalar", A.mu_is_zero)
+    flat = x.coords + tuple(c[0] for c in a.coords)
+    return WittVector(A, eval_polar_poly(A, plan, flat))
 
 
 # -- unipotent co-Witt classes ---------------------------------------------------

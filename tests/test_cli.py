@@ -341,3 +341,15 @@ def test_witt_eval_rejects_malformed_nodes(capsys, tmp_path, algebra_file,
     path.write_text(json.dumps(expr))
     msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
     assert node["op"] in msg
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_witt_eval_rejects_teich_length_below_one(capsys, tmp_path,
+                                                  algebra_file, length):
+    node = {"op": "teich", "value": [[1], [0], [0]], "length": length}
+    expr = {"format": "wittpolar/1",
+            "algebra": json.loads(algebra_file.read_text()), "expr": node}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "length" in msg

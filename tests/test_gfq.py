@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittpolar.gfq import (FqMatrix, additive_poly_roots, embed, embedding,
                            gf_build, invert, linear_kernel, rank,
@@ -243,3 +245,28 @@ def test_invert_rejects_singular_matrices(p, m):
             invert(F, M)
     with pytest.raises(ValueError):
         invert(F, [[0]])
+
+
+# GF(3^6) has more elements than the field tables hold
+AXIOM_FIELDS = [gf_build(p, m) for p, m in
+                ((2, 1), (2, 2), (3, 1), (3, 2), (5, 2), (3, 4), (3, 6))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(AXIOM_FIELDS), st.data())
+def test_field_axioms_and_tables(F, data):
+    a, b, c = (data.draw(st.integers(0, F.q - 1)) for _ in range(3))
+    digitwise = F.from_coords([(x + y) % F.p
+                               for x, y in zip(F.coords(a), F.coords(b))])
+    assert F.add(a, b) == digitwise
+    mul, add = F.tables()
+    assert mul[a * F.q + b] == F.mul(a, b)
+    assert (a ^ b if add is None else add[a * F.q + b]) == digitwise
+    assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, 0) == a and F.mul(a, 1) == a
+    assert F.add(a, F.neg(a)) == 0
+    if a:
+        assert F.mul(a, F.inv(a)) == 1

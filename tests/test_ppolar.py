@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations_with_replacement
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -294,3 +295,51 @@ def test_ideal_power_nilpotent_is_nilpotence_index_bound():
                 assert ideal_power_nilpotent(A, I, s) == (
                     index is not None and index <= s)
     assert None in indices and len(indices) > 2
+
+
+# -- the mu_p kernel against the definition -------------------------------------
+
+
+def _digit_add(F, a, b):
+    return F.from_coords([(x + y) % F.p
+                          for x, y in zip(F.coords(a), F.coords(b))])
+
+
+def _naive_mu(A, vecs):
+    """mu by its definition: expand each factor in the basis and look every
+    ordered choice of basis vectors up under its sorted key."""
+    F = A.field
+    out = [0] * A.dim
+    for combo in iproduct(range(A.dim), repeat=A.p):
+        coeff = 1
+        for v, i in zip(vecs, combo):
+            coeff = F.mul(coeff, v[i])
+        val = A.mu.get(tuple(sorted(combo)))
+        if not coeff or val is None:
+            continue
+        for j, vj in enumerate(val):
+            out[j] = _digit_add(F, out[j], F.mul(coeff, vj))
+    return tuple(out)
+
+
+def _kernel_algebras():
+    out = []
+    # GF(3^6) has more elements than the field tables hold
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (3, 6)):
+        F = gf_build(p, m)
+        out += [samples.trunc_nil_polar(F, p + 2), samples.split_polar(F, 2),
+                samples.polar_direct_sum(samples.split_polar(F, 1),
+                                         samples.trunc_nil_polar(F, p + 1))]
+    return out
+
+
+KERNEL_ALGEBRAS = _kernel_algebras()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(KERNEL_ALGEBRAS))), st.data())
+def test_mu_p_matches_naive_expansion(k, data):
+    A = KERNEL_ALGEBRAS[k]
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+    vecs = data.draw(st.lists(vec, min_size=A.p, max_size=A.p))
+    assert A.mu_p(vecs) == _naive_mu(A, vecs)

@@ -4,6 +4,8 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittpolar import samples
 from wittpolar.gfq import gf_build
@@ -142,16 +144,16 @@ def test_fv_vf_p():
 
 def test_frobenius_matches_universal_polys():
     rng = random.Random(29)
-    from wittpolar.wittmod import (_reduced, eval_polar_poly, _binding,
-                                   polar_terms)
+    from wittpolar.wittmod import _reduced, eval_polar_poly, polar_plan
     for A in (samples.trunc_nil_polar(F2, 4), samples.trunc_nil_polar(F3, 3)):
         for n in (1, 2, 3):
             polys = _reduced(A.p, n, "frob")
+            names = [f"x{i}" for i in range(n + 1)]
             for _ in range(5):
                 x = rand_witt(rng, A, n + 1)
-                bind = _binding({"x": x.coords}, n + 1)
                 via_polys = tuple(
-                    eval_polar_poly(A, polar_terms(q, A.mu_is_zero), bind)
+                    eval_polar_poly(A, polar_plan(A.p, [q], names,
+                                                  A.mu_is_zero), x.coords)[0]
                     for q in polys)
                 assert frobenius_charp(x).coords == via_polys
 
@@ -313,3 +315,65 @@ def test_cwu_canonical_equality_is_faithful():
         n = max(c1.length, c2.length, 1) + 2
         lifted_equal = cwu_lift(c1, n).coords == cwu_lift(c2, n).coords
         assert lifted_equal == (c1.rep == c2.rep)
+
+
+# -- the slot plan against a per-monomial reference ---------------------------
+
+
+def _reference_op(kind, xs, scalars=()):
+    """The operation by its universal polynomials, one monomial at a time:
+    bind every variable by name, feed the vector variables (with
+    multiplicity, in variable order) to mu_eval, and scale by the F_p
+    coefficient times the scalar variables' powers."""
+    from wittpolar.ppolar import vec_add, vec_scale
+    from wittpolar.wittmod import _reduced
+    from wittpolar.wittuniv import witt_blocks
+    A = xs[0].algebra
+    F, n = A.field, xs[0].length
+    bind = {f"{b}{i}": c for b, x in zip(witt_blocks(kind, A.p), xs)
+            for i, c in enumerate(x.coords)}
+    bind.update({f"a{i}": a for i, a in enumerate(scalars)})
+    out = []
+    for poly in _reduced(A.p, n, kind):
+        acc = A.zero
+        for exp, c in poly.terms.items():
+            coeff = c % A.p
+            elems = []
+            for name, e in zip(poly.vars, exp):
+                if name.startswith("a"):
+                    coeff = F.mul(coeff, F.pow(bind[name], e))
+                else:
+                    elems.extend([bind[name]] * e)
+            acc = vec_add(F, acc, vec_scale(F, coeff, A.mu_eval(elems)))
+        out.append(acc)
+    return tuple(out)
+
+
+def _plan_algebras():
+    out = []
+    for F in (F2, F4, F3, F9):
+        lengths = (1, 2, 3, 4) if F.p == 2 else (1, 2, 3)
+        out += [(A, lengths) for A in (
+            samples.trunc_nil_polar(F, F.p + 2), samples.split_polar(F, 2),
+            samples.trunc_nil_polar(F, F.p), samples.trivial_polar(F, 2))]
+    return out
+
+
+# mu != 0 (nilpotent and split) and mu = 0 over each field
+PLAN_ALGEBRAS = _plan_algebras()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(PLAN_ALGEBRAS))), st.data())
+def test_ops_match_per_monomial_reference(k, data):
+    A, lengths = PLAN_ALGEBRAS[k]
+    n = data.draw(st.sampled_from(lengths))
+    elem = st.integers(0, A.field.q - 1)
+    coords = st.lists(st.tuples(*[elem] * A.dim), min_size=n, max_size=n)
+    x, y, *fs = (witt(A, data.draw(coords)) for _ in range(2 + A.p))
+    a = data.draw(st.lists(elem, min_size=n, max_size=n))
+    assert w_add(x, y).coords == _reference_op("sum", [x, y])
+    assert w_neg(x).coords == _reference_op("neg", [x])
+    assert w_product(fs).coords == _reference_op("prod", fs)
+    assert scalar_mul(scalar_witt(A.field, a), x).coords == \
+        _reference_op("scalar", [x], a)
