@@ -126,6 +126,10 @@ def cmd_cw(args) -> int:
             out["witness"] = list(w)
         _emit(out, args.out)
         return 0
+    for x, path in zip(xs, args.inputs):
+        if not cowitt.cw_validate(x):
+            raise CliError(f"{path} is not a valid co-Witt element: no "
+                           f"witness (r, s) makes its deep ideal nilpotent")
     if args.op == "add":
         x, y = xs
         res = cowitt.cw_add(x, y)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
-from .gfq import (FqField, FqMatrix, additive_poly_roots, echelon_span,
-                  embed, linear_kernel, solve)
+from .gfq import (FqField, FqMatrix, additive_map_kernel,
+                  additive_poly_roots, echelon_reduce, embed, linear_kernel,
+                  rref, solve)
 from .ppolar import (PPolarAlgebra, check_assoc, extend_scalars,
                      nilradical, quotient)
 
@@ -37,20 +38,15 @@ class NotAMorphism(ValueError):
 
 
 def _span_coords(field: FqField, rows, v):
-    """Coordinates of v in a fully reduced echelon basis, or None."""
-    pivots = [next(i for i, c in enumerate(r) if c) for r in rows]
-    coords = [v[piv] for piv in pivots]
-    acc = [0] * len(v)
-    for c, r in zip(coords, rows):
-        if c:
-            acc = [field.add(a, field.mul(c, b)) for a, b in zip(acc, r)]
-    if tuple(acc) != tuple(v):
+    """Coordinates of v in reduced echelon rows (as `rref` returns them), or
+    None: v's entries at the pivots, when its residue is zero."""
+    if any(echelon_reduce(field, rows, v)):
         return None
-    return tuple(coords)
+    return tuple(v[next(i for i, c in enumerate(r) if c)] for r in rows)
 
 
 def subalgebra(A: PPolarAlgebra, rows) -> PPolarAlgebra:
-    """The induced structure on a mu-closed subspace given by echelon rows."""
+    """The induced structure on a mu-closed subspace, given by `rref` rows."""
     from itertools import combinations_with_replacement
     F = A.field
     k = len(rows)
@@ -184,8 +180,8 @@ def split_once(A: PPolarAlgebra, e):
             raise AssertionError("projection is not idempotent")
     M = FqMatrix(F, [[cols[j][r] for j in range(A.dim)]
                      for r in range(A.dim)])
-    ker_rows = echelon_span(F, linear_kernel(M))
-    im_rows = echelon_span(F, cols)
+    ker_rows = rref(F, linear_kernel(M))[0]
+    im_rows = rref(F, cols)[0]
     ker = subalgebra(A, ker_rows)
     im = subalgebra(A, im_rows)
     for part in (ker, im):
@@ -276,7 +272,6 @@ def _proper_split(sub: PPolarAlgebra):
     all e with e^p = e is computed as one kernel; only a unity line there
     means the factor needs a scalar extension first.
     """
-    from .gfq import additive_map_kernel
     F = sub.field
 
     def fn(v):
@@ -313,8 +308,8 @@ def decompose(A: PPolarAlgebra) -> Decomposition:
     Bx = B
     cap = _lcm_upto(B.dim) * max(2, B.dim)
     # factor = echelon rows inside Bx's coordinates
-    work = [tuple(echelon_span(Bx.field, [Bx.basis_vector(i)
-                                          for i in range(Bx.dim)]))]
+    work = [tuple(rref(Bx.field, [Bx.basis_vector(i)
+                                  for i in range(Bx.dim)])[0])]
     done = []
     while work:
         rows = work.pop(0)
@@ -350,24 +345,20 @@ def decompose(A: PPolarAlgebra) -> Decomposition:
                         v = [Bx.field.add(a, Bx.field.mul(c, b))
                              for a, b in zip(v, row)]
                 back.append(tuple(v))
-            work.append(tuple(echelon_span(Bx.field, back)))
+            work.append(tuple(rref(Bx.field, back)[0]))
     factors = sorted(done)
     F = Bx.field
     consts = []
     for v in factors:
-        prod = Bx.mu_p([v] * Bx.p)
-        piv = next(i for i, c in enumerate(v) if c)
-        c = F.mul(prod[piv], F.inv(v[piv]))
-        if _span_coords(F, [v], prod) is None or c == 0:
+        coords = _span_coords(F, [v], Bx.mu_p([v] * Bx.p))
+        if coords is None or coords[0] == 0:
             raise AssertionError("factor is not a field polarization")
-        consts.append(c)
+        consts.append(coords[0])
     # Frobenius of the base field permutes the factor lines
     perm = []
     for v in factors:
         w = tuple(F.frobenius(a, base.m) for a in v)
-        piv = next(i for i, c in enumerate(w) if c)
-        w = tuple(F.mul(F.inv(w[piv]), a) for a in w)
-        perm.append(factors.index(w))
+        perm.append(factors.index(rref(F, [w])[0][0]))
     if sorted(perm) != list(range(len(factors))):
         raise AssertionError("Frobenius does not permute the factors")
     return Decomposition(base, F, ext, N.dim, B.dim, tuple(factors),

@@ -401,8 +401,12 @@ class FqMatrix:
 
 
 def rref(field: FqField, rows: Sequence[Sequence[int]]):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    R = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot column list).
+
+    The one Gaussian elimination: spans, ideal closures, kernels, solves
+    and inverses all go through it.  The rows are canonical for their span.
+    """
+    R = [list(r) for r in rows if any(r)]
     pivots = []
     rank = 0
     ncols = len(R[0]) if R else 0
@@ -541,48 +545,23 @@ def additive_poly_roots(field: FqField, coeffs: Sequence[int]) -> list:
     return [v[0] for v in additive_map_kernel(field, fn, 1)]
 
 
-# -- echelon span bookkeeping over F_q ---------------------------------------
+# -- spans over F_q ----------------------------------------------------------
+#
+# A span is stored as its reduced echelon rows, `rref(field, vectors)[0]`:
+# every row has a leading 1 and the other rows are zero in its pivot
+# column, so equal spans have equal rows.  The functions below take rows in
+# that form.
 
 
 def echelon_reduce(field: FqField, rows: Sequence[tuple], v: Sequence[int]):
-    """Reduce v against echelon rows; returns the residue vector."""
+    """Residue of v against reduced echelon rows (each with a leading 1, as
+    `rref` returns them): v minus its pivot entries times their rows."""
     v = list(v)
     for row in rows:
-        lead = next(i for i, c in enumerate(row) if c)
-        if v[lead]:
-            f = field.mul(v[lead], field.inv(row[lead]))
+        f = v[next(i for i, c in enumerate(row) if c)]
+        if f:
             v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
     return tuple(v)
-
-
-def echelon_insert(field: FqField, rows: list, v: Sequence[int]) -> bool:
-    """Insert v into an echelon basis in place; True if the span grew."""
-    res = echelon_reduce(field, rows, v)
-    if not any(res):
-        return False
-    lead = next(i for i, c in enumerate(res) if c)
-    inv = field.inv(res[lead])
-    res = tuple(field.mul(inv, c) for c in res)
-    rows.append(res)
-    rows.sort(key=lambda r: next(i for i, c in enumerate(r) if c))
-    # back-substitute to keep the basis fully reduced
-    for k in range(len(rows)):
-        for j in range(len(rows)):
-            if j == k:
-                continue
-            lead = next(i for i, c in enumerate(rows[k]) if c)
-            if rows[j][lead]:
-                f = rows[j][lead]
-                rows[j] = tuple(field.sub(a, field.mul(f, b))
-                                for a, b in zip(rows[j], rows[k]))
-    return True
-
-
-def echelon_span(field: FqField, vectors) -> list:
-    rows: list = []
-    for v in vectors:
-        echelon_insert(field, rows, v)
-    return rows
 
 
 def in_span(field: FqField, rows: Sequence[tuple], v: Sequence[int]) -> bool:

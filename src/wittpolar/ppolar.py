@@ -17,11 +17,12 @@ Ideal closure (`ideal_generated`), the nilpotence index
 (`nilpotence_index`) and the product-length threshold
 (`product_length_threshold`) depend only on the algebra and on the
 subspace they are asked about.  Each algebra remembers their answers in one
-memo, `_ideals`, keyed by the query's kind and the reduced echelon basis of
-that subspace (as `echelon_span` returns it, which is canonical: equal
+memo, `_ideals`, keyed by the query's kind and the reduced echelon rows of
+that subspace (`gfq.rref(field, vectors)[0]`, which is canonical: equal
 subspaces give equal keys), plus the cap for the threshold.  A repeated
 query returns the stored answer (the same `PolarIdeal` object for a
-closure); the function body runs only on the first one.
+closure); the function body runs only on the first one.  Closures and
+thresholds grow their spans in rounds, one `rref` per round.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Sequence
 
-from .gfq import (FqField, echelon_insert, echelon_reduce, echelon_span,
-                  embed, fp_matrix_of_additive, gf_build, in_span,
-                  linear_kernel)
+from .gfq import (FqField, additive_map_kernel, echelon_reduce, embed,
+                  gf_build, in_span, rref)
 
 
 class LengthNotAdmissible(ValueError):
@@ -75,7 +75,7 @@ class PPolarAlgebra:
                 clean[key] = val
         self.mu = clean
         self.mu_is_zero = not clean
-        self._ideals = {}     # (query, echelon basis) -> answer
+        self._ideals = {}     # (query, rref rows) -> answer
         self._mu_table = None  # built by the first mu_p call
 
     @property
@@ -320,14 +320,14 @@ def _index(t: tuple, v) -> int:
 
 
 class PolarIdeal:
-    """F_q-subspace closed under mu(A, ..., A, -), in echelon form."""
+    """F_q-subspace closed under mu(A, ..., A, -), as its `rref` rows."""
 
     __slots__ = ("algebra", "basis")
 
     def __init__(self, algebra: PPolarAlgebra, basis: Sequence[Sequence[int]],
                  verify: bool = True):
         self.algebra = algebra
-        self.basis = tuple(echelon_span(algebra.field, basis))
+        self.basis = tuple(rref(algebra.field, basis)[0])
         if verify and not self._closed():
             raise ValueError("subspace is not closed under multiplication")
 
@@ -360,22 +360,24 @@ class PolarIdeal:
 
 
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
-    """Smallest F_q-subspace containing gens closed under mu(A,..,A,-)."""
-    rows = echelon_span(A.field, gens)
+    """Smallest F_q-subspace containing gens closed under mu(A,..,A,-).
+
+    Each round adds mu(e_key, b) for every (p-1)-multiset key of basis
+    vectors and every row b, until the rank stops growing."""
+    F = A.field
+    rows = rref(F, gens)[0]
     query = ("ideal", tuple(rows))
     memo = A._ideals
     if query in memo:
         return memo[query]
-    outer_keys = list(combinations_with_replacement(range(A.dim), A.p - 1))
-    changed = True
-    while changed:
-        changed = False
-        for key in outer_keys:
-            outer = [A.basis_vector(i) for i in key]
-            for b in list(rows):
-                v = A.mu_p(outer + [list(b)])
-                if any(v) and echelon_insert(A.field, rows, v):
-                    changed = True
+    outer = [[A.basis_vector(i) for i in key] for key in
+             combinations_with_replacement(range(A.dim), A.p - 1)]
+    while True:
+        grown = rref(F, rows + [A.mu_p(e + [b]) for e in outer
+                                for b in rows])[0]
+        if len(grown) == len(rows):
+            break
+        rows = grown
     memo[query] = PolarIdeal(A, rows, verify=False)
     return memo[query]
 
@@ -421,19 +423,8 @@ def nilradical(A: PPolarAlgebra) -> PolarIdeal:
     The p-power map is additive in characteristic p and F_q-semilinear, so
     its iterated kernel is computed over F_p and stabilizes by iterate d.
     """
-    if A.dim == 0:
-        return PolarIdeal(A, [], verify=False)
-    M = fp_matrix_of_additive(A.field, lambda v: A.mu_p([v] * A.p), A.dim)
-    Mk = M
-    for _ in range(A.dim - 1):
-        Mk = Mk.matmul(M)
-    flat_kernel = linear_kernel(Mk)
-    vectors = []
-    m = A.field.m
-    for fv in flat_kernel:
-        vectors.append(tuple(A.field.from_coords(fv[i * m:(i + 1) * m])
-                             for i in range(A.dim)))
-    return PolarIdeal(A, vectors, verify=False)
+    kernel = additive_map_kernel(A.field, lambda v: A.ppow(v, A.dim), A.dim)
+    return PolarIdeal(A, kernel, verify=False)
 
 
 def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
@@ -441,7 +432,7 @@ def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
     """Least L = 1 + j(p-1) such that every product of >= L elements drawn
     from the span of `vectors` vanishes, or None if no such L exists (or
     none with j <= cap)."""
-    span = tuple(echelon_span(A.field, vectors))
+    span = tuple(rref(A.field, vectors)[0])
     p = A.p
     if cap is None:
         cap = (p ** (A.dim + 1) - 1) // (p - 1) + 1
@@ -453,29 +444,23 @@ def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
 
 
 def _length_threshold(A: PPolarAlgebra, span: tuple, cap: int):
-    """`product_length_threshold` on an echelon basis `span`.
+    """`product_length_threshold` on reduced echelon rows `span`.
 
     Products of span elements of length 1 + j(p-1) are spanned, by
     multilinearity and scheme independence, by mu applied to span basis
-    vectors, so the chain is computed on basis combinations only.
+    vectors, so each level is the `rref` of the previous level's rows
+    multiplied by every (p-1)-multiset of span rows.
     """
     if not span:
         return 1
-    F = A.field
     p = A.p
-    outer = list(combinations_with_replacement(range(len(span)), p - 1))
-    cur = list(span)
+    outer = [[span[i] for i in key] for key in
+             combinations_with_replacement(range(len(span)), p - 1)]
+    cur = span
     for j in range(1, cap + 1):
-        nxt: list = []
-        for key in outer:
-            vs = [span[i] for i in key]
-            for w in cur:
-                u = A.mu_p(vs + [w])
-                if any(u):
-                    echelon_insert(F, nxt, u)
-        if not nxt:
+        cur = rref(A.field, [A.mu_p(vs + [w]) for vs in outer for w in cur])[0]
+        if not cur:
             return 1 + j * (p - 1)
-        cur = nxt
     return None
 
 

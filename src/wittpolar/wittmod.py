@@ -30,17 +30,15 @@ from .wittuniv import reduce_mod_p, universal_polys, witt_blocks
 
 @dataclass(frozen=True)
 class WittVector:
-    """Length-n coordinate vector over a p-polar algebra."""
+    """Length-n coordinate vector over a p-polar algebra.
+
+    The constructor trusts its coordinates: the operations below build
+    well-formed results, and outside data comes in through `witt`, `w_zero`,
+    `teichmuller` and `scalar_witt`, which check the shape.
+    """
 
     algebra: PPolarAlgebra
     coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("length must be >= 1")
-        for c in self.coords:
-            if len(c) != self.algebra.dim:
-                raise ValueError("coordinate dimension mismatch")
 
     @property
     def length(self) -> int:
@@ -54,12 +52,22 @@ class WittVector:
         return {"coords": [[list(F.coords(a)) for a in c] for c in self.coords]}
 
 
+def _checked(algebra: PPolarAlgebra, coords: tuple) -> WittVector:
+    """A Witt vector from outside data: length >= 1 and every coordinate of
+    the algebra's dimension, or ValueError."""
+    if len(coords) < 1:
+        raise ValueError("length must be >= 1")
+    if any(len(c) != algebra.dim for c in coords):
+        raise ValueError("coordinate dimension mismatch")
+    return WittVector(algebra, coords)
+
+
 def witt(algebra: PPolarAlgebra, coords: Sequence[Sequence[int]]) -> WittVector:
-    return WittVector(algebra, tuple(tuple(c) for c in coords))
+    return _checked(algebra, tuple(tuple(c) for c in coords))
 
 
 def w_zero(algebra: PPolarAlgebra, n: int) -> WittVector:
-    return WittVector(algebra, tuple(algebra.zero for _ in range(n)))
+    return _checked(algebra, (algebra.zero,) * n)
 
 
 def witt_from_json(algebra: PPolarAlgebra, data: dict) -> WittVector:
@@ -209,8 +217,7 @@ def w_product(xs: Sequence[WittVector]) -> WittVector:
 def teichmuller(A: PPolarAlgebra, a: Sequence[int], n: int) -> WittVector:
     if n < 1:
         raise ValueError(f"Teichmuller length must be >= 1, got {n}")
-    coords = [tuple(a)] + [A.zero] * (n - 1)
-    return WittVector(A, tuple(coords))
+    return _checked(A, (tuple(a),) + (A.zero,) * (n - 1))
 
 
 def verschiebung(x: WittVector) -> WittVector:
@@ -248,8 +255,7 @@ def base_polar(field: FqField) -> PPolarAlgebra:
 
 
 def scalar_witt(field: FqField, entries: Sequence[int]) -> WittVector:
-    A = base_polar(field)
-    return WittVector(A, tuple((a,) for a in entries))
+    return _checked(base_polar(field), tuple((a,) for a in entries))
 
 
 def scalar_teich(field: FqField, a: int, n: int) -> WittVector:

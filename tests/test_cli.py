@@ -353,3 +353,44 @@ def test_witt_eval_rejects_teich_length_below_one(capsys, tmp_path,
     path.write_text(json.dumps(expr))
     msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
     assert "length" in msg
+
+
+@pytest.fixture
+def invalid_cw_files(tmp_path):
+    # over pol(F_2), mu(e0, e0) = e0: the tail e0 generates the whole
+    # algebra, whose polar powers never vanish, so no witness exists
+    A = samples.split_polar(F2, 1)
+    alg = dict(A.to_json(), format="wittpolar/1")
+    alg_path = tmp_path / "pol_f2.json"
+    alg_path.write_text(json.dumps(alg))
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"format": "wittpolar/1", "tail": [[1]],
+                                  "witness": [0, 0]}))
+    return str(alg_path), str(x_path)
+
+
+@pytest.mark.parametrize("op", ["f", "v"])
+def test_cw_f_and_v_reject_invalid_elements(capsys, invalid_cw_files, op):
+    alg_path, x_path = invalid_cw_files
+    rc, out, _ = run(capsys, "cw", "validate", "--algebra", alg_path, x_path)
+    assert rc == 0 and json.loads(out)["valid"] is False
+    msg = _assert_rejected(*run(capsys, "cw", op, "--algebra", alg_path,
+                                x_path))
+    assert "x.json" in msg
+
+
+@pytest.mark.parametrize("node", [
+    {"op": "add", "args": [{"op": "lit", "coords": [[[1], [0]]]},
+                           {"op": "lit", "coords": [[[1], [0], [0]]]}]},
+    {"op": "neg", "arg": {"op": "teich", "value": [[1], [0]],
+                          "length": 2}},
+])
+def test_witt_eval_rejects_coordinates_of_the_wrong_dimension(
+        capsys, tmp_path, algebra_file, node):
+    # the algebra has dimension 3; each node carries a 2-dim coordinate
+    expr = {"format": "wittpolar/1",
+            "algebra": json.loads(algebra_file.read_text()), "expr": node}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "dimension" in msg

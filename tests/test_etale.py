@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittpolar import samples
 from wittpolar.etale import (NotAMorphism, NotReduced, decompose,
@@ -193,3 +195,44 @@ def test_decompose_dimension_bookkeeping():
         # orbit sizes biject with the input field-extension degrees
         assert sorted(len(o) for o in dec.orbits()) == sorted(
             part.dim for part in parts)
+
+
+# -- decompose does not depend on the basis -------------------------------------
+
+
+def _invariance_algebras():
+    out = [samples.split_polar(F2, 3), samples.split_polar(F3, 2),
+           samples.field_ext_polar(F2, 2), samples.field_ext_polar(F2, 3),
+           samples.field_ext_polar(F3, 2)]
+    for F, part in ((F2, samples.split_polar(F2, 2)),
+                    (F2, samples.field_ext_polar(F2, 2)),
+                    (F3, samples.field_ext_polar(F3, 2)),
+                    (F2, samples.polar_direct_sum(
+                        samples.split_polar(F2, 1),
+                        samples.field_ext_polar(F2, 2)))):
+        out.append(samples.polar_direct_sum(part,
+                                            samples.trunc_nil_polar(F, 3)))
+    return out
+
+
+INVARIANCE_ALGEBRAS = _invariance_algebras()
+
+
+def _invariants(A):
+    dec = decompose(A)
+    lengths = sorted(len(o) for o in dec.orbits())
+    return dec.count, lengths, dec.extension_degree, dec.nil_dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(INVARIANCE_ALGEBRAS))), st.integers())
+def test_decompose_is_invariant_under_scramble(k, seed):
+    A = INVARIANCE_ALGEBRAS[k]
+    B = samples.scramble(A, random.Random(seed))
+    assert _invariants(B) == _invariants(A)
+    # factors are numbered in the order of their rows, which follows the
+    # basis; only when every orbit has the same length are the orbits of
+    # factor indices themselves fixed
+    orbits = decompose(A).orbits()
+    if len({len(o) for o in orbits}) <= 1:
+        assert decompose(B).orbits() == orbits

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar.gfq import (FqMatrix, additive_poly_roots, embed, embedding,
-                           gf_build, invert, linear_kernel, rank,
-                           semilinear_kernel, solve)
+from wittpolar import samples
+from wittpolar.gfq import (FqMatrix, additive_poly_roots, echelon_reduce,
+                           embed, embedding, gf_build, in_span, invert,
+                           linear_kernel, rank, rref, semilinear_kernel,
+                           solve)
 
 
 def test_prime_field_convention():
@@ -270,3 +272,46 @@ def test_field_axioms_and_tables(F, data):
     assert F.add(a, F.neg(a)) == 0
     if a:
         assert F.mul(a, F.inv(a)) == 1
+
+
+def span_set(F, vectors, dim):
+    """Every F_q-combination of `vectors`, enumerated as a set."""
+    out = {(0,) * dim}
+    for v in vectors:
+        out = {tuple(F.add(a, F.mul(c, b)) for a, b in zip(s, v))
+               for s in out for c in F.elements()}
+    return out
+
+
+# (field, largest dim with q^dim <= 256)
+RREF_FIELDS = [(gf_build(2, 1), 8), (gf_build(3, 1), 5), (gf_build(2, 2), 4)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(RREF_FIELDS), st.data())
+def test_rref_is_the_canonical_span_basis(Fd, data):
+    F, max_dim = Fd
+    dim = data.draw(st.integers(1, max_dim))
+    k = data.draw(st.integers(1, min(dim + 1, 4)))
+    entry = st.integers(0, F.q - 1)
+    vs = [tuple(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+          for _ in range(k)]
+    rows, pivots = rref(F, vs)
+    # each row has a leading 1 at its pivot; the other rows are 0 there
+    assert len(rows) == len(pivots) and pivots == sorted(set(pivots))
+    for r, col in zip(rows, pivots):
+        assert r[col] == 1 and not any(r[:col])
+        assert all(o[col] == 0 for o in rows if o is not r)
+    span = span_set(F, vs, dim)
+    assert span_set(F, rows, dim) == span
+    # an invertible recombination of the generators has the same rows
+    T = samples.random_invertible(random.Random(data.draw(st.integers())),
+                                  F, k)
+    mixed = list(zip(*(FqMatrix(F, T).mul_vec(col) for col in zip(*vs))))
+    assert rref(F, mixed) == (rows, pivots)
+    # membership and residues agree with the enumerated span
+    v = tuple(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+    assert in_span(F, rows, v) == (v in span)
+    res = echelon_reduce(F, rows, v)
+    assert all(res[col] == 0 for col in pivots)
+    assert tuple(F.sub(a, b) for a, b in zip(v, res)) in span

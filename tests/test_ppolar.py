@@ -343,3 +343,75 @@ def test_mu_p_matches_naive_expansion(k, data):
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
     vecs = data.draw(st.lists(vec, min_size=A.p, max_size=A.p))
     assert A.mu_p(vecs) == _naive_mu(A, vecs)
+
+
+# -- ideal closure and nilradical against enumerated sets -----------------------
+
+
+def _span_set(F, vectors, start):
+    """The set `start` (a subspace) grown by every F_q-multiple of each
+    vector in turn: the span, enumerated."""
+    out = set(start)
+    for v in vectors:
+        if v not in out:
+            out = {tuple(F.add(a, F.mul(c, b)) for a, b in zip(s, v))
+                   for s in out for c in F.elements()}
+    return out
+
+
+def _ideal_set(A, gens):
+    """Smallest set containing gens closed under +, F_q-scaling and
+    mu(e_i1, .., e_i(p-1), -)."""
+    outer = [[A.basis_vector(i) for i in key]
+             for key in combinations_with_replacement(range(A.dim), A.p - 1)]
+    S = _span_set(A.field, gens, {A.zero})
+    while True:
+        new = [A.mu_p(e + [v]) for v in S for e in outer]
+        grown = _span_set(A.field, new, S)
+        if grown == S:
+            return S
+        S = grown
+
+
+def _nil_set(A):
+    """Every vector whose orbit under the p-power map reaches 0."""
+    out = set()
+    for v0 in iproduct(range(A.field.q), repeat=A.dim):
+        v, seen = v0, set()
+        while any(v) and v not in seen:
+            seen.add(v)
+            v = A.ppow(v)
+        if not any(v):
+            out.add(v0)
+    return out
+
+
+def _reference_algebras():
+    # q^dim <= 256, so every subspace can be enumerated
+    out = []
+    for F, nils in ((F2, (5, 9)), (F3, (4, 6)), (F4, (4,))):
+        out += [samples.trunc_nil_polar(F, N) for N in nils]
+        split = samples.split_polar(F, 3 if F.q < 4 else 2)
+        both = samples.polar_direct_sum(samples.split_polar(F, 1),
+                                        samples.trunc_nil_polar(F, 4))
+        out += [split, both]
+        out += [samples.scramble(B, random.Random(F.q)) for B in (split, both)]
+    return out
+
+
+REFERENCE_ALGEBRAS = _reference_algebras()
+NIL_SETS = {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(REFERENCE_ALGEBRAS))), st.data())
+def test_ideals_and_nilradical_match_enumerated_sets(k, data):
+    A = _cold_copy(REFERENCE_ALGEBRAS[k])
+    F = A.field
+    vec = st.tuples(*[st.integers(0, F.q - 1)] * A.dim)
+    gens = data.draw(st.lists(vec, max_size=3))
+    I = ideal_generated(A, gens)
+    assert _span_set(F, I.basis, {A.zero}) == _ideal_set(A, gens)
+    if k not in NIL_SETS:
+        NIL_SETS[k] = _nil_set(A)
+    assert _span_set(F, nilradical(A).basis, {A.zero}) == NIL_SETS[k]
