@@ -20,6 +20,11 @@ from .ppolar import PPolarAlgebra, polarize
 from .wittuniv import FORMAT
 
 
+#: `fgl` certifies associativity up to this precision and prints null above
+#: it; at 16 the check takes well under a second.
+ASSOCIATIVE_MAX_PRECISION = 16
+
+
 class CliError(ValueError):
     pass
 
@@ -179,7 +184,7 @@ def cmd_fgl(args) -> int:
     log = fgl.PTypicalLog(args.p, args.precision, coeffs)
     exp = fgl.exp_from_log(log)
     ok, offenders = fgl.support_check(exp, args.p)
-    law = fgl.group_law(log, args.precision)
+    law = fgl.group_law(log, args.precision, exp)
     out = {
         "format": FORMAT,
         "p": args.p,
@@ -188,8 +193,8 @@ def cmd_fgl(args) -> int:
         "exp_support_offenders": offenders,
         "law": law.to_json(),
         "law_p_integral": not law.denominator_offenders(),
-        "law_associative": fgl.law_associative(law) if args.precision <= 12
-        else None,
+        "law_associative": fgl.law_associative(law)
+        if args.precision <= ASSOCIATIVE_MAX_PRECISION else None,
     }
     _emit(out, args.out)
     return 0

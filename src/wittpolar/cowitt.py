@@ -336,7 +336,9 @@ def cw_neg(x: CoWittElement) -> CoWittElement:
 
 
 def cw_F(x: CoWittElement) -> CoWittElement:
-    """Componentwise p-th power in place."""
+    """Componentwise p-th power in place.  The settled witness of x holds
+    for the result: each p-th power lies in the ideal of its entry."""
+    x = _settled(x)
     A = x.algebra
     return CoWittElement(A, A.ppow(x.tail),
                          {i: A.ppow(v) for i, v in x.exceptions.items()},
@@ -344,8 +346,10 @@ def cw_F(x: CoWittElement) -> CoWittElement:
 
 
 def cw_V(x: CoWittElement) -> CoWittElement:
-    """Shift toward index 0, dropping the old index-0 entry."""
-    r, s = x.witness
+    """Shift toward index 0, dropping the old index-0 entry.  The deep
+    ideal of the result at r - 1 is that of x at r, so the settled witness
+    of x shifts with the entries."""
+    r, s = _settled(x).witness
     return CoWittElement(x.algebra, x.tail,
                          {i + 1: v for i, v in x.exceptions.items() if i <= -1},
                          (max(r - 1, 0), s))

@@ -5,15 +5,23 @@ plus a mapping from exponent tuples to nonzero coefficients (Python ints,
 promoted to Fraction only when a division forces it).  Variable names are
 a block letter followed by a decimal index ("x0", "y3", "a1"); blocks are
 canonically ordered x, y, z, u, v before the scalar block a, so aligning
-two operands is deterministic.
+two operands is deterministic.  `substitute` can drop every monomial
+above a total degree; it builds each binding's powers once and keeps terms
+bucketed by total degree so that no product above the bound is formed.
 
 Truncated power series hold Fraction coefficients for degrees 0..D and
 discard everything above D in every operation.  D is always explicit.
+Composition f(g) forms g^k only where f has a nonzero coefficient (a
+p-typical log has one per power of p), sharing repeated squares across
+exponents.  Reversion is Newton iteration on that composition, doubling
+the precision each step, rather than solving for one coefficient per
+composition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 #: Exact scalar type: always in lowest terms, denominator > 0.
@@ -205,32 +213,49 @@ class MultiPoly:
     # -- named operations --------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"],
-                   kill: Callable | None = None) -> "MultiPoly":
-        """Substitute a polynomial for every occurring variable; `kill`
-        drops monomials of every power and product, as in `mul`."""
+                   max_degree: int | None = None) -> "MultiPoly":
+        """Substitute a polynomial for every occurring variable, keeping
+        only monomials of total degree <= max_degree when it is given.
+
+        Degrees add under products, so dropping a monomial above the bound
+        from any power or partial product changes nothing at or below it.
+        Each power G^a of a binding is built once, from G^(a-1), and shared
+        by every term; polynomials are held in buckets by total degree, so
+        bucket pairs whose degrees add up past the bound are never formed.
+        """
         occ = [i for i in range(len(self.vars))
                if any(e[i] for e in self.terms)]
         for i in occ:
             if self.vars[i] not in bindings:
                 raise ValueError(f"unbound variable {self.vars[i]!r}")
-        pow_cache: dict = {}
-        acc = MultiPoly.zero()
+        union = tuple(sorted({v for i in occ
+                              for v in bindings[self.vars[i]].vars},
+                             key=var_key))
+        zero = (0,) * len(union)
+        powers = {}
+        for i in occ:
+            G = {}
+            for e, c in _rekey(bindings[self.vars[i]], union).items():
+                if max_degree is None or sum(e) <= max_degree:
+                    G.setdefault(sum(e), {})[e] = c
+            top = max(e[i] for e in self.terms)
+            pw = [{0: {zero: 1}}, G]
+            while len(pw) <= top and pw[-1]:
+                pw.append(_graded_mul(pw[-1], G, max_degree))
+            powers[i] = pw
+        acc = {}
         for exp, c in self.terms.items():
-            term = MultiPoly.const(c)
+            term = {0: {zero: c}}
             for i in occ:
                 k = exp[i]
-                if not k:
-                    continue
-                v = self.vars[i]
-                pw = pow_cache.get((v, k))
-                if pw is None:
-                    pw = bindings[v].pow(k, kill)
-                    pow_cache[(v, k)] = pw
-                term = term.mul(pw, kill)
-                if term.is_zero():
-                    break
-            acc = acc + term
-        return acc
+                if k:
+                    pw = powers[i]
+                    term = (_graded_mul(term, pw[k], max_degree)
+                            if k < len(pw) else {})
+            for t in term.values():
+                for e, a in t.items():
+                    acc[e] = acc.get(e, 0) + a
+        return MultiPoly(union, acc)
 
     def frobenius_vars(self, p: int) -> "MultiPoly":
         """The lift v -> v^p on every variable (exponent scaling)."""
@@ -307,6 +332,22 @@ def _rekey(p: MultiPoly, union: tuple) -> dict:
     return out
 
 
+def _graded_mul(a: dict, b: dict, max_degree: int | None) -> dict:
+    """Product of two bucketed polynomials over one variable tuple."""
+    out = {}
+    for da, ta in a.items():
+        for db, tb in b.items():
+            if max_degree is not None and da + db > max_degree:
+                continue
+            bucket = out.setdefault(da + db, {})
+            for ea, ca in ta.items():
+                for eb, cb in tb.items():
+                    e = tuple(map(add, ea, eb))
+                    bucket[e] = bucket.get(e, 0) + ca * cb
+    pruned = {d: {e: c for e, c in t.items() if c} for d, t in out.items()}
+    return {d: t for d, t in pruned.items() if t}
+
+
 class TruncSeries:
     """Univariate power series with Fraction coefficients, exact to degree D."""
 
@@ -338,64 +379,88 @@ class TruncSeries:
         bits = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c]
         return " + ".join(bits) if bits else "0"
 
-    def __add__(self, other):
-        D = min(self.prec, other.prec)
-        return TruncSeries(D, [self[k] + other[k] for k in range(D + 1)])
-
-    def __sub__(self, other):
-        D = min(self.prec, other.prec)
-        return TruncSeries(D, [self[k] - other[k] for k in range(D + 1)])
-
-    def __neg__(self):
-        return TruncSeries(self.prec, [-c for c in self.coeffs])
-
-    def scale(self, c) -> "TruncSeries":
-        c = Fraction(c)
-        return TruncSeries(self.prec, [c * a for a in self.coeffs])
-
-    def __mul__(self, other):
-        D = min(self.prec, other.prec)
-        out = [Fraction(0)] * (D + 1)
-        for i, a in enumerate(self.coeffs[:D + 1]):
-            if not a:
-                continue
-            for j in range(D + 1 - i):
-                b = other[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(D, out)
-
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(x)); inner must have zero constant term."""
+        """self(inner(x)); inner must have zero constant term.
+
+        inner^k is formed only where self[k] != 0, as
+        inner^(k - 2^j) * inner^(2^j) with 2^j the top bit of k, and every
+        power is kept, so the repeated squares and shared lower parts are
+        computed once for all exponents.
+        """
         if inner[0] != 0:
             raise ValueError("inner series must vanish at 0")
         D = min(self.prec, inner.prec)
-        acc = TruncSeries(D, [self[0]])
-        power = TruncSeries(D, [1])
+        powers = {1: inner.coeffs}
+
+        def power(k):
+            if k not in powers:
+                top = 1 << (k.bit_length() - 1)
+                low = top // 2 if k == top else k - top
+                powers[k] = _series_mul(power(k - low), power(low), D)
+            return powers[k]
+
+        acc = [self[0]] + [0] * D
         for k in range(1, D + 1):
-            power = power * inner
-            if power.coeffs == (Fraction(0),) * (D + 1):
-                break
             c = self[k]
             if c:
-                acc = acc + power.scale(c)
-        return acc
+                for i, a in enumerate(power(k)[:D + 1]):
+                    if a:
+                        acc[i] += c * a
+        return TruncSeries(D, acc)
 
     def reverse(self) -> "TruncSeries":
         """Compositional inverse g with self(g(x)) = x (mod x^(D+1)).
 
-        Solved term by term; requires f(0) = 0 and f'(0) = 1.
+        Newton iteration g <- g - (f(g) - x) / f'(g) (Brent and Kung,
+        J. ACM 25(4), 1978), with 1/f'(g) = g' / f(g)'.  If g is right
+        through x^k, f(g) - x vanishes through x^k and one step makes g
+        right through x^(2k+1), so each step works at about twice the
+        precision of the last, starting from g = x.  Requires f(0) = 0 and
+        f'(0) = 1.
         """
         if self[0] != 0 or self[1] != 1:
             raise ValueError("reversion needs f(0)=0 and f'(0)=1")
         D = self.prec
-        g = [Fraction(0)] * (D + 1)
-        g[1] = Fraction(1)
-        for k in range(2, D + 1):
-            # with g_k still 0, the x^k coefficient of f(g) misses exactly g_k
-            comp = self.compose(TruncSeries(D, g))
-            g[k] = -comp[k]
+        g = [Fraction(0), Fraction(1)]
+        k = 1
+        while k < D:
+            k = min(2 * k + 1, D)
+            g += [Fraction(0)] * (k + 1 - len(g))
+            h = list(self.compose(TruncSeries(k, g)).coeffs)
+            # f(g) - x has valuation >= 2, so 1/f'(g) is needed through x^(k-2)
+            inv = _series_mul(_derivative(g),
+                              _reciprocal(_derivative(h), k - 2), k - 2)
+            h[1] -= 1
+            g = [a - b for a, b in zip(g, _series_mul(h, inv, k))]
         return TruncSeries(D, g)
 
     def support(self) -> list:
         return [k for k, c in enumerate(self.coeffs) if c]
+
+
+def _series_mul(a: Sequence, b: Sequence, D: int) -> list:
+    """Coefficients 0..D of the product of two coefficient sequences."""
+    out = [0] * (D + 1)
+    nonzero_b = [(j, cb) for j, cb in enumerate(b[:D + 1]) if cb]
+    for i, ca in enumerate(a[:D + 1]):
+        if ca:
+            for j, cb in nonzero_b:
+                if i + j > D:
+                    break
+                out[i + j] += ca * cb
+    return out
+
+
+def _derivative(a: Sequence) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _reciprocal(a: Sequence, D: int) -> list:
+    """Coefficients 0..D of 1/a; a[0] must be nonzero."""
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0]
+    for m in range(1, D + 1):
+        s = sum(a[j] * out[m - j] for j in range(1, min(m, len(a) - 1) + 1)
+                if a[j])
+        out.append(-s * inv0)
+    return out

@@ -21,8 +21,9 @@ memo, `_ideals`, keyed by the query's kind and the reduced echelon rows of
 that subspace (`gfq.rref(field, vectors)[0]`, which is canonical: equal
 subspaces give equal keys), plus the cap for the threshold.  A repeated
 query returns the stored answer (the same `PolarIdeal` object for a
-closure); the function body runs only on the first one.  Closures and
-thresholds grow their spans in rounds, one `rref` per round.
+closure); the function body runs only on the first one.  A closure is one
+`rref` (see `ideal_generated`); thresholds grow their spans in rounds, one
+`rref` per round.
 """
 
 from __future__ import annotations
@@ -362,8 +363,15 @@ class PolarIdeal:
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
     """Smallest F_q-subspace containing gens closed under mu(A,..,A,-).
 
-    Each round adds mu(e_key, b) for every (p-1)-multiset key of basis
-    vectors and every row b, until the rank stops growing."""
+    One round closes it: the span W of the rows b of gens and of every
+    mu(e_key, b), key a (p-1)-multiset of basis vectors.  By (ASSOC),
+    mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), b)) equals
+    mu(c, b_2, .., b_(p-1), b) with c = mu(a_1, .., a_(p-1), b_1), and
+    expanding c in the basis writes that as a combination of the
+    mu(e_key', b), so mu(A, .., A, W) lies in W.  Every algebra satisfies
+    (ASSOC): `from_json` and `quotient` check it, and `polarize` (from an
+    associative product), `extend_scalars`, `etale.subalgebra`, `samples`
+    and `wittmod.base_polar` build only algebras that have it."""
     F = A.field
     rows = rref(F, gens)[0]
     query = ("ideal", tuple(rows))
@@ -372,12 +380,7 @@ def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIde
         return memo[query]
     outer = [[A.basis_vector(i) for i in key] for key in
              combinations_with_replacement(range(A.dim), A.p - 1)]
-    while True:
-        grown = rref(F, rows + [A.mu_p(e + [b]) for e in outer
-                                for b in rows])[0]
-        if len(grown) == len(rows):
-            break
-        rows = grown
+    rows = rref(F, rows + [A.mu_p(e + [b]) for e in outer for b in rows])[0]
     memo[query] = PolarIdeal(A, rows, verify=False)
     return memo[query]
 

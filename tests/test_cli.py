@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from wittpolar import samples
+from wittpolar import cowitt, samples
 from wittpolar.cli import main
 from wittpolar.gfq import gf_build
+from wittpolar.ppolar import ideal_power_nilpotent
 
 F2 = gf_build(2, 1)
 
@@ -138,6 +139,15 @@ def test_fgl_subcommand(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data["exp_support_ok"] is True
+    assert data["law_p_integral"] is True
+    assert data["law_associative"] is True
+
+
+def test_fgl_certifies_associativity_at_precision_16(capsys):
+    rc, out, _ = run(capsys, "fgl", "--p", "2", "--precision", "16",
+                     "--log-coeffs", "1,-1/2,-1/4,-1/8,-1/16")
+    assert rc == 0
+    data = json.loads(out)
     assert data["law_p_integral"] is True
     assert data["law_associative"] is True
 
@@ -394,3 +404,22 @@ def test_witt_eval_rejects_coordinates_of_the_wrong_dimension(
     path.write_text(json.dumps(expr))
     msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
     assert "dimension" in msg
+
+
+@pytest.mark.parametrize("op", ["f", "v"])
+def test_cw_f_and_v_print_a_witness_that_holds(capsys, tmp_path,
+                                               algebra_file, op):
+    # the stored witness (0, 0) is false: the tail x generates a nonzero
+    # ideal; the printed witness must pass the stored-witness check itself
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"format": "wittpolar/1",
+                                  "tail": [[1], [0], [0]],
+                                  "witness": [0, 0]}))
+    rc, out, _ = run(capsys, "cw", op, "--algebra", str(algebra_file),
+                     str(x_path))
+    assert rc == 0
+    A = samples.trunc_nil_polar(F2, 4)
+    y = cowitt.cw_from_json(A, json.loads(out))
+    r, s = y.witness
+    assert r >= 0 and s >= 0
+    assert ideal_power_nilpotent(A, cowitt._deep_ideal(y, r), s)

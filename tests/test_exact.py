@@ -68,7 +68,7 @@ def test_truncated_substitution_property(f, b0, b1, D):
     full = f.substitute({"x0": b0, "x1": b1})
     want = MultiPoly(full.vars, {e: c for e, c in full.terms.items()
                                  if sum(e) <= D})
-    got = f.substitute({"x0": b0, "x1": b1}, kill=lambda e: sum(e) > D)
+    got = f.substitute({"x0": b0, "x1": b1}, max_degree=D)
     assert got == want
 
 
@@ -191,3 +191,66 @@ def test_reverse_rejects_bad_leading_terms():
         TruncSeries(5, [1, 1]).reverse()
     with pytest.raises(ValueError):
         TruncSeries(5, [0, 2]).reverse()
+
+
+def _series_power_reference(inner: TruncSeries, k: int) -> list:
+    """inner^k by k - 1 schoolbook products, truncated at inner's degree."""
+    D = inner.prec
+    out = [Fraction(1)] + [Fraction(0)] * D
+    for _ in range(k):
+        nxt = [Fraction(0)] * (D + 1)
+        for i, a in enumerate(out):
+            for j in range(D + 1 - i):
+                nxt[i + j] += a * inner[j]
+        out = nxt
+    return out
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _outer_and_inner(draw):
+    D = draw(st.integers(1, 14))
+    support = draw(st.sets(st.integers(0, D), max_size=D + 1))
+    outer = [draw(_rationals) if k in support else 0 for k in range(D + 1)]
+    inner = [0] + draw(st.lists(_rationals, min_size=D, max_size=D))
+    return TruncSeries(D, outer), TruncSeries(D, inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_outer_and_inner())
+def test_sparse_compose_matches_term_by_term(pair):
+    f, g = pair
+    D = f.prec
+    want = [Fraction(0)] * (D + 1)
+    for k in range(D + 1):
+        if f[k]:
+            for i, a in enumerate(_series_power_reference(g, k)):
+                want[i] += f[k] * a
+    assert f.compose(g) == TruncSeries(D, want)
+
+
+@st.composite
+def _reversible(draw):
+    """Dense f = x + ..., or a sparse p-typical log x + sum l_i x^(p^i)."""
+    D = draw(st.integers(1, 20))
+    p = draw(st.sampled_from((None, 2, 3, 5)))
+    if p is None:
+        return TruncSeries(D, [0, 1] + draw(
+            st.lists(_rationals, min_size=D - 1, max_size=D - 1)))
+    coeffs = [Fraction(0)] * (D + 1)
+    coeffs[1] = Fraction(1)
+    e = p
+    while e <= D:
+        coeffs[e] = draw(_rationals)
+        e *= p
+    return TruncSeries(D, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_reversible())
+def test_newton_reversion_matches_lagrange(f):
+    g = f.reverse()
+    assert list(g.coeffs) == lagrange_reversion(f)
+    assert f.compose(g) == TruncSeries.x(f.prec)

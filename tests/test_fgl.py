@@ -87,6 +87,24 @@ def test_group_law_associativity():
         assert law_associative(law)
 
 
+@pytest.mark.parametrize("p, D", [(2, 8), (3, 9)])
+def test_law_associative_rejects_every_perturbed_coefficient(p, D):
+    # over Q the homogeneous 2-cocycles of degree n are the multiples of
+    # (x+y)^n - x^n - y^n, so one monomial x^a y^b is a cocycle only for
+    # a = b = 1; moving any other non-unit coefficient alone breaks
+    # associativity in degree a + b
+    law = group_law(typicalize_log(multiplicative_log(D), p), D)
+    assert law_associative(law)
+    terms = law.term_dict()
+    spots = [(a, b) for a in range(1, D) for b in range(1, D - a + 1)
+             if (a, b) != (1, 1)]
+    for ab in spots:
+        bent = dict(terms)
+        bent[ab] = bent.get(ab, 0) + 1
+        assert not law_associative(
+            BivariateLaw(p, D, tuple(sorted(bent.items())))), ab
+
+
 def test_group_law_symmetric_admissible():
     law = group_law(typicalize_log(multiplicative_log(9), 3), 9)
     d = law.term_dict()
