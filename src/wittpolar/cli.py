@@ -49,7 +49,10 @@ def _emit(obj, out_path):
 
 def _load(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise CliError(f"{path} must hold a JSON object")
+    return data
 
 
 def _load_algebra(path) -> PPolarAlgebra:
@@ -168,8 +171,15 @@ def cmd_polarize(args) -> int:
     if data.get("format", FORMAT) != FORMAT:
         raise CliError("unsupported format")
     field = FqField.from_json(data["field"])
+    table = data.get("table")
+    if not isinstance(table, list) or not all(
+            isinstance(row, list) and len(row) == len(table)
+            and all(isinstance(v, list) and len(v) == len(table) for v in row)
+            for row in table):
+        raise CliError("'table' must be d lists, each of d products e_i e_j "
+                       "given as d coordinate lists")
     table = [[tuple(field.from_coords(c) for c in row_entry)
-              for row_entry in row] for row in data["table"]]
+              for row_entry in row] for row in table]
     A = polarize(field, table)
     _emit(_algebra_json(A), args.out)
     return 0

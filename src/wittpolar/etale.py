@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
-from .gfq import (FqField, FqMatrix, additive_map_kernel,
-                  additive_poly_roots, echelon_reduce, embed, linear_kernel,
-                  rref, solve)
+from .gfq import (FqField, additive_map_kernel, additive_poly_roots, combine,
+                  echelon_reduce, embed, linear_kernel, rref, solve)
 from .ppolar import (PPolarAlgebra, check_assoc, extend_scalars,
                      nilradical, quotient)
 
@@ -105,17 +104,16 @@ def _beta_candidates(field: FqField, basis):
 def _build_e(A: PPolarAlgebra, y, j: int, alphas, beta):
     """e = sum_l (sum_{i<=l} (alpha_i beta^p)^(p^(l-i))) y^(p^l)."""
     F = A.field
-    e = (0,) * A.dim
-    ypl = tuple(y)
+    coeffs, powers = [], [tuple(y)]
     for l in range(j):
         coeff = 0
         for i in range(l + 1):
             base = F.mul(alphas[i], F.frobenius(beta, 1))
             coeff = F.add(coeff, F.frobenius(base, l - i))
-        if coeff:
-            e = tuple(F.add(a, F.mul(coeff, b)) for a, b in zip(e, ypl))
-        ypl = A.ppow(ypl)
-    return e
+        coeffs.append(coeff)
+    for _ in range(j - 1):
+        powers.append(A.ppow(powers[-1]))
+    return combine(F, coeffs, powers)
 
 
 @dataclass(frozen=True)
@@ -167,20 +165,9 @@ def split_once(A: PPolarAlgebra, e):
         raise ValueError("e must be a nonzero idempotent")
     cols = [A.mu_eval([e] * (A.p - 1) + [A.basis_vector(i)])
             for i in range(A.dim)]
-
-    def f(v):
-        acc = [0] * A.dim
-        for c, col in zip(v, cols):
-            if c:
-                acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, col)]
-        return tuple(acc)
-
-    for i in range(A.dim):
-        if f(cols[i]) != cols[i]:
-            raise AssertionError("projection is not idempotent")
-    M = FqMatrix(F, [[cols[j][r] for j in range(A.dim)]
-                     for r in range(A.dim)])
-    ker_rows = rref(F, linear_kernel(M))[0]
+    if any(combine(F, col, cols) != col for col in cols):
+        raise AssertionError("projection is not idempotent")
+    ker_rows = rref(F, linear_kernel(F, list(zip(*cols))))[0]
     im_rows = rref(F, cols)[0]
     ker = subalgebra(A, ker_rows)
     im = subalgebra(A, im_rows)
@@ -273,19 +260,12 @@ def _proper_split(sub: PPolarAlgebra):
     means the factor needs a scalar extension first.
     """
     F = sub.field
-
-    def fn(v):
-        w = sub.ppow(v)
-        return tuple(F.sub(a, b) for a, b in zip(w, v))
-
-    basis = additive_map_kernel(F, fn, sub.dim)
+    basis = additive_map_kernel(
+        F, lambda v: combine(F, (1, F.neg(1)), (sub.ppow(v), v)), sub.dim)
     for digits in iproduct(range(F.p), repeat=len(basis)):
         if not any(digits):
             continue
-        e = (0,) * sub.dim
-        for d, b in zip(digits, basis):
-            if d:
-                e = tuple(F.add(a, F.mul(d, c)) for a, c in zip(e, b))
+        e = combine(F, digits, basis)
         if not any(e):
             continue
         if sub.ppow(e) != e:
@@ -337,14 +317,7 @@ def decompose(A: PPolarAlgebra) -> Decomposition:
         for part_rows in (ker_rows, im_rows):
             if not part_rows:
                 continue
-            back = []
-            for pr in part_rows:
-                v = [0] * Bx.dim
-                for c, row in zip(pr, rows):
-                    if c:
-                        v = [Bx.field.add(a, Bx.field.mul(c, b))
-                             for a, b in zip(v, row)]
-                back.append(tuple(v))
+            back = [combine(Bx.field, pr, rows) for pr in part_rows]
             work.append(tuple(rref(Bx.field, back)[0]))
     factors = sorted(done)
     F = Bx.field

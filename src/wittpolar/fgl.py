@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .exact import MultiPoly, TruncSeries
-from .gfq import _is_prime
+from .gfq import _is_prime, combine
 from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
-                     vec_add, vec_is_zero, vec_scale)
+                     vec_is_zero)
 from .wittmod import eval_polar_poly, polar_plan
 
 
@@ -193,15 +193,9 @@ class StarGroup:
                                     ("x", "y"), algebra.mu_is_zero)
 
     def elements(self) -> list:
-        F = self.algebra.field
-        out = []
-        for digits in iproduct(range(F.q), repeat=len(self.nil_basis)):
-            v = (0,) * self.algebra.dim
-            for d, b in zip(digits, self.nil_basis):
-                if d:
-                    v = vec_add(F, v, vec_scale(F, d, b))
-            out.append(v)
-        return out
+        F, zero = self.algebra.field, self.algebra.zero
+        return [combine(F, digits, self.nil_basis) if any(digits) else zero
+                for digits in iproduct(range(F.q), repeat=len(self.nil_basis))]
 
     def _require_nil(self, v):
         from .gfq import in_span

@@ -5,6 +5,13 @@ digit vector of coordinates in the power basis.  The modulus is always the
 lexicographically least monic irreducible polynomial of its degree (prime
 fields use the x - 0 convention), so every serialized artifact is
 reproducible without any table dependency.
+
+A vector over F_q is a tuple of field ints and a matrix is a list of its
+rows.  `combine` (sum c_i v_i) is the one place that adds and scales
+vectors: `mat_vec`, `rref` and every other module go through it, except
+the hot loops of the mu kernel (`PPolarAlgebra.mu_p`), the polar evaluator
+(`wittmod.eval_polar_poly`) and the basis contraction in
+`ppolar.check_assoc`.
 """
 
 from __future__ import annotations
@@ -350,54 +357,36 @@ def embed(small: FqField, big: FqField, a: int) -> int:
 # -- matrices and kernels ----------------------------------------------------
 
 
-class FqMatrix:
-    """Rectangular matrix over an FqField; rows of int-encoded entries."""
+def combine(field: FqField, coeffs: Sequence[int],
+            vectors: Sequence[Sequence[int]]) -> tuple:
+    """sum c_i v_i over F_q, the one linear-combination kernel.
 
-    __slots__ = ("field", "rows")
+    Zero coefficients are skipped; the sum starts from the first nonzero
+    term and makes one pass per term through `FqField.tables`.  With every
+    coefficient zero it is the zero vector of the length of vectors[0].
+    """
+    mul, add = field.tables()
+    q = field.q
+    out = None
+    for c, v in zip(coeffs, vectors):
+        if not c:
+            continue
+        cq = c * q
+        if out is None:
+            out = v if c == 1 else [mul[cq + b] for b in v]
+        elif add is None:
+            out = [a ^ mul[cq + b] for a, b in zip(out, v)]
+        else:
+            out = [add[a * q + mul[cq + b]] for a, b in zip(out, v)]
+    return (0,) * len(vectors[0]) if out is None else tuple(out)
 
-    def __init__(self, field: FqField, rows: Sequence[Sequence[int]]):
-        self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        if self.rows and len({len(r) for r in self.rows}) != 1:
-            raise ValueError("ragged matrix")
 
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FqMatrix) and self.field == other.field
-                and self.rows == other.rows)
-
-    def mul_vec(self, v: Sequence[int]) -> tuple:
-        F = self.field
-        out = []
-        for row in self.rows:
-            s = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    s = F.add(s, F.mul(a, b))
-            out.append(s)
-        return tuple(out)
-
-    def matmul(self, other: "FqMatrix") -> "FqMatrix":
-        F = self.field
-        cols = list(zip(*other.rows))
-        rows = []
-        for r in self.rows:
-            row = []
-            for c in cols:
-                s = 0
-                for a, b in zip(r, c):
-                    if a and b:
-                        s = F.add(s, F.mul(a, b))
-                row.append(s)
-            rows.append(row)
-        return FqMatrix(F, rows)
+def mat_vec(field: FqField, rows: Sequence[Sequence[int]],
+            v: Sequence[int]) -> tuple:
+    """rows . v: the combination of the columns with v's entries."""
+    if not rows or not v:
+        return (0,) * len(rows)
+    return combine(field, v, list(zip(*rows)))
 
 
 def rref(field: FqField, rows: Sequence[Sequence[int]]):
@@ -406,7 +395,7 @@ def rref(field: FqField, rows: Sequence[Sequence[int]]):
     The one Gaussian elimination: spans, ideal closures, kernels, solves
     and inverses all go through it.  The rows are canonical for their span.
     """
-    R = [list(r) for r in rows if any(r)]
+    R = [r for r in rows if any(r)]
     pivots = []
     rank = 0
     ncols = len(R[0]) if R else 0
@@ -419,18 +408,16 @@ def rref(field: FqField, rows: Sequence[Sequence[int]]):
         if piv is None:
             continue
         R[rank], R[piv] = R[piv], R[rank]
-        inv = field.inv(R[rank][col])
-        R[rank] = [field.mul(inv, c) for c in R[rank]]
+        R[rank] = combine(field, (field.inv(R[rank][col]),), (R[rank],))
         for i in range(len(R)):
             if i != rank and R[i][col]:
-                f = R[i][col]
-                R[i] = [field.sub(a, field.mul(f, b))
-                        for a, b in zip(R[i], R[rank])]
+                R[i] = combine(field, (1, field.neg(R[i][col])),
+                               (R[i], R[rank]))
         pivots.append(col)
         rank += 1
         if rank == len(R):
             break
-    return [tuple(r) for r in R[:rank]], pivots
+    return R[:rank], pivots
 
 
 def solve(field: FqField, rows: Sequence[Sequence[int]],
@@ -457,16 +444,15 @@ def invert(field: FqField, rows: Sequence[Sequence[int]]) -> list:
     return [r[d:] for r in R]
 
 
-def linear_kernel(M: FqMatrix) -> list:
-    """Echelon-form basis of the right kernel of M (deterministic)."""
-    field = M.field
-    if M.ncols == 0:
-        return []
-    R, pivots = rref(field, M.rows)
-    free = [c for c in range(M.ncols) if c not in pivots]
+def linear_kernel(field: FqField, rows: Sequence[Sequence[int]]) -> list:
+    """Echelon-form basis of the right kernel of the matrix `rows`
+    (deterministic)."""
+    ncols = len(rows[0]) if rows else 0
+    R, pivots = rref(field, rows)
+    free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [0] * M.ncols
+        v = [0] * ncols
         v[fc] = 1
         for r, pc in zip(R, pivots):
             if r[fc]:
@@ -494,9 +480,9 @@ def _unflatten(field: FqField, flat: Sequence[int], n: int) -> tuple:
     return tuple(field.from_coords(flat[i * m:(i + 1) * m]) for i in range(n))
 
 
-def fp_matrix_of_additive(field: FqField, fn: Callable, n: int) -> FqMatrix:
-    """Matrix over F_p of an additive map F_q^n -> F_q^n, in flat coordinates."""
-    fp = gf_build(field.p, 1)
+def fp_matrix_of_additive(field: FqField, fn: Callable, n: int) -> list:
+    """Rows of the matrix over F_p of an additive map F_q^n -> F_q^n, in
+    flat coordinates."""
     dim = n * field.m
     cols = []
     for j in range(n):
@@ -504,31 +490,32 @@ def fp_matrix_of_additive(field: FqField, fn: Callable, n: int) -> FqMatrix:
             v = [0] * n
             v[j] = field.p ** i if field.m > 1 else 1
             cols.append(_flatten(field, fn(tuple(v))))
-    rows = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    return FqMatrix(fp, rows)
+    return [[cols[c][r] for c in range(dim)] for r in range(dim)]
 
 
 def additive_map_kernel(field: FqField, fn: Callable, n: int) -> list:
     """F_p-basis (echelon over F_p) of the kernel of an additive map on F_q^n."""
-    M = fp_matrix_of_additive(field, fn, n)
-    flat = linear_kernel(M)
+    flat = linear_kernel(gf_build(field.p, 1),
+                         fp_matrix_of_additive(field, fn, n))
     return [_unflatten(field, v, n) for v in flat]
 
 
-def semilinear_kernel(field: FqField, M: FqMatrix, twist: int) -> list:
-    """F_p-basis of the kernel of v -> M . v^(p^twist).
+def semilinear_kernel(field: FqField, rows: Sequence[Sequence[int]],
+                      twist: int) -> list:
+    """F_p-basis of the kernel of v -> M . v^(p^twist), M the square matrix
+    `rows`.
 
     The kernel is only an F_p-subspace, so it is computed by flattening
     to F_p-linear algebra of dimension m*n.
     """
-    if M.nrows != M.ncols:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
 
     def fn(v):
-        tw = tuple(field.frobenius(a, twist) for a in v)
-        return M.mul_vec(tw)
+        return mat_vec(field, rows, [field.frobenius(a, twist) for a in v])
 
-    return additive_map_kernel(field, fn, M.ncols)
+    return additive_map_kernel(field, fn, n)
 
 
 def additive_poly_roots(field: FqField, coeffs: Sequence[int]) -> list:
@@ -556,11 +543,10 @@ def additive_poly_roots(field: FqField, coeffs: Sequence[int]) -> list:
 def echelon_reduce(field: FqField, rows: Sequence[tuple], v: Sequence[int]):
     """Residue of v against reduced echelon rows (each with a leading 1, as
     `rref` returns them): v minus its pivot entries times their rows."""
-    v = list(v)
     for row in rows:
         f = v[next(i for i, c in enumerate(row) if c)]
         if f:
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+            v = combine(field, (1, field.neg(f)), (v, row))
     return tuple(v)
 
 

@@ -31,23 +31,13 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Sequence
 
-from .gfq import (FqField, additive_map_kernel, echelon_reduce, embed,
-                  gf_build, in_span, rref)
+from .gfq import (FqField, additive_map_kernel, combine, echelon_reduce,
+                  embed, gf_build, in_span, rref)
 
 
 class LengthNotAdmissible(ValueError):
     """Product of n elements requested with n != 1 mod (p-1)."""
 
-
-def vec_add(field: FqField, u: Sequence[int], v: Sequence[int]) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-def vec_scale(field: FqField, c: int, v: Sequence[int]) -> tuple:
-    if c == 0:
-        return (0,) * len(v)
-    if c == 1:
-        return tuple(v)
-    return tuple(field.mul(c, a) for a in v)
 
 def vec_is_zero(v: Sequence[int]) -> bool:
     return not any(v)
@@ -217,19 +207,11 @@ class PPolarAlgebra:
 def bilinear_product(field: FqField, table: Sequence[Sequence[Sequence[int]]],
                      u: Sequence[int], v: Sequence[int]) -> tuple:
     """Product in the commutative algebra given by basis table e_i e_j."""
-    d = len(table)
-    out = [0] * d
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            c = field.mul(a, b)
-            for k, t in enumerate(table[i][j]):
-                if t:
-                    out[k] = field.add(out[k], field.mul(c, t))
-    return tuple(out)
+    terms = [(field.mul(a, b), table[i][j]) for i, a in enumerate(u) if a
+             for j, b in enumerate(v) if b]
+    if not terms:
+        return (0,) * len(table)
+    return combine(field, *zip(*terms))
 
 
 def polarize(field: FqField, table: Sequence[Sequence[Sequence[int]]]) -> PPolarAlgebra:

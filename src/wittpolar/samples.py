@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement
 
-from .gfq import FqField, FqMatrix, embed, gf_build, invert, rank
+from .gfq import FqField, embed, gf_build, invert, mat_vec, rank
 from .ppolar import PPolarAlgebra, polarize
 
 
@@ -69,10 +69,10 @@ def field_ext_table(base: FqField, t: int) -> list:
     fp = gf_build(base.p, 1)
     # invert the change of basis once: c = M^-1 * flat(target)
     M = [[cols[c][r] for c in range(len(cols))] for r in range(big.m)]
-    Minv = FqMatrix(fp, invert(fp, M))
+    Minv = invert(fp, M)
 
     def to_coords(elt: int) -> tuple:
-        sol = Minv.mul_vec(big.coords(elt))
+        sol = mat_vec(fp, Minv, big.coords(elt))
         return tuple(base.from_coords(sol[i * base.m:(i + 1) * base.m])
                      for i in range(t))
 
@@ -142,7 +142,7 @@ def scramble(A: PPolarAlgebra, rng: random.Random) -> PPolarAlgebra:
     mu = {}
     for key in combinations_with_replacement(range(d), A.p):
         v = A.mu_p([Tcols[i] for i in key])
-        w = FqMatrix(F, Tinv_rows).mul_vec(v)
+        w = mat_vec(F, Tinv_rows, v)
         if any(w):
             mu[key] = w
     return PPolarAlgebra(F, d, mu)

@@ -147,18 +147,6 @@ def suite_fv_relations(seed, p_filter):
     return rows
 
 
-def _sym_add2(p, xs, ys):
-    S = universal_polys(p, 2, "sum")
-    bind = {"x0": xs[0], "x1": xs[1], "y0": ys[0], "y1": ys[1]}
-    return [S[m].poly.substitute(bind) for m in range(2)]
-
-
-def _sym_neg2(p, xs):
-    N = universal_polys(p, 2, "neg")
-    bind = {"x0": xs[0], "x1": xs[1]}
-    return [N[m].poly.substitute(bind) for m in range(2)]
-
-
 def teichmuller_alternating_sum(p: int, k: int):
     """sum_{I subset of {1..k}} (-1)^|I| (sum_{i in I} u_i, 0) in W_2."""
     zero = MultiPoly.zero()
@@ -170,8 +158,9 @@ def teichmuller_alternating_sum(p: int, k: int):
                 s = s + MultiPoly.variable(f"u{i}")
             t = [s, zero]
             if r % 2:
-                t = _sym_neg2(p, t)
-            acc = _sym_add2(p, acc, t)
+                t = _sym_bind(universal_polys(p, 2, "neg"), {"x": t}, 1)
+            acc = _sym_bind(universal_polys(p, 2, "sum"), {"x": acc, "y": t},
+                            1)
     return acc
 
 

@@ -45,20 +45,6 @@ class DworkCongruenceFailed(ValueError):
 
 
 @dataclass(frozen=True)
-class GhostSequence:
-    """Ghost component polynomials w_0 .. w_{n-1} of one coordinate block."""
-
-    p: int
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, m):
-        return self.entries[m]
-
-
-@dataclass(frozen=True)
 class UnivWittPoly:
     """One coordinate polynomial of a universal Witt operation."""
 
@@ -83,27 +69,20 @@ def witt_blocks(kind: str, p: int) -> tuple:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def ghost_polys(p: int, n: int, block: str = "a",
-                kill: Callable | None = None) -> GhostSequence:
-    """w_m = sum_{i<=m} p^i b_i^(p^(m-i)) for m = 0..n-1."""
+def ghost_polys(p: int, n: int, block: str = "a") -> tuple:
+    """Ghost components w_m = sum_{i<=m} p^i b_i^(p^(m-i)), m = 0..n-1, of
+    one coordinate block."""
     from .gfq import _is_prime
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("need at least one component")
     names = tuple(block_vars(block, n))
-    entries = []
-    # powers[i] holds b_i^(p^(m-i)) for the current m
-    powers = []
-    for m in range(n):
-        powers = [pw.pow(p, kill) for pw in powers]
-        powers.append(MultiPoly.monomial(names, tuple(1 if i == m else 0
-                                                      for i in range(n))))
-        acc = MultiPoly.zero()
-        for i, pw in enumerate(powers):
-            acc = acc + pw * (p ** i)
-        entries.append(acc)
-    return GhostSequence(p, tuple(entries))
+    return tuple(
+        MultiPoly(names, {tuple(p ** (m - i) if k == i else 0
+                                for k in range(n)): p ** i
+                          for i in range(m + 1)})
+        for m in range(n))
 
 
 def dwork_congruence_holds(p: int, targets: Sequence[MultiPoly],

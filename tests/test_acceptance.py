@@ -16,8 +16,8 @@ import pytest
 
 from wittpolar import cowitt, etale, fgl, samples, verify, wittmod
 from wittpolar.exact import MultiPoly
-from wittpolar.gfq import gf_build
-from wittpolar.ppolar import bilinear_product, vec_add
+from wittpolar.gfq import combine, gf_build
+from wittpolar.ppolar import bilinear_product
 from wittpolar.wittuniv import (DworkCongruenceFailed, dwork_lift,
                                 ghost_of_coords, polar_degree_check,
                                 universal_polys)
@@ -309,7 +309,7 @@ def test_criterion_11_star_group_tables():
         acc, pw = (0, 0, 0), u
         for k in range(1, 4):
             if (h[k].numerator * pow(h[k].denominator, -1, 2)) % 2:
-                acc = vec_add(F2, acc, pw)
+                acc = combine(F2, (1, 1), (acc, pw))
             pw = bilinear_product(F2, table, pw, u)
         return acc
 
@@ -318,8 +318,9 @@ def test_criterion_11_star_group_tables():
     for u in els:
         for v in els:
             got = h_eval(G.star(u, v))
-            want = vec_add(F2, vec_add(F2, h_eval(u), h_eval(v)),
-                           bilinear_product(F2, table, h_eval(u), h_eval(v)))
+            want = combine(F2, (1, 1, 1), (
+                h_eval(u), h_eval(v),
+                bilinear_product(F2, table, h_eval(u), h_eval(v))))
             assert got == want
     # trivial-mu pair gives isomorphic star groups
     for field, p in ((F2, 2), (F3, 3)):

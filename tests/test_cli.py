@@ -423,3 +423,24 @@ def test_cw_f_and_v_print_a_witness_that_holds(capsys, tmp_path,
     r, s = y.witness
     assert r >= 0 and s >= 0
     assert ideal_power_nilpotent(A, cowitt._deep_ideal(y, r), s)
+
+
+POLARIZE_F2 = {"format": "wittpolar/1", "field": F2.to_json(), "dim": 1}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("split", [1]), ("split", "x"),
+    ("cw", [1]), ("cw", "x"),
+    ("witt-eval", [1]), ("witt-eval", "x"),
+    ("polarize", [1]), ("polarize", "x"),
+    ("polarize", dict(POLARIZE_F2, table=5)),
+    ("polarize", dict(POLARIZE_F2, table=[[5]])),
+    ("polarize", dict(POLARIZE_F2, table=[[]])),
+])
+def test_non_object_json_and_misshapen_tables_are_rejected(
+        capsys, tmp_path, command, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    argv = ([command, "validate", "--algebra", str(path), str(path)]
+            if command == "cw" else [command, str(path)])
+    _assert_rejected(*run(capsys, *argv))

@@ -11,8 +11,8 @@ from wittpolar.fgl import (BivariateLaw, LawNotIntegral, LawNotPolar,
                            exp_from_log, group_law, law_associative,
                            multiplicative_log, mu_pinfty_group, support_check,
                            typicalize_log)
-from wittpolar.gfq import gf_build
-from wittpolar.ppolar import bilinear_product, vec_add
+from wittpolar.gfq import combine, gf_build
+from wittpolar.ppolar import bilinear_product
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -139,13 +139,13 @@ def test_star_group_order8_matches_honest_units():
         for k in range(1, 4):
             c = h[k]
             if (c.numerator * pow(c.denominator, -1, 2)) % 2:
-                acc = vec_add(F2, acc, pw)
+                acc = combine(F2, (1, 1), (acc, pw))
             pw = bilinear_product(F2, table, pw, u)
         return acc
 
     def honest(u, v):
-        return vec_add(F2, vec_add(F2, u, v),
-                       bilinear_product(F2, table, u, v))
+        return combine(F2, (1, 1, 1),
+                       (u, v, bilinear_product(F2, table, u, v)))
 
     els = G.elements()
     assert len({h_eval(u) for u in els}) == 8
@@ -164,7 +164,7 @@ def test_star_group_trivial_pair_invariance():
         # both are elementary abelian: star degenerates to addition
         for u in GA.elements():
             for v in GA.elements():
-                assert GA.star(u, v) == vec_add(field, u, v)
+                assert GA.star(u, v) == combine(field, (1, 1), (u, v))
 
 
 def test_star_rejects_non_nilpotent():

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittpolar import samples
-from wittpolar.gfq import (FqMatrix, additive_poly_roots, echelon_reduce,
-                           embed, embedding, gf_build, in_span, invert,
-                           linear_kernel, rank, rref, semilinear_kernel,
-                           solve)
+from wittpolar.gfq import (additive_poly_roots, combine, echelon_reduce, embed,
+                           embedding, gf_build, in_span, invert, linear_kernel,
+                           mat_vec, rank, rref, semilinear_kernel, solve)
 
 
 def test_prime_field_convention():
@@ -74,20 +73,18 @@ def test_field_inverses():
 
 def test_kernel_zero_matrix():
     F2 = gf_build(2, 1)
-    M = FqMatrix(F2, [[0, 0, 0]] * 3)
-    assert linear_kernel(M) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert linear_kernel(F2, [[0, 0, 0]] * 3) == [(1, 0, 0), (0, 1, 0),
+                                                  (0, 0, 1)]
 
 
 def test_kernel_identity():
     F3 = gf_build(3, 1)
-    M = FqMatrix(F3, [[1, 0], [0, 1]])
-    assert linear_kernel(M) == []
+    assert linear_kernel(F3, [[1, 0], [0, 1]]) == []
 
 
 def test_kernel_rank_one():
     F2 = gf_build(2, 1)
-    M = FqMatrix(F2, [[1, 1], [0, 0]])
-    assert linear_kernel(M) == [(1, 1)]
+    assert linear_kernel(F2, [[1, 1], [0, 0]]) == [(1, 1)]
 
 
 def test_rank_plus_kernel_dim():
@@ -95,21 +92,18 @@ def test_rank_plus_kernel_dim():
     for F in (gf_build(2, 1), gf_build(3, 1), gf_build(2, 2)):
         for _ in range(15):
             rows = [[rng.randrange(F.q) for _ in range(4)] for _ in range(3)]
-            M = FqMatrix(F, rows)
-            assert rank(F, rows) + len(linear_kernel(M)) == 4
+            assert rank(F, rows) + len(linear_kernel(F, rows)) == 4
 
 
 def test_semilinear_identity_twist_trivial_kernel():
     F4 = gf_build(2, 2)
-    M = FqMatrix(F4, [[1, 0], [0, 1]])
-    assert semilinear_kernel(F4, M, 1) == []
+    assert semilinear_kernel(F4, [[1, 0], [0, 1]], 1) == []
 
 
 def test_semilinear_zero_matrix_full_kernel():
     F4 = gf_build(2, 2)
-    M = FqMatrix(F4, [[0, 0], [0, 0]])
     # F_p-basis of F_4^2 has dimension m*n = 4
-    assert len(semilinear_kernel(F4, M, 1)) == 4
+    assert len(semilinear_kernel(F4, [[0, 0], [0, 0]], 1)) == 4
 
 
 def test_semilinear_rank_nullity_over_fp():
@@ -117,8 +111,7 @@ def test_semilinear_rank_nullity_over_fp():
     F9 = gf_build(3, 2)
     for twist in (0, 1):
         for _ in range(10):
-            M = FqMatrix(F9, [[rng.randrange(9) for _ in range(2)]
-                              for _ in range(2)])
+            M = [[rng.randrange(9) for _ in range(2)] for _ in range(2)]
             ker = semilinear_kernel(F9, M, twist)
             # the map is F_p-linear on a 4-dimensional F_3-space
             img_rank = 4 - len(ker)
@@ -197,10 +190,10 @@ def test_solve_returns_a_solution(p, m):
         nr, nc = rng.randrange(1, 5), rng.randrange(1, 5)
         M = [[rng.randrange(F.q) for _ in range(nc)] for _ in range(nr)]
         x = tuple(rng.randrange(F.q) for _ in range(nc))
-        b = FqMatrix(F, M).mul_vec(x)
+        b = mat_vec(F, M, x)
         sol = solve(F, M, b)
         assert sol is not None and len(sol) == nc
-        assert FqMatrix(F, M).mul_vec(sol) == b
+        assert mat_vec(F, M, sol) == b
 
 
 @pytest.mark.parametrize("p,m", SOLVE_FIELDS)
@@ -229,10 +222,11 @@ def test_invert_gives_the_inverse(p, m):
                     invert(F, M)
                 continue
             Minv = invert(F, M)
-            ident = tuple(tuple(1 if i == j else 0 for j in range(d))
-                          for i in range(d))
-            assert FqMatrix(F, M).matmul(FqMatrix(F, Minv)).rows == ident
-            assert FqMatrix(F, Minv).matmul(FqMatrix(F, M)).rows == ident
+            ident = [tuple(1 if i == j else 0 for j in range(d))
+                     for i in range(d)]
+            # column j of a product X Y is X times column j of Y
+            for X, Y in ((M, Minv), (Minv, M)):
+                assert [mat_vec(F, X, col) for col in zip(*Y)] == ident
 
 
 @pytest.mark.parametrize("p,m", SOLVE_FIELDS)
@@ -274,17 +268,50 @@ def test_field_axioms_and_tables(F, data):
         assert F.mul(a, F.inv(a)) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(AXIOM_FIELDS), st.data())
+def test_combine_and_mat_vec_match_coordinate_sums(F, data):
+    dim, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = st.integers(0, F.q - 1)
+    vs = [tuple(data.draw(entry) for _ in range(dim)) for _ in range(k)]
+    cs = [data.draw(st.one_of(st.sampled_from([0, 1]), entry))
+          for _ in range(k)]
+
+    def coordinate_sum(coeffs):
+        out = [0] * dim
+        for c, v in zip(coeffs, vs):
+            for i, b in enumerate(v):
+                out[i] = F.add(out[i], F.mul(c, b))
+        return tuple(out)
+
+    for coeffs in (cs, [0] * k, [1] * k):
+        assert combine(F, coeffs, vs) == coordinate_sum(coeffs)
+    # each entry of rows . v is a dot product
+    rows = [[data.draw(entry) for _ in range(k)] for _ in range(dim)]
+    want = []
+    for r in rows:
+        s = 0
+        for a, b in zip(r, cs):
+            s = F.add(s, F.mul(a, b))
+        want.append(s)
+    assert mat_vec(F, rows, cs) == tuple(want)
+
+
 def span_set(F, vectors, dim):
-    """Every F_q-combination of `vectors`, enumerated as a set."""
+    """Every F_q-combination of `vectors`, enumerated as a set.  A vector
+    already in the span so far leaves it unchanged and is skipped."""
     out = {(0,) * dim}
     for v in vectors:
-        out = {tuple(F.add(a, F.mul(c, b)) for a, b in zip(s, v))
-               for s in out for c in F.elements()}
+        if tuple(v) not in out:
+            out = {tuple(F.add(a, F.mul(c, b)) for a, b in zip(s, v))
+                   for s in out for c in F.elements()}
     return out
 
 
-# (field, largest dim with q^dim <= 256)
-RREF_FIELDS = [(gf_build(2, 1), 8), (gf_build(3, 1), 5), (gf_build(2, 2), 4)]
+# (field, largest dim enumerated): q^dim <= 256, and GF(3^6) in dim 1 for
+# the lookups above the table bound
+RREF_FIELDS = [(gf_build(2, 1), 8), (gf_build(3, 1), 5), (gf_build(2, 2), 4),
+               (gf_build(3, 2), 2), (gf_build(3, 6), 1)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -307,7 +334,7 @@ def test_rref_is_the_canonical_span_basis(Fd, data):
     # an invertible recombination of the generators has the same rows
     T = samples.random_invertible(random.Random(data.draw(st.integers())),
                                   F, k)
-    mixed = list(zip(*(FqMatrix(F, T).mul_vec(col) for col in zip(*vs))))
+    mixed = list(zip(*(mat_vec(F, T, col) for col in zip(*vs))))
     assert rref(F, mixed) == (rows, pivots)
     # membership and residues agree with the enumerated span
     v = tuple(data.draw(st.lists(entry, min_size=dim, max_size=dim)))

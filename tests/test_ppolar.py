@@ -124,9 +124,9 @@ def test_p_power_is_additive():
         for _ in range(20):
             x = samples.random_vector(rng, A)
             y = samples.random_vector(rng, A)
-            from wittpolar.ppolar import vec_add
-            lhs = A.ppow(vec_add(A.field, x, y))
-            rhs = vec_add(A.field, A.ppow(x), A.ppow(y))
+            from wittpolar.gfq import combine
+            lhs = A.ppow(combine(A.field, (1, 1), (x, y)))
+            rhs = combine(A.field, (1, 1), (A.ppow(x), A.ppow(y)))
             assert lhs == rhs
 
 

@@ -106,8 +106,8 @@ def test_teichmuller_alternating_sum_numeric():
                 s = A.zero
                 for i in range(p):
                     if mask >> i & 1:
-                        from wittpolar.ppolar import vec_add
-                        s = vec_add(A.field, s, xs[i])
+                        from wittpolar.gfq import combine
+                        s = combine(A.field, (1, 1), (s, xs[i]))
                 t = teichmuller(A, s, 2)
                 if bin(mask).count("1") % 2:
                     t = w_neg(t)
@@ -325,7 +325,7 @@ def _reference_op(kind, xs, scalars=()):
     bind every variable by name, feed the vector variables (with
     multiplicity, in variable order) to mu_eval, and scale by the F_p
     coefficient times the scalar variables' powers."""
-    from wittpolar.ppolar import vec_add, vec_scale
+    from wittpolar.gfq import combine
     from wittpolar.wittmod import _reduced
     from wittpolar.wittuniv import witt_blocks
     A = xs[0].algebra
@@ -344,7 +344,7 @@ def _reference_op(kind, xs, scalars=()):
                     coeff = F.mul(coeff, F.pow(bind[name], e))
                 else:
                     elems.extend([bind[name]] * e)
-            acc = vec_add(F, acc, vec_scale(F, coeff, A.mu_eval(elems)))
+            acc = combine(F, (1, coeff), (acc, A.mu_eval(elems)))
         out.append(acc)
     return tuple(out)
 

@@ -38,7 +38,7 @@ def test_ghost_p3():
 
 def test_dwork_round_trip_on_formal_ghosts():
     for p, n in ((2, 3), (3, 2)):
-        targets = list(ghost_polys(p, n, "x").entries)
+        targets = list(ghost_polys(p, n, "x"))
         comps = dwork_lift(p, targets)
         assert comps == [V(f"x{i}") for i in range(n)]
 
