@@ -178,6 +178,10 @@ def cmd_polarize(args) -> int:
             for row in table):
         raise CliError("'table' must be d lists, each of d products e_i e_j "
                        "given as d coordinate lists")
+    dim = data.get("dim", len(table))
+    if type(dim) is not int or dim != len(table):
+        raise CliError(f"dim must be the int {len(table)}, the size of "
+                       f"'table', got {dim!r}")
     table = [[tuple(field.from_coords(c) for c in row_entry)
               for row_entry in row] for row in table]
     A = polarize(field, table)

@@ -190,9 +190,10 @@ def _settled(x: CoWittElement) -> CoWittElement:
 
 @lru_cache(maxsize=None)
 def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
-                 caps: tuple, mu_zero: bool) -> tuple:
+                 caps: tuple) -> tuple:
     """Top Witt component of `op` on windows of m+1 variables, mod p,
-    compiled by `polar_plan` for an algebra whose mu is zero or not.
+    compiled by `polar_plan`.  On a zero mu, t_total is p, so the kill
+    rules leave only the linear monomials.
 
     The polynomial depends only on the pattern, never on the entry values:
     `zero` flags the variables bound to 0 (x0..xm, then y0..ym for a sum),
@@ -223,9 +224,7 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
         for i in range(level + 1):
             e = [0] * len(names)
             e[offset + i] = p ** (level - i)
-            e = tuple(e)
-            if not kill(e):
-                terms[e] = sign * p ** i
+            terms[tuple(e)] = sign * p ** i
         return MultiPoly(names, terms)
 
     if op == "sum":
@@ -236,7 +235,7 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
     else:
         raise ValueError(f"unknown windowed op {op!r}")
     return polar_plan(p, [dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)],
-                      names, mu_zero)
+                      names)
 
 
 def _caps_for(A: PPolarAlgebra, elems: Sequence[CoWittElement], r: int) -> tuple:
@@ -293,7 +292,7 @@ def _stabilized_entry(elems, n, op, start_m, caps) -> tuple:
     windows = [[e.entry(i) for i in idxs] for e in elems]
     zero = tuple(vec_is_zero(u) for w in windows for u in w)
     deep = tuple(i <= -r for i in idxs)
-    top = _window_poly(A.p, m, op, zero, deep, caps, A.mu_is_zero)
+    top = _window_poly(A.p, m, op, zero, deep, caps)
     return eval_polar_poly(A, top, [u for w in windows for u in w])[0]
 
 

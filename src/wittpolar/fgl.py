@@ -190,7 +190,7 @@ class StarGroup:
             if cm and a + b < self.threshold:
                 modp[(a, b)] = cm
         self.modp_plan = polar_plan(p, [MultiPoly(("x", "y"), modp)],
-                                    ("x", "y"), algebra.mu_is_zero)
+                                    ("x", "y"))
 
     def elements(self) -> list:
         F, zero = self.algebra.field, self.algebra.zero

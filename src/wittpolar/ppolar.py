@@ -23,7 +23,13 @@ subspaces give equal keys), plus the cap for the threshold.  A repeated
 query returns the stored answer (the same `PolarIdeal` object for a
 closure); the function body runs only on the first one.  A closure is one
 `rref` (see `ideal_generated`); thresholds grow their spans in rounds, one
-`rref` per round.
+`rref` per round, and give None at the first round equal to the one before
+(each round depends only on the previous one, so that is a fixed point).
+
+The threshold of the whole algebra, its product length L, also sits in a
+slot that the first `product_length` call fills: W_n(A) evaluates only
+polar monomials of vector degree below L (see `wittmod`).  Unital algebras
+have no L (None).
 """
 
 from __future__ import annotations
@@ -46,13 +52,15 @@ def vec_is_zero(v: Sequence[int]) -> bool:
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
-    __slots__ = ("field", "dim", "mu", "mu_is_zero", "_ideals", "_mu_table")
+    # `_length` stays unset until `product_length` fills it
+    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_length",
+                 "_ideals", "_mu_table")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
+        self.p = p = field.p
         self.dim = dim
         clean = {}
-        p = field.p
         for key, val in mu.items():
             key = tuple(key)
             if len(key) != p or tuple(sorted(key)) != key:
@@ -68,10 +76,6 @@ class PPolarAlgebra:
         self.mu_is_zero = not clean
         self._ideals = {}     # (query, rref rows) -> answer
         self._mu_table = None  # built by the first mu_p call
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def zero(self) -> tuple:
@@ -428,6 +432,17 @@ def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
     return memo[query]
 
 
+def product_length(A: PPolarAlgebra):
+    """The threshold of the whole algebra, kept in its `_length` slot: after
+    the first call, one slot read."""
+    try:
+        return A._length
+    except AttributeError:
+        A._length = product_length_threshold(
+            A, [A.basis_vector(i) for i in range(A.dim)])
+        return A._length
+
+
 def _length_threshold(A: PPolarAlgebra, span: tuple, cap: int):
     """`product_length_threshold` on reduced echelon rows `span`.
 
@@ -443,9 +458,13 @@ def _length_threshold(A: PPolarAlgebra, span: tuple, cap: int):
              combinations_with_replacement(range(len(span)), p - 1)]
     cur = span
     for j in range(1, cap + 1):
-        cur = rref(A.field, [A.mu_p(vs + [w]) for vs in outer for w in cur])[0]
-        if not cur:
+        nxt = tuple(rref(A.field, [A.mu_p(vs + [w]) for vs in outer
+                                   for w in cur])[0])
+        if not nxt:
             return 1 + j * (p - 1)
+        if nxt == cur:
+            return None
+        cur = nxt
     return None
 
 

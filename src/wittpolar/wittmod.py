@@ -1,15 +1,21 @@
 """Witt vectors W_n(A) of a finite-dimensional p-polar algebra over GF(q).
 
-All arithmetic evaluates the cached universal polynomials reduced mod p;
-polar monomials are evaluated through the algebra's mu with the canonical
-left-associative scheme.  Verschiebung is the coordinate shift and the
-characteristic-p Frobenius is the componentwise p-th power (certified
-against the universal Frobenius polynomials by the test suite).
+All arithmetic evaluates the universal polynomials reduced mod p; polar
+monomials are evaluated through the algebra's mu with the canonical
+left-associative scheme.  A monomial with k vector factors evaluates to a
+product of k elements, so on an algebra of product length L (every product
+of L or more elements vanishes, `ppolar.product_length`) only the
+monomials of Witt-block degree below L matter: those families are lifted
+directly with the rest killed and never touch the cache.  Unital algebras
+have no L and evaluate the full cached families; mu = 0 is L = p.
+Verschiebung is the coordinate shift and the characteristic-p Frobenius is
+the componentwise p-th power (certified against the universal Frobenius
+polynomials by the test suite).
 
 One evaluator, `eval_polar_poly` on slot plans compiled by `polar_plan`,
 serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
 law's star product in `fgl`; each caller compiles its polynomials once
-(here per (p, n, kind, mu = 0)) and binds inputs by position in one flat
+(here per (p, n, kind, L)) and binds inputs by position in one flat
 tuple, the coordinates of each Witt block in turn.  Monomials sharing a
 sorted prefix share its partial products, each computed once per call.
 Scalars act through Witt vectors over the polarization of the base field:
@@ -24,8 +30,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from .gfq import FqField
-from .ppolar import LengthNotAdmissible, PPolarAlgebra, vec_is_zero
-from .wittuniv import reduce_mod_p, universal_polys, witt_blocks
+from .ppolar import (LengthNotAdmissible, PPolarAlgebra, product_length,
+                     vec_is_zero)
+from .wittuniv import (_targets, dwork_lift, reduce_mod_p, universal_polys,
+                       witt_blocks)
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ def _reduced(p: int, n: int, kind: str) -> tuple:
     return tuple(reduce_mod_p(universal_polys(p, n, kind)))
 
 
-def polar_plan(p: int, polys, names: Sequence[str], mu_zero: bool,
+def polar_plan(p: int, polys, names: Sequence[str],
                scalars: frozenset = frozenset()) -> tuple:
     """Compile mod-p polynomials into one slot plan (nodes, levels).
 
@@ -97,9 +105,8 @@ def polar_plan(p: int, polys, names: Sequence[str], mu_zero: bool,
     node, shared by every monomial with the same prefix: p indices into the
     values (the inputs, then the nodes in order).  A level is a tuple of
     terms (F_p coefficient, scalar slots with multiplicity, value index).
-
-    On a zero-mu algebra every monomial of degree > 1 evaluates to 0, so
-    only the linear monomials are kept.
+    Callers drop the monomials that vanish on their algebra for length
+    alone before compiling (see `_plan`).
     """
     slot = {name: s for s, name in enumerate(names)}
     base = len(names)
@@ -117,8 +124,6 @@ def polar_plan(p: int, polys, names: Sequence[str], mu_zero: bool,
                 raise LengthNotAdmissible(
                     f"cannot multiply {len(xs)} elements in a {p}-polar "
                     f"algebra")
-            if mu_zero and len(xs) > 1:
-                continue
             xs.sort()
             at = xs[0]
             if len(xs) > 1:
@@ -169,14 +174,26 @@ def eval_polar_poly(A: PPolarAlgebra, plan: tuple, inputs: Sequence) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _plan(p: int, n: int, kind: str, mu_zero: bool) -> tuple:
+def _plan(p: int, n: int, kind: str, L) -> tuple:
     """The plan of one universal family on the flat input tuple: the
     coordinates of each Witt block in turn, then for the scalar action the
-    n scalars of a."""
+    n scalars of a.
+
+    With L None, the full cached family.  With a product length L, the
+    family lifted from its ghost targets with every monomial of Witt-block
+    degree >= L killed (the scalars a_i do not count); that set of monomials
+    is an ideal stable under v -> v^p, as `dwork_lift` requires."""
     blocks = witt_blocks(kind, p) + (("a",) if kind == "scalar" else ())
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
-    return polar_plan(p, _reduced(p, n, kind), names, mu_zero, scalars)
+    if L is None:
+        polys = _reduced(p, n, kind)
+    else:
+        targets = _targets(p, n, kind)
+        vec = [i for i, v in enumerate(targets[0].vars) if v not in scalars]
+        polys = [c.reduce_mod(p) for c in dwork_lift(
+            p, targets, kill=lambda e: sum(e[i] for i in vec) >= L)]
+    return polar_plan(p, polys, names, scalars)
 
 
 def _check_pair(x: WittVector, y: WittVector):
@@ -189,13 +206,13 @@ def _check_pair(x: WittVector, y: WittVector):
 def w_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
     A = x.algebra
-    plan = _plan(A.p, len(x.coords), "sum", A.mu_is_zero)
+    plan = _plan(A.p, len(x.coords), "sum", product_length(A))
     return WittVector(A, eval_polar_poly(A, plan, x.coords + y.coords))
 
 
 def w_neg(x: WittVector) -> WittVector:
     A = x.algebra
-    plan = _plan(A.p, len(x.coords), "neg", A.mu_is_zero)
+    plan = _plan(A.p, len(x.coords), "neg", product_length(A))
     return WittVector(A, eval_polar_poly(A, plan, x.coords))
 
 
@@ -209,7 +226,7 @@ def w_product(xs: Sequence[WittVector]) -> WittVector:
         raise ValueError(f"product takes exactly p = {p} factors")
     for x in xs[1:]:
         _check_pair(xs[0], x)
-    plan = _plan(p, len(xs[0].coords), "prod", A.mu_is_zero)
+    plan = _plan(p, len(xs[0].coords), "prod", product_length(A))
     flat = [c for x in xs for c in x.coords]
     return WittVector(A, eval_polar_poly(A, plan, flat))
 
@@ -282,7 +299,7 @@ def scalar_mul(a: WittVector, x: WittVector) -> WittVector:
         raise ValueError("scalar must live over the polarized base field")
     if a.length != x.length:
         raise ValueError("length mismatch")
-    plan = _plan(A.p, x.length, "scalar", A.mu_is_zero)
+    plan = _plan(A.p, x.length, "scalar", product_length(A))
     flat = x.coords + tuple(c[0] for c in a.coords)
     return WittVector(A, eval_polar_poly(A, plan, flat))
 

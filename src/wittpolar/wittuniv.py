@@ -90,16 +90,34 @@ def dwork_congruence_holds(p: int, targets: Sequence[MultiPoly],
     """Level of the first failed congruence, or None if all hold.
 
     With `kill`, the congruence is taken in the quotient by the killed
-    monomials: the Frobenius image drops them before the comparison.
+    monomials: the targets and the Frobenius images drop them before the
+    comparison.  That quotient carries v -> v^p only if the killed set is
+    stable under it, so a target that drops a monomial whose image
+    survives fails its level (level 1 for the first target).
     """
+    if kill is not None:
+        targets = [_modulo(t, kill, p) for t in targets]
     for m in range(1, len(targets)):
+        if targets[m - 1] is None or targets[m] is None:
+            return m
         frob = targets[m - 1].frobenius_vars(p)
         if kill is not None:
-            frob = MultiPoly(frob.vars, {e: c for e, c in frob.terms.items()
-                                         if not kill(e)})
+            frob = _modulo(frob, kill)
         if not (targets[m] - frob).divisible_by(p ** m):
             return m
     return None
+
+
+def _modulo(poly: MultiPoly, kill: Callable, p: int | None = None):
+    """poly without its killed monomials; with p, None instead if a killed
+    monomial's image under v -> v^p is not killed."""
+    kept = {}
+    for e, c in poly.terms.items():
+        if not kill(e):
+            kept[e] = c
+        elif p is not None and not kill(tuple(k * p for k in e)):
+            return None
+    return MultiPoly(poly.vars, kept)
 
 
 def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
@@ -109,12 +127,16 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
     With `check`, the congruence is verified first and a violation raises
     DworkCongruenceFailed; the exact division can then never fail.  A
     `kill(exp) -> bool` predicate lifts inside the quotient of Z[vars] by
-    the killed monomials, which must form an ideal stable under v -> v^p.
+    the killed monomials, which must form an ideal stable under v -> v^p;
+    the targets are reduced modulo that ideal here, so callers pass them
+    whole.
     """
     if check:
         bad = dwork_congruence_holds(p, targets, kill)
         if bad is not None:
             raise DworkCongruenceFailed(bad)
+    if kill is not None:
+        targets = [_modulo(t, kill) for t in targets]
     comps: list = []
     powers: list = []
     for m, t in enumerate(targets):

@@ -426,6 +426,10 @@ def test_cw_f_and_v_print_a_witness_that_holds(capsys, tmp_path,
 
 
 POLARIZE_F2 = {"format": "wittpolar/1", "field": F2.to_json(), "dim": 1}
+# a valid 2 x 2 table: x F_2[x]/(x^3)
+NIL3_F2 = dict(POLARIZE_F2, table=[[[list(F2.coords(c)) for c in entry]
+                                    for entry in row]
+                                   for row in samples.nil_poly_table(F2, 3)])
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -436,6 +440,9 @@ POLARIZE_F2 = {"format": "wittpolar/1", "field": F2.to_json(), "dim": 1}
     ("polarize", dict(POLARIZE_F2, table=5)),
     ("polarize", dict(POLARIZE_F2, table=[[5]])),
     ("polarize", dict(POLARIZE_F2, table=[[]])),
+    ("polarize", NIL3_F2), ("polarize", dict(NIL3_F2, dim=5)),
+    ("polarize", dict(NIL3_F2, dim=-1)), ("polarize", dict(NIL3_F2, dim="2")),
+    ("polarize", dict(NIL3_F2, dim=2.0)), ("polarize", dict(NIL3_F2, dim=None)),
 ])
 def test_non_object_json_and_misshapen_tables_are_rejected(
         capsys, tmp_path, command, payload):

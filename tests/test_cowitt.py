@@ -206,7 +206,7 @@ def test_memo_entry_reused_across_values():
 def test_memo_builder_keeps_the_congruence_check(monkeypatch):
     from wittpolar import wittuniv
     from wittpolar.wittuniv import DworkCongruenceFailed
-    key = (2, 2, "sum", (False,) * 6, (True, False, False), (None, 4), False)
+    key = (2, 2, "sum", (False,) * 6, (True, False, False), (None, 4))
     cowitt._window_poly.cache_clear()
     monkeypatch.setattr(wittuniv, "dwork_congruence_holds",
                         lambda p, targets, kill=None: 1)

@@ -14,7 +14,8 @@ from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
                               ideal_generated, ideal_power_nilpotent,
                               nilpotence_index, nilradical, polarize,
-                              product_length_threshold, quotient)
+                              product_length, product_length_threshold,
+                              quotient)
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -204,6 +205,41 @@ def test_product_length_threshold():
     assert product_length_threshold(B, [B.basis_vector(0), B.basis_vector(1)]) == 3
     C = samples.split_polar(F2, 1)
     assert product_length_threshold(C, [(1,)]) is None
+
+
+def test_threshold_of_a_unital_algebra_stops_at_its_fixed_point(monkeypatch):
+    # pol(F_3^6) is unital: every level of the threshold loop is the whole
+    # algebra, so it must stop at the first repeat, not run its cap
+    A = samples.split_polar(F3, 6)
+    calls = [0]
+    mu_p = PPolarAlgebra.mu_p
+
+    def counted(self, vecs):
+        calls[0] += 1
+        return mu_p(self, vecs)
+
+    monkeypatch.setattr(PPolarAlgebra, "mu_p", counted)
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    assert product_length_threshold(A, basis) is None
+    # one round multiplies each current row by every (p-1)-multiset of rows
+    per_round = len(list(combinations_with_replacement(
+        range(A.dim), A.p - 1))) * A.dim
+    assert 0 < calls[0] <= (A.dim + 1) * per_round
+    assert product_length(A) is None
+
+
+def test_product_length_is_the_full_basis_threshold():
+    for A, L in ((samples.trunc_nil_polar(F2, 5), 5),
+                 (samples.trunc_nil_polar(F3, 4), 5),
+                 (samples.trivial_polar(F3, 2), 3),
+                 (samples.polar_direct_sum(samples.trunc_nil_polar(F3, 3),
+                                           samples.trunc_nil_polar(F3, 6)),
+                  7),
+                 (samples.split_polar(F2, 2), None),
+                 (PPolarAlgebra(F2, 0, {}), 1)):
+        assert product_length(A) == L
+        assert A._length == L == product_length_threshold(
+            A, [A.basis_vector(i) for i in range(A.dim)])
 
 
 def test_free_polar_basis_examples():

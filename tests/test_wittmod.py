@@ -152,8 +152,8 @@ def test_frobenius_matches_universal_polys():
             for _ in range(5):
                 x = rand_witt(rng, A, n + 1)
                 via_polys = tuple(
-                    eval_polar_poly(A, polar_plan(A.p, [q], names,
-                                                  A.mu_is_zero), x.coords)[0]
+                    eval_polar_poly(A, polar_plan(A.p, [q], names),
+                                    x.coords)[0]
                     for q in polys)
                 assert frobenius_charp(x).coords == via_polys
 
@@ -377,3 +377,70 @@ def test_ops_match_per_monomial_reference(k, data):
     assert w_product(fs).coords == _reference_op("prod", fs)
     assert scalar_mul(scalar_witt(A.field, a), x).coords == \
         _reference_op("scalar", [x], a)
+
+
+# -- plans truncated by the product length against the full family -----------
+
+
+def _full_op(kind, A, n, flat):
+    """The operation by the plan of the full `_reduced` family (L None)."""
+    from wittpolar.wittmod import _plan, eval_polar_poly
+    return eval_polar_poly(A, _plan(A.p, n, kind, None), flat)
+
+
+def _length_algebras():
+    nil, direct = samples.trunc_nil_polar, samples.polar_direct_sum
+    out = []
+    for F, lengths in ((F2, (1, 2, 3, 4)), (F3, (1, 2, 3))):
+        p = F.p
+        out += [(A, lengths) for A in (
+            nil(F, p + 2),                                   # L = p + 2
+            direct(nil(F, p + 1), nil(F, p + 3)),            # mixed lengths
+            samples.trivial_polar(F, 2),                     # mu = 0, L = p
+            samples.split_polar(F, 2))]                      # L = None
+    return out
+
+
+LENGTH_ALGEBRAS = _length_algebras()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(LENGTH_ALGEBRAS))), st.data())
+def test_plans_keyed_by_product_length_match_the_full_family(k, data):
+    A, lengths = LENGTH_ALGEBRAS[k]
+    n = data.draw(st.sampled_from(lengths))
+    elem = st.integers(0, A.field.q - 1)
+    coords = st.lists(st.tuples(*[elem] * A.dim), min_size=n, max_size=n)
+    x, y, *fs = (witt(A, data.draw(coords)) for _ in range(2 + A.p))
+    a = data.draw(st.lists(elem, min_size=n, max_size=n))
+    assert w_add(x, y).coords == _full_op("sum", A, n, x.coords + y.coords)
+    assert w_neg(x).coords == _full_op("neg", A, n, x.coords)
+    assert w_product(fs).coords == _full_op(
+        "prod", A, n, tuple(c for f in fs for c in f.coords))
+    assert scalar_mul(scalar_witt(A.field, a), x).coords == \
+        _full_op("scalar", A, n, x.coords + tuple(a))
+
+
+def test_truncated_plans_leave_the_family_cache_alone(monkeypatch, tmp_path):
+    # nilpotent and mu = 0 algebras up to p = 3, n = 4: every plan is lifted
+    # in the truncated quotient, so the universal families are neither read
+    # nor written
+    from wittpolar import wittmod
+    monkeypatch.setenv("WITTPOLAR_CACHE", str(tmp_path))
+    reads = []
+    monkeypatch.setattr(wittmod, "universal_polys",
+                        lambda *args, **kwargs: reads.append(args))
+    wittmod._plan.cache_clear()
+    rng = random.Random(61)
+    algebras = (samples.trunc_nil_polar(F2, 5), samples.trunc_nil_polar(F3, 4),
+                samples.polar_direct_sum(samples.trunc_nil_polar(F3, 4),
+                                         samples.trunc_nil_polar(F3, 6)),
+                samples.trivial_polar(F2, 2), samples.trivial_polar(F3, 2))
+    for A in algebras:
+        for n in (1, 2, 3, 4):
+            x, y, *fs = (rand_witt(rng, A, n) for _ in range(2 + A.p))
+            a = samples.random_scalar(rng, A.field, n)
+            w_add(x, y), w_neg(x), w_product(fs), scalar_mul(a, x)
+    assert wittmod._plan.cache_info().misses == len(algebras) * 4 * 4
+    assert reads == []
+    assert list(tmp_path.rglob("*")) == []
