@@ -290,8 +290,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(_dump({"error": "validation", "message": str(exc)}))
         return 1
-    except (ValueError, KeyError, OSError, ArithmeticError,
-            json.JSONDecodeError, etale.ExtensionCapExceeded) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError, RecursionError,
+            etale.ExtensionCapExceeded) as exc:
         sys.stderr.write(_dump({"error": "validation",
                                 "message": f"{type(exc).__name__}: {exc}"}))
         return 1

@@ -184,7 +184,7 @@ class MultiPoly:
         out = {}
         for ea, ca in ta.items():
             for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 if kill is not None and kill(e):
                     continue
                 s = out.get(e, 0) + ca * cb

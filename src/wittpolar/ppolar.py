@@ -19,12 +19,12 @@ Ideal closure (`ideal_generated`), the nilpotence index
 subspace they are asked about.  Each algebra remembers their answers in one
 memo, `_ideals`, keyed by the query's kind and the reduced echelon rows of
 that subspace (`gfq.rref(field, vectors)[0]`, which is canonical: equal
-subspaces give equal keys), plus the cap for the threshold.  A repeated
-query returns the stored answer (the same `PolarIdeal` object for a
-closure); the function body runs only on the first one.  A closure is one
-`rref` (see `ideal_generated`); thresholds grow their spans in rounds, one
-`rref` per round, and give None at the first round equal to the one before
-(each round depends only on the previous one, so that is a fixed point).
+subspaces give equal keys).  A repeated query returns the stored answer
+(the same `PolarIdeal` object for a closure); the function body runs only
+on the first one.  A closure is one `rref` (see `ideal_generated`);
+thresholds grow their spans in rounds, one `rref` per round, and give None
+at the first round equal to the one before (each round depends only on the
+previous one, so that is a fixed point).
 
 The threshold of the whole algebra, its product length L, also sits in a
 slot that the first `product_length` call fills: W_n(A) evaluates only
@@ -268,18 +268,13 @@ def check_assoc(A: PPolarAlgebra):
     is (indices, value, swapped_value) for the first failure.
     """
     p, d = A.p, A.dim
+    basis = [A.basis_vector(i) for i in range(d)]
 
     def g(left: tuple, right: tuple) -> tuple:
-        inner = A.mu_basis(left)
-        out = list(A.zero)
-        F = A.field
-        for j, c in enumerate(inner):
-            if c:
-                val = A.mu_basis((j,) + right)
-                for k, v in enumerate(val):
-                    if v:
-                        out[k] = F.add(out[k], F.mul(c, v))
-        return tuple(out)
+        # a zero first argument gives zero without a kernel call
+        if left not in A.mu:
+            return A.zero
+        return A.mu_p([A.mu[left], *[basis[i] for i in right]])
 
     for left in combinations_with_replacement(range(d), p):
         for right in combinations_with_replacement(range(d), p - 1):
@@ -289,18 +284,14 @@ def check_assoc(A: PPolarAlgebra):
                 for ri in set(right):
                     if li == ri:
                         continue
-                    new_left = tuple(sorted(left[:_index(left, li)] +
-                                            left[_index(left, li) + 1:] + (ri,)))
-                    new_right = tuple(sorted(right[:_index(right, ri)] +
-                                             right[_index(right, ri) + 1:] + (li,)))
+                    new_left = tuple(sorted(left[:left.index(li)] +
+                                            left[left.index(li) + 1:] + (ri,)))
+                    new_right = tuple(sorted(right[:right.index(ri)] +
+                                             right[right.index(ri) + 1:] + (li,)))
                     other = g(new_left, new_right)
                     if other != base:
                         return False, ((left, right), base, other)
     return True, None
-
-
-def _index(t: tuple, v) -> int:
-    return t.index(v)
 
 
 # -- ideals -------------------------------------------------------------------
@@ -416,19 +407,14 @@ def nilradical(A: PPolarAlgebra) -> PolarIdeal:
     return PolarIdeal(A, kernel, verify=False)
 
 
-def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
-                             cap: int | None = None):
+def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]]):
     """Least L = 1 + j(p-1) such that every product of >= L elements drawn
-    from the span of `vectors` vanishes, or None if no such L exists (or
-    none with j <= cap)."""
+    from the span of `vectors` vanishes, or None if no such L exists."""
     span = tuple(rref(A.field, vectors)[0])
-    p = A.p
-    if cap is None:
-        cap = (p ** (A.dim + 1) - 1) // (p - 1) + 1
-    query = ("threshold", span, cap)
+    query = ("threshold", span)
     memo = A._ideals
     if query not in memo:
-        memo[query] = _length_threshold(A, span, cap)
+        memo[query] = _length_threshold(A, span)
     return memo[query]
 
 
@@ -443,17 +429,21 @@ def product_length(A: PPolarAlgebra):
         return A._length
 
 
-def _length_threshold(A: PPolarAlgebra, span: tuple, cap: int):
+def _length_threshold(A: PPolarAlgebra, span: tuple):
     """`product_length_threshold` on reduced echelon rows `span`.
 
     Products of span elements of length 1 + j(p-1) are spanned, by
     multilinearity and scheme independence, by mu applied to span basis
     vectors, so each level is the `rref` of the previous level's rows
-    multiplied by every (p-1)-multiset of span rows.
+    multiplied by every (p-1)-multiset of span rows.  A span that is not
+    closed under mu can cycle without reaching a fixed point (g -> g^2 ->
+    1 -> g in pol(F_4) over F_2), so the rounds also stop, giving None,
+    after (p^(dim + 1) - 1) / (p - 1) + 1 of them.
     """
     if not span:
         return 1
     p = A.p
+    cap = (p ** (A.dim + 1) - 1) // (p - 1) + 1
     outer = [[span[i] for i in key] for key in
              combinations_with_replacement(range(len(span)), p - 1)]
     cur = span

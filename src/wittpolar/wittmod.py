@@ -6,8 +6,8 @@ left-associative scheme.  A monomial with k vector factors evaluates to a
 product of k elements, so on an algebra of product length L (every product
 of L or more elements vanishes, `ppolar.product_length`) only the
 monomials of Witt-block degree below L matter: those families are lifted
-directly with the rest killed and never touch the cache.  Unital algebras
-have no L and evaluate the full cached families; mu = 0 is L = p.
+directly with the rest killed and never reach `universal_polys`.  Unital
+algebras have no L and evaluate its full families; mu = 0 is L = p.
 Verschiebung is the coordinate shift and the characteristic-p Frobenius is
 the componentwise p-th power (certified against the universal Frobenius
 polynomials by the test suite).
@@ -179,10 +179,11 @@ def _plan(p: int, n: int, kind: str, L) -> tuple:
     coordinates of each Witt block in turn, then for the scalar action the
     n scalars of a.
 
-    With L None, the full cached family.  With a product length L, the
-    family lifted from its ghost targets with every monomial of Witt-block
-    degree >= L killed (the scalars a_i do not count); that set of monomials
-    is an ideal stable under v -> v^p, as `dwork_lift` requires."""
+    With L None, the full family from `universal_polys`, so a process lifts
+    it once for every caller.  With a product length L, the family lifted
+    from its ghost targets with every monomial of Witt-block degree >= L
+    killed (the scalars a_i do not count); that set of monomials is an
+    ideal stable under v -> v^p, as `dwork_lift` requires."""
     blocks = witt_blocks(kind, p) + (("a",) if kind == "scalar" else ())
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()

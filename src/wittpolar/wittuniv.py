@@ -16,13 +16,14 @@ The resulting sum/negation/product/Frobenius/scalar-action polynomials are
 certified to lie in the free p-polar ring: every monomial has total degree
 congruent to 1 mod p-1 in the Witt-coordinate block, which is what makes
 them evaluable on p-polar algebras.
+
+`universal_polys` lifts each family in memory the first time a process
+asks for it, checks that certificate, and keeps the result in an
+in-process memo.  Nothing is read from or written to disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -194,67 +195,18 @@ def polar_degree_check(upoly: UnivWittPoly) -> bool:
     return all(d % (p - 1) == 1 % (p - 1) for d in degs)
 
 
-def _cache_root() -> str:
-    root = os.environ.get("WITTPOLAR_CACHE")
-    if not root:
-        root = os.path.join(os.path.expanduser("~"), ".cache", "wittpolar")
-    return root
-
-
-def cache_path(p: int, n: int, kind: str) -> str:
-    return os.path.join(_cache_root(), "wittpolys", f"p{p}_n{n}_{kind}.json")
-
-
 def family_to_json(p: int, n: int, kind: str, polys: Sequence[UnivWittPoly]) -> dict:
     return {"format": FORMAT, "p": p, "n": n, "kind": kind,
             "levels": [u.poly.to_json() for u in polys]}
 
 
-def family_from_json(data: dict) -> list:
-    p, kind = data["p"], data["kind"]
-    return [UnivWittPoly(kind, m, p, MultiPoly.from_json(pj))
-            for m, pj in enumerate(data["levels"])]
-
-
-def _atomic_write(path: str, payload: str):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read_family(path: str, p: int, n: int, kind: str):
-    """The family cached at `path`, or None when the file is missing, cannot
-    be decoded, or holds another (p, n, kind) or a wrong number of levels."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict) or (
-            data.get("format"), data.get("p"), data.get("n"),
-            data.get("kind")) != (FORMAT, p, n, kind):
-        return None
-    levels = data.get("levels")
-    if not isinstance(levels, list) or len(levels) != n:
-        return None
-    try:
-        return family_from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        return None
-
-
 _memo: dict = {}
 
 
-def universal_polys(p: int, n: int, kind: str, use_disk: bool = True) -> list:
-    """The universal polynomials for one Witt operation, cached per (p,n,kind)."""
+def universal_polys(p: int, n: int, kind: str) -> list:
+    """The universal polynomials for one Witt operation, lifted from their
+    ghost targets on the first call for (p, n, kind) in a process and then
+    served from an in-process memo."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     from .gfq import _is_prime
@@ -268,22 +220,12 @@ def universal_polys(p: int, n: int, kind: str, use_disk: bool = True) -> list:
     key = (p, n, kind)
     if key in _memo:
         return _memo[key]
-    path = cache_path(p, n, kind)
-    if use_disk:
-        polys = _read_family(path, p, n, kind)
-        if polys is not None:
-            _memo[key] = polys
-            return polys
     comps = dwork_lift(p, _targets(p, n, kind))
     polys = [UnivWittPoly(kind, m, p, c) for m, c in enumerate(comps)]
     for u in polys:
         if not polar_degree_check(u):
             raise AssertionError(
                 f"{kind} level {u.level} escaped the free p-polar ring")
-    if use_disk:
-        payload = json.dumps(family_to_json(p, n, kind, polys),
-                             sort_keys=True, separators=(",", ":"))
-        _atomic_write(path, payload)
     _memo[key] = polys
     return polys
 

@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -160,11 +161,12 @@ def test_fgl_rejects_non_prime(capsys):
 
 
 @pytest.fixture
-def fresh_cache(tmp_path, monkeypatch):
-    """An empty disk cache and an empty in-process memo."""
-    from wittpolar import wittuniv
-    monkeypatch.setenv("WITTPOLAR_CACHE", str(tmp_path / "cache"))
+def cold_families(monkeypatch):
+    """Empty family memos, so the next Witt operation lifts its family."""
+    from wittpolar import wittmod, wittuniv
     monkeypatch.setattr(wittuniv, "_memo", {})
+    wittmod._reduced.cache_clear()
+    wittmod._plan.cache_clear()
     return wittuniv
 
 
@@ -177,43 +179,58 @@ def _level_terms(data):
 NEG_P2_N2 = [{(1, 0): -1}, {(0, 1): -1, (2, 0): -1}]
 
 
-def test_witt_poly_recomputes_cache_of_wrong_kind(capsys, fresh_cache):
-    wu = fresh_cache
-    assert main(["witt-poly", "--p", "2", "--n", "2", "--kind", "sum"]) == 0
-    capsys.readouterr()
-    sum_path = wu.cache_path(2, 2, "sum")
-    neg_path = wu.cache_path(2, 2, "neg")
-    with open(sum_path) as src, open(neg_path, "w") as dst:
-        dst.write(src.read())
-    wu._memo.clear()
+def test_witt_poly_neg_p2_n2(capsys, cold_families):
     rc, out, err = run(capsys, "witt-poly", "--p", "2", "--n", "2",
                        "--kind", "neg")
     assert rc == 0 and err == ""
     data = json.loads(out)
     assert data["kind"] == "neg"
     assert _level_terms(data) == NEG_P2_N2
-    with open(neg_path) as fh:
-        assert json.load(fh)["kind"] == "neg"
 
 
-@pytest.mark.parametrize("payload", [None, "[1, 2]", '{"format": 1}'])
-def test_witt_poly_recomputes_broken_cache_file(capsys, fresh_cache,
-                                                payload):
-    wu = fresh_cache
-    assert main(["witt-poly", "--p", "2", "--n", "2", "--kind", "neg"]) == 0
-    good = capsys.readouterr().out
-    path = wu.cache_path(2, 2, "neg")
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(text[:40] if payload is None else payload)
+def _unital_sum_file(tmp_path):
+    # (1, 0) + (1, 0) in W_2 over pol(F_2), which is 2 = (0, 1)
+    one = {"op": "lit", "coords": [[[1]], [[0]]]}
+    expr = {"format": "wittpolar/1",
+            "algebra": samples.split_polar(F2, 1).to_json(),
+            "expr": {"op": "add", "args": [one, one]}}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    return path
+
+
+def test_witt_eval_ignores_a_tampered_family_file(capsys, tmp_path,
+                                                  monkeypatch, cold_families):
+    # a sum family with a wrong coefficient at the old cache location
+    wu = cold_families
+    cache = tmp_path / "cache"
+    family = wu.family_to_json(2, 2, "sum", wu.universal_polys(2, 2, "sum"))
     wu._memo.clear()
-    rc, out, err = run(capsys, "witt-poly", "--p", "2", "--n", "2",
-                       "--kind", "neg")
+    text = json.dumps(family, sort_keys=True, separators=(",", ":"))
+    assert '"num":"-1"' in text
+    (cache / "wittpolys").mkdir(parents=True)
+    (cache / "wittpolys" / "p2_n2_sum.json").write_text(
+        text.replace('"num":"-1"', '"num":"2"'))
+    monkeypatch.setenv("WITTPOLAR_CACHE", str(cache))
+    rc, out, err = run(capsys, "witt-eval", str(_unital_sum_file(tmp_path)))
     assert rc == 0 and err == ""
-    assert out == good and _level_terms(json.loads(out)) == NEG_P2_N2
-    with open(path) as fh:
-        assert fh.read() == text
+    assert json.loads(out)["coords"] == [[[0]], [[1]]]
+
+
+def test_full_families_leave_home_and_cache_dirs_empty(capsys, tmp_path,
+                                                       monkeypatch,
+                                                       cold_families):
+    home, cache = tmp_path / "home", tmp_path / "cache"
+    home.mkdir()
+    cache.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("WITTPOLAR_CACHE", str(cache))
+    expr = _unital_sum_file(tmp_path)
+    assert run(capsys, "witt-poly", "--p", "3", "--n", "2",
+               "--kind", "prod")[0] == 0
+    rc, out, err = run(capsys, "witt-eval", str(expr))
+    assert rc == 0 and json.loads(out)["coords"] == [[[0]], [[1]]]
+    assert list(home.iterdir()) == [] and list(cache.iterdir()) == []
 
 
 def test_outputs_are_byte_identical(capsys, tmp_path):
@@ -351,6 +368,48 @@ def test_witt_eval_rejects_malformed_nodes(capsys, tmp_path, algebra_file,
     path.write_text(json.dumps(expr))
     msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
     assert node["op"] in msg
+
+
+_LIT1 = '{"op": "lit", "coords": [[[1], [0], [0]]]}'
+
+
+def _nested_expr_file(tmp_path, algebra_file, wrap, depth):
+    # built as text: json.dumps would recurse as deeply as the expression
+    node = _LIT1
+    for _ in range(depth):
+        node = wrap.replace("NODE", node)
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": "wittpolar/1", "algebra": %s, "expr": %s}'
+                    % (algebra_file.read_text(), node))
+    return path
+
+
+def test_witt_eval_rejects_json_nested_too_deeply(capsys, tmp_path,
+                                                  algebra_file):
+    path = _nested_expr_file(tmp_path, algebra_file,
+                             '{"op": "neg", "arg": NODE}',
+                             sys.getrecursionlimit() + 100)
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert msg.startswith("RecursionError")
+
+
+def test_witt_eval_rejects_expressions_nested_too_deeply(
+        capsys, tmp_path, algebra_file, cold_families):
+    # from a depth too deep to read or evaluate down to the first one that
+    # evaluates; just above that one, json.load succeeds and the
+    # evaluation itself runs out of stack
+    messages = []
+    for depth in range(sys.getrecursionlimit() // 2, 0, -1):
+        path = _nested_expr_file(tmp_path, algebra_file,
+                                 '{"op": "add", "args": [NODE, %s]}' % _LIT1,
+                                 depth)
+        rc, out, err = run(capsys, "witt-eval", str(path))
+        if rc == 0:
+            break
+        messages.append(_assert_rejected(rc, out, err))
+    assert rc == 0
+    assert all(m.startswith("RecursionError") for m in messages)
+    assert any("JSON" not in m for m in messages)
 
 
 @pytest.mark.parametrize("length", [0, -3])

@@ -228,6 +228,15 @@ def test_threshold_of_a_unital_algebra_stops_at_its_fixed_point(monkeypatch):
     assert product_length(A) is None
 
 
+def test_threshold_of_a_cycling_span_stops_at_its_cap():
+    # in pol(F_4) over F_2 the spans of g, g^2 = g + 1 and g^3 = 1 follow
+    # each other in a cycle that never repeats its previous round
+    A = samples.field_ext_polar(F2, 2)
+    g = (0, 1)
+    assert A.mu_p([g, g]) == (1, 1) and A.mu_p([g, (1, 1)]) == (1, 0)
+    assert product_length_threshold(A, [g]) is None
+
+
 def test_product_length_is_the_full_basis_threshold():
     for A, L in ((samples.trunc_nil_polar(F2, 5), 5),
                  (samples.trunc_nil_polar(F3, 4), 5),

@@ -1,14 +1,12 @@
 """Universal Witt polynomials: ghosts, Dwork lifting, certificates."""
 
 import json
-import os
 
 import pytest
 
 from wittpolar.exact import IntegralityViolation, MultiPoly
-from wittpolar.wittuniv import (DworkCongruenceFailed, cache_path,
-                                dwork_congruence_holds, dwork_lift,
-                                ghost_of_coords, ghost_polys,
+from wittpolar.wittuniv import (DworkCongruenceFailed, dwork_congruence_holds,
+                                dwork_lift, ghost_of_coords, ghost_polys,
                                 polar_degree_check, reduce_mod_p,
                                 universal_polys)
 from wittpolar.verify import _ghost_target
@@ -190,24 +188,16 @@ def test_verschiebung_scalar_commutation_mod_p():
             assert (lhs[m] - rhs[m]).divisible_by(p)
 
 
-def test_disk_cache_round_trip_and_determinism():
-    p, n, kind = 3, 2, "prod"
-    path = cache_path(p, n, kind)
-    if os.path.exists(path):
-        os.unlink(path)
+def test_cold_lifts_are_byte_identical(monkeypatch):
     import wittpolar.wittuniv as wu
-    wu._memo.pop((p, n, kind), None)
-    first = universal_polys(p, n, kind)
-    blob1 = open(path).read()
-    wu._memo.pop((p, n, kind), None)
-    second = universal_polys(p, n, kind)  # loaded from disk
-    assert [u.poly for u in first] == [u.poly for u in second]
-    wu._memo.pop((p, n, kind), None)
-    os.unlink(path)
-    universal_polys(p, n, kind)
-    assert open(path).read() == blob1
-    data = json.loads(blob1)
-    assert data["format"] == "wittpolar/1"
+    p, n, kind = 3, 2, "prod"
+    blobs = []
+    for _ in range(2):
+        monkeypatch.setattr(wu, "_memo", {})
+        family = wu.family_to_json(p, n, kind, universal_polys(p, n, kind))
+        blobs.append(json.dumps(family, sort_keys=True, separators=(",", ":")))
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["format"] == "wittpolar/1"
 
 
 def test_envelope_warning():
