@@ -303,14 +303,6 @@ class MultiPoly:
                           "den": str(c.denominator)})
         return {"vars": list(self.vars), "terms": terms}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiPoly":
-        terms = {}
-        for t in data["terms"]:
-            c = Fraction(int(t["num"]), int(t["den"]))
-            terms[tuple(t["exp"])] = c
-        return cls(tuple(data["vars"]), terms)
-
 
 def _align(a: MultiPoly, b: MultiPoly):
     if a.vars == b.vars:

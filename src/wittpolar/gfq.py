@@ -9,7 +9,8 @@ reproducible without any table dependency.
 A vector over F_q is a tuple of field ints and a matrix is a list of its
 rows.  `combine` (sum c_i v_i) is the one place that adds and scales
 vectors: `mat_vec`, `rref` and every other module go through it, except
-the hot loops of the mu kernel (`PPolarAlgebra.mu_p`) and the polar
+the mu kernel (the straight-line function that `ppolar._compile_mu`
+generates for each algebra and `PPolarAlgebra.mu_p` calls) and the polar
 evaluator (`wittmod.eval_polar_poly`).
 """
 

@@ -6,12 +6,16 @@ F_q^d (absent keys mean zero).  Symmetry is structural, multilinearity is
 automatic from the tensor representation, and the permutation-invariance
 axiom on (2p-1)-fold products is checked by `check_assoc`.
 
-`mu_p` contracts its p arguments with a kernel table built on its first
-call: every ordering of every stored key, under the ordered index
-((i_1 d + i_2) d + ...) d + i_p, maps to the key's nonzero entries, so the
-table has at most |mu| p! entries.  Each argument contributes only its
-coordinates on basis vectors that occur in some key, and the field
-arithmetic goes through `FqField.tables`.
+`mu_p` calls the algebra's mu kernel: one straight-line Python function
+that `_mu_source` writes from mu and `_compile_mu` builds with `compile()`
+on the first call.  The kernel reads only the argument coordinates on basis
+vectors that occur in some key.  For each stored key it sums the products
+of those coordinates over every distinct ordering of the key (keys that
+share a sub-multiset share its partial sum) and adds that sum, times each
+nonzero value entry, into the output; the field arithmetic goes through
+`FqField.tables`.  `_compile_mu` is a module-level memo keyed by (field,
+dim, mu), so equal algebras built apart share one kernel, and each algebra
+keeps its kernel in a slot.
 
 Ideal closure (`ideal_generated`), the nilpotence index
 (`nilpotence_index`) and the product-length threshold
@@ -34,7 +38,9 @@ have no L (None).
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import index
 from typing import Iterable, Sequence
 
 from .gfq import (FqField, additive_map_kernel, combine, echelon_reduce,
@@ -54,7 +60,7 @@ class PPolarAlgebra:
 
     # `_length` stays unset until `product_length` fills it
     __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_length",
-                 "_ideals", "_mu_table")
+                 "_ideals", "_mu_kernel")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -62,12 +68,14 @@ class PPolarAlgebra:
         self.dim = dim
         clean = {}
         for key, val in mu.items():
-            key = tuple(key)
+            # plain ints (`index` raises TypeError for anything else): the
+            # mu kernel's source is generated from them
+            key = tuple(map(index, key))
             if len(key) != p or tuple(sorted(key)) != key:
                 raise ValueError(f"mu key {key} must be a sorted p-multiset")
             if any(i < 0 or i >= dim for i in key):
                 raise ValueError(f"mu key {key} out of basis range")
-            val = tuple(val)
+            val = tuple(map(index, val))
             if len(val) != dim:
                 raise ValueError("mu value has wrong dimension")
             if any(val):
@@ -75,7 +83,7 @@ class PPolarAlgebra:
         self.mu = clean
         self.mu_is_zero = not clean
         self._ideals = {}     # (query, rref rows) -> answer
-        self._mu_table = None  # built by the first mu_p call
+        self._mu_kernel = None  # compiled by the first mu_p call
 
     @property
     def zero(self) -> tuple:
@@ -98,50 +106,20 @@ class PPolarAlgebra:
         return self.mu.get(tuple(sorted(key)), self.zero)
 
     def mu_p(self, vecs: Sequence[Sequence[int]]) -> tuple:
-        """One application of mu to exactly p vectors: the multilinear
-        contraction of their supports with the kernel table."""
-        p = self.p
-        if len(vecs) != p:
-            raise ValueError(f"mu takes exactly {p} arguments")
-        if self.mu_is_zero:
-            return self.zero
-        if self._mu_table is None:
-            self._mu_table = self._build_mu_table()
-        used, table = self._mu_table
-        F = self.field
-        q, d = F.q, self.dim
-        mt, at = F.tables()
-        # (ordered index of the factors' basis vectors so far, coefficient)
-        part = [(0, 1)]
-        for v in vecs:
-            part = [(k * d + i, mt[c * q + v[i]])
-                    for k, c in part for i in used if v[i]]
-        out = [0] * d
-        for k, c in part:
-            val = table.get(k)
-            if val is None:
-                continue
-            for j, vj in val:
-                t = mt[c * q + vj]
-                out[j] = out[j] ^ t if at is None else at[out[j] * q + t]
-        return tuple(out)
+        """One application of mu to exactly p vectors.
 
-    def _build_mu_table(self) -> tuple:
-        """(used, table): the basis indices occurring in some mu key, and
-        the ordered index ((i_1 d + i_2) d + ...) d + i_p -> the nonzero
-        (coordinate, value) pairs of mu(e_i1, ..., e_ip), for every ordering
-        of every stored key."""
-        d = self.dim
-        table = {}
-        for key, val in self.mu.items():
-            entry = tuple((j, vj) for j, vj in enumerate(val) if vj)
-            for perm in set(permutations(key)):
-                k = 0
-                for i in perm:
-                    k = k * d + i
-                table[k] = entry
-        used = tuple(sorted({i for key in self.mu for i in key}))
-        return used, table
+        The first call fetches the algebra's straight-line kernel from the
+        `_compile_mu` memo, which generates and compiles it for the first
+        algebra with this (field, dim, mu); the slot serves every later
+        call.
+        """
+        if len(vecs) != self.p:
+            raise ValueError(f"mu takes exactly {self.p} arguments")
+        kernel = self._mu_kernel
+        if kernel is None:
+            kernel = self._mu_kernel = _compile_mu(
+                self.field, self.dim, tuple(sorted(self.mu.items())))
+        return kernel(*vecs)
 
     def mu_eval(self, elements: Sequence[Sequence[int]]) -> tuple:
         """The unique product of the given elements (left-associative scheme)."""
@@ -203,6 +181,72 @@ class PPolarAlgebra:
             raise ValueError(f"mu fails the permutation axiom (ASSOC): "
                              f"{witness}")
         return A
+
+
+def _mu_source(field: FqField, dim: int, mu: tuple) -> str:
+    """Python source of the mu kernel for the sorted (key, value) pairs mu.
+
+    `make(mt, at)` returns a function of the p argument vectors v0, v1, ..
+    It reads coordinate i of argument k into x{k}_{i}, for each i in some
+    key.  For a sorted multiset R of r indices, t(R) is the sum over the
+    distinct orderings (i_1, .., i_r) of R of the product of the last r
+    arguments' coordinates x{p-r}_{i_1} ... x{p-1}_{i_r}; it is the sum
+    over the distinct i in R of x{p-r}_i t(R - i), so keys that share a
+    sub-multiset share its sum.  Each key adds t(key) times each nonzero
+    value entry into that output coordinate's o{j}.  Products and
+    coefficients go through mt[a * q + b], sums through ^ (p = 2) or
+    at[a * q + b], one statement each.  Keys and multisets are visited
+    sorted and the source holds only integer literals and generated names,
+    so equal inputs give equal source.
+    """
+    p, q = field.p, field.q
+
+    def add(acc: str, term: str) -> str:
+        return f"{acc} ^ {term}" if p == 2 else f"at[{acc} * {q} + {term}]"
+
+    used = sorted({i for key, _ in mu for i in key})
+    body = [f"x{k}_{i} = v{k}[{i}]" for k in range(p) for i in used]
+    sums = {}  # sorted multiset R -> the name holding t(R)
+
+    def t(R: tuple) -> str:
+        if len(R) == 1:
+            return f"x{p - 1}_{R[0]}"
+        if R not in sums:
+            k = p - len(R)
+            terms = [f"mt[x{k}_{i} * {q} + {t(R[:n] + R[n + 1:])}]"
+                     for n, i in enumerate(R) if n == 0 or R[n - 1] != i]
+            name = sums[R] = f"t{len(sums)}"
+            body.append(f"{name} = {terms[0]}")
+            body.extend(f"{name} = {add(name, term)}" for term in terms[1:])
+        return sums[R]
+
+    written = set()
+    for key, val in mu:
+        s = t(key)
+        for j, c in enumerate(val):
+            if not c:
+                continue
+            term = s if c == 1 else f"mt[{s} * {q} + {c}]"
+            body.append(f"o{j} = {add(f'o{j}', term)}" if j in written
+                        else f"o{j} = {term}")
+            written.add(j)
+    out = "".join(f"o{j}, " if j in written else "0, " for j in range(dim))
+    body.append(f"return ({out})")
+    args = ", ".join(f"v{k}" for k in range(p))
+    return "".join([f"def make(mt, at):\n    def kernel({args}):\n",
+                    *[f"        {line}\n" for line in body],
+                    "    return kernel\n"])
+
+
+@lru_cache(maxsize=None)
+def _compile_mu(field: FqField, dim: int, mu: tuple):
+    """The mu kernel of (field, dim, mu), with mu its sorted (key, value)
+    pairs, compiled from `_mu_source` once per process and bound to the
+    field tables."""
+    namespace = {}
+    exec(compile(_mu_source(field, dim, mu), "<mu kernel>", "exec"),
+         namespace)
+    return namespace["make"](*field.tables())
 
 
 # -- polarization of honest commutative algebras -----------------------------

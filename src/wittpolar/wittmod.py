@@ -287,12 +287,6 @@ def scalar_phi(a: WittVector) -> WittVector:
                       tuple((F.frobenius(c[0], 1),) for c in a.coords))
 
 
-def scalar_phi_inv(a: WittVector) -> WittVector:
-    F = a.algebra.field
-    return WittVector(a.algebra,
-                      tuple((F.frobenius(c[0], -1),) for c in a.coords))
-
-
 def scalar_mul(a: WittVector, x: WittVector) -> WittVector:
     """Action of W_n(pol(F_q)) on W_n(A) for an algebra A over F_q."""
     A = x.algebra

@@ -115,9 +115,11 @@ def test_variable_alignment_and_hash():
 
 def test_json_round_trip():
     f = V("x0") ** 2 * V("a1") - MultiPoly.const(Fraction(3, 7))
-    data = f.to_json()
-    assert data["terms"][0]["den"] == "7"
-    assert MultiPoly.from_json(data) == f
+    # terms in sorted exponent order, coefficients as decimal strings
+    assert f.to_json() == {
+        "vars": ["x0", "a1"],
+        "terms": [{"exp": [0, 0], "num": "-3", "den": "7"},
+                  {"exp": [2, 1], "num": "1", "den": "1"}]}
 
 
 # -- truncated series ---------------------------------------------------------

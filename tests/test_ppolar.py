@@ -1,6 +1,9 @@
 """p-polar algebras: polarization, products, (ASSOC), ideals, nilpotence."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar import samples
+from wittpolar import ppolar, samples
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
@@ -375,10 +378,28 @@ def _kernel_algebras():
         out += [samples.trunc_nil_polar(F, p + 2), samples.split_polar(F, 2),
                 samples.polar_direct_sum(samples.split_polar(F, 1),
                                          samples.trunc_nil_polar(F, p + 1))]
+    # a change of basis spreads each mu value over several coordinates with
+    # coefficients other than 1; field extensions have such values as given
+    rng = random.Random(13)
+    out += [samples.scramble(A, rng) for A in out]
+    out += [samples.field_ext_polar(gf_build(p, m), t)
+            for p, m, t in ((2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2),
+                            (5, 1, 2))]
     return out
 
 
 KERNEL_ALGEBRAS = _kernel_algebras()
+
+
+def test_kernel_samples_have_scaled_and_spread_values():
+    # each characteristic, and the untabled GF(3^6), has mu values with a
+    # coefficient other than 1 and values on several coordinates
+    for pick in (lambda A: A.p == 2, lambda A: A.p == 3, lambda A: A.p == 5,
+                 lambda A: A.field.q > 256):
+        values = [v for A in KERNEL_ALGEBRAS if pick(A)
+                  for v in A.mu.values()]
+        assert any(c > 1 for v in values for c in v)
+        assert any(sum(1 for c in v if c) > 1 for v in values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,6 +409,66 @@ def test_mu_p_matches_naive_expansion(k, data):
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
     vecs = data.draw(st.lists(vec, min_size=A.p, max_size=A.p))
     assert A.mu_p(vecs) == _naive_mu(A, vecs)
+
+
+def test_equal_algebras_share_one_compiled_kernel(monkeypatch):
+    built = []
+    source = ppolar._mu_source
+
+    def counted(*args):
+        built.append(args)
+        return source(*args)
+
+    ppolar._compile_mu.cache_clear()
+    monkeypatch.setattr(ppolar, "_mu_source", counted)
+    A, B = samples.trunc_nil_polar(F3, 5), samples.trunc_nil_polar(F3, 5)
+    assert A is not B
+    x = (1, 2, 0, 1)
+    assert A.mu_p([x] * 3) == B.mu_p([x] * 3) == (0, 0, 1, 0)
+    A.mu_p([x] * 3)
+    assert len(built) == 1
+
+
+def test_mu_p_takes_exactly_p_arguments():
+    for A in (samples.split_polar(F2, 2), samples.trunc_nil_polar(F3, 4),
+              samples.trivial_polar(F3, 2)):
+        for n in (A.p - 1, A.p + 1):
+            with pytest.raises(ValueError, match="exactly"):
+                A.mu_p([A.basis_vector(0)] * n)
+
+
+def test_mu_p_of_a_zero_mu_algebra_is_zero():
+    for F, d in ((F2, 3), (F3, 2), (gf_build(3, 6), 1), (F4, 0)):
+        A = samples.trivial_polar(F, d)
+        assert A.mu_p([(F.q - 1,) * d] * A.p) == A.zero
+
+
+def test_mu_entries_must_be_ints():
+    # the kernel's source is generated from the keys and values of mu
+    with pytest.raises(TypeError):
+        PPolarAlgebra(F2, 1, {(0, 0): ("1 + 1",)})
+    with pytest.raises(TypeError):
+        PPolarAlgebra(F2, 1, {(0.0, 0): (1,)})
+
+
+def test_kernel_source_is_the_same_in_every_process():
+    # the generator must not depend on how a process hashes its multisets
+    script = ("import random; from wittpolar import ppolar, samples; "
+              "from wittpolar.gfq import gf_build; "
+              "A = samples.scramble(samples.trunc_nil_polar(gf_build(3, 2), "
+              "6), random.Random(5)); "
+              "print(ppolar._mu_source(A.field, A.dim, "
+              "tuple(sorted(A.mu.items()))))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1] and "def kernel(v0, v1, v2)" in outs[0]
 
 
 # -- ideal closure and nilradical against enumerated sets -----------------------
