@@ -6,16 +6,17 @@ F_q^d (absent keys mean zero).  Symmetry is structural, multilinearity is
 automatic from the tensor representation, and the permutation-invariance
 axiom on (2p-1)-fold products is checked by `check_assoc`.
 
-`mu_p` calls the algebra's mu kernel: one straight-line Python function
-that `_mu_source` writes from mu and `_compile_mu` builds with `compile()`
-on the first call.  The kernel reads only the argument coordinates on basis
-vectors that occur in some key.  For each stored key it sums the products
-of those coordinates over every distinct ordering of the key (keys that
-share a sub-multiset share its partial sum) and adds that sum, times each
-nonzero value entry, into the output; the field arithmetic goes through
-`FqField.tables`.  `_compile_mu` is a module-level memo keyed by (field,
-dim, mu), so equal algebras built apart share one kernel, and each algebra
-keeps its kernel in a slot.
+`mu_p` and the compiled polar plans of `wittmod` call the algebra's mu
+kernel: one straight-line Python function that `_mu_source` writes from mu
+and `_compile_mu` builds with `compile()` on the first call.  The kernel
+reads only the argument coordinates on basis vectors that occur in some
+key.  For each stored key it sums the products of those coordinates over
+every distinct ordering of the key (keys that share a sub-multiset share
+its partial sum) and adds that sum, times each nonzero value entry, into
+the output; the field arithmetic goes through `FqField.tables`.
+`_compile_mu` is a module-level memo keyed by (field, dim, mu), so equal
+algebras built apart share one kernel, and each algebra keeps its kernel,
+with the field tables, in a slot (`kernel`).
 
 Ideal closure (`ideal_generated`), the nilpotence index
 (`nilpotence_index`) and the product-length threshold
@@ -60,7 +61,7 @@ class PPolarAlgebra:
 
     # `_length` stays unset until `product_length` fills it
     __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_length",
-                 "_ideals", "_mu_kernel")
+                 "_ideals", "_kernel", "_plans")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -78,12 +79,17 @@ class PPolarAlgebra:
             val = tuple(map(index, val))
             if len(val) != dim:
                 raise ValueError("mu value has wrong dimension")
+            # the kernel indexes the field tables with these entries
+            if any(c < 0 or c >= field.q for c in val):
+                raise ValueError(f"mu value {val} has entries outside "
+                                 f"range({field.q})")
             if any(val):
                 clean[key] = val
         self.mu = clean
         self.mu_is_zero = not clean
         self._ideals = {}     # (query, rref rows) -> answer
-        self._mu_kernel = None  # compiled by the first mu_p call
+        self._kernel = None   # filled by the first `kernel` call
+        self._plans = {}      # wittmod's plans, keyed by (kind, n)
 
     @property
     def zero(self) -> tuple:
@@ -105,21 +111,29 @@ class PPolarAlgebra:
     def mu_basis(self, key: tuple) -> tuple:
         return self.mu.get(tuple(sorted(key)), self.zero)
 
-    def mu_p(self, vecs: Sequence[Sequence[int]]) -> tuple:
-        """One application of mu to exactly p vectors.
+    def kernel(self) -> tuple:
+        """(mu, mt, at, q, zero), as compiled plans take them (see
+        `wittmod.polar_plan`): the algebra's straight-line mu kernel, which
+        takes exactly p vectors and checks nothing, the field tables of
+        `FqField.tables`, q and the zero vector.
 
-        The first call fetches the algebra's straight-line kernel from the
-        `_compile_mu` memo, which generates and compiles it for the first
-        algebra with this (field, dim, mu); the slot serves every later
-        call.
+        The first call fetches the kernel from the `_compile_mu` memo, which
+        generates and compiles it for the first algebra with this (field,
+        dim, mu); the `_kernel` slot serves every later call.
         """
+        bound = self._kernel
+        if bound is None:
+            F = self.field
+            bound = self._kernel = (
+                _compile_mu(F, self.dim, tuple(sorted(self.mu.items()))),
+                *F.tables(), F.q, self.zero)
+        return bound
+
+    def mu_p(self, vecs: Sequence[Sequence[int]]) -> tuple:
+        """One application of mu to exactly p vectors, through `kernel`."""
         if len(vecs) != self.p:
             raise ValueError(f"mu takes exactly {self.p} arguments")
-        kernel = self._mu_kernel
-        if kernel is None:
-            kernel = self._mu_kernel = _compile_mu(
-                self.field, self.dim, tuple(sorted(self.mu.items())))
-        return kernel(*vecs)
+        return self.kernel()[0](*vecs)
 
     def mu_eval(self, elements: Sequence[Sequence[int]]) -> tuple:
         """The unique product of the given elements (left-associative scheme)."""

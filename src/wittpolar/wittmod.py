@@ -15,9 +15,15 @@ polynomials by the test suite).
 One evaluator, `eval_polar_poly` on slot plans compiled by `polar_plan`,
 serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
 law's star product in `fgl`; each caller compiles its polynomials once
-(here per (p, n, kind, L)) and binds inputs by position in one flat
-tuple, the coordinates of each Witt block in turn.  Monomials sharing a
-sorted prefix share its partial products, each computed once per call.
+(here per (p, n, kind, L), and each algebra keeps its plans in a dict
+keyed by (kind, n)) and binds inputs by position in one flat tuple, the
+coordinates of each Witt block in turn.  Monomials sharing a sorted prefix
+share its partial products, each computed once per call.  A plan is one
+straight-line Python function, written by `_plan_source` and compiled once
+per process for each distinct plan: each partial product is one call of
+the algebra's compiled mu kernel (`ppolar`), and each polynomial one sum
+over the coordinates.  The kernel, the field tables, q and the zero vector
+are arguments, so one function serves every algebra with that plan.
 Scalars act through Witt vectors over the polarization of the base field:
 in `scalar_mul` the scalar coordinates a_i are coefficient slots of the
 same plan, multiplied into each term's F_p coefficient.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 from .gfq import FqField
@@ -36,7 +43,7 @@ from .wittuniv import (_targets, dwork_lift, reduce_mod_p, universal_polys,
                        witt_blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WittVector:
     """Length-n coordinate vector over a p-polar algebra.
 
@@ -94,8 +101,8 @@ def _reduced(p: int, n: int, kind: str) -> tuple:
 
 
 def polar_plan(p: int, polys, names: Sequence[str],
-               scalars: frozenset = frozenset()) -> tuple:
-    """Compile mod-p polynomials into one slot plan (nodes, levels).
+               scalars: frozenset = frozenset()):
+    """Compile mod-p polynomials into one straight-line plan function.
 
     Slot s of the flat input tuple holds the value bound to names[s]: a
     vector of the algebra, or an F_q scalar for the names in `scalars`.
@@ -107,6 +114,9 @@ def polar_plan(p: int, polys, names: Sequence[str],
     terms (F_p coefficient, scalar slots with multiplicity, value index).
     Callers drop the monomials that vanish on their algebra for length
     alone before compiling (see `_plan`).
+
+    The plan is returned compiled by `_compile_plan`, so equal plans built
+    apart share one function; `eval_polar_poly` runs it.
     """
     slot = {name: s for s, name in enumerate(names)}
     base = len(names)
@@ -131,50 +141,109 @@ def polar_plan(p: int, polys, names: Sequence[str],
                 for i in range(p, len(xs), p - 1):
                     at = nodes.setdefault((at,) + tuple(xs[i:i + p - 1]),
                                           base + len(nodes))
-            terms.append((c % p, tuple(cs), at))
+            if c % p:
+                # a plain int (`index` raises TypeError for anything
+                # else): the plan's source is generated from it
+                terms.append((index(c % p), tuple(cs), at))
         levels.append(tuple(terms))
-    return tuple(nodes), tuple(levels)
+    return _compile_plan(p, base, tuple(nodes), tuple(levels))
 
 
-def eval_polar_poly(A: PPolarAlgebra, plan: tuple, inputs: Sequence) -> tuple:
-    """Evaluate a plan (see `polar_plan`) on A at the flat input tuple: one
-    vector per compiled polynomial.
+# terms per emitted sum statement: bounds the nesting of its expression
+_CHUNK = 8
 
-    Each node is one `mu_p` call; each term scales its value by the F_p
-    coefficient times its scalar slots.
+
+def _plan_source(p: int, width: int, nodes: tuple, levels: tuple) -> str:
+    """Python source of the plan (nodes, levels) on `width` input slots.
+
+    `plan(mu, mt, at, q, zero, inputs)` unpacks the inputs into v0, v1, ..,
+    then binds each node to the next name as one call `mu(vi, vj, ..)` of
+    the algebra's kernel.  A coefficient times scalar slots is computed
+    once, as k{i} = mt[k * q + v{s}] one factor at a time, sharing prefixes;
+    each coefficient other than 1 enters the sums as c{i} = k * q, read
+    once.  Each level sums its terms in one pass over the coordinates per
+    _CHUNK terms, o{j} = [.. for a0, a1, .. in zip(o{j}, v.., ..)], through
+    ^ (p = 2) or at[a * q + b], a term with coefficient c{i} as
+    mt[c{i} + a]; a level that is one value is that value, and a level with
+    no term is `zero`.  The source holds only integer literals and generated
+    names, and the plan is walked in order, so equal plans give equal
+    source.
     """
-    nodes, levels = plan
-    vals = list(inputs)
-    mu_p = A.mu_p
-    for args in nodes:
-        vals.append(mu_p([vals[i] for i in args]))
-    F = A.field
-    q = F.q
-    mt, at = F.tables()
-    zero = A.zero
-    out = []
-    for terms in levels:
-        acc = zero
+    body = [f"{''.join(f'v{s}, ' for s in range(width))}= inputs"]
+    for k, args in enumerate(nodes):
+        body.append(f"v{width + k} = mu({', '.join(f'v{i}' for i in args)})")
+    coeffs = {}   # (c, scalar slots) -> the name holding the coefficient
+    scaled = {}   # coefficient name or literal -> the name holding it * q
+
+    def coeff(c: int, cs: tuple) -> str:
+        if not cs:
+            return str(c)
+        if (c, cs) not in coeffs:
+            head = coeff(c, cs[:-1])
+            if head == "1":
+                return f"v{cs[0]}"
+            name = coeffs[c, cs] = f"k{len(coeffs)}"
+            body.append(f"{name} = mt[{head} * q + v{cs[-1]}]")
+        return coeffs[c, cs]
+
+    def add(acc: str, term: str) -> str:
+        return f"{acc} ^ {term}" if p == 2 else f"at[{acc} * q + {term}]"
+
+    outs = []
+    for j, terms in enumerate(levels):
+        vals = []
         for c, cs, i in terms:
-            for s in cs:
-                c = mt[c * q + vals[s]]
-            v = vals[i]
-            if not c or not any(v):
-                continue
-            if c != 1:
-                v = [mt[c * q + a] for a in v]
-            if acc is zero:
-                acc = tuple(v)
-            elif at is None:
-                acc = tuple([a ^ b for a, b in zip(acc, v)])
-            else:
-                acc = tuple([at[a * q + b] for a, b in zip(acc, v)])
-        out.append(acc)
-    return tuple(out)
+            k = coeff(c, cs)
+            if k != "1" and k not in scaled:
+                scaled[k] = f"c{len(scaled)}"
+                body.append(f"{scaled[k]} = {k} * q")
+            vals.append((scaled.get(k), f"v{i}"))
+        if not vals:
+            outs.append("zero")
+            continue
+        if len(vals) == 1 and vals[0][0] is None:
+            # a node is the kernel's tuple; an input may be any sequence
+            i = terms[0][2]
+            outs.append(f"v{i}" if i >= width else f"tuple(v{i})")
+            continue
+        outs.append(f"o{j}")
+        acc = []
+        for start in range(0, len(vals), _CHUNK):
+            chunk = acc + vals[start:start + _CHUNK]
+            names = [f"a{t}" for t in range(len(chunk))]
+            expr = None
+            for (cq, _), a in zip(chunk, names):
+                term = a if cq is None else f"mt[{cq} + {a}]"
+                expr = term if expr is None else add(expr, term)
+            last = start + _CHUNK >= len(vals)
+            comp = (f"[{expr} for {', '.join(names)}, in "
+                    f"zip({', '.join(v for _, v in chunk)})]")
+            body.append(f"o{j} = {f'tuple({comp})' if last else comp}")
+            acc = [(None, f"o{j}")]
+    body.append(f"return ({''.join(f'{o}, ' for o in outs)})")
+    return "".join(["def plan(mu, mt, at, q, zero, inputs):\n",
+                    *[f"    {line}\n" for line in body]])
 
 
 @lru_cache(maxsize=None)
-def _plan(p: int, n: int, kind: str, L) -> tuple:
+def _compile_plan(p: int, width: int, nodes: tuple, levels: tuple):
+    """The plan function of (nodes, levels), compiled from `_plan_source`
+    once per process."""
+    namespace = {}
+    exec(compile(_plan_source(p, width, nodes, levels), "<polar plan>",
+                 "exec"), namespace)
+    return namespace["plan"]
+
+
+def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
+    """Evaluate a compiled plan (see `polar_plan`) on A at the flat input
+    tuple: one vector per compiled polynomial.  The plan calls A's mu
+    kernel and reads the field tables that `PPolarAlgebra.kernel` binds."""
+    return plan(*A.kernel(), inputs)
+
+
+@lru_cache(maxsize=None)
+def _plan(p: int, n: int, kind: str, L):
     """The plan of one universal family on the flat input tuple: the
     coordinates of each Witt block in turn, then for the scalar action the
     n scalars of a.
@@ -204,16 +273,25 @@ def _check_pair(x: WittVector, y: WittVector):
         raise ValueError("length mismatch")
 
 
+def _new_plan(A: PPolarAlgebra, kind: str, n: int):
+    """A's plan of `kind` at length n from `_plan`, kept in A's `_plans`
+    dict, where the operations below look it up."""
+    plan = A._plans[kind, n] = _plan(A.p, n, kind, product_length(A))
+    return plan
+
+
 def w_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
     A = x.algebra
-    plan = _plan(A.p, len(x.coords), "sum", product_length(A))
+    n = len(x.coords)
+    plan = A._plans.get(("sum", n)) or _new_plan(A, "sum", n)
     return WittVector(A, eval_polar_poly(A, plan, x.coords + y.coords))
 
 
 def w_neg(x: WittVector) -> WittVector:
     A = x.algebra
-    plan = _plan(A.p, len(x.coords), "neg", product_length(A))
+    n = len(x.coords)
+    plan = A._plans.get(("neg", n)) or _new_plan(A, "neg", n)
     return WittVector(A, eval_polar_poly(A, plan, x.coords))
 
 
@@ -222,13 +300,14 @@ def w_product(xs: Sequence[WittVector]) -> WittVector:
     if not xs:
         raise ValueError("empty product")
     A = xs[0].algebra
-    p = A.p
-    if len(xs) != p:
-        raise ValueError(f"product takes exactly p = {p} factors")
+    if len(xs) != A.p:
+        raise ValueError(f"product takes exactly p = {A.p} factors")
+    flat = xs[0].coords
     for x in xs[1:]:
         _check_pair(xs[0], x)
-    plan = _plan(p, len(xs[0].coords), "prod", product_length(A))
-    flat = [c for x in xs for c in x.coords]
+        flat += x.coords
+    n = len(xs[0].coords)
+    plan = A._plans.get(("prod", n)) or _new_plan(A, "prod", n)
     return WittVector(A, eval_polar_poly(A, plan, flat))
 
 
@@ -290,11 +369,13 @@ def scalar_phi(a: WittVector) -> WittVector:
 def scalar_mul(a: WittVector, x: WittVector) -> WittVector:
     """Action of W_n(pol(F_q)) on W_n(A) for an algebra A over F_q."""
     A = x.algebra
-    if a.algebra != base_polar(A.field):
+    B = base_polar(A.field)
+    if a.algebra is not B and a.algebra != B:
         raise ValueError("scalar must live over the polarized base field")
     if a.length != x.length:
         raise ValueError("length mismatch")
-    plan = _plan(A.p, x.length, "scalar", product_length(A))
+    n = len(x.coords)
+    plan = A._plans.get(("scalar", n)) or _new_plan(A, "scalar", n)
     flat = x.coords + tuple(c[0] for c in a.coords)
     return WittVector(A, eval_polar_poly(A, plan, flat))
 

@@ -451,6 +451,17 @@ def test_mu_entries_must_be_ints():
         PPolarAlgebra(F2, 1, {(0.0, 0): (1,)})
 
 
+def test_mu_values_must_be_field_elements():
+    # the kernel indexes the field tables with each value entry, so 5 over
+    # GF(3) would read the table at the wrong place instead of meaning 2
+    for bad in (3, 5, -1):
+        with pytest.raises(ValueError, match="outside range"):
+            PPolarAlgebra(F3, 1, {(0, 0, 0): (bad,)})
+    with pytest.raises(ValueError, match="outside range"):
+        PPolarAlgebra(F4, 2, {(0, 1): (1, 4)})
+    assert PPolarAlgebra(F3, 1, {(0, 0, 0): (2,)}).mu_p([(1,)] * 3) == (2,)
+
+
 def test_kernel_source_is_the_same_in_every_process():
     # the generator must not depend on how a process hashes its multisets
     script = ("import random; from wittpolar import ppolar, samples; "

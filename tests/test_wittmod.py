@@ -1,6 +1,9 @@
 """Concrete Witt vectors over p-polar algebras and CW^u classes."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -356,10 +359,15 @@ def _plan_algebras():
         out += [(A, lengths) for A in (
             samples.trunc_nil_polar(F, F.p + 2), samples.split_polar(F, 2),
             samples.trunc_nil_polar(F, F.p), samples.trivial_polar(F, 2))]
+    # a change of basis gives dense coordinates and mu values with
+    # coefficients other than 1, so the compiled sums scale every term
+    rng = random.Random(19)
+    out += [(samples.scramble(A, rng), lengths) for A, lengths in out]
     return out
 
 
-# mu != 0 (nilpotent and split) and mu = 0 over each field
+# mu != 0 (nilpotent and split) and mu = 0 over each field, and each of
+# them in a scrambled basis
 PLAN_ALGEBRAS = _plan_algebras()
 
 
@@ -377,6 +385,72 @@ def test_ops_match_per_monomial_reference(k, data):
     assert w_product(fs).coords == _reference_op("prod", fs)
     assert scalar_mul(scalar_witt(A.field, a), x).coords == \
         _reference_op("scalar", [x], a)
+
+
+def test_levels_of_hundreds_of_terms_match_the_reference():
+    # over the unital pol(F_3) at n = 4 the top level of the sum has 454
+    # terms and that of the product 315; each is emitted as a chain of
+    # bounded sum statements, never as one expression nested that deep
+    from wittpolar.wittmod import _reduced
+    assert len(_reduced(3, 4, "sum")[3].terms) > 200
+    assert len(_reduced(3, 4, "prod")[3].terms) > 200
+    A = samples.split_polar(F3, 1)
+    rng = random.Random(83)
+    inputs = [witt(A, [(2,)] * 4), witt(A, [(1,), (2,), (0,), (1,)])]
+    inputs += [rand_witt(rng, A, 4) for _ in range(4)]
+    for i, x in enumerate(inputs):
+        y, z = inputs[i - 1], inputs[i - 2]
+        assert w_add(x, y).coords == _reference_op("sum", [x, y])
+        assert w_product([x, y, z]).coords == _reference_op("prod", [x, y, z])
+
+
+def test_equal_plans_built_apart_compile_once(monkeypatch):
+    # the sum at n = 2, p = 3 keeps the same monomials under L = 5 and
+    # L = 7: two lifts, one plan, one compiled function for both algebras
+    from wittpolar import wittmod
+    built = []
+    source = wittmod._plan_source
+
+    def counted(*args):
+        built.append(args)
+        return source(*args)
+
+    wittmod._plan.cache_clear()
+    wittmod._compile_plan.cache_clear()
+    monkeypatch.setattr(wittmod, "_plan_source", counted)
+    A, B = samples.trunc_nil_polar(F3, 5), samples.trunc_nil_polar(F3, 7)
+    x, y = witt(A, [(1, 2, 0, 1), (2, 2, 1, 0)]), witt(A, [(2, 1, 1, 1)] * 2)
+    u, v = witt(B, [(1, 2, 0, 1, 0, 0)] * 2), witt(B, [(0, 1, 0, 0, 2, 1)] * 2)
+    assert w_add(x, y).coords == _reference_op("sum", [x, y])
+    assert w_add(u, v).coords == _reference_op("sum", [u, v])
+    assert wittmod._plan.cache_info().misses == 2
+    assert A._plans["sum", 2] is B._plans["sum", 2]
+    assert len(built) == 1
+
+
+def test_plan_source_is_the_same_in_every_process():
+    # the generator must not depend on how a process hashes its keys: a
+    # scalar-action plan (nodes, scalar coefficients) and a co-Witt window
+    # plan (a level long enough to be chunked)
+    script = (
+        "from wittpolar import cowitt, wittmod; out = []; "
+        "source = wittmod._plan_source; "
+        "wittmod._plan_source = lambda *a: out.append(source(*a)) or out[-1]; "
+        "wittmod._plan(3, 3, 'scalar', 7); "
+        "cowitt._window_poly(3, 2, 'sum', (False,) * 6, (True, False, False), "
+        "(7, 9)); print(''.join(out))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("def plan(mu, mt, at, q, zero, inputs)") == 2
+    assert "= mu(v" in outs[0] and "k0 = mt[" in outs[0]
 
 
 # -- plans truncated by the product length against the full family -----------
