@@ -11,9 +11,8 @@ from .ppolar import (LengthNotAdmissible, PolarIdeal, PPolarAlgebra,
 from .wittuniv import (DworkCongruenceFailed, UnivWittPoly, dwork_lift,
                        ghost_polys, polar_degree_check, reduce_mod_p,
                        universal_polys)
-from .wittmod import (CwuClass, WittVector, cwu_add, cwu_class, cwu_F, cwu_V,
-                      frobenius_charp, scalar_mul, teichmuller, verschiebung,
-                      w_add, w_neg, w_product, witt)
+from .wittmod import (WittVector, frobenius_charp, scalar_mul, teichmuller,
+                      verschiebung, w_add, w_neg, w_product, witt)
 from .cowitt import CoWittElement, cw_add, cw_F, cw_V, cw_validate
 from .etale import (Decomposition, ExtensionCapExceeded, NotAMorphism,
                     NotReduced, decompose, find_idempotent, geometric_points,

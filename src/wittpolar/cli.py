@@ -52,14 +52,9 @@ def _load(path) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise CliError(f"{path} must hold a JSON object")
-    return data
-
-
-def _load_algebra(path) -> PPolarAlgebra:
-    data = _load(path)
     if data.get("format", FORMAT) != FORMAT:
         raise CliError(f"unsupported format in {path}")
-    return PPolarAlgebra.from_json(data)
+    return data
 
 
 def _algebra_json(A: PPolarAlgebra) -> dict:
@@ -112,8 +107,6 @@ def _eval_expr(A: PPolarAlgebra, node) -> wittmod.WittVector:
 
 def cmd_witt_eval(args) -> int:
     data = _load(args.expr)
-    if data.get("format", FORMAT) != FORMAT:
-        raise CliError("unsupported format")
     A = PPolarAlgebra.from_json(data["algebra"])
     result = _eval_expr(A, data["expr"])
     out = result.to_json()
@@ -124,7 +117,7 @@ def cmd_witt_eval(args) -> int:
 
 
 def cmd_cw(args) -> int:
-    A = _load_algebra(args.algebra)
+    A = PPolarAlgebra.from_json(_load(args.algebra))
     xs = [cowitt.cw_from_json(A, _load(p)) for p in args.inputs]
     if args.op == "validate":
         (x,) = xs
@@ -156,7 +149,7 @@ def cmd_cw(args) -> int:
 
 
 def cmd_split(args) -> int:
-    A = _load_algebra(args.algebra)
+    A = PPolarAlgebra.from_json(_load(args.algebra))
     dec = etale.decompose(A)
     out = dec.to_json()
     out["format"] = FORMAT
@@ -168,8 +161,6 @@ def cmd_split(args) -> int:
 
 def cmd_polarize(args) -> int:
     data = _load(args.algebra)
-    if data.get("format", FORMAT) != FORMAT:
-        raise CliError("unsupported format")
     field = FqField.from_json(data["field"])
     table = data.get("table")
     if not isinstance(table, list) or not all(

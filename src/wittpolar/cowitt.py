@@ -2,7 +2,8 @@
 
 An element stores one tail value c, a finite exception map, and a witness
 pair (r, s) certifying that the ideal generated by c and all entries at
-indices <= -r has vanishing s-fold iterated polar power.
+indices <= -r has vanishing s-fold iterated polar power.  The elements with
+zero tail are the unipotent part CW^u = colim(W_0 -> W_1 -> ...) along V.
 
 Addition is the stabilized windowed Witt sum: the entry at index -n is the
 eventual value of the level-m sum component evaluated on the windows
@@ -63,12 +64,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import MultiPoly
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      ideal_power_nilpotent, nilpotence_index,
                      product_length_threshold, vec_is_zero)
 from .wittmod import eval_polar_poly, polar_plan
-from .wittuniv import dwork_lift
+from .wittuniv import _targets, dwork_lift
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,22 @@ def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
         raise ValueError(f"witness must be two ints, got {witness!r}")
     F = A.field
     tail = tuple(F.from_coords(c) for c in data["tail"])
-    exc = {int(i): tuple(F.from_coords(c) for c in v)
+    exc = {_index(i): tuple(F.from_coords(c) for c in v)
            for i, v in exceptions.items()}
     return CoWittElement(A, tail, exc, tuple(witness))
+
+
+def _index(key: str) -> int:
+    """The index an exception key names.  Only the decimal form `to_json`
+    writes is accepted, so no two keys name one index."""
+    try:
+        i = int(key)
+    except ValueError:
+        i = None
+    if i is None or key != str(i):
+        raise ValueError(f"exception index {key!r} is not a canonical "
+                         f"decimal integer")
+    return i
 
 
 def cw_zero(A: PPolarAlgebra) -> CoWittElement:
@@ -198,13 +211,16 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
     The polynomial depends only on the pattern, never on the entry values:
     `zero` flags the variables bound to 0 (x0..xm, then y0..ym for a sum),
     `deep[i]` flags window position i, and `caps` = (t_total, t_deep).  The
-    ghost targets are lifted by `dwork_lift` inside the monomial quotient
-    cut out by the kill rules, congruence check included.
+    ghost targets of `op` at length m+1 (`wittuniv._targets`) are lifted by
+    `dwork_lift` inside the monomial quotient cut out by the kill rules,
+    congruence check included.
     """
+    if op not in ("sum", "neg"):
+        raise ValueError(f"unknown windowed op {op!r}")
     t_total, t_deep = caps
-    nblocks = len(zero) // (m + 1)
-    names = tuple(f"{b}{i}" for b in "xy"[:nblocks] for i in range(m + 1))
-    deepfl = deep * nblocks
+    targets = _targets(p, m + 1, op)
+    names = targets[0].vars
+    deepfl = deep * (len(names) // (m + 1))
 
     def kill(exp) -> bool:
         tot = 0
@@ -219,21 +235,6 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
                 dd += e
         return (t_total is not None and tot >= t_total) or dd >= t_deep
 
-    def ghost_entry(offset: int, level: int, sign: int) -> MultiPoly:
-        terms = {}
-        for i in range(level + 1):
-            e = [0] * len(names)
-            e[offset + i] = p ** (level - i)
-            terms[tuple(e)] = sign * p ** i
-        return MultiPoly(names, terms)
-
-    if op == "sum":
-        targets = [ghost_entry(0, lv, 1) + ghost_entry(m + 1, lv, 1)
-                   for lv in range(m + 1)]
-    elif op == "neg":
-        targets = [ghost_entry(0, lv, -1) for lv in range(m + 1)]
-    else:
-        raise ValueError(f"unknown windowed op {op!r}")
     return polar_plan(p, [dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)],
                       names)
 
@@ -353,28 +354,3 @@ def cw_V(x: CoWittElement) -> CoWittElement:
                          {i + 1: v for i, v in x.exceptions.items() if i <= -1},
                          (max(r - 1, 0), s))
 
-
-# -- the unipotent part ---------------------------------------------------------
-
-
-def cw_from_cwu(c) -> CoWittElement:
-    """Embed a CW^u class: finite support ending at index 0, zero tail."""
-    A = c.algebra
-    ex = {}
-    L = c.length
-    for i, v in enumerate(c.rep):
-        ex[-(L - 1 - i)] = v
-    return CoWittElement(A, A.zero, ex, (0, 0))
-
-
-def cwu_from_cw(x: CoWittElement):
-    """Extract the CW^u class of a finite-support element (zero tail)."""
-    from .wittmod import CwuClass, cwu_class, witt
-    A = x.algebra
-    if not vec_is_zero(x.tail):
-        raise ValueError("element does not have finite support")
-    if not x.exceptions:
-        return CwuClass(A, ())
-    depth = x.depth()
-    coords = [x.entry(-depth + i) for i in range(depth + 1)]
-    return cwu_class(witt(A, coords))

@@ -30,11 +30,6 @@ on the first one.  A closure is one `rref` (see `ideal_generated`);
 thresholds grow their spans in rounds, one `rref` per round, and give None
 at the first round equal to the one before (each round depends only on the
 previous one, so that is a fixed point).
-
-The threshold of the whole algebra, its product length L, also sits in a
-slot that the first `product_length` call fills: W_n(A) evaluates only
-polar monomials of vector degree below L (see `wittmod`).  Unital algebras
-have no L (None).
 """
 
 from __future__ import annotations
@@ -59,9 +54,8 @@ def vec_is_zero(v: Sequence[int]) -> bool:
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
-    # `_length` stays unset until `product_length` fills it
-    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_length",
-                 "_ideals", "_kernel", "_plans")
+    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_ideals",
+                 "_kernel", "_plans")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -477,14 +471,11 @@ def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]])
 
 
 def product_length(A: PPolarAlgebra):
-    """The threshold of the whole algebra, kept in its `_length` slot: after
-    the first call, one slot read."""
-    try:
-        return A._length
-    except AttributeError:
-        A._length = product_length_threshold(
-            A, [A.basis_vector(i) for i in range(A.dim)])
-        return A._length
+    """The threshold of the whole algebra, its product length L: W_n(A)
+    evaluates only polar monomials of vector degree below L (see
+    `wittmod`).  Unital algebras have no L (None)."""
+    return product_length_threshold(
+        A, [A.basis_vector(i) for i in range(A.dim)])
 
 
 def _length_threshold(A: PPolarAlgebra, span: tuple):

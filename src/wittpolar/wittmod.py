@@ -95,11 +95,6 @@ def witt_from_json(algebra: PPolarAlgebra, data: dict) -> WittVector:
     return witt(algebra, [[F.from_coords(a) for a in c] for c in coords])
 
 
-@lru_cache(maxsize=None)
-def _reduced(p: int, n: int, kind: str) -> tuple:
-    return tuple(reduce_mod_p(universal_polys(p, n, kind)))
-
-
 def polar_plan(p: int, polys, names: Sequence[str],
                scalars: frozenset = frozenset()):
     """Compile mod-p polynomials into one straight-line plan function.
@@ -257,7 +252,7 @@ def _plan(p: int, n: int, kind: str, L):
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
     if L is None:
-        polys = _reduced(p, n, kind)
+        polys = reduce_mod_p(universal_polys(p, n, kind))
     else:
         targets = _targets(p, n, kind)
         vec = [i for i, v in enumerate(targets[0].vars) if v not in scalars]
@@ -379,76 +374,3 @@ def scalar_mul(a: WittVector, x: WittVector) -> WittVector:
     flat = x.coords + tuple(c[0] for c in a.coords)
     return WittVector(A, eval_polar_poly(A, plan, flat))
 
-
-# -- unipotent co-Witt classes ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CwuClass:
-    """A class in colim(W_0 -> W_1 -> ...) along V, canonically represented.
-
-    The canonical representative has a nonzero leading coordinate; the
-    zero class is the empty tuple.
-    """
-
-    algebra: PPolarAlgebra
-    rep: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.rep)
-
-    def is_zero(self) -> bool:
-        return not self.rep
-
-
-def cwu_class(x: WittVector) -> CwuClass:
-    coords = list(x.coords)
-    while coords and vec_is_zero(coords[0]):
-        coords.pop(0)
-    return CwuClass(x.algebra, tuple(coords))
-
-
-def cwu_lift(c: CwuClass, n: int) -> WittVector:
-    """Representative of the class in W_n (V-padding with leading zeros)."""
-    if n < max(1, c.length):
-        raise ValueError("length too small for this class")
-    pad = (c.algebra.zero,) * (n - c.length)
-    return WittVector(c.algebra, pad + c.rep)
-
-
-def cwu_add(a: CwuClass, b: CwuClass) -> CwuClass:
-    if a.algebra != b.algebra:
-        raise ValueError("operands live over different algebras")
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    n = max(a.length, b.length)
-    return cwu_class(w_add(cwu_lift(a, n), cwu_lift(b, n)))
-
-
-def cwu_neg(a: CwuClass) -> CwuClass:
-    if a.is_zero():
-        return a
-    return cwu_class(w_neg(cwu_lift(a, a.length)))
-
-
-def cwu_F(a: CwuClass) -> CwuClass:
-    """Componentwise p-th power in place (the co-Witt Frobenius)."""
-    if a.is_zero():
-        return a
-    A = a.algebra
-    return cwu_class(WittVector(A, tuple(A.ppow(c) for c in a.rep)))
-
-
-def cwu_V(a: CwuClass) -> CwuClass:
-    """Drop the deepest (last) coordinate: the co-Witt Verschiebung.
-
-    On the colimit this is induced by the truncation maps W_n -> W_{n-1},
-    the unique family commuting with the V transition maps; together with
-    cwu_F it satisfies FV = VF = p.
-    """
-    if a.length <= 1:
-        return CwuClass(a.algebra, ())
-    return cwu_class(WittVector(a.algebra, a.rep[:-1]))

@@ -165,7 +165,6 @@ def cold_families(monkeypatch):
     """Empty family memos, so the next Witt operation lifts its family."""
     from wittpolar import wittmod, wittuniv
     monkeypatch.setattr(wittuniv, "_memo", {})
-    wittmod._reduced.cache_clear()
     wittmod._plan.cache_clear()
     return wittuniv
 
@@ -338,12 +337,29 @@ def test_split_rejects_mu_that_is_not_a_list(capsys, tmp_path, algebra_file):
     {"tail": [[0], [0], [0]], "exceptions": {"0": 3}},
     {"tail": [[0], [0], [0]], "exceptions": [[0], [0], [0]]},
     {"tail": [[0], [0], [0]], "witness": 2},
+    # index keys other than the canonical decimal form: "-01" would name
+    # index -1 twice, and int() reads "-1_0" as -10
+    {"tail": [[0], [0], [0]],
+     "exceptions": {"-1": [[1], [0], [0]], "-01": [[0], [1], [0]]}},
+    {"tail": [[0], [0], [0]], "exceptions": {"-1_0": [[1], [0], [0]]}},
+    {"tail": [[0], [0], [0]], "exceptions": {" -1": [[1], [0], [0]]}},
 ])
 def test_cw_rejects_malformed_elements(capsys, tmp_path, algebra_file, bad):
     path = tmp_path / "x.json"
     path.write_text(json.dumps(dict(bad, format="wittpolar/1")))
     _assert_rejected(*run(capsys, "cw", "validate", "--algebra",
                           str(algebra_file), str(path)))
+    _assert_rejected(*run(capsys, "cw", "add", "--algebra",
+                          str(algebra_file), str(path), str(path)))
+
+
+def test_cw_rejects_a_foreign_format(capsys, tmp_path, algebra_file):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"format": "other/9",
+                                "tail": [[0], [0], [0]]}))
+    msg = _assert_rejected(*run(capsys, "cw", "add", "--algebra",
+                                str(algebra_file), str(path), str(path)))
+    assert "format" in msg
 
 
 @pytest.mark.parametrize("field", [{"modulus": 5}, {"p": "2"}])

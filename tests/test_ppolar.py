@@ -250,7 +250,7 @@ def test_product_length_is_the_full_basis_threshold():
                  (samples.split_polar(F2, 2), None),
                  (PPolarAlgebra(F2, 0, {}), 1)):
         assert product_length(A) == L
-        assert A._length == L == product_length_threshold(
+        assert L == product_length_threshold(
             A, [A.basis_vector(i) for i in range(A.dim)])
 
 

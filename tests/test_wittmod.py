@@ -1,4 +1,4 @@
-"""Concrete Witt vectors over p-polar algebras and CW^u classes."""
+"""Concrete Witt vectors over p-polar algebras."""
 
 import os
 import random
@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from wittpolar import samples
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import nilradical, quotient
-from wittpolar.wittmod import (cwu_add, cwu_class, cwu_F,
-                               cwu_lift, cwu_neg, cwu_V, frobenius_charp,
-                               p_mul, scalar_mul, scalar_phi,
-                               scalar_teich, scalar_witt, teichmuller,
-                               truncate, verschiebung, w_add, w_neg,
-                               w_product, w_zero, witt)
+from wittpolar.wittmod import (frobenius_charp, p_mul, scalar_mul,
+                               scalar_phi, scalar_teich, scalar_witt,
+                               teichmuller, truncate, verschiebung, w_add,
+                               w_neg, w_product, w_zero, witt)
+from wittpolar.wittuniv import reduce_mod_p, universal_polys
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -147,10 +146,10 @@ def test_fv_vf_p():
 
 def test_frobenius_matches_universal_polys():
     rng = random.Random(29)
-    from wittpolar.wittmod import _reduced, eval_polar_poly, polar_plan
+    from wittpolar.wittmod import eval_polar_poly, polar_plan
     for A in (samples.trunc_nil_polar(F2, 4), samples.trunc_nil_polar(F3, 3)):
         for n in (1, 2, 3):
-            polys = _reduced(A.p, n, "frob")
+            polys = reduce_mod_p(universal_polys(A.p, n, "frob"))
             names = [f"x{i}" for i in range(n + 1)]
             for _ in range(5):
                 x = rand_witt(rng, A, n + 1)
@@ -265,61 +264,6 @@ def test_length_mismatch_rejected():
         w_add(w_zero(A, 2), w_zero(A, 3))
 
 
-# -- CW^u classes ---------------------------------------------------------------
-
-
-def test_cwu_canonical_form():
-    A = samples.trunc_nil_polar(F2, 4)
-    x = witt(A, [(1, 0, 0), (0, 1, 0)])
-    c = cwu_class(x)
-    assert cwu_class(verschiebung(x)).rep == c.rep
-    assert cwu_class(verschiebung(verschiebung(x))).rep == c.rep
-    assert cwu_class(w_zero(A, 3)).is_zero()
-
-
-def test_cwu_add_matches_witt_addition():
-    rng = random.Random(61)
-    A = samples.trunc_nil_polar(F2, 4)
-    for _ in range(10):
-        x, y = rand_witt(rng, A, 3), rand_witt(rng, A, 3)
-        lhs = cwu_add(cwu_class(x), cwu_class(y))
-        assert lhs.rep == cwu_class(w_add(x, y)).rep
-        # V-padding first changes nothing
-        lhs2 = cwu_add(cwu_class(verschiebung(x)), cwu_class(y))
-        assert lhs2.rep == lhs.rep
-
-
-def test_cwu_group_structure():
-    rng = random.Random(67)
-    A = samples.trunc_nil_polar(F3, 3)
-    for _ in range(8):
-        c = cwu_class(rand_witt(rng, A, 2))
-        assert cwu_add(c, cwu_neg(c)).is_zero()
-
-
-def test_cwu_fv_relations():
-    rng = random.Random(71)
-    A = samples.trunc_nil_polar(F2, 4)
-    for _ in range(10):
-        c = cwu_class(rand_witt(rng, A, 3))
-        fv = cwu_F(cwu_V(c))
-        vf = cwu_V(cwu_F(c))
-        pc = cwu_add(c, c)
-        assert fv.rep == vf.rep == pc.rep
-
-
-def test_cwu_canonical_equality_is_faithful():
-    # distinct canonical forms represent distinct classes at any common lift
-    rng = random.Random(73)
-    A = samples.trunc_nil_polar(F2, 4)
-    for _ in range(10):
-        c1 = cwu_class(rand_witt(rng, A, 2))
-        c2 = cwu_class(rand_witt(rng, A, 2))
-        n = max(c1.length, c2.length, 1) + 2
-        lifted_equal = cwu_lift(c1, n).coords == cwu_lift(c2, n).coords
-        assert lifted_equal == (c1.rep == c2.rep)
-
-
 # -- the slot plan against a per-monomial reference ---------------------------
 
 
@@ -329,7 +273,6 @@ def _reference_op(kind, xs, scalars=()):
     multiplicity, in variable order) to mu_eval, and scale by the F_p
     coefficient times the scalar variables' powers."""
     from wittpolar.gfq import combine
-    from wittpolar.wittmod import _reduced
     from wittpolar.wittuniv import witt_blocks
     A = xs[0].algebra
     F, n = A.field, xs[0].length
@@ -337,7 +280,7 @@ def _reference_op(kind, xs, scalars=()):
             for i, c in enumerate(x.coords)}
     bind.update({f"a{i}": a for i, a in enumerate(scalars)})
     out = []
-    for poly in _reduced(A.p, n, kind):
+    for poly in reduce_mod_p(universal_polys(A.p, n, kind)):
         acc = A.zero
         for exp, c in poly.terms.items():
             coeff = c % A.p
@@ -387,13 +330,36 @@ def test_ops_match_per_monomial_reference(k, data):
         _reference_op("scalar", [x], a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(PLAN_ALGEBRAS))), st.data())
+def test_group_axioms(k, data):
+    A, lengths = PLAN_ALGEBRAS[k]
+    n = data.draw(st.sampled_from(lengths))
+    elem = st.integers(0, A.field.q - 1)
+    coords = st.lists(st.tuples(*[elem] * A.dim), min_size=n, max_size=n)
+    x, y, z = (witt(A, data.draw(coords)) for _ in range(3))
+    assert w_add(x, y).coords == w_add(y, x).coords
+    assert w_add(w_add(x, y), z).coords == w_add(x, w_add(y, z)).coords
+    assert w_add(x, w_zero(A, n)).coords == x.coords
+    assert w_add(x, w_neg(x)).is_zero()
+    # V at length n: truncation is a ring map, so this V is additive too
+    def V(v):
+        return truncate(verschiebung(v), n)
+    assert V(w_add(x, y)).coords == w_add(V(x), V(y)).coords
+    px = x
+    for _ in range(A.p - 1):
+        px = w_add(px, x)
+    assert frobenius_charp(verschiebung(x)).coords == px.coords
+    if n > 1:
+        assert verschiebung(frobenius_charp(x)).coords == px.coords
+
+
 def test_levels_of_hundreds_of_terms_match_the_reference():
     # over the unital pol(F_3) at n = 4 the top level of the sum has 454
     # terms and that of the product 315; each is emitted as a chain of
     # bounded sum statements, never as one expression nested that deep
-    from wittpolar.wittmod import _reduced
-    assert len(_reduced(3, 4, "sum")[3].terms) > 200
-    assert len(_reduced(3, 4, "prod")[3].terms) > 200
+    assert len(reduce_mod_p(universal_polys(3, 4, "sum"))[3].terms) > 200
+    assert len(reduce_mod_p(universal_polys(3, 4, "prod"))[3].terms) > 200
     A = samples.split_polar(F3, 1)
     rng = random.Random(83)
     inputs = [witt(A, [(2,)] * 4), witt(A, [(1,), (2,), (0,), (1,)])]
@@ -457,7 +423,8 @@ def test_plan_source_is_the_same_in_every_process():
 
 
 def _full_op(kind, A, n, flat):
-    """The operation by the plan of the full `_reduced` family (L None)."""
+    """The operation by the plan of the full `universal_polys` family (L
+    None)."""
     from wittpolar.wittmod import _plan, eval_polar_poly
     return eval_polar_poly(A, _plan(A.p, n, kind, None), flat)
 
