@@ -49,11 +49,15 @@ def _emit(obj, out_path):
 
 def _load(path) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        return _checked(json.load(fh), path)
+
+
+def _checked(data, where) -> dict:
+    """data, which must be a JSON object in the format this program writes."""
     if not isinstance(data, dict):
-        raise CliError(f"{path} must hold a JSON object")
+        raise CliError(f"{where} must hold a JSON object")
     if data.get("format", FORMAT) != FORMAT:
-        raise CliError(f"unsupported format in {path}")
+        raise CliError(f"unsupported format in {where}")
     return data
 
 
@@ -107,7 +111,8 @@ def _eval_expr(A: PPolarAlgebra, node) -> wittmod.WittVector:
 
 def cmd_witt_eval(args) -> int:
     data = _load(args.expr)
-    A = PPolarAlgebra.from_json(data["algebra"])
+    A = PPolarAlgebra.from_json(
+        _checked(data["algebra"], f"the 'algebra' of {args.expr}"))
     result = _eval_expr(A, data["expr"])
     out = result.to_json()
     out["algebra"] = A.to_json()

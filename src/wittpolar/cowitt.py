@@ -11,21 +11,20 @@ eventual value of the level-m sum component evaluated on the windows
 polynomials are produced by `wittuniv.dwork_lift`, run inside a quotient of
 Z[window variables] by a monomial ideal; such quotients stay torsion free
 and carry the v -> v^p lift, so the recursion's exact divisions and its
-congruence check survive verbatim, while three sound kill rules keep the
+congruence check survive verbatim, while two sound kill rules keep the
 polynomials tiny:
 
-  * variables bound to 0 are killed on sight;
   * if the span of every window value is nilpotent, monomials die at
     total degree >= t_total, the product-length threshold of that span;
   * monomials die at deep-variable degree >= t_deep = p^s, because p^s deep
     factors can be regrouped (scheme independence) into a complete p-ary
     subtree landing in the vanishing s-fold polar power.
 
-The kill rules read only which window entries are zero, which positions are
-deep, and two caps computed once per operation from all operands, so the
-lifted polynomial depends on that pattern and not on the entry values: it
-is built once per pattern key and memoized, and each window only binds its
-entries and evaluates it on the algebra.
+The kill rules read only which window positions are deep and two caps
+computed once per operation from all operands, so the lifted polynomial
+depends on that shape and not on the entry values: it is built once per
+shape key and memoized, and each window only binds its entries and
+evaluates it on the algebra.
 
 The witness searches and the caps ask only for ideal closures, nilpotence
 indices and product-length thresholds of subspaces of the algebra; each is
@@ -44,10 +43,11 @@ base-p carries allow only with at least (p-1)k+1 of them.  Take k = L to
 bound the total degree.  The window's last R = max(0, r-n) positions are
 not deep; when L >= max(R, 1), take k = L - max(R, 1) + 1, whose positions
 of weight below p^k are all deep, to bound the deep degree.  Call level L
-dead when every such monomial is killed:
+dead when every such monomial vanishes on the window, because a kill rule
+removes it or because it holds a zero entry:
 
   (a) every tail is zero and n + L > d, where -d is the deepest index
-      holding a nonzero entry (the position-0 entries are zero);
+      holding a nonzero entry, so every position-0 entry is zero;
   (b) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep;
   (c) t_total is set and (p-1)L + 1 >= t_total.
 
@@ -202,14 +202,12 @@ def _settled(x: CoWittElement) -> CoWittElement:
 
 
 @lru_cache(maxsize=None)
-def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
-                 caps: tuple) -> tuple:
+def _window_poly(p: int, m: int, op: str, deep: tuple, caps: tuple) -> tuple:
     """Top Witt component of `op` on windows of m+1 variables, mod p,
     compiled by `polar_plan`.  On a zero mu, t_total is p, so the kill
     rules leave only the linear monomials.
 
-    The polynomial depends only on the pattern, never on the entry values:
-    `zero` flags the variables bound to 0 (x0..xm, then y0..ym for a sum),
+    The polynomial depends only on the shape, never on the entry values:
     `deep[i]` flags window position i, and `caps` = (t_total, t_deep).  The
     ghost targets of `op` at length m+1 (`wittuniv._targets`) are lifted by
     `dwork_lift` inside the monomial quotient cut out by the kill rules,
@@ -223,17 +221,8 @@ def _window_poly(p: int, m: int, op: str, zero: tuple, deep: tuple,
     deepfl = deep * (len(names) // (m + 1))
 
     def kill(exp) -> bool:
-        tot = 0
-        dd = 0
-        for i, e in enumerate(exp):
-            if not e:
-                continue
-            if zero[i]:
-                return True
-            tot += e
-            if deepfl[i]:
-                dd += e
-        return (t_total is not None and tot >= t_total) or dd >= t_deep
+        dd = sum(e for e, d in zip(exp, deepfl) if d)
+        return (t_total is not None and sum(exp) >= t_total) or dd >= t_deep
 
     return polar_plan(p, [dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)],
                       names)
@@ -290,27 +279,25 @@ def _stabilized_entry(elems, n, op, start_m, caps) -> tuple:
     r = max(e.witness[0] for e in elems)
     m = _certified_depth(elems, n, r, caps, start_m)
     idxs = range(-n - m, -n + 1)
-    windows = [[e.entry(i) for i in idxs] for e in elems]
-    zero = tuple(vec_is_zero(u) for w in windows for u in w)
     deep = tuple(i <= -r for i in idxs)
-    top = _window_poly(A.p, m, op, zero, deep, caps)
-    return eval_polar_poly(A, top, [u for w in windows for u in w])[0]
+    top = _window_poly(A.p, m, op, deep, caps)
+    return eval_polar_poly(A, top, [e.entry(i) for e in elems for i in idxs])[0]
 
 
 def _stabilized_op(elems: list, op: str) -> CoWittElement:
+    """Every window at index -(n_explicit + 1) or deeper holds only tails,
+    all at deep positions, so that entry is the new tail."""
     A = elems[0].algebra
     r = max(e.witness[0] for e in elems)
     caps = _caps_for(A, elems, r)
-    tails = [CoWittElement(A, e.tail, {}, e.witness) for e in elems]
-    new_tail = _stabilized_entry(tails, 0, op, 0, caps)
     n_explicit = max(max(e.depth() for e in elems), r)
+    new_tail = _stabilized_entry(elems, n_explicit + 1, op, 0, caps)
     exceptions = {}
     for nn in range(n_explicit + 1):
         v = _stabilized_entry(elems, nn, op, 0, caps)
         if v != new_tail:
             exceptions[-nn] = v
-    s = 2 * max(e.witness[1] for e in elems) + 1
-    return _settled(CoWittElement(A, new_tail, exceptions, (r, s)))
+    return _settled(CoWittElement(A, new_tail, exceptions))
 
 
 def cw_add(x: CoWittElement, y: CoWittElement) -> CoWittElement:

@@ -87,9 +87,6 @@ class BivariateLaw:
     prec: int
     terms: tuple  # sorted tuple of ((a, b), Fraction)
 
-    def term_dict(self) -> dict:
-        return dict(self.terms)
-
     def denominator_offenders(self) -> list:
         return [ab for ab, c in self.terms
                 if Fraction(c).denominator % self.p == 0]

@@ -33,7 +33,10 @@ class FqField:
         self.p = p
         self.m = m
         self.q = p ** m
-        self.modulus = tuple(int(c) % p for c in modulus)
+        self.modulus = tuple(modulus)
+        if not all(0 <= c < p for c in self.modulus):
+            raise ValueError(f"field modulus {list(modulus)} has an entry "
+                             f"outside [0, {p})")
         if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
         self._mul_table = None

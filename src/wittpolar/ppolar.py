@@ -102,9 +102,6 @@ class PPolarAlgebra:
     def __repr__(self):
         return f"PPolarAlgebra(p={self.p}, dim={self.dim} over {self.field!r})"
 
-    def mu_basis(self, key: tuple) -> tuple:
-        return self.mu.get(tuple(sorted(key)), self.zero)
-
     def kernel(self) -> tuple:
         """(mu, mt, at, q, zero), as compiled plans take them (see
         `wittmod.polar_plan`): the algebra's straight-line mu kernel, which
@@ -377,9 +374,6 @@ class PolarIdeal:
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return in_span(self.algebra.field, self.basis, v)
 
     def __eq__(self, other):
         return (isinstance(other, PolarIdeal) and self.algebra == other.algebra

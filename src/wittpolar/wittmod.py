@@ -350,10 +350,6 @@ def scalar_witt(field: FqField, entries: Sequence[int]) -> WittVector:
     return _checked(base_polar(field), tuple((a,) for a in entries))
 
 
-def scalar_teich(field: FqField, a: int, n: int) -> WittVector:
-    return scalar_witt(field, [a] + [0] * (n - 1))
-
-
 def scalar_phi(a: WittVector) -> WittVector:
     """Witt Frobenius of the perfect base field: componentwise p-th power."""
     F = a.algebra.field

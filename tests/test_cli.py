@@ -323,6 +323,17 @@ def test_witt_eval_rejects_ints_for_coordinate_vectors(capsys, tmp_path,
     assert "coords" in msg
 
 
+def test_witt_eval_rejects_a_foreign_algebra_format(capsys, tmp_path,
+                                                   algebra_file):
+    algebra = dict(json.loads(algebra_file.read_text()), format="other/9")
+    expr = {"format": "wittpolar/1", "algebra": algebra,
+            "expr": {"op": "lit", "coords": [[[1], [0], [0]]]}}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "format" in msg
+
+
 def test_split_rejects_mu_that_is_not_a_list(capsys, tmp_path, algebra_file):
     data = json.loads(algebra_file.read_text())
     data["mu"] = 5
@@ -362,7 +373,8 @@ def test_cw_rejects_a_foreign_format(capsys, tmp_path, algebra_file):
     assert "format" in msg
 
 
-@pytest.mark.parametrize("field", [{"modulus": 5}, {"p": "2"}])
+@pytest.mark.parametrize("field", [{"modulus": 5}, {"p": "2"},
+                                   {"modulus": [7, 1]}])
 def test_split_rejects_malformed_field(capsys, tmp_path, algebra_file, field):
     data = json.loads(algebra_file.read_text())
     data["field"] = dict(data["field"], **field)
@@ -518,6 +530,9 @@ NIL3_F2 = dict(POLARIZE_F2, table=[[[list(F2.coords(c)) for c in entry]
     ("polarize", NIL3_F2), ("polarize", dict(NIL3_F2, dim=5)),
     ("polarize", dict(NIL3_F2, dim=-1)), ("polarize", dict(NIL3_F2, dim="2")),
     ("polarize", dict(NIL3_F2, dim=2.0)), ("polarize", dict(NIL3_F2, dim=None)),
+    # valid but for a GF(4) modulus entry outside [0, 2)
+    ("polarize", dict(NIL3_F2, dim=2,
+                      field={"p": 2, "m": 2, "modulus": [1, -1, 1]})),
 ])
 def test_non_object_json_and_misshapen_tables_are_rejected(
         capsys, tmp_path, command, payload):

@@ -72,7 +72,7 @@ def test_lemma_certificate_support():
 
 def test_group_law_additive():
     law = group_law(additive_log(3, 8), 8)
-    assert law.term_dict() == {(1, 0): Fr(1), (0, 1): Fr(1)}
+    assert dict(law.terms) == {(1, 0): Fr(1), (0, 1): Fr(1)}
 
 
 def test_group_law_multiplicative_integrality():
@@ -95,7 +95,7 @@ def test_law_associative_rejects_every_perturbed_coefficient(p, D):
     # associativity in degree a + b
     law = group_law(typicalize_log(multiplicative_log(D), p), D)
     assert law_associative(law)
-    terms = law.term_dict()
+    terms = dict(law.terms)
     spots = [(a, b) for a in range(1, D) for b in range(1, D - a + 1)
              if (a, b) != (1, 1)]
     for ab in spots:
@@ -107,7 +107,7 @@ def test_law_associative_rejects_every_perturbed_coefficient(p, D):
 
 def test_group_law_symmetric_admissible():
     law = group_law(typicalize_log(multiplicative_log(9), 3), 9)
-    d = law.term_dict()
+    d = dict(law.terms)
     for (a, b), c in d.items():
         assert d[(b, a)] == c
         assert (a + b - 1) % 2 == 0

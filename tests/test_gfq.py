@@ -157,6 +157,12 @@ def test_field_json_rejects_reducible_modulus():
         FqField.from_json({"p": 2, "m": 2, "modulus": [1, 0, 1]})
     with pytest.raises(ValueError):
         FqField.from_json({"p": 2, "m": 3, "modulus": [1, 0, 0, 1]})
+    # entries outside [0, p) are rejected, not reduced mod p to x + 1 and
+    # to GF(4)'s modulus
+    with pytest.raises(ValueError):
+        FqField.from_json({"p": 2, "m": 1, "modulus": [7, 1]})
+    with pytest.raises(ValueError):
+        FqField.from_json({"p": 2, "m": 2, "modulus": [1, -1, 1]})
     # a non-canonical irreducible modulus is still accepted
     F8 = FqField.from_json({"p": 2, "m": 3, "modulus": [1, 0, 1, 1]})
     assert F8.modulus == (1, 0, 1, 1) and F8 != gf_build(2, 3)

@@ -14,9 +14,9 @@ from wittpolar import samples
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import nilradical, quotient
 from wittpolar.wittmod import (frobenius_charp, p_mul, scalar_mul,
-                               scalar_phi, scalar_teich, scalar_witt,
-                               teichmuller, truncate, verschiebung, w_add,
-                               w_neg, w_product, w_zero, witt)
+                               scalar_phi, scalar_witt, teichmuller,
+                               truncate, verschiebung, w_add, w_neg,
+                               w_product, w_zero, witt)
 from wittpolar.wittuniv import reduce_mod_p, universal_polys
 
 F2 = gf_build(2, 1)
@@ -163,7 +163,7 @@ def test_frobenius_matches_universal_polys():
 def test_scalar_unit_and_p():
     rng = random.Random(41)
     A = samples.trunc_nil_polar(F2, 4)
-    one = scalar_teich(F2, 1, 3)
+    one = scalar_witt(F2, [1, 0, 0])
     pt = w_add(one, one)  # the scalar p
     for _ in range(8):
         x = rand_witt(rng, A, 3)
@@ -213,7 +213,7 @@ def test_scalar_verschiebung_commutation():
 
 def test_scalar_wrong_base_rejected():
     A = samples.trunc_nil_polar(F2, 3)
-    a = scalar_teich(F3, 1, 2)
+    a = scalar_witt(F3, [1, 0])
     with pytest.raises(ValueError):
         scalar_mul(a, w_zero(A, 2))
 
@@ -403,8 +403,8 @@ def test_plan_source_is_the_same_in_every_process():
         "source = wittmod._plan_source; "
         "wittmod._plan_source = lambda *a: out.append(source(*a)) or out[-1]; "
         "wittmod._plan(3, 3, 'scalar', 7); "
-        "cowitt._window_poly(3, 2, 'sum', (False,) * 6, (True, False, False), "
-        "(7, 9)); print(''.join(out))")
+        "cowitt._window_poly(3, 2, 'sum', (True, False, False), (7, 9)); "
+        "print(''.join(out))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
     for seed in ("1", "2"):
