@@ -5,9 +5,13 @@ plus a mapping from exponent tuples to nonzero coefficients (Python ints,
 promoted to Fraction only when a division forces it).  Variable names are
 a block letter followed by a decimal index ("x0", "y3", "a1"); blocks are
 canonically ordered x, y, z, u, v before the scalar block a, so aligning
-two operands is deterministic.  `substitute` can drop every monomial
-above a total degree; it builds each binding's powers once and keeps terms
-bucketed by total degree so that no product above the bound is formed.
+two operands is deterministic.  `mul` and `pow` form every product on
+exponent tuples and drop nothing.  The Dwork lift (`wittuniv.dwork_lift`)
+multiplies packed-integer monomials of its own instead; the ghost round
+trip that checks it (`wittuniv.ghost_of_coords`) uses `pow`, so the two
+share no product code.  `substitute` can drop every monomial above a total
+degree; it builds each binding's powers once and keeps terms bucketed by
+total degree so that no product above the bound is formed.
 
 Truncated power series hold Fraction coefficients for degrees 0..D and
 discard everything above D in every operation.  D is always explicit.
@@ -21,8 +25,9 @@ composition.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 #: Exact scalar type: always in lowest terms, denominator > 0.
 Rational = Fraction
@@ -72,6 +77,15 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """The polynomial on `terms` as given, neither copied nor checked:
+        exponent tuples of len(variables) mapped to nonzero ints, as the
+        Dwork lift builds them."""
+        poly = object.__new__(cls)
+        poly.vars, poly.terms, poly._hash = variables, terms, None
+        return poly
+
+    @classmethod
     def zero(cls) -> "MultiPoly":
         return cls((), {})
 
@@ -94,8 +108,8 @@ class MultiPoly:
 
     def degree_profile(self, names: frozenset) -> set:
         """Set of total degrees, restricted to the given variables, over all terms."""
-        idx = [i for i, v in enumerate(self.vars) if v in names]
-        return {sum(e[i] for i in idx) for e in self.terms}
+        flags = [v in names for v in self.vars]
+        return {sum(compress(e, flags)) for e in self.terms}
 
     def coefficient(self, exps: Mapping[str, int]):
         """Coefficient of the monomial with the given variable exponents."""
@@ -174,19 +188,13 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "MultiPoly", kill: Callable | None = None) -> "MultiPoly":
-        """Product; `kill(exp) -> bool` drops monomials at creation.
-
-        A kill predicate is only meaningful when both operands already live
-        in the same variable universe.
-        """
+    def mul(self, other: "MultiPoly") -> "MultiPoly":
+        """Product over the union of the two variable tuples."""
         vs, ta, tb = _align(self, other)
         out = {}
         for ea, ca in ta.items():
             for eb, cb in tb.items():
                 e = tuple(map(add, ea, eb))
-                if kill is not None and kill(e):
-                    continue
                 s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
@@ -197,17 +205,18 @@ class MultiPoly:
     def __pow__(self, k: int):
         return self.pow(k)
 
-    def pow(self, k: int, kill: Callable | None = None) -> "MultiPoly":
+    def pow(self, k: int) -> "MultiPoly":
+        """self^k by repeated squaring."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
         result = MultiPoly.const(1)
         base = self
         while k:
             if k & 1:
-                result = result.mul(base, kill)
+                result = result.mul(base)
             k >>= 1
             if k:
-                base = base.mul(base, kill)
+                base = base.mul(base)
         return result
 
     # -- named operations --------------------------------------------------

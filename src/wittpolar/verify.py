@@ -239,15 +239,16 @@ def suite_polarization_invariance(seed, p_filter):
         for n in (1, 2):
             elems = list(iproduct(range(q ** A.dim), repeat=n))
 
-            def decode(idx, alg):
-                return wittmod.witt(alg, [
+            def decode(alg):
+                """Every index tuple as a Witt vector over alg, decoded once
+                and reused in each pair it takes part in."""
+                return [wittmod.witt(alg, [
                     tuple((i // q ** t) % q for t in range(alg.dim))
-                    for i in idx])
-            for ia in elems:
-                for ib in elems:
-                    sa = wittmod.w_add(decode(ia, A), decode(ib, A)).coords
-                    sb = wittmod.w_add(decode(ia, B), decode(ib, B)).coords
-                    if sa != sb:
+                    for i in idx]) for idx in elems]
+            xa, xb = decode(A), decode(B)
+            for a, b in zip(xa, xb):
+                for c, d in zip(xa, xb):
+                    if wittmod.w_add(a, c).coords != wittmod.w_add(b, d).coords:
                         ok = False
         rows.append((f"addition tables agree, q={q}, n<=2", ok, "exhaustive"))
     return rows

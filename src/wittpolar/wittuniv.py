@@ -12,6 +12,13 @@ every generator, the defect D_m = t_m - sum_{i<m} p^i c_i^(p^(m-i)) is
 exactly divisible by p^m and c_m = D_m / p^m.  A failed exact division is
 the detector for a wrong derivation and is never silently patched.
 
+`dwork_lift` runs that recursion on monomials packed into one Python int
+each, a fixed-width bit field per variable, so that multiplying two
+monomials is one integer addition.  The width is derived from the degrees
+of the targets, large enough that no field ever carries (see its
+docstring).  A lift in a monomial quotient evaluates the `kill` predicate
+once per distinct monomial and drops the killed keys from every product.
+
 The resulting sum/negation/product/Frobenius/scalar-action polynomials are
 certified to lie in the free p-polar ring: every monomial has total degree
 congruent to 1 mod p-1 in the Witt-coordinate block, which is what makes
@@ -26,9 +33,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from struct import Struct
 from typing import Callable, Sequence
 
-from .exact import MultiPoly
+from .exact import IntegralityViolation, MultiPoly, var_key
 
 KINDS = ("sum", "neg", "prod", "frob", "scalar")
 
@@ -131,24 +139,111 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
     the killed monomials, which must form an ideal stable under v -> v^p;
     the targets are reduced modulo that ideal here, so callers pass them
     whole.
+
+    The recursion (powers by squaring, subtraction of p^i times each
+    power, exact division by p^m) runs on packed monomials.  Over the
+    sorted union of the targets' variables, the exponent tuple e is the
+    int sum_i e_i << (w * i), so multiplying two monomials adds their keys.
+    The field width w comes from the targets.  With
+    B_m = max(deg t_m, p * B_{m-1}), the power c_i^(p^(m-i)) has degree at
+    most p^(m-i) * B_i <= B_m, and so has c_m.  Every product formed, the
+    squarings inside `power` included, is pw^k with k <= p for a power pw
+    kept from level m-1, so no exponent exceeds B = max_m B_m and a field
+    of at least B.bit_length() bits never carries into the next; w is the
+    least of 8, 16, 32 and 64 bits that holds B, so that one `struct` call
+    unpacks a key.  The targets are packed once and each component
+    unpacked once, at the end, into a MultiPoly taken as built
+    (`MultiPoly._trusted`: its exponents come from the unpacking and its
+    coefficients are nonzero exact quotients).  The targets must have
+    integer coefficients; a remainder of the division raises
+    IntegralityViolation.
+
+    `kill` is called on exponent tuples, once per distinct monomial per
+    lift through a dict from key to bool.  Each product drops its killed
+    keys when it is complete; coefficients only add, so that leaves the
+    same terms as dropping them when they are created.
     """
     if check:
         bad = dwork_congruence_holds(p, targets, kill)
         if bad is not None:
             raise DworkCongruenceFailed(bad)
-    if kill is not None:
-        targets = [_modulo(t, kill) for t in targets]
+    names = tuple(sorted({v for t in targets for v in t.vars}, key=var_key))
+    bound = 0
+    for t in targets:
+        bound = max(max(map(sum, t.terms), default=0), p * bound)
+    size = 1
+    while bound >> (8 * size):
+        size *= 2
+    fields = Struct(f"<{len(names)}{'BHIQ'[size.bit_length() - 1]}")
+    width = 8 * size
+
+    def unpack(key: int) -> tuple:
+        return fields.unpack(key.to_bytes(fields.size, "little"))
+
+    killed: dict = {}
+
+    def live(terms: dict) -> dict:
+        if kill is None:
+            return terms
+        out = {}
+        for e, c in terms.items():
+            k = killed.get(e)
+            if k is None:
+                k = killed[e] = kill(unpack(e))
+            if not k:
+                out[e] = c
+        return out
+
+    def mul(a: dict, b: dict) -> dict:
+        out = {}
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                s = get(e, 0) + ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return live(out)
+
+    def power(base: dict, k: int) -> dict:
+        result = None
+        while k:
+            if k & 1:
+                result = base if result is None else mul(result, base)
+            k >>= 1
+            if k:
+                base = mul(base, base)
+        return result
+
     comps: list = []
     powers: list = []
     for m, t in enumerate(targets):
-        powers = [pw.pow(p, kill) for pw in powers]
-        acc = t
+        pos = [width * names.index(v) for v in t.vars]
+        acc = live({sum(k << s for k, s in zip(e, pos)): c
+                    for e, c in t.terms.items()})
+        powers = [power(pw, p) for pw in powers]
         for i, pw in enumerate(powers):
-            acc = acc - pw * (p ** i)
-        c = acc.divide_exact_int(p ** m)
+            scale = p ** i
+            for e, c in pw.items():
+                s = acc.get(e, 0) - c * scale
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        q = p ** m
+        c = {}
+        for e, a in acc.items():
+            c[e], r = divmod(a, q)
+            if r:
+                raise IntegralityViolation(
+                    f"coefficient {a} of monomial {unpack(e)} not "
+                    f"divisible by {q}")
         comps.append(c)
         powers.append(c)
-    return comps
+    return [MultiPoly._trusted(names, {unpack(e): a for e, a in c.items()})
+            for c in comps]
 
 
 def _targets(p: int, n: int, kind: str) -> list:

@@ -1,14 +1,16 @@
 """Universal Witt polynomials: ghosts, Dwork lifting, certificates."""
 
+import hashlib
 import json
 
 import pytest
 
 from wittpolar.exact import IntegralityViolation, MultiPoly
-from wittpolar.wittuniv import (DworkCongruenceFailed, dwork_congruence_holds,
-                                dwork_lift, ghost_of_coords, ghost_polys,
+from wittpolar.wittuniv import (DworkCongruenceFailed, _modulo, _targets,
+                                dwork_congruence_holds, dwork_lift,
+                                family_to_json, ghost_of_coords, ghost_polys,
                                 polar_degree_check, reduce_mod_p,
-                                universal_polys)
+                                universal_polys, witt_blocks)
 from wittpolar.verify import _ghost_target
 
 
@@ -112,12 +114,36 @@ def test_reduce_mod_p():
 
 
 def test_ghost_round_trips_exact():
-    for p, n in ((2, 3), (3, 3), (5, 2)):
-        for kind in ("sum", "neg", "prod", "frob", "scalar"):
-            coords = [u.poly for u in universal_polys(p, n, kind)]
-            targets = _ghost_target(p, n, kind)
-            for m in range(n):
-                assert ghost_of_coords(p, coords, m) == targets[m]
+    # every family the witt-ring set-up lifts (p = 2, 3 with n <= 4) and
+    # p = 5 with n <= 2; ghost_of_coords multiplies through MultiPoly.pow on
+    # exponent tuples and _ghost_target builds its own targets, so neither
+    # shares code with the packed kernel of dwork_lift
+    for p, top in ((2, 4), (3, 4), (5, 2)):
+        for n in range(1, top + 1):
+            for kind in ("sum", "neg", "prod", "frob", "scalar"):
+                coords = [u.poly for u in universal_polys(p, n, kind)]
+                targets = _ghost_target(p, n, kind)
+                for m in range(n):
+                    assert ghost_of_coords(p, coords, m) == targets[m]
+
+
+# sha256 of the compact sorted-key JSON that `witt-poly` prints, taken from
+# the lift on exponent tuples that the packed kernel replaced
+FAMILY_SHA256 = {
+    (3, 4, "prod"):
+        "cbd1bb3d71cae7090bb5127f409c8b37f32bf8401bb1922b5a396296881a1c95",
+    (3, 4, "scalar"):
+        "ae55b27fef09114d3bc2d7ef778fef8fc3c2776fdaa94478e42d8c6294cc55e4",
+    (2, 4, "sum"):
+        "b10feaf89b1bccd0ff108ac8e71324851bc3a9f17e7bffb3baa5de0268743adf",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FAMILY_SHA256))
+def test_family_bytes_are_pinned(key):
+    family = family_to_json(*key, universal_polys(*key))
+    blob = json.dumps(family, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == FAMILY_SHA256[key]
 
 
 def test_polar_degree_certificates():
@@ -218,3 +244,69 @@ def test_congruence_checked_in_the_kill_quotient():
     kill_deg = lambda e: sum(e) >= 4  # noqa: E731
     comps = dwork_lift(2, [x, x ** 2, MultiPoly.zero()], kill=kill_deg)
     assert comps[0] == x and all(c.is_zero() for c in comps[1:])
+
+
+# The killed monomials of both callers form an ideal stable under v -> v^p,
+# so reducing modulo it is a ring map that commutes with the Frobenius lift
+# and with the ghost map: the lift in the quotient is the image of the full
+# lift, which is the full lift with the killed monomials dropped.
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (3, 4)])
+@pytest.mark.parametrize("kind", ["sum", "prod", "scalar"])
+def test_kill_lift_drops_the_killed_monomials_of_the_full_lift(p, n, kind):
+    # wittmod._plan's cap: Witt-block degree >= L, the scalars a_i free
+    targets = _targets(p, n, kind)
+    full = [u.poly for u in universal_polys(p, n, kind)]
+    blocks = witt_blocks(kind, p)
+    vec = [i for i, v in enumerate(targets[0].vars)
+           if v.rstrip("0123456789") in blocks]
+    for L in (3, 5):
+        def kill(e):
+            return sum(e[i] for i in vec) >= L
+        lifted = dwork_lift(p, targets, kill=kill)
+        assert lifted == [_modulo(c, kill) for c in full]
+        assert any(c != _modulo(c, kill) for c in full)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("op", ["sum", "neg"])
+def test_kill_lift_under_the_cowitt_caps(p, op):
+    # cowitt._window_poly's caps: total degree >= t_total, or degree in the
+    # deep window positions >= t_deep
+    for m in (1, 2, 3):
+        targets = _targets(p, m + 1, op)
+        names = targets[0].vars
+        full = [u.poly for u in universal_polys(p, m + 1, op)]
+        for deep in ((False,) * m + (True,), (False,) + (True,) * m,
+                     (True,) * (m + 1)):
+            flags = deep * (len(names) // (m + 1))
+            for t_total, t_deep in ((None, 2), (4, 2), (3, 9), (6, 3)):
+                def kill(e):
+                    dd = sum(k for k, d in zip(e, flags) if d)
+                    return ((t_total is not None and sum(e) >= t_total)
+                            or dd >= t_deep)
+                lifted = dwork_lift(p, targets, kill=kill)
+                assert lifted == [_modulo(c, kill) for c in full]
+
+
+def test_top_exponent_at_the_field_bound():
+    # x0 has the lowest field and y0 the next, so a carry out of the x0
+    # field would show up as a wrong y0 exponent
+    x, y = V("x0"), V("y0")
+    # B = 3 * 85 = 255 sets every bit of an 8-bit field
+    c0, c1 = dwork_lift(3, [x ** 85 + y, 4 * x ** 255 + y ** 3])
+    assert c0 == x ** 85 + y
+    assert c1 == x ** 255 - x ** 170 * y - x ** 85 * y ** 2
+    # B = 2 * 128 = 256 is the least bound that needs more than 8 bits
+    c0, c1 = dwork_lift(2, [x ** 128 + y, 3 * x ** 256 + y ** 2])
+    assert c0 == x ** 128 + y
+    assert c1 == x ** 256 - x ** 128 * y
+
+
+def test_packed_keys_past_64_bits():
+    # the formal ghosts of one block at p = 2, n = 9 have B = 2^8: nine
+    # fields of at least 9 bits (the full (3, 4, prod) family has twelve of
+    # at least 7, and test_family_bytes_are_pinned covers it)
+    targets = list(ghost_polys(2, 9, "x"))
+    assert len(targets[0].vars) * (2 ** 8).bit_length() > 64
+    assert dwork_lift(2, targets) == [V(f"x{i}") for i in range(9)]
