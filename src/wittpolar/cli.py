@@ -39,7 +39,9 @@ def _dump(obj) -> str:
 
 
 def _emit(obj, out_path):
-    text = _dump(obj)
+    """Write the payload obj, stamped with the format, to out_path or
+    stdout."""
+    text = _dump(dict(obj, format=FORMAT))
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -59,12 +61,6 @@ def _checked(data, where) -> dict:
     if data.get("format", FORMAT) != FORMAT:
         raise CliError(f"unsupported format in {where}")
     return data
-
-
-def _algebra_json(A: PPolarAlgebra) -> dict:
-    out = A.to_json()
-    out["format"] = FORMAT
-    return out
 
 
 # -- subcommands --------------------------------------------------------------
@@ -116,7 +112,6 @@ def cmd_witt_eval(args) -> int:
     result = _eval_expr(A, data["expr"])
     out = result.to_json()
     out["algebra"] = A.to_json()
-    out["format"] = FORMAT
     _emit(out, args.out)
     return 0
 
@@ -126,8 +121,8 @@ def cmd_cw(args) -> int:
     xs = [cowitt.cw_from_json(A, _load(p)) for p in args.inputs]
     if args.op == "validate":
         (x,) = xs
-        out = {"format": FORMAT, "valid": cowitt.cw_validate(x)}
         w = cowitt.witness_search(x)
+        out = {"valid": w is not None}
         if w is not None:
             out["witness"] = list(w)
         _emit(out, args.out)
@@ -147,9 +142,7 @@ def cmd_cw(args) -> int:
         res = cowitt.cw_V(x)
     else:
         raise CliError(f"unknown cw op {args.op!r}")
-    out = res.to_json()
-    out["format"] = FORMAT
-    _emit(out, args.out)
+    _emit(res.to_json(), args.out)
     return 0
 
 
@@ -157,7 +150,6 @@ def cmd_split(args) -> int:
     A = PPolarAlgebra.from_json(_load(args.algebra))
     dec = etale.decompose(A)
     out = dec.to_json()
-    out["format"] = FORMAT
     out["point_count"] = dec.count
     out["orbits"] = [list(o) for o in dec.orbits()]
     _emit(out, args.out)
@@ -180,8 +172,7 @@ def cmd_polarize(args) -> int:
                        f"'table', got {dim!r}")
     table = [[tuple(field.from_coords(c) for c in row_entry)
               for row_entry in row] for row in table]
-    A = polarize(field, table)
-    _emit(_algebra_json(A), args.out)
+    _emit(polarize(field, table).to_json(), args.out)
     return 0
 
 
@@ -196,7 +187,6 @@ def cmd_fgl(args) -> int:
     ok, offenders = fgl.support_check(exp, args.p)
     law = fgl.group_law(log, args.precision, exp)
     out = {
-        "format": FORMAT,
         "p": args.p,
         "precision": args.precision,
         "exp_support_ok": ok,

@@ -160,10 +160,6 @@ def _index(key: str) -> int:
     return i
 
 
-def cw_zero(A: PPolarAlgebra) -> CoWittElement:
-    return CoWittElement(A, A.zero, {}, (0, 0))
-
-
 # -- validity -------------------------------------------------------------------
 
 

@@ -15,13 +15,13 @@ zero or supported on a single prime-field entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import gcd
 
 from .gfq import (FqField, additive_map_kernel, additive_poly_roots, combine,
-                  echelon_reduce, embed, linear_kernel, rref, solve)
+                  echelon_reduce, embed, linear_kernel, rref, solve,
+                  span_elements)
 from .ppolar import (PPolarAlgebra, check_assoc, extend_scalars,
-                     nilradical, quotient)
+                     induced_algebra, nilradical, quotient)
 
 
 class NotReduced(ValueError):
@@ -46,18 +46,14 @@ def _span_coords(field: FqField, rows, v):
 
 def subalgebra(A: PPolarAlgebra, rows) -> PPolarAlgebra:
     """The induced structure on a mu-closed subspace, given by `rref` rows."""
-    from itertools import combinations_with_replacement
-    F = A.field
-    k = len(rows)
-    mu = {}
-    for key in combinations_with_replacement(range(k), A.p):
-        v = A.mu_p([rows[i] for i in key])
-        coords = _span_coords(F, rows, v)
-        if coords is None:
+
+    def coords(v):
+        c = _span_coords(A.field, rows, v)
+        if c is None:
             raise ValueError("subspace is not closed under mu")
-        if any(coords):
-            mu[key] = coords
-    return PPolarAlgebra(F, k, mu)
+        return c
+
+    return induced_algebra(A, rows, coords)
 
 
 def power_dependence(A: PPolarAlgebra, y):
@@ -85,20 +81,6 @@ def _additive_poly(field: FqField, j: int, alphas) -> list:
         t = j - i
         coeffs[t] = field.add(coeffs[t], field.frobenius(alphas[i], t - 1))
     return coeffs
-
-
-def _beta_candidates(field: FqField, basis):
-    """All nonzero F_p-combinations of the root basis, deterministic order."""
-    p = field.p
-    for digits in iproduct(range(p), repeat=len(basis)):
-        if not any(digits):
-            continue
-        acc = 0
-        for d, b in zip(digits, basis):
-            if d:
-                acc = field.add(acc, field.mul(d, b))
-        if acc:
-            yield acc
 
 
 def _build_e(A: PPolarAlgebra, y, j: int, alphas, beta):
@@ -144,7 +126,7 @@ def find_idempotent(A: PPolarAlgebra, y=None) -> IdempotentResult:
         alphas_t = [embed(A.field, Ft, a) for a in alphas]
         coeffs = _additive_poly(Ft, j, alphas_t)
         basis = additive_poly_roots(Ft, coeffs)
-        for beta in _beta_candidates(Ft, basis):
+        for (beta,) in span_elements(Ft, [(b,) for b in basis], Ft.p):
             e = _build_e(At, yt, j, alphas_t, beta)
             if any(e):
                 if At.ppow(e) != e:
@@ -262,12 +244,7 @@ def _proper_split(sub: PPolarAlgebra):
     F = sub.field
     basis = additive_map_kernel(
         F, lambda v: combine(F, (1, F.neg(1)), (sub.ppow(v), v)), sub.dim)
-    for digits in iproduct(range(F.p), repeat=len(basis)):
-        if not any(digits):
-            continue
-        e = combine(F, digits, basis)
-        if not any(e):
-            continue
+    for e in span_elements(F, basis, F.p):
         if sub.ppow(e) != e:
             raise AssertionError("kernel element fails e^p = e")
         (ker, ker_rows), (im, im_rows) = split_once(sub, e)

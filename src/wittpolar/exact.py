@@ -272,22 +272,6 @@ class MultiPoly:
                          {tuple(k * p for k in e): c
                           for e, c in self.terms.items()})
 
-    def divide_exact_int(self, n: int) -> "MultiPoly":
-        """Divide every coefficient exactly by the integer n."""
-        if n == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, int):
-                q, r = divmod(c, n)
-                if r:
-                    raise IntegralityViolation(
-                        f"coefficient {c} of monomial {e} not divisible by {n}")
-                out[e] = q
-            else:
-                out[e] = c / n
-        return MultiPoly(self.vars, out)
-
     def reduce_mod(self, n: int) -> "MultiPoly":
         """Coefficients reduced into [0, n); requires integer coefficients."""
         out = {}

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .exact import MultiPoly, TruncSeries
-from .gfq import _is_prime, combine
+from .gfq import _is_prime, span_elements
 from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
                      vec_is_zero)
 from .wittmod import eval_polar_poly, polar_plan
@@ -190,9 +189,8 @@ class StarGroup:
                                     ("x", "y"))
 
     def elements(self) -> list:
-        F, zero = self.algebra.field, self.algebra.zero
-        return [combine(F, digits, self.nil_basis) if any(digits) else zero
-                for digits in iproduct(range(F.q), repeat=len(self.nil_basis))]
+        F = self.algebra.field
+        return [self.algebra.zero, *span_elements(F, self.nil_basis, F.q)]
 
     def _require_nil(self, v):
         from .gfq import in_span

@@ -18,6 +18,7 @@ for each slot plan and `wittmod.eval_polar_poly` runs).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 _MUL_TABLE_MAX_Q = 256
@@ -331,14 +332,7 @@ def embedding(small: FqField, big: FqField) -> tuple:
         sub_basis = additive_poly_roots(
             big, [big.neg(1)] + [0] * (small.m - 1) + [1])
         root = None
-        from itertools import product as _prod
-        for digits in _prod(range(big.p), repeat=len(sub_basis)):
-            cand = 0
-            for d, b in zip(digits, sub_basis):
-                if d:
-                    cand = big.add(cand, big.mul(d, b))
-            if cand == 0:
-                continue
+        for (cand,) in span_elements(big, [(b,) for b in sub_basis], big.p):
             acc = 0
             for c in reversed(small.modulus):
                 acc = big.add(big.mul(acc, cand), c % big.p)
@@ -552,6 +546,18 @@ def echelon_reduce(field: FqField, rows: Sequence[tuple], v: Sequence[int]):
         if f:
             v = combine(field, (1, field.neg(f)), (v, row))
     return tuple(v)
+
+
+def span_elements(field: FqField, basis: Sequence[Sequence[int]],
+                  digits: int):
+    """Lazily, sum d_i b_i over the basis for every digit tuple (d_i) in
+    range(digits)^k but the zero one, in lexicographic digit order (the
+    first digit most significant).  With digits = p these are the nonzero
+    elements of the F_p-span of an F_p-independent basis, with digits = q
+    those of the F_q-span of an F_q-independent one."""
+    for ds in product(range(digits), repeat=len(basis)):
+        if any(ds):
+            yield combine(field, ds, basis)
 
 
 def in_span(field: FqField, rows: Sequence[tuple], v: Sequence[int]) -> bool:

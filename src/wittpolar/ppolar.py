@@ -504,6 +504,17 @@ def _length_threshold(A: PPolarAlgebra, span: tuple):
 # -- quotients and scalar extension ------------------------------------------
 
 
+def induced_algebra(A: PPolarAlgebra, vectors: Sequence[Sequence[int]],
+                    coords) -> PPolarAlgebra:
+    """The structure mu induces on new coordinates: basis vector i is
+    vectors[i], and mu of a sorted p-multiset of them is `coords` of A's
+    mu of those vectors.  `coords` maps a vector of A to its coordinates on
+    `vectors`, and may raise where it has none."""
+    mu = {key: coords(A.mu_p([vectors[i] for i in key])) for key in
+          combinations_with_replacement(range(len(vectors)), A.p)}
+    return PPolarAlgebra(A.field, len(vectors), mu)
+
+
 def quotient(A: PPolarAlgebra, I: PolarIdeal):
     """(B, project, lift): the induced structure on A/I.
 
@@ -513,7 +524,6 @@ def quotient(A: PPolarAlgebra, I: PolarIdeal):
     F = A.field
     pivots = [next(i for i, c in enumerate(row) if c) for row in I.basis]
     comp = [i for i in range(A.dim) if i not in pivots]
-    dB = len(comp)
 
     def project(v):
         res = echelon_reduce(F, I.basis, v)
@@ -525,12 +535,7 @@ def quotient(A: PPolarAlgebra, I: PolarIdeal):
             v[i] = c
         return tuple(v)
 
-    mu = {}
-    for key in combinations_with_replacement(range(dB), A.p):
-        val = project(A.mu_p([A.basis_vector(comp[i]) for i in key]))
-        if any(val):
-            mu[key] = val
-    B = PPolarAlgebra(F, dB, mu)
+    B = induced_algebra(A, [A.basis_vector(i) for i in comp], project)
     ok, witness = check_assoc(B)
     if not ok:
         raise AssertionError(f"quotient lost associativity: {witness}")

@@ -9,10 +9,9 @@ is deterministic given an explicit random.Random instance.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
 
 from .gfq import FqField, embed, gf_build, invert, mat_vec, rank
-from .ppolar import PPolarAlgebra, polarize
+from .ppolar import PPolarAlgebra, induced_algebra, polarize
 
 
 def unital_poly_table(field: FqField, N: int) -> list:
@@ -139,13 +138,7 @@ def scramble(A: PPolarAlgebra, rng: random.Random) -> PPolarAlgebra:
     T = random_invertible(rng, F, d)
     Tcols = [tuple(T[r][c] for r in range(d)) for c in range(d)]
     Tinv_rows = invert(F, T)
-    mu = {}
-    for key in combinations_with_replacement(range(d), A.p):
-        v = A.mu_p([Tcols[i] for i in key])
-        w = mat_vec(F, Tinv_rows, v)
-        if any(w):
-            mu[key] = w
-    return PPolarAlgebra(F, d, mu)
+    return induced_algebra(A, Tcols, lambda v: mat_vec(F, Tinv_rows, v))
 
 
 def random_vector(rng: random.Random, A: PPolarAlgebra) -> tuple:

@@ -1,7 +1,9 @@
 """CLI subcommands, file formats, exit codes, determinism."""
 
 import json
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,9 @@ from wittpolar.gfq import gf_build
 from wittpolar.ppolar import ideal_power_nilpotent
 
 F2 = gf_build(2, 1)
+F3 = gf_build(3, 1)
+F4 = gf_build(2, 2)
+DATA = Path(__file__).with_name("data")
 
 
 def run(capsys, *argv):
@@ -132,6 +137,58 @@ def test_polarize_zero_mu_example(capsys, tmp_path):
                                 "table": table_json}))
     rc, out, _ = run(capsys, "polarize", str(path))
     assert rc == 0 and json.loads(out)["mu"] == []
+
+
+# The algebras behind the golden `split` inputs under tests/data.  The
+# `verify` suites check only point counts and orbits; these outputs also
+# pin the factor rows, which depend on the order in which idempotents and
+# roots are enumerated.
+SPLIT_GOLDEN = {
+    "split_scrambled_f3_cubed": lambda: samples.scramble(
+        samples.split_polar(F3, 3), random.Random(3)),
+    "split_f16_over_f4": lambda: samples.field_ext_polar(F4, 2),
+    "split_f8_over_f2": lambda: samples.field_ext_polar(F2, 3),
+    "split_scrambled_f9_plus_nil": lambda: samples.scramble(
+        samples.polar_direct_sum(samples.field_ext_polar(F3, 2),
+                                 samples.trunc_nil_polar(F3, 3)),
+        random.Random(9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GOLDEN))
+def test_split_output_matches_golden_bytes(capsys, name):
+    data = json.loads((DATA / f"{name}.json").read_text())
+    assert data == dict(SPLIT_GOLDEN[name]().to_json(), format="wittpolar/1")
+    rc, out, err = run(capsys, "split", str(DATA / f"{name}.json"))
+    assert rc == 0 and err == ""
+    assert out == (DATA / f"{name}.out.json").read_text()
+
+
+def test_polarize_output_matches_golden_bytes(capsys):
+    # F_9 x x F_3[x]/(x^5) over F_3, as one multiplication table
+    data = json.loads((DATA / "polarize_f9_times_nil.json").read_text())
+    table = samples.product_table(F3, [samples.field_ext_table(F3, 2),
+                                       samples.nil_poly_table(F3, 5)])
+    assert data["table"] == [[[list(F3.coords(c)) for c in entry]
+                              for entry in row] for row in table]
+    rc, out, err = run(capsys, "polarize",
+                       str(DATA / "polarize_f9_times_nil.json"))
+    assert rc == 0 and err == ""
+    assert out == (DATA / "polarize_f9_times_nil.out.json").read_text()
+
+
+def test_cw_validate_prints_the_minimal_witness_when_the_stored_one_fails(
+        capsys, tmp_path, algebra_file):
+    # the tail x generates all of x F_2[x]/(x^4), so the stored (0, 0) is
+    # false; its square (x^2, x^3) squares to zero, so (0, 2) holds
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"format": "wittpolar/1",
+                                  "tail": [[1], [0], [0]],
+                                  "witness": [0, 0]}))
+    rc, out, err = run(capsys, "cw", "validate", "--algebra",
+                       str(algebra_file), str(x_path))
+    assert rc == 0 and err == ""
+    assert out == '{"format":"wittpolar/1","valid":true,"witness":[0,2]}\n'
 
 
 def test_fgl_subcommand(capsys):

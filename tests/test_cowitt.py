@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wittpolar import cowitt, samples
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
-                              cw_validate, cw_zero, stabilized_entry,
+                              cw_validate, stabilized_entry,
                               witness_search)
 from wittpolar.gfq import gf_build
 from wittpolar.wittmod import truncate, w_add, witt
@@ -35,7 +35,7 @@ def rand_cw(A, rng, maxdepth=3):
 
 
 def test_zero_element_valid():
-    z = cw_zero(A2)
+    z = CoWittElement(A2, A2.zero)
     assert cw_validate(z)
     assert witness_search(z) == (0, 0)
 
@@ -66,7 +66,7 @@ def test_add_zero_neutral():
     rng = random.Random(5)
     for A in (A2, A3):
         x = rand_cw(A, rng)
-        s = cw_add(x, cw_zero(A))
+        s = cw_add(x, CoWittElement(A, A.zero))
         assert s.tail == x.tail and s.exceptions == x.exceptions
 
 
@@ -150,7 +150,7 @@ def test_validation_required_for_add():
     B = samples.split_polar(F2, 1)
     bad = CoWittElement(B, (1,), {}, (0, 3))
     with pytest.raises(ValueError):
-        cw_add(bad, cw_zero(B))
+        cw_add(bad, CoWittElement(B, B.zero))
 
 
 def test_mixed_algebra_with_unit_component():
