@@ -1,19 +1,18 @@
 """Exact arithmetic for p-polar rings, p-typical Witt and co-Witt vectors,
 idempotent splitting of reduced algebras, and p-typical formal group laws."""
 
-from .exact import IntegralityViolation, MultiPoly, Rational, TruncSeries
+from .exact import MultiPoly, Rational, TruncSeries
 from .gfq import (FqField, additive_poly_roots, combine, embed, gf_build,
                   linear_kernel, mat_vec, semilinear_kernel)
 from .ppolar import (LengthNotAdmissible, PolarIdeal, PPolarAlgebra,
                      check_assoc, extend_scalars, free_polar_basis,
-                     ideal_generated, ideal_power_nilpotent,
-                     nilpotence_index, nilradical, polarize, quotient)
-from .wittuniv import (DworkCongruenceFailed, UnivWittPoly, dwork_lift,
-                       ghost_polys, polar_degree_check, reduce_mod_p,
-                       universal_polys)
+                     ideal_generated, nilpotence_index, nilradical,
+                     polarize, quotient)
+from .wittuniv import (DworkCongruenceFailed, dwork_lift, ghost_polys,
+                       polar_degree_check, universal_polys)
 from .wittmod import (WittVector, frobenius_charp, scalar_mul, teichmuller,
                       verschiebung, w_add, w_neg, w_product, witt)
-from .cowitt import CoWittElement, cw_add, cw_F, cw_V, cw_validate
+from .cowitt import CoWittElement, cw_add, cw_F, cw_V
 from .etale import (Decomposition, ExtensionCapExceeded, NotAMorphism,
                     NotReduced, decompose, find_idempotent, geometric_points,
                     hom_check, phi_matrix, split_once)

@@ -128,7 +128,7 @@ def cmd_cw(args) -> int:
         _emit(out, args.out)
         return 0
     for x, path in zip(xs, args.inputs):
-        if not cowitt.cw_validate(x):
+        if cowitt.witness_search(x) is None:
             raise CliError(f"{path} is not a valid co-Witt element: no "
                            f"witness (r, s) makes its deep ideal nilpotent")
     if args.op == "add":
@@ -176,12 +176,8 @@ def cmd_polarize(args) -> int:
     return 0
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def cmd_fgl(args) -> int:
-    coeffs = tuple(_parse_rational(c) for c in args.log_coeffs.split(","))
+    coeffs = tuple(map(Fraction, args.log_coeffs.split(",")))
     log = fgl.PTypicalLog(args.p, args.precision, coeffs)
     exp = fgl.exp_from_log(log)
     ok, offenders = fgl.support_check(exp, args.p)

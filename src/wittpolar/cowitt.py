@@ -10,8 +10,8 @@ eventual value of the level-m sum component evaluated on the windows
 (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  The windowed
 polynomials are produced by `wittuniv.dwork_lift`, run inside a quotient of
 Z[window variables] by a monomial ideal; such quotients stay torsion free
-and carry the v -> v^p lift, so the recursion's exact divisions and its
-congruence check survive verbatim, while two sound kill rules keep the
+and carry the v -> v^p lift, so the recursion's exact divisions, which are
+its congruence check, survive verbatim, while two sound kill rules keep the
 polynomials tiny:
 
   * if the span of every window value is nilpotent, monomials die at
@@ -65,8 +65,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
-                     ideal_power_nilpotent, nilpotence_index,
-                     product_length_threshold, vec_is_zero)
+                     nilpotence_index, product_length_threshold,
+                     vec_is_zero)
 from .wittmod import eval_polar_poly, polar_plan
 from .wittuniv import _targets, dwork_lift
 
@@ -177,15 +177,6 @@ def witness_search(x: CoWittElement):
     return None
 
 
-def cw_validate(x: CoWittElement) -> bool:
-    """Check the stored witness; search small (r, s) if it fails."""
-    r, s = x.witness
-    if r >= 0 and s >= 0 and ideal_power_nilpotent(
-            x.algebra, _deep_ideal(x, r), s):
-        return True
-    return witness_search(x) is not None
-
-
 def _settled(x: CoWittElement) -> CoWittElement:
     """The element with its witness replaced by the minimal valid one."""
     w = witness_search(x)
@@ -207,7 +198,7 @@ def _window_poly(p: int, m: int, op: str, deep: tuple, caps: tuple) -> tuple:
     `deep[i]` flags window position i, and `caps` = (t_total, t_deep).  The
     ghost targets of `op` at length m+1 (`wittuniv._targets`) are lifted by
     `dwork_lift` inside the monomial quotient cut out by the kill rules,
-    congruence check included.
+    whose divisions check the congruence there.
     """
     if op not in ("sum", "neg"):
         raise ValueError(f"unknown windowed op {op!r}")

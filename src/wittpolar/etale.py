@@ -115,9 +115,7 @@ def find_idempotent(A: PPolarAlgebra, y=None) -> IdempotentResult:
         raise NotReduced("algebra has nonzero nilradical")
     if A.dim == 0:
         raise NotReduced("zero algebra has no idempotent")
-    ys = [tuple(y)] if y is not None else [A.basis_vector(i)
-                                           for i in range(A.dim)]
-    y0 = ys[0]
+    y0 = tuple(y) if y is not None else A.basis_vector(0)
     j, alphas = power_dependence(A, y0)
     for t in range(1, A.p ** j + 1):
         At = extend_scalars(A, t)

@@ -35,10 +35,6 @@ Rational = Fraction
 _BLOCK_RANK = {"x": 0, "y": 1, "z": 2, "u": 3, "v": 4, "a": 6}
 
 
-class IntegralityViolation(ArithmeticError):
-    """An exact integer division hit a coefficient it does not divide."""
-
-
 def var_key(name: str) -> tuple:
     """Canonical sort key for a variable name (block rank, block, index)."""
     head = name.rstrip("0123456789")

@@ -141,14 +141,10 @@ def _extend(log: PTypicalLog, D: int) -> tuple:
     return tuple(coeffs)
 
 
-def law_polynomial(law: BivariateLaw) -> MultiPoly:
-    return MultiPoly(("x", "y"), {ab: c for ab, c in law.terms})
-
-
 def law_associative(law: BivariateLaw) -> bool:
     """F(F(x,y),z) = F(x,F(y,z)) to the law's precision."""
     D = law.prec
-    F = law_polynomial(law)
+    F = MultiPoly(("x", "y"), dict(law.terms))
     x, y, z = (MultiPoly.variable(v) for v in ("x", "y", "z"))
     fyz = F.substitute({"x": y, "y": z})
     left = F.substitute({"x": F, "y": z}, D)

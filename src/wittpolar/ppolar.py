@@ -437,12 +437,6 @@ def nilpotence_index(A: PPolarAlgebra, I: PolarIdeal):
     return memo[query]
 
 
-def ideal_power_nilpotent(A: PPolarAlgebra, I: PolarIdeal, s: int) -> bool:
-    """True iff the s-fold iterated polar power of I vanishes."""
-    index = nilpotence_index(A, I)
-    return index is not None and index <= s
-
-
 def nilradical(A: PPolarAlgebra) -> PolarIdeal:
     """All x with x^(p^N) = 0: kernel of the d-fold iterated p-power map.
 

@@ -3,9 +3,9 @@
 Every suite returns (name, ok, detail) rows, is deterministic for a fixed
 seed, and prints nothing itself; the CLI renders one pass/fail line per
 row.  Oracles here are independent of the code paths they check: ghost
-recomposition against freshly built ghost targets, brute-force point
-enumeration for honest algebras, windowed co-Witt sums recomputed at two
-offsets, and hand-expanded identities.
+recomposition through `MultiPoly.pow` against the targets the lift
+started from, brute-force point enumeration for honest algebras, windowed
+co-Witt sums recomputed at two offsets, and hand-expanded identities.
 """
 
 from __future__ import annotations
@@ -18,36 +18,11 @@ from math import factorial
 from . import cowitt, etale, fgl, samples, wittmod
 from .exact import MultiPoly
 from .gfq import gf_build
-from .wittuniv import (KINDS, block_vars, ghost_of_coords, ghost_polys,
-                       universal_polys, witt_blocks, polar_degree_check,
-                       dwork_lift, DworkCongruenceFailed)
+from .wittuniv import (KINDS, _targets, block_vars, ghost_of_coords,
+                       universal_polys, polar_degree_check, dwork_lift,
+                       DworkCongruenceFailed)
 
 ENVELOPE = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
-
-
-def _ghost_target(p, n, kind):
-    if kind == "sum":
-        gx, gy = ghost_polys(p, n, "x"), ghost_polys(p, n, "y")
-        return [gx[m] + gy[m] for m in range(n)]
-    if kind == "neg":
-        gx = ghost_polys(p, n, "x")
-        return [-gx[m] for m in range(n)]
-    if kind == "prod":
-        gs = [ghost_polys(p, n, b) for b in witt_blocks("prod", p)]
-        out = []
-        for m in range(n):
-            acc = gs[0][m]
-            for g in gs[1:]:
-                acc = acc * g[m]
-            out.append(acc)
-        return out
-    if kind == "frob":
-        gx = ghost_polys(p, n + 1, "x")
-        return [gx[m + 1] for m in range(n)]
-    if kind == "scalar":
-        ga, gx = ghost_polys(p, n, "a"), ghost_polys(p, n, "x")
-        return [ga[m] * gx[m] for m in range(n)]
-    raise ValueError(kind)
 
 
 def suite_ghost_roundtrip(seed, p_filter):
@@ -56,9 +31,8 @@ def suite_ghost_roundtrip(seed, p_filter):
         if p_filter and p != p_filter:
             continue
         for kind in KINDS:
-            polys = universal_polys(p, n, kind)
-            coords = [u.poly for u in polys]
-            targets = _ghost_target(p, n, kind)
+            coords = universal_polys(p, n, kind)
+            targets = _targets(p, n, kind)
             ok = all(ghost_of_coords(p, coords, m) == targets[m]
                      for m in range(n))
             rows.append((f"ghost round trip p={p} n={n} {kind}", ok, "exact over Z"))
@@ -71,7 +45,8 @@ def suite_polar_degree(seed, p_filter):
         if p_filter and p != p_filter:
             continue
         for kind in KINDS:
-            ok = all(polar_degree_check(u) for u in universal_polys(p, n, kind))
+            ok = all(polar_degree_check(p, kind, c)
+                     for c in universal_polys(p, n, kind))
             rows.append((f"free polar membership p={p} n={n} {kind}", ok,
                          "all degrees = 1 mod p-1"))
     return rows
@@ -84,7 +59,7 @@ def _sym_bind(polys, blocks_to_coords, n):
         for block, coords in blocks_to_coords.items():
             for name, c in zip(block_vars(block, n + 1), coords):
                 bind[name] = c
-        out.append(q.poly.substitute(bind))
+        out.append(q.substitute(bind))
     return out
 
 
@@ -399,7 +374,8 @@ def suite_cowitt(seed, p_filter):
                 return cowitt.CoWittElement(
                     A, samples.random_vector(rng, A), exc, (0, 2))
             x, y = rnd(), rnd()
-            if not (cowitt.cw_validate(x) and cowitt.cw_validate(y)):
+            if (cowitt.witness_search(x) is None
+                    or cowitt.witness_search(y) is None):
                 ok = False
                 continue
             s = cowitt.cw_add(x, y)

@@ -39,8 +39,7 @@ from typing import Sequence
 from .gfq import FqField
 from .ppolar import (LengthNotAdmissible, PPolarAlgebra, product_length,
                      vec_is_zero)
-from .wittuniv import (_targets, dwork_lift, reduce_mod_p, universal_polys,
-                       witt_blocks)
+from .wittuniv import _targets, dwork_lift, universal_polys, witt_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,13 +251,13 @@ def _plan(p: int, n: int, kind: str, L):
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
     if L is None:
-        polys = reduce_mod_p(universal_polys(p, n, kind))
+        polys = universal_polys(p, n, kind)
     else:
         targets = _targets(p, n, kind)
         vec = [i for i, v in enumerate(targets[0].vars) if v not in scalars]
-        polys = [c.reduce_mod(p) for c in dwork_lift(
-            p, targets, kill=lambda e: sum(e[i] for i in vec) >= L)]
-    return polar_plan(p, polys, names, scalars)
+        polys = dwork_lift(p, targets,
+                           kill=lambda e: sum(e[i] for i in vec) >= L)
+    return polar_plan(p, [c.reduce_mod(p) for c in polys], names, scalars)
 
 
 def _check_pair(x: WittVector, y: WittVector):

@@ -6,11 +6,14 @@ coordinate block b are
     w_m(b) = sum_{i=0}^{m} p^i * b_i^(p^(m-i)),
 
 and a target sequence of ghost polynomials is lifted back to coordinate
-polynomials by the constructive congruence recursion: once
-t_m = phi(t_{m-1}) (mod p^m) holds, with phi the substitution v -> v^p on
-every generator, the defect D_m = t_m - sum_{i<m} p^i c_i^(p^(m-i)) is
-exactly divisible by p^m and c_m = D_m / p^m.  A failed exact division is
-the detector for a wrong derivation and is never silently patched.
+polynomials by the constructive congruence recursion: with c_0..c_{m-1}
+lifted, the defect D_m = t_m - sum_{i<m} p^i c_i^(p^(m-i)) gives
+c_m = D_m / p^m.  Because c^p = phi(c) mod p, with phi the substitution
+v -> v^p on every generator, D_m = t_m - phi(t_{m-1}) mod p^m, so the
+division at level m is exact if and only if Dwork's congruence
+t_m = phi(t_{m-1}) mod p^m holds there (Hazewinkel, Witt vectors. Part 1,
+2009).  A failed division is therefore the congruence check itself: it
+raises `DworkCongruenceFailed` at that level and is never patched.
 
 `dwork_lift` runs that recursion on monomials packed into one Python int
 each, a fixed-width bit field per variable, so that multiplying two
@@ -18,6 +21,9 @@ monomials is one integer addition.  The width is derived from the degrees
 of the targets, large enough that no field ever carries (see its
 docstring).  A lift in a monomial quotient evaluates the `kill` predicate
 once per distinct monomial and drops the killed keys from every product.
+The same converse holds in the quotient when the killed set is stable
+under v -> v^p, so the lift tests that stability on each target's killed
+monomials and otherwise lets its divisions check the congruence.
 
 The resulting sum/negation/product/Frobenius/scalar-action polynomials are
 certified to lie in the free p-polar ring: every monomial has total degree
@@ -32,11 +38,10 @@ in-process memo.  Nothing is read from or written to disk.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from struct import Struct
 from typing import Callable, Sequence
 
-from .exact import IntegralityViolation, MultiPoly, var_key
+from .exact import MultiPoly, var_key
 
 KINDS = ("sum", "neg", "prod", "frob", "scalar")
 
@@ -51,16 +56,6 @@ class DworkCongruenceFailed(ValueError):
     def __init__(self, level: int, message: str | None = None):
         self.level = level
         super().__init__(message or f"congruence failed at level {level}")
-
-
-@dataclass(frozen=True)
-class UnivWittPoly:
-    """One coordinate polynomial of a universal Witt operation."""
-
-    kind: str
-    level: int
-    p: int
-    poly: MultiPoly
 
 
 def block_vars(block: str, n: int) -> list:
@@ -94,51 +89,18 @@ def ghost_polys(p: int, n: int, block: str = "a") -> tuple:
         for m in range(n))
 
 
-def dwork_congruence_holds(p: int, targets: Sequence[MultiPoly],
-                           kill: Callable | None = None):
-    """Level of the first failed congruence, or None if all hold.
-
-    With `kill`, the congruence is taken in the quotient by the killed
-    monomials: the targets and the Frobenius images drop them before the
-    comparison.  That quotient carries v -> v^p only if the killed set is
-    stable under it, so a target that drops a monomial whose image
-    survives fails its level (level 1 for the first target).
-    """
-    if kill is not None:
-        targets = [_modulo(t, kill, p) for t in targets]
-    for m in range(1, len(targets)):
-        if targets[m - 1] is None or targets[m] is None:
-            return m
-        frob = targets[m - 1].frobenius_vars(p)
-        if kill is not None:
-            frob = _modulo(frob, kill)
-        if not (targets[m] - frob).divisible_by(p ** m):
-            return m
-    return None
-
-
-def _modulo(poly: MultiPoly, kill: Callable, p: int | None = None):
-    """poly without its killed monomials; with p, None instead if a killed
-    monomial's image under v -> v^p is not killed."""
-    kept = {}
-    for e, c in poly.terms.items():
-        if not kill(e):
-            kept[e] = c
-        elif p is not None and not kill(tuple(k * p for k in e)):
-            return None
-    return MultiPoly(poly.vars, kept)
-
-
-def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
+def dwork_lift(p: int, targets: Sequence[MultiPoly],
                kill: Callable | None = None) -> list:
     """Unique coordinate polynomials c with w(c) = targets.
 
-    With `check`, the congruence is verified first and a violation raises
-    DworkCongruenceFailed; the exact division can then never fail.  A
-    `kill(exp) -> bool` predicate lifts inside the quotient of Z[vars] by
-    the killed monomials, which must form an ideal stable under v -> v^p;
-    the targets are reduced modulo that ideal here, so callers pass them
-    whole.
+    The division by p^m at level m leaves a remainder exactly when
+    t_m = phi(t_{m-1}) mod p^m fails (see the module docstring), and then
+    raises DworkCongruenceFailed(m).  A `kill(exp) -> bool` predicate lifts
+    inside the quotient of Z[vars] by the killed monomials, which must form
+    an ideal stable under v -> v^p; the targets are reduced modulo that
+    ideal here, so callers pass them whole.  A killed monomial of t_m whose
+    image under v -> v^p is not killed shows that the quotient does not
+    carry phi, and raises DworkCongruenceFailed(max(m, 1)).
 
     The recursion (powers by squaring, subtraction of p^i times each
     power, exact division by p^m) runs on packed monomials.  Over the
@@ -155,18 +117,14 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
     unpacked once, at the end, into a MultiPoly taken as built
     (`MultiPoly._trusted`: its exponents come from the unpacking and its
     coefficients are nonzero exact quotients).  The targets must have
-    integer coefficients; a remainder of the division raises
-    IntegralityViolation.
+    integer coefficients.
 
     `kill` is called on exponent tuples, once per distinct monomial per
-    lift through a dict from key to bool.  Each product drops its killed
-    keys when it is complete; coefficients only add, so that leaves the
-    same terms as dropping them when they are created.
+    lift through a dict from key to bool, and on the image of each killed
+    target monomial.  Each product drops its killed keys when it is
+    complete; coefficients only add, so that leaves the same terms as
+    dropping them when they are created.
     """
-    if check:
-        bad = dwork_congruence_holds(p, targets, kill)
-        if bad is not None:
-            raise DworkCongruenceFailed(bad)
     names = tuple(sorted({v for t in targets for v in t.vars}, key=var_key))
     bound = 0
     for t in targets:
@@ -221,8 +179,12 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
     powers: list = []
     for m, t in enumerate(targets):
         pos = [width * names.index(v) for v in t.vars]
-        acc = live({sum(k << s for k, s in zip(e, pos)): c
-                    for e, c in t.terms.items()})
+        packed = {sum(k << s for k, s in zip(e, pos)): c
+                  for e, c in t.terms.items()}
+        acc = live(packed)
+        if any(not kill(tuple(p * k for k in unpack(e)))
+               for e in packed.keys() - acc.keys()):
+            raise DworkCongruenceFailed(max(m, 1))
         powers = [power(pw, p) for pw in powers]
         for i, pw in enumerate(powers):
             scale = p ** i
@@ -237,9 +199,7 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly], check: bool = True,
         for e, a in acc.items():
             c[e], r = divmod(a, q)
             if r:
-                raise IntegralityViolation(
-                    f"coefficient {a} of monomial {unpack(e)} not "
-                    f"divisible by {q}")
+                raise DworkCongruenceFailed(m)
         comps.append(c)
         powers.append(c)
     return [MultiPoly._trusted(names, {unpack(e): a for e, a in c.items()})
@@ -273,26 +233,25 @@ def _targets(p: int, n: int, kind: str) -> list:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def polar_degree_check(upoly: UnivWittPoly) -> bool:
-    """Every monomial has Witt-block degree = 1 mod (p-1).
+def polar_degree_check(p: int, kind: str, poly: MultiPoly) -> bool:
+    """Every monomial of a `kind` polynomial has Witt-block degree
+    = 1 mod (p-1).
 
     This is the certificate that the polynomial lives in the free p-polar
     ring and can be evaluated on p-polar algebras; for the scalar action it
     constrains the x-block only.
     """
-    p = upoly.p
     if p == 2:
         return True
-    blocks = witt_blocks(upoly.kind, p)
-    names = frozenset(v for v in upoly.poly.vars
+    blocks = witt_blocks(kind, p)
+    names = frozenset(v for v in poly.vars
                       if v.rstrip("0123456789") in blocks)
-    degs = upoly.poly.degree_profile(names)
-    return all(d % (p - 1) == 1 % (p - 1) for d in degs)
+    return all(d % (p - 1) == 1 for d in poly.degree_profile(names))
 
 
-def family_to_json(p: int, n: int, kind: str, polys: Sequence[UnivWittPoly]) -> dict:
+def family_to_json(p: int, n: int, kind: str, polys: Sequence[MultiPoly]) -> dict:
     return {"format": FORMAT, "p": p, "n": n, "kind": kind,
-            "levels": [u.poly.to_json() for u in polys]}
+            "levels": [c.to_json() for c in polys]}
 
 
 _memo: dict = {}
@@ -301,7 +260,7 @@ _memo: dict = {}
 def universal_polys(p: int, n: int, kind: str) -> list:
     """The universal polynomials for one Witt operation, lifted from their
     ghost targets on the first call for (p, n, kind) in a process and then
-    served from an in-process memo."""
+    served from an in-process memo: one MultiPoly over Z per coordinate."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     from .gfq import _is_prime
@@ -315,19 +274,13 @@ def universal_polys(p: int, n: int, kind: str) -> list:
     key = (p, n, kind)
     if key in _memo:
         return _memo[key]
-    comps = dwork_lift(p, _targets(p, n, kind))
-    polys = [UnivWittPoly(kind, m, p, c) for m, c in enumerate(comps)]
-    for u in polys:
-        if not polar_degree_check(u):
+    polys = dwork_lift(p, _targets(p, n, kind))
+    for m, c in enumerate(polys):
+        if not polar_degree_check(p, kind, c):
             raise AssertionError(
-                f"{kind} level {u.level} escaped the free p-polar ring")
+                f"{kind} level {m} escaped the free p-polar ring")
     _memo[key] = polys
     return polys
-
-
-def reduce_mod_p(polys: Sequence[UnivWittPoly]) -> list:
-    """Coefficientwise reduction to F_p for evaluation in characteristic p."""
-    return [u.poly.reduce_mod(u.p) for u in polys]
 
 
 def ghost_of_coords(p: int, coords: Sequence[MultiPoly], level: int) -> MultiPoly:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from wittpolar import cowitt, samples
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
-                              cw_validate, stabilized_entry,
-                              witness_search)
+                              stabilized_entry, witness_search)
 from wittpolar.gfq import gf_build
+from wittpolar.ppolar import nilpotence_index
 from wittpolar.wittmod import truncate, w_add, witt
 
 F2 = gf_build(2, 1)
@@ -36,28 +36,26 @@ def rand_cw(A, rng, maxdepth=3):
 
 def test_zero_element_valid():
     z = CoWittElement(A2, A2.zero)
-    assert cw_validate(z)
     assert witness_search(z) == (0, 0)
 
 
 def test_unit_tail_invalid_over_field():
     B = samples.split_polar(F2, 1)
     x = CoWittElement(B, (1,), {}, (0, 0))
-    assert not cw_validate(x)
     assert witness_search(x) is None
 
 
 def test_field_elements_have_finite_support():
     B = samples.split_polar(F3, 1)
     x = CoWittElement(B, (0,), {0: (2,), -1: (1,)}, (0, 0))
-    assert cw_validate(x)
+    assert witness_search(x) is not None
 
 
 def test_spec_witness_example():
     # tail x^2 with exception x at index 0: (r, s) = (1, 1) works because
     # (x^2)^2 = 0 and the index-0 exception sits above -r
     x = CoWittElement(A2, (0, 1, 0), {0: (1, 0, 0)}, (1, 1))
-    assert cw_validate(x)
+    assert nilpotence_index(A2, cowitt._deep_ideal(x, 1)) == 1
     # the automatic search prefers the smallest r, where s = 2 is needed
     assert witness_search(x) == (0, 2)
 
@@ -160,7 +158,7 @@ def test_mixed_algebra_with_unit_component():
                                  samples.trunc_nil_polar(F2, 3))
     x = CoWittElement(M, (0, 1, 0), {0: (1, 0, 0)}, (1, 2))
     y = CoWittElement(M, (0, 0, 1), {0: (1, 1, 0), -1: (0, 1, 1)}, (1, 1))
-    assert cw_validate(x) and cw_validate(y)
+    assert witness_search(x) is not None and witness_search(y) is not None
     s = cw_add(x, y)
     assert cw_add(y, x) == s
     t = stabilized_entry([x, y], 0, "sum", start_m=1)
@@ -213,14 +211,18 @@ def test_memo_entry_reused_across_values():
 
 
 def test_memo_builder_keeps_the_congruence_check(monkeypatch):
-    from wittpolar import wittuniv
-    from wittpolar.wittuniv import DworkCongruenceFailed
+    from wittpolar.wittuniv import DworkCongruenceFailed, _targets
+
+    def broken(p, n, op):
+        # a constant 1 added to t_1 breaks t_1 = phi(t_0) mod p
+        t = _targets(p, n, op)
+        return [t[0], t[1] + 1] + t[2:]
     key = (2, 2, "sum", (True, False, False), (None, 4))
     cowitt._window_poly.cache_clear()
-    monkeypatch.setattr(wittuniv, "dwork_congruence_holds",
-                        lambda p, targets, kill=None: 1)
-    with pytest.raises(DworkCongruenceFailed):
+    monkeypatch.setattr(cowitt, "_targets", broken)
+    with pytest.raises(DworkCongruenceFailed) as err:
         cowitt._window_poly(*key)
+    assert err.value.level == 1
     monkeypatch.undo()
     # the failure was not memoized: the same key now builds
     assert cowitt._window_poly.cache_info().currsize == 0

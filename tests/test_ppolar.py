@@ -15,8 +15,8 @@ from wittpolar import ppolar, samples
 from wittpolar.gfq import gf_build, in_span
 from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
-                              ideal_generated, ideal_power_nilpotent,
-                              nilpotence_index, nilradical, polarize,
+                              ideal_generated, nilpotence_index,
+                              nilradical, polarize,
                               product_length, product_length_threshold,
                               quotient)
 
@@ -146,12 +146,12 @@ def test_ideal_examples():
 def test_ideal_power_nilpotent():
     A = samples.trunc_nil_polar(F2, 4)
     I = ideal_generated(A, [A.basis_vector(0)])
-    assert ideal_power_nilpotent(A, I, 2)          # (I^2)^2 = 0
-    assert not ideal_power_nilpotent(A, I, 1)      # I^2 = span{x^2, x^3}
+    # I^2 = span{x^2, x^3} is nonzero and (I^2)^2 = 0
+    assert nilpotence_index(A, I) == 2
     Z = ideal_generated(A, [])
-    assert ideal_power_nilpotent(A, Z, 0)
+    assert nilpotence_index(A, Z) == 0
     B = samples.split_polar(F2, 1)
-    assert not ideal_power_nilpotent(B, ideal_generated(B, [(1,)]), 5)
+    assert nilpotence_index(B, ideal_generated(B, [(1,)])) is None
 
 
 def test_nilradical_examples():
@@ -323,26 +323,6 @@ def test_memo_is_not_shared_between_algebras():
         assert (nilpotence_index(A, IA), nilpotence_index(B, IB)) == (2, 1)
         assert product_length_threshold(A, gens) == 4
         assert product_length_threshold(B, gens) == 2
-
-
-def test_ideal_power_nilpotent_is_nilpotence_index_bound():
-    rng = random.Random(5)
-    algebras = [samples.trunc_nil_polar(F2, 4), samples.trunc_nil_polar(F3, 5),
-                samples.split_polar(F3, 2),
-                samples.polar_direct_sum(samples.split_polar(F2, 1),
-                                         samples.trunc_nil_polar(F2, 3))]
-    indices = set()
-    for A in algebras:
-        for _ in range(6):
-            gens = [samples.random_vector(rng, A)
-                    for _ in range(rng.randrange(3))]
-            I = ideal_generated(A, gens)
-            index = nilpotence_index(A, I)
-            indices.add(index)
-            for s in range(A.dim + 3):
-                assert ideal_power_nilpotent(A, I, s) == (
-                    index is not None and index <= s)
-    assert None in indices and len(indices) > 2
 
 
 # -- the mu_p kernel against the definition -------------------------------------

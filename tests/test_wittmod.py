@@ -17,7 +17,7 @@ from wittpolar.wittmod import (frobenius_charp, p_mul, scalar_mul,
                                scalar_phi, scalar_witt, teichmuller,
                                truncate, verschiebung, w_add, w_neg,
                                w_product, w_zero, witt)
-from wittpolar.wittuniv import reduce_mod_p, universal_polys
+from wittpolar.wittuniv import universal_polys
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -149,7 +149,8 @@ def test_frobenius_matches_universal_polys():
     from wittpolar.wittmod import eval_polar_poly, polar_plan
     for A in (samples.trunc_nil_polar(F2, 4), samples.trunc_nil_polar(F3, 3)):
         for n in (1, 2, 3):
-            polys = reduce_mod_p(universal_polys(A.p, n, "frob"))
+            polys = [c.reduce_mod(A.p)
+                     for c in universal_polys(A.p, n, "frob")]
             names = [f"x{i}" for i in range(n + 1)]
             for _ in range(5):
                 x = rand_witt(rng, A, n + 1)
@@ -280,7 +281,8 @@ def _reference_op(kind, xs, scalars=()):
             for i, c in enumerate(x.coords)}
     bind.update({f"a{i}": a for i, a in enumerate(scalars)})
     out = []
-    for poly in reduce_mod_p(universal_polys(A.p, n, kind)):
+    for poly in universal_polys(A.p, n, kind):
+        poly = poly.reduce_mod(A.p)
         acc = A.zero
         for exp, c in poly.terms.items():
             coeff = c % A.p
@@ -358,8 +360,8 @@ def test_levels_of_hundreds_of_terms_match_the_reference():
     # over the unital pol(F_3) at n = 4 the top level of the sum has 454
     # terms and that of the product 315; each is emitted as a chain of
     # bounded sum statements, never as one expression nested that deep
-    assert len(reduce_mod_p(universal_polys(3, 4, "sum"))[3].terms) > 200
-    assert len(reduce_mod_p(universal_polys(3, 4, "prod"))[3].terms) > 200
+    assert len(universal_polys(3, 4, "sum")[3].reduce_mod(3).terms) > 200
+    assert len(universal_polys(3, 4, "prod")[3].reduce_mod(3).terms) > 200
     A = samples.split_polar(F3, 1)
     rng = random.Random(83)
     inputs = [witt(A, [(2,)] * 4), witt(A, [(1,), (2,), (0,), (1,)])]
