@@ -11,8 +11,9 @@ rows.  `combine` (sum c_i v_i) is the one place that adds and scales
 vectors: `mat_vec`, `rref` and every other module go through it, except
 the mu kernel (the straight-line function that `ppolar._compile_mu`
 generates for each algebra and `PPolarAlgebra.mu_p` calls) and the polar
-plans (the straight-line functions that `wittmod._compile_plan` generates
-for each slot plan and `wittmod.eval_polar_poly` runs).
+plans (the straight-line functions that `wittmod._plan_source` writes
+for each slot plan and algebra dimension, and `wittmod.eval_polar_poly`
+runs).
 """
 
 from __future__ import annotations

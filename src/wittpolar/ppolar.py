@@ -6,14 +6,15 @@ F_q^d (absent keys mean zero).  Symmetry is structural, multilinearity is
 automatic from the tensor representation, and the permutation-invariance
 axiom on (2p-1)-fold products is checked by `check_assoc`.
 
-`mu_p` and the compiled polar plans of `wittmod` call the algebra's mu
-kernel: one straight-line Python function that `_mu_source` writes from mu
-and `_compile_mu` builds with `compile()` on the first call.  The kernel
-reads only the argument coordinates on basis vectors that occur in some
-key.  For each stored key it sums the products of those coordinates over
-every distinct ordering of the key (keys that share a sub-multiset share
-its partial sum) and adds that sum, times each nonzero value entry, into
-the output; the field arithmetic goes through `FqField.tables`.
+`mu_p`, `ppow` and the compiled polar plans of `wittmod` call the
+algebra's mu kernel: one straight-line Python function that `_mu_source`
+writes from mu and `_compile_mu` builds with `compile()` on the first
+call.  The kernel reads only the argument coordinates on basis vectors
+that occur in some key.  For each stored key it sums the products of those
+coordinates over every distinct ordering of the key (keys that share a
+sub-multiset share its partial sum) and adds that sum, times each nonzero
+value entry, into the output; the field arithmetic goes through
+`FqField.tables`.
 `_compile_mu` is a module-level memo keyed by (field, dim, mu), so equal
 algebras built apart share one kernel, and each algebra keeps its kernel,
 with the field tables, in a slot (`kernel`).
@@ -142,9 +143,10 @@ class PPolarAlgebra:
         return acc
 
     def ppow(self, v: Sequence[int], times: int = 1) -> tuple:
-        """Iterated p-th power v^(p^times)."""
+        """Iterated p-th power v^(p^times), each one call of the kernel."""
+        mu, p = self.kernel()[0], self.p
         for _ in range(times):
-            v = self.mu_p([v] * self.p)
+            v = mu(*(v,) * p)
         return tuple(v)
 
     def to_json(self) -> dict:

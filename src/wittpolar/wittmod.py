@@ -18,12 +18,16 @@ law's star product in `fgl`; each caller compiles its polynomials once
 (here per (p, n, kind, L), and each algebra keeps its plans in a dict
 keyed by (kind, n)) and binds inputs by position in one flat tuple, the
 coordinates of each Witt block in turn.  Monomials sharing a sorted prefix
-share its partial products, each computed once per call.  A plan is one
-straight-line Python function, written by `_plan_source` and compiled once
-per process for each distinct plan: each partial product is one call of
-the algebra's compiled mu kernel (`ppolar`), and each polynomial one sum
-over the coordinates.  The kernel, the field tables, q and the zero vector
-are arguments, so one function serves every algebra with that plan.
+share its partial products, each computed once per call.  A plan runs as
+one straight-line Python function per algebra dimension d, written by
+`_plan_source` and compiled once per process on the first evaluation over
+a d-dimensional algebra: each partial product is one call of the
+algebra's compiled mu kernel (`ppolar`), unpacked into its d coordinates
+where a sum reads it, and each coordinate of each polynomial is one
+unrolled expression over those coordinates.  The kernel, the field
+tables, q and the zero vector are arguments, so one function serves every
+algebra of that dimension with that plan.  The characteristic-p
+Frobenius calls the kernel directly, once per coordinate.
 Scalars act through Witt vectors over the polarization of the base field:
 in `scalar_mul` the scalar coordinates a_i are coefficient slots of the
 same plan, multiplied into each term's F_p coefficient.
@@ -109,8 +113,9 @@ def polar_plan(p: int, polys, names: Sequence[str],
     Callers drop the monomials that vanish on their algebra for length
     alone before compiling (see `_plan`).
 
-    The plan is returned compiled by `_compile_plan`, so equal plans built
-    apart share one function; `eval_polar_poly` runs it.
+    The plan is returned as its `_PlanFunctions`, shared by equal plans
+    built apart, which compiles one function per algebra dimension;
+    `eval_polar_poly` runs the one for its algebra.
     """
     slot = {name: s for s, name in enumerate(names)}
     base = len(names)
@@ -140,32 +145,47 @@ def polar_plan(p: int, polys, names: Sequence[str],
                 # else): the plan's source is generated from it
                 terms.append((index(c % p), tuple(cs), at))
         levels.append(tuple(terms))
-    return _compile_plan(p, base, tuple(nodes), tuple(levels))
+    return _plan_functions(p, base, tuple(nodes), tuple(levels))
 
 
-# terms per emitted sum statement: bounds the nesting of its expression
+# terms per emitted sum expression: bounds the nesting of each expression
 _CHUNK = 8
 
 
-def _plan_source(p: int, width: int, nodes: tuple, levels: tuple) -> str:
-    """Python source of the plan (nodes, levels) on `width` input slots.
+def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
+                 d: int) -> str:
+    """Python source of the plan (nodes, levels) on `width` input slots,
+    unrolled over the d coordinates of the algebra.
 
     `plan(mu, mt, at, q, zero, inputs)` unpacks the inputs into v0, v1, ..,
     then binds each node to the next name as one call `mu(vi, vj, ..)` of
-    the algebra's kernel.  A coefficient times scalar slots is computed
-    once, as k{i} = mt[k * q + v{s}] one factor at a time, sharing prefixes;
-    each coefficient other than 1 enters the sums as c{i} = k * q, read
-    once.  Each level sums its terms in one pass over the coordinates per
-    _CHUNK terms, o{j} = [.. for a0, a1, .. in zip(o{j}, v.., ..)], through
-    ^ (p = 2) or at[a * q + b], a term with coefficient c{i} as
-    mt[c{i} + a]; a level that is one value is that value, and a level with
-    no term is `zero`.  The source holds only integer literals and generated
-    names, and the plan is walked in order, so equal plans give equal
-    source.
+    the algebra's kernel.  Each value that a level sums, input or node, is
+    unpacked where it is bound into coordinate locals v{i}_0 .. v{i}_{d-1}
+    (no statement when d = 0).  A coefficient times scalar slots is
+    computed once, as k{i} = mt[k * q + v{s}] one factor at a time, sharing
+    prefixes; each coefficient other than 1 enters the sums as c{i} = k * q,
+    read once.  Coordinate r of a level is one expression over the v{i}_r,
+    through ^ (p = 2) or at[a * q + b], a term with coefficient c{i} as
+    mt[c{i} + v{i}_r]; after every _CHUNK terms it is bound to o{j}_{r},
+    which the next expression continues.  The plan returns one tuple
+    display of the coordinates per level; a level that is one value is that
+    value, and a level with no term is `zero`.  The source holds only
+    integer literals and generated names, and the plan is walked in order,
+    so equal plans give equal source.
     """
+    summed = {i for terms in levels for c, cs, i in terms
+              if len(terms) > 1 or c != 1 or cs}
     body = [f"{''.join(f'v{s}, ' for s in range(width))}= inputs"]
+
+    def unpack(i: int):
+        if d and i in summed:
+            body.append(f"{''.join(f'v{i}_{r}, ' for r in range(d))}= v{i}")
+
+    for s in range(width):
+        unpack(s)
     for k, args in enumerate(nodes):
         body.append(f"v{width + k} = mu({', '.join(f'v{i}' for i in args)})")
+        unpack(width + k)
     coeffs = {}   # (c, scalar slots) -> the name holding the coefficient
     scaled = {}   # coefficient name or literal -> the name holding it * q
 
@@ -185,55 +205,71 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple) -> str:
 
     outs = []
     for j, terms in enumerate(levels):
+        if not terms:
+            outs.append("zero")
+            continue
+        c, cs, i = terms[0]
+        if len(terms) == 1 and c == 1 and not cs:
+            # a node is the kernel's tuple; an input may be any sequence
+            outs.append(f"v{i}" if i >= width else f"tuple(v{i})")
+            continue
         vals = []
         for c, cs, i in terms:
             k = coeff(c, cs)
             if k != "1" and k not in scaled:
                 scaled[k] = f"c{len(scaled)}"
                 body.append(f"{scaled[k]} = {k} * q")
-            vals.append((scaled.get(k), f"v{i}"))
-        if not vals:
-            outs.append("zero")
-            continue
-        if len(vals) == 1 and vals[0][0] is None:
-            # a node is the kernel's tuple; an input may be any sequence
-            i = terms[0][2]
-            outs.append(f"v{i}" if i >= width else f"tuple(v{i})")
-            continue
-        outs.append(f"o{j}")
-        acc = []
-        for start in range(0, len(vals), _CHUNK):
-            chunk = acc + vals[start:start + _CHUNK]
-            names = [f"a{t}" for t in range(len(chunk))]
+            vals.append((scaled.get(k), i))
+        exprs = []
+        for r in range(d):
             expr = None
-            for (cq, _), a in zip(chunk, names):
-                term = a if cq is None else f"mt[{cq} + {a}]"
+            for t, (cq, i) in enumerate(vals):
+                if t and t % _CHUNK == 0:
+                    body.append(f"o{j}_{r} = {expr}")
+                    expr = f"o{j}_{r}"
+                term = f"v{i}_{r}" if cq is None else f"mt[{cq} + v{i}_{r}]"
                 expr = term if expr is None else add(expr, term)
-            last = start + _CHUNK >= len(vals)
-            comp = (f"[{expr} for {', '.join(names)}, in "
-                    f"zip({', '.join(v for _, v in chunk)})]")
-            body.append(f"o{j} = {f'tuple({comp})' if last else comp}")
-            acc = [(None, f"o{j}")]
+            exprs.append(expr)
+        outs.append(f"({''.join(f'{e}, ' for e in exprs)})")
     body.append(f"return ({''.join(f'{o}, ' for o in outs)})")
     return "".join(["def plan(mu, mt, at, q, zero, inputs):\n",
                     *[f"    {line}\n" for line in body]])
 
 
-@lru_cache(maxsize=None)
-def _compile_plan(p: int, width: int, nodes: tuple, levels: tuple):
-    """The plan function of (nodes, levels), compiled from `_plan_source`
-    once per process."""
-    namespace = {}
-    exec(compile(_plan_source(p, width, nodes, levels), "<polar plan>",
-                 "exec"), namespace)
-    return namespace["plan"]
+class _PlanFunctions(dict):
+    """A compiled plan: algebra dimension d -> the plan's function for d,
+    generated by `_plan_source` and compiled on the first evaluation over a
+    d-dimensional algebra."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, *shape):
+        self.shape = shape
+
+    def __bool__(self):
+        # a plan with nothing compiled yet is still a plan: the operations
+        # below look theirs up as `A._plans.get(..) or _new_plan(..)`
+        return True
+
+    def __missing__(self, d: int):
+        namespace = {}
+        exec(compile(_plan_source(*self.shape, d), "<polar plan>", "exec"),
+             namespace)
+        plan = self[d] = namespace["plan"]
+        return plan
+
+
+# one `_PlanFunctions` per plan (p, width, nodes, levels) in a process, so
+# equal plans built apart compile once per dimension
+_plan_functions = lru_cache(maxsize=None)(_PlanFunctions)
 
 
 def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
     """Evaluate a compiled plan (see `polar_plan`) on A at the flat input
-    tuple: one vector per compiled polynomial.  The plan calls A's mu
-    kernel and reads the field tables that `PPolarAlgebra.kernel` binds."""
-    return plan(*A.kernel(), inputs)
+    tuple: one vector per compiled polynomial.  The plan's function for
+    A.dim calls A's mu kernel and reads the field tables that
+    `PPolarAlgebra.kernel` binds."""
+    return plan[A.dim](*A.kernel(), inputs)
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +356,8 @@ def frobenius_charp(x: WittVector) -> WittVector:
     if x.length < 2:
         raise ValueError("Frobenius needs length >= 2")
     A = x.algebra
-    return WittVector(A, tuple(A.ppow(c) for c in x.coords[:-1]))
+    mu, p = A.kernel()[0], A.p
+    return WittVector(A, tuple([mu(*(c,) * p) for c in x.coords[:-1]]))
 
 
 def truncate(x: WittVector, n: int) -> WittVector:
@@ -332,8 +369,8 @@ def truncate(x: WittVector, n: int) -> WittVector:
 def p_mul(x: WittVector) -> WittVector:
     """Multiplication by p = V(F(x)) at fixed length."""
     A = x.algebra
-    shifted = tuple(A.ppow(c) for c in x.coords[:-1])
-    return WittVector(A, (A.zero,) + shifted)
+    mu, p = A.kernel()[0], A.p
+    return WittVector(A, (A.zero, *[mu(*(c,) * p) for c in x.coords[:-1]]))
 
 
 # -- scalar action -------------------------------------------------------------

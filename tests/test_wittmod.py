@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -23,6 +24,7 @@ F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
 F4 = gf_build(2, 2)
 F9 = gf_build(3, 2)
+F5 = gf_build(5, 1)
 
 
 def rand_witt(rng, A, n):
@@ -332,6 +334,40 @@ def test_ops_match_per_monomial_reference(k, data):
         _reference_op("scalar", [x], a)
 
 
+# plans are unrolled over the algebra's dimension d: every d from 0 to 6 at
+# p = 2, 3, 5, and one field with q > 256, whose tables compute each entry
+# on lookup (kept to n <= 2 there: those lookups are slow)
+DIM_FIELDS = {2: (F2, 4), 3: (F3, 3), 5: (F5, 2), 729: (gf_build(3, 6), 2)}
+
+
+@lru_cache(maxsize=None)
+def _dim_algebra(q, kind, scrambled, d):
+    F = DIM_FIELDS[q][0]
+    A = {"nilpotent": lambda: samples.trunc_nil_polar(F, d + 1),
+         "split": lambda: samples.split_polar(F, d),
+         "mu = 0": lambda: samples.trivial_polar(F, d)}[kind]()
+    return samples.scramble(A, random.Random(d)) if scrambled else A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DIM_FIELDS)),
+       st.sampled_from(("nilpotent", "split", "mu = 0")), st.booleans(),
+       st.integers(0, 6), st.data())
+def test_ops_match_the_reference_in_every_dimension(q, kind, scrambled, d,
+                                                    data):
+    A = _dim_algebra(q, kind, scrambled, d)
+    n = data.draw(st.integers(1, DIM_FIELDS[q][1]))
+    elem = st.integers(0, q - 1)
+    coords = st.lists(st.tuples(*[elem] * d), min_size=n, max_size=n)
+    x, y, *fs = (witt(A, data.draw(coords)) for _ in range(2 + A.p))
+    a = data.draw(st.lists(elem, min_size=n, max_size=n))
+    assert w_add(x, y).coords == _reference_op("sum", [x, y])
+    assert w_neg(x).coords == _reference_op("neg", [x])
+    assert w_product(fs).coords == _reference_op("prod", fs)
+    assert scalar_mul(scalar_witt(A.field, a), x).coords == \
+        _reference_op("scalar", [x], a)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(range(len(PLAN_ALGEBRAS))), st.data())
 def test_group_axioms(k, data):
@@ -358,23 +394,28 @@ def test_group_axioms(k, data):
 
 def test_levels_of_hundreds_of_terms_match_the_reference():
     # over the unital pol(F_3) at n = 4 the top level of the sum has 454
-    # terms and that of the product 315; each is emitted as a chain of
-    # bounded sum statements, never as one expression nested that deep
+    # terms and that of the product 315; each coordinate of them is emitted
+    # as a chain of bounded sum statements, never as one expression nested
+    # that deep (which the parser rejects), in one and in two dimensions
     assert len(universal_polys(3, 4, "sum")[3].reduce_mod(3).terms) > 200
     assert len(universal_polys(3, 4, "prod")[3].reduce_mod(3).terms) > 200
-    A = samples.split_polar(F3, 1)
     rng = random.Random(83)
-    inputs = [witt(A, [(2,)] * 4), witt(A, [(1,), (2,), (0,), (1,)])]
-    inputs += [rand_witt(rng, A, 4) for _ in range(4)]
-    for i, x in enumerate(inputs):
-        y, z = inputs[i - 1], inputs[i - 2]
-        assert w_add(x, y).coords == _reference_op("sum", [x, y])
-        assert w_product([x, y, z]).coords == _reference_op("prod", [x, y, z])
+    for d in (1, 2):
+        A = samples.split_polar(F3, d)
+        inputs = [witt(A, [(2,) * d] * 4), witt(A, [(1,) * d, (2,) * d,
+                                                   (0,) * d, (1,) * d])]
+        inputs += [rand_witt(rng, A, 4) for _ in range(4)]
+        for i, x in enumerate(inputs):
+            y, z = inputs[i - 1], inputs[i - 2]
+            assert w_add(x, y).coords == _reference_op("sum", [x, y])
+            assert w_product([x, y, z]).coords == \
+                _reference_op("prod", [x, y, z])
 
 
 def test_equal_plans_built_apart_compile_once(monkeypatch):
     # the sum at n = 2, p = 3 keeps the same monomials under L = 5 and
-    # L = 7: two lifts, one plan, one compiled function for both algebras
+    # L = 7: two lifts, one plan for the three algebras, and one compiled
+    # function per dimension (A and its scramble share d = 4, B has d = 6)
     from wittpolar import wittmod
     built = []
     source = wittmod._plan_source
@@ -384,28 +425,32 @@ def test_equal_plans_built_apart_compile_once(monkeypatch):
         return source(*args)
 
     wittmod._plan.cache_clear()
-    wittmod._compile_plan.cache_clear()
+    wittmod._plan_functions.cache_clear()
     monkeypatch.setattr(wittmod, "_plan_source", counted)
     A, B = samples.trunc_nil_polar(F3, 5), samples.trunc_nil_polar(F3, 7)
+    C = samples.scramble(A, random.Random(5))
     x, y = witt(A, [(1, 2, 0, 1), (2, 2, 1, 0)]), witt(A, [(2, 1, 1, 1)] * 2)
     u, v = witt(B, [(1, 2, 0, 1, 0, 0)] * 2), witt(B, [(0, 1, 0, 0, 2, 1)] * 2)
+    s, t = witt(C, x.coords), witt(C, y.coords)
     assert w_add(x, y).coords == _reference_op("sum", [x, y])
     assert w_add(u, v).coords == _reference_op("sum", [u, v])
+    assert w_add(s, t).coords == _reference_op("sum", [s, t])
     assert wittmod._plan.cache_info().misses == 2
-    assert A._plans["sum", 2] is B._plans["sum", 2]
-    assert len(built) == 1
+    assert A._plans["sum", 2] is B._plans["sum", 2] is C._plans["sum", 2]
+    assert [args[-1] for args in built] == [4, 6]
+    assert sorted(A._plans["sum", 2]) == [4, 6]
 
 
 def test_plan_source_is_the_same_in_every_process():
     # the generator must not depend on how a process hashes its keys: a
     # scalar-action plan (nodes, scalar coefficients) and a co-Witt window
-    # plan (a level long enough to be chunked)
+    # plan (a level long enough to be chunked), each unrolled over d = 3
     script = (
         "from wittpolar import cowitt, wittmod; out = []; "
         "source = wittmod._plan_source; "
         "wittmod._plan_source = lambda *a: out.append(source(*a)) or out[-1]; "
-        "wittmod._plan(3, 3, 'scalar', 7); "
-        "cowitt._window_poly(3, 2, 'sum', (True, False, False), (7, 9)); "
+        "wittmod._plan(3, 3, 'scalar', 7)[3]; "
+        "cowitt._window_poly(3, 2, 'sum', (True, False, False), (7, 9))[3]; "
         "print(''.join(out))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
@@ -419,6 +464,7 @@ def test_plan_source_is_the_same_in_every_process():
     assert outs[0] == outs[1]
     assert outs[0].count("def plan(mu, mt, at, q, zero, inputs)") == 2
     assert "= mu(v" in outs[0] and "k0 = mt[" in outs[0]
+    assert "v0_0, v0_1, v0_2, = v0" in outs[0] and "o0_2 = " in outs[0]
 
 
 # -- plans truncated by the product length against the full family -----------
@@ -440,7 +486,9 @@ def _length_algebras():
             nil(F, p + 2),                                   # L = p + 2
             direct(nil(F, p + 1), nil(F, p + 3)),            # mixed lengths
             samples.trivial_polar(F, 2),                     # mu = 0, L = p
-            samples.split_polar(F, 2))]                      # L = None
+            samples.split_polar(F, 2),                       # L = None
+            # d = 0, L = 1: only the full family has terms to unpack
+            samples.split_polar(F, 0))]
     return out
 
 
