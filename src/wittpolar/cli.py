@@ -2,22 +2,28 @@
 
 Every payload carries "format": "wittpolar/1", keys are sorted, big
 integers are decimal strings, and nothing timestamped enters an output,
-so identical invocations are byte-identical.  Validation problems exit 1
-with a structured JSON diagnostic on stderr; an internal invariant
-violation (a bug) exits 2.
+so identical invocations are byte-identical.  Every JSON input is checked
+against its shape in `wire` before it is decoded.
+
+Exit 1 means bad input, with a JSON diagnostic {"error": "validation"} on
+stderr and nothing on stdout: a `ValueError` (the library's one
+bad-argument type), an unreadable input or unwritable --out file, or
+`etale.ExtensionCapExceeded`.  `verify` also exits 1 when a check fails,
+and any command exits 1 silently when stdout closes early.  Anything else
+is a bug: exit 2 with {"error": "internal"} and the traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import cowitt, etale, fgl, verify as verify_mod, wittmod, wittuniv
+from . import cowitt, etale, fgl, verify as verify_mod, wire, wittmod, wittuniv
 from .gfq import FqField
 from .ppolar import PPolarAlgebra, polarize
-from .wittuniv import FORMAT
 
 
 #: `fgl` certifies associativity up to this precision and prints null above
@@ -41,26 +47,27 @@ def _dump(obj) -> str:
 def _emit(obj, out_path):
     """Write the payload obj, stamped with the format, to out_path or
     stdout."""
-    text = _dump(dict(obj, format=FORMAT))
-    if out_path:
+    text = _dump(dict(obj, format=wire.FORMAT))
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
-def _load(path) -> dict:
-    with open(path) as fh:
-        return _checked(json.load(fh), path)
-
-
-def _checked(data, where) -> dict:
-    """data, which must be a JSON object in the format this program writes."""
-    if not isinstance(data, dict):
-        raise CliError(f"{where} must hold a JSON object")
-    if data.get("format", FORMAT) != FORMAT:
-        raise CliError(f"unsupported format in {where}")
-    return data
+def _load(path):
+    """The JSON value in the file a user named."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except RecursionError:
+        raise CliError(f"RecursionError: {path} nests too deeply for the "
+                       f"JSON reader") from None
 
 
 # -- subcommands --------------------------------------------------------------
@@ -72,56 +79,43 @@ def cmd_witt_poly(args) -> int:
     return 0
 
 
-def _part(node: dict, key: str, kind: type):
-    """node[key], which must be a JSON value of the given Python type."""
-    value = node.get(key)
-    if type(value) is not kind:
-        raise CliError(f"{node['op']!r} node: {key!r} must be a JSON "
-                       f"{kind.__name__}, got {value!r}")
-    return value
+_UNARY = {"neg": wittmod.w_neg, "frob": wittmod.frobenius_charp,
+          "versch": wittmod.verschiebung}
 
 
-def _eval_expr(A: PPolarAlgebra, node) -> wittmod.WittVector:
-    if not isinstance(node, dict) or "op" not in node:
-        raise CliError("expression nodes are objects with an 'op' key")
+def _eval_expr(A: PPolarAlgebra, node: dict) -> wittmod.WittVector:
+    """The value of an expression node that has passed `wire.check`."""
     op = node["op"]
     if op == "lit":
         return wittmod.witt_from_json(A, node)
     if op == "teich":
-        a = tuple(A.field.from_coords(c) for c in _part(node, "value", list))
-        return wittmod.teichmuller(A, a, _part(node, "length", int))
+        return wittmod.teichmuller(
+            A, tuple(map(A.field.from_coords, node["value"])), node["length"])
     if op == "add":
-        x, y = (_eval_expr(A, a) for a in _part(node, "args", list))
-        return wittmod.w_add(x, y)
-    if op == "neg":
-        return wittmod.w_neg(_eval_expr(A, node["arg"]))
+        return wittmod.w_add(*(_eval_expr(A, a) for a in node["args"]))
     if op == "prod":
-        return wittmod.w_product([_eval_expr(A, a)
-                                  for a in _part(node, "args", list)])
-    if op == "frob":
-        return wittmod.frobenius_charp(_eval_expr(A, node["arg"]))
-    if op == "versch":
-        return wittmod.verschiebung(_eval_expr(A, node["arg"]))
-    raise CliError(f"unknown expression op {op!r}")
+        return wittmod.w_product([_eval_expr(A, a) for a in node["args"]])
+    return _UNARY[op](_eval_expr(A, node["arg"]))
 
 
 def cmd_witt_eval(args) -> int:
-    data = _load(args.expr)
-    A = PPolarAlgebra.from_json(
-        _checked(data["algebra"], f"the 'algebra' of {args.expr}"))
-    result = _eval_expr(A, data["expr"])
-    out = result.to_json()
+    data = wire.check("witt-eval", _load(args.expr))
+    A = PPolarAlgebra.from_json(data["algebra"])
+    out = _eval_expr(A, data["expr"]).to_json()
     out["algebra"] = A.to_json()
     _emit(out, args.out)
     return 0
 
 
+_CW_OPS = {"add": cowitt.cw_add, "f": cowitt.cw_F, "v": cowitt.cw_V}
+
+
 def cmd_cw(args) -> int:
+    wire.check("cw", {"op": args.op, "inputs": args.inputs})
     A = PPolarAlgebra.from_json(_load(args.algebra))
     xs = [cowitt.cw_from_json(A, _load(p)) for p in args.inputs]
     if args.op == "validate":
-        (x,) = xs
-        w = cowitt.witness_search(x)
+        w = cowitt.witness_search(xs[0])
         out = {"valid": w is not None}
         if w is not None:
             out["witness"] = list(w)
@@ -131,18 +125,7 @@ def cmd_cw(args) -> int:
         if cowitt.witness_search(x) is None:
             raise CliError(f"{path} is not a valid co-Witt element: no "
                            f"witness (r, s) makes its deep ideal nilpotent")
-    if args.op == "add":
-        x, y = xs
-        res = cowitt.cw_add(x, y)
-    elif args.op == "f":
-        (x,) = xs
-        res = cowitt.cw_F(x)
-    elif args.op == "v":
-        (x,) = xs
-        res = cowitt.cw_V(x)
-    else:
-        raise CliError(f"unknown cw op {args.op!r}")
-    _emit(res.to_json(), args.out)
+    _emit(_CW_OPS[args.op](*xs).to_json(), args.out)
     return 0
 
 
@@ -157,28 +140,28 @@ def cmd_split(args) -> int:
 
 
 def cmd_polarize(args) -> int:
-    data = _load(args.algebra)
+    data = wire.check("polarize", _load(args.algebra))
     field = FqField.from_json(data["field"])
-    table = data.get("table")
-    if not isinstance(table, list) or not all(
-            isinstance(row, list) and len(row) == len(table)
-            and all(isinstance(v, list) and len(v) == len(table) for v in row)
-            for row in table):
-        raise CliError("'table' must be d lists, each of d products e_i e_j "
-                       "given as d coordinate lists")
-    dim = data.get("dim", len(table))
-    if type(dim) is not int or dim != len(table):
-        raise CliError(f"dim must be the int {len(table)}, the size of "
-                       f"'table', got {dim!r}")
-    table = [[tuple(field.from_coords(c) for c in row_entry)
-              for row_entry in row] for row in table]
+    table = [[tuple(map(field.from_coords, entry)) for entry in row]
+             for row in data["table"]]
     _emit(polarize(field, table).to_json(), args.out)
     return 0
 
 
+def _rationals(text: str) -> tuple:
+    """The comma-separated rationals of --log-coeffs."""
+    out = []
+    for c in text.split(","):
+        try:
+            out.append(Fraction(c))
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"{c!r} is not a rational number") from None
+    return tuple(out)
+
+
 def cmd_fgl(args) -> int:
-    coeffs = tuple(map(Fraction, args.log_coeffs.split(",")))
-    log = fgl.PTypicalLog(args.p, args.precision, coeffs)
+    log = fgl.PTypicalLog(args.p, args.precision, args.log_coeffs)
     exp = fgl.exp_from_log(log)
     ok, offenders = fgl.support_check(exp, args.p)
     law = fgl.group_law(log, args.precision, exp)
@@ -197,12 +180,8 @@ def cmd_fgl(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = [args.suite] if args.suite else None
-    if suites and args.suite not in verify_mod.SUITES:
-        raise CliError(f"unknown suite {args.suite!r}; choose from "
-                       + ", ".join(sorted(verify_mod.SUITES)))
-    rows = verify_mod.run_suites(seed=args.seed, suites=suites,
-                                 p_filter=args.p)
+    rows = verify_mod.run_suites(seed=args.seed, p_filter=args.p,
+                                 suites=[args.suite] if args.suite else None)
     failures = 0
     for name, ok, detail in rows:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]\n")
@@ -231,7 +210,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_witt_eval)
 
     sp = sub.add_parser("cw", help="co-Witt operations")
-    sp.add_argument("op", choices=["validate", "add", "f", "v"])
+    sp.add_argument("op", choices=["validate", *_CW_OPS])
     sp.add_argument("--algebra", required=True)
     sp.add_argument("inputs", nargs="+", help="co-Witt element JSON files")
     sp.add_argument("--out")
@@ -251,13 +230,13 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("fgl", help="p-typical log/exp and group-law checks")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--precision", type=int, required=True)
-    sp.add_argument("--log-coeffs", required=True,
+    sp.add_argument("--log-coeffs", type=_rationals, required=True,
                     help="comma-separated rationals l_0,l_1,... (l_0 = 1)")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_fgl)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
-    sp.add_argument("--suite")
+    sp.add_argument("--suite", choices=sorted(verify_mod.SUITES))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--p", type=int)
     sp.set_defaults(fn=cmd_verify)
@@ -265,21 +244,27 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        return args.fn(args)
-    except CliError as exc:
-        sys.stderr.write(_dump({"error": "validation", "message": str(exc)}))
+        args = build_parser().parse_args(argv)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except (ValueError, etale.ExtensionCapExceeded) as exc:
+        message = (str(exc) if isinstance(exc, CliError)
+                   else f"{type(exc).__name__}: {exc}")
+        sys.stderr.write(_dump({"error": "validation", "message": message}))
         return 1
-    except (ValueError, KeyError, OSError, ArithmeticError, RecursionError,
-            etale.ExtensionCapExceeded) as exc:
-        sys.stderr.write(_dump({"error": "validation",
-                                "message": f"{type(exc).__name__}: {exc}"}))
+    except BrokenPipeError:
+        # stdout was closed early: send the rest to devnull, so the flush
+        # at exit raises nothing more (the recipe of the `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except AssertionError as exc:
-        sys.stderr.write(_dump({"error": "internal-invariant",
-                                "message": str(exc)}))
+    except Exception as exc:
+        import traceback
+        sys.stderr.write(_dump({"error": "internal",
+                                "message": f"{type(exc).__name__}: {exc}",
+                                "traceback": traceback.format_exception(exc)}))
         return 2
 
 

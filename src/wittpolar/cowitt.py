@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
+from . import wire
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      nilpotence_index, product_length_threshold,
                      vec_is_zero)
@@ -128,36 +129,12 @@ class CoWittElement:
 
 
 def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
-    if not isinstance(data, dict):
-        raise ValueError("a co-Witt element is a JSON object")
-    exceptions = data.get("exceptions", {})
-    witness = data.get("witness", [0, 0])
-    if (not isinstance(data.get("tail"), list)
-            or not isinstance(exceptions, dict)
-            or not all(isinstance(v, list) for v in exceptions.values())):
-        raise ValueError("a co-Witt element is an object with a 'tail' list "
-                         "and an 'exceptions' object of lists")
-    if (not isinstance(witness, (list, tuple)) or len(witness) != 2
-            or any(type(w) is not int for w in witness)):
-        raise ValueError(f"witness must be two ints, got {witness!r}")
+    wire.check("cowitt", data)
     F = A.field
-    tail = tuple(F.from_coords(c) for c in data["tail"])
-    exc = {_index(i): tuple(F.from_coords(c) for c in v)
-           for i, v in exceptions.items()}
-    return CoWittElement(A, tail, exc, tuple(witness))
-
-
-def _index(key: str) -> int:
-    """The index an exception key names.  Only the decimal form `to_json`
-    writes is accepted, so no two keys name one index."""
-    try:
-        i = int(key)
-    except ValueError:
-        i = None
-    if i is None or key != str(i):
-        raise ValueError(f"exception index {key!r} is not a canonical "
-                         f"decimal integer")
-    return i
+    exc = {int(i): tuple(map(F.from_coords, v))
+           for i, v in data.get("exceptions", {}).items()}
+    return CoWittElement(A, tuple(map(F.from_coords, data["tail"])), exc,
+                         tuple(data.get("witness", (0, 0))))
 
 
 # -- validity -------------------------------------------------------------------

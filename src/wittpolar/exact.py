@@ -43,6 +43,8 @@ def var_key(name: str) -> tuple:
 
 
 def _norm_coeff(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return int(c)
@@ -106,14 +108,6 @@ class MultiPoly:
         """Set of total degrees, restricted to the given variables, over all terms."""
         flags = [v in names for v in self.vars]
         return {sum(compress(e, flags)) for e in self.terms}
-
-    def coefficient(self, exps: Mapping[str, int]):
-        """Coefficient of the monomial with the given variable exponents."""
-        want = tuple(exps.get(v, 0) for v in self.vars)
-        extra = set(exps) - set(self.vars)
-        if any(exps[v] for v in extra):
-            return 0
-        return self.terms.get(want, 0)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -262,12 +256,6 @@ class MultiPoly:
                     acc[e] = acc.get(e, 0) + a
         return MultiPoly(union, acc)
 
-    def frobenius_vars(self, p: int) -> "MultiPoly":
-        """The lift v -> v^p on every variable (exponent scaling)."""
-        return MultiPoly(self.vars,
-                         {tuple(k * p for k in e): c
-                          for e, c in self.terms.items()})
-
     def reduce_mod(self, n: int) -> "MultiPoly":
         """Coefficients reduced into [0, n); requires integer coefficients."""
         out = {}
@@ -276,10 +264,6 @@ class MultiPoly:
                 raise ValueError("cannot reduce fractional coefficients")
             out[e] = c % n
         return MultiPoly(self.vars, out)
-
-    def divisible_by(self, n: int) -> bool:
-        return all(isinstance(c, int) and c % n == 0
-                   for c in self.terms.values())
 
     # -- serialization -----------------------------------------------------
 

@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
+from . import wire
+
 _MUL_TABLE_MAX_Q = 256
 
 
@@ -220,12 +222,7 @@ class FqField:
 
     @classmethod
     def from_json(cls, data: dict) -> "FqField":
-        if (not isinstance(data, dict) or type(data.get("p")) is not int
-                or type(data.get("m")) is not int
-                or not isinstance(data.get("modulus"), list)
-                or any(type(c) is not int for c in data["modulus"])):
-            raise ValueError("a field is an object with int 'p' and 'm' "
-                             "and a 'modulus' list of ints")
+        wire.check("field", data)
         f = gf_build(data["p"], data["m"])
         if tuple(data["modulus"]) != f.modulus:
             g = cls(data["p"], data["m"], data["modulus"])

@@ -40,6 +40,7 @@ from itertools import combinations_with_replacement
 from operator import index
 from typing import Iterable, Sequence
 
+from . import wire
 from .gfq import (FqField, additive_map_kernel, combine, echelon_reduce,
                   embed, gf_build, in_span, rref)
 
@@ -159,29 +160,10 @@ class PPolarAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "PPolarAlgebra":
-        if not isinstance(data, dict) or not isinstance(data.get("field"),
-                                                        dict):
-            raise ValueError("an algebra is an object with a 'field' object")
+        wire.check("algebra", data)
         field = FqField.from_json(data["field"])
-        if data.get("p", field.p) != field.p:
-            raise ValueError("p must equal the field characteristic")
-        if type(data.get("dim")) is not int or data["dim"] < 0:
-            raise ValueError(f"dim must be a nonnegative int, got "
-                             f"{data.get('dim')!r}")
-        entries = data.get("mu")
-        if not isinstance(entries, list) or not all(
-                isinstance(e, dict) and isinstance(e.get("idx"), list)
-                and isinstance(e.get("val"), list) for e in entries):
-            raise ValueError("mu must be a list of objects with list 'idx' "
-                             "and 'val'")
-        mu = {}
-        for entry in entries:
-            if any(type(i) is not int for i in entry["idx"]):
-                raise ValueError(f"mu index {entry['idx']!r} is not a list "
-                                 f"of ints")
-            key = tuple(entry["idx"])
-            val = tuple(field.from_coords(c) for c in entry["val"])
-            mu[key] = val
+        mu = {tuple(entry["idx"]): tuple(map(field.from_coords, entry["val"]))
+              for entry in data["mu"]}
         A = cls(field, data["dim"], mu)
         ok, witness = check_assoc(A)
         if not ok:

@@ -1,0 +1,145 @@
+"""The `wittpolar/1` wire format: the one place that knows payload shapes.
+
+`SHAPES` declares the shape of each JSON payload the program reads, and
+`check(name, value)` checks a value against one before any decoder reads
+it.  It raises `WireError`, whose message starts with the path to the
+first bad value, as in `witt-eval.expr(add).args: ...`.  Objects may carry
+"format", which must then be FORMAT; keys a shape does not name are
+ignored.  A shape fixes JSON types, keys, lengths and the resource
+envelope below; what needs the mathematics (p prime, an irreducible
+modulus, digits below p, mu keys in range, (ASSOC), the algebra's
+dimension) is checked by the constructors.  A shape is one of:
+
+  int, str, dict          a JSON value of that type;
+  range(lo, hi)           an int in that range;
+  [item], [item, lo, hi]  a list of items, of length lo to hi (None: any);
+  {key: shape}            an object; a key ending in "?" may be absent;
+  (tag, {kind: shape})    a node: an object whose `tag` picks the shape
+                          of the rest, nested at most MAX_DEPTH deep;
+  "name"                  SHAPES["name"], then its rule in RULES;
+  a function              f(value, path, depth), which checks the rest.
+"""
+
+from __future__ import annotations
+
+FORMAT = "wittpolar/1"
+MAX_DEPTH = 100         # nodes on the longest path of an expression
+MAX_LENGTH = 64         # Witt coordinates; co-Witt indices 0 .. 1 - MAX_LENGTH
+MAX_DIM = 64            # dimension of an algebra or a polarize table
+MAX_ORDER = 2 ** 16     # elements of a field
+
+
+class WireError(ValueError):
+    """A payload that does not have its declared shape."""
+
+
+def check(name: str, value):
+    """value, after checking it against the shape called name."""
+    _check(name, value, name, 0)
+    return value
+
+
+def _fail(path: str, problem: str):
+    raise WireError(f"{path}: {problem}")
+
+
+def _check(shape, v, path: str, depth: int):
+    if isinstance(shape, str):
+        _check(SHAPES[shape], v, path, depth)
+        test, problem = RULES.get(shape, (None, None))
+        if test and not test(v):
+            _fail(path, problem)
+    elif isinstance(shape, type):
+        if type(v) is not shape:
+            _fail(path, f"must be a {shape.__name__}, got {v!r:.40}")
+    elif isinstance(shape, range):
+        if type(v) is not int or v not in shape:
+            _fail(path, f"must be an int in [{shape.start}, {shape[-1]}], "
+                        f"got {v!r:.40}")
+    elif isinstance(shape, list):
+        item, lo, hi = shape if len(shape) == 3 else (shape[0], 0, None)
+        _check(list, v, path, depth)
+        if len(v) < lo or hi is not None and len(v) > hi:
+            want = (f"at least {lo}" if hi is None else
+                    lo if hi == lo else f"{lo} to {hi}")
+            _fail(path, f"must have length {want}, got {len(v)}")
+        for i, x in enumerate(v):
+            _check(item, x, f"{path}[{i}]", depth)
+    elif isinstance(shape, tuple):
+        tag, kinds = shape
+        kind = v.get(tag) if type(v) is dict else None
+        if type(kind) is not str or kind not in kinds:
+            _fail(path, f"must be an object whose {tag!r} is one of "
+                        f"{', '.join(kinds)}")
+        if depth >= MAX_DEPTH:
+            _fail(path, f"nodes nest at most {MAX_DEPTH} deep")
+        _check(kinds[kind], v, f"{path}({kind})", depth + 1)
+    elif isinstance(shape, dict):
+        _check(dict, v, path, depth)
+        if v.get("format", FORMAT) != FORMAT:
+            _fail(f"{path}.format", f"must be {FORMAT!r}")
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in v:
+                _check(sub, v[name], f"{path}.{name}", depth)
+            elif name == key:
+                _fail(path, f"missing key {key!r}")
+    else:
+        shape(v, path, depth)
+
+
+#: The keys `CoWittElement.to_json` writes; no two of them name one index.
+_EXCEPTION_KEYS = frozenset(str(-i) for i in range(MAX_LENGTH))
+
+
+def _exceptions(v, path: str, depth: int):
+    _check(dict, v, path, depth)
+    for key, entry in v.items():
+        if key not in _EXCEPTION_KEYS:
+            _fail(path, f"exception index {key!r:.40} is not one of '0', "
+                        f"'-1', .., '{1 - MAX_LENGTH}'")
+        _check("vector", entry, f"{path}[{key!r}]", depth)
+
+
+def _square(v) -> bool:
+    d = len(v["table"])
+    return v.get("dim", d) == d and all(
+        len(row) == d and all(len(e) == d for e in row) for row in v["table"])
+
+
+SHAPES = {
+    "vector": [[int]],          # an algebra element: each coordinate's digits
+    "field": {"p": range(2, MAX_ORDER + 1), "m": range(1, 17),
+              "modulus": [int, 2, 17]},
+    "algebra": {"field": "field", "dim": range(MAX_DIM + 1), "p?": int,
+                "mu": [{"idx": [int], "val": "vector"}]},
+    "witt": {"coords": ["vector", 1, MAX_LENGTH]},
+    "expr": ("op", {
+        "lit": "witt",
+        "teich": {"value": "vector", "length": range(1, MAX_LENGTH + 1)},
+        "add": {"args": ["expr", 2, 2]},
+        "prod": {"args": ["expr", 1, None]},
+        "neg": {"arg": "expr"},
+        "frob": {"arg": "expr"},
+        "versch": {"arg": "expr"},
+    }),
+    "cowitt": {"tail": "vector", "exceptions?": _exceptions,
+               "witness?": [int, 2, 2]},
+    "polarize": {"field": "field", "dim?": range(MAX_DIM + 1),
+                 "table": [["vector"], 0, MAX_DIM]},
+    # the file `witt-eval` reads (`PPolarAlgebra.from_json` checks its
+    # algebra), and the input files of each `cw` op
+    "witt-eval": {"algebra": dict, "expr": "expr"},
+    "cw": ("op", {op: {"inputs": [str, n, n]}
+                  for op, n in (("validate", 1), ("add", 2), ("f", 1),
+                                ("v", 1))}),
+}
+
+RULES = {
+    "field": (lambda v: v["p"] ** v["m"] <= MAX_ORDER,
+              f"fields have at most {MAX_ORDER} elements"),
+    "algebra": (lambda v: v.get("p", v["field"]["p"]) == v["field"]["p"],
+                "p must be the field characteristic"),
+    "polarize": (_square, "table must hold dim rows of dim products e_i e_j, "
+                          "each dim coordinates"),
+}

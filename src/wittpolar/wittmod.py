@@ -40,6 +40,7 @@ from functools import lru_cache
 from operator import index
 from typing import Sequence
 
+from . import wire
 from .gfq import FqField
 from .ppolar import (LengthNotAdmissible, PPolarAlgebra, product_length,
                      vec_is_zero)
@@ -89,13 +90,10 @@ def w_zero(algebra: PPolarAlgebra, n: int) -> WittVector:
 
 
 def witt_from_json(algebra: PPolarAlgebra, data: dict) -> WittVector:
+    wire.check("witt", data)
     F = algebra.field
-    coords = data["coords"]
-    if not isinstance(coords, list) or not all(isinstance(c, list)
-                                               for c in coords):
-        raise ValueError(f"coords must be a list of coordinate lists, got "
-                         f"{coords!r}")
-    return witt(algebra, [[F.from_coords(a) for a in c] for c in coords])
+    return witt(algebra, [[F.from_coords(a) for a in c]
+                          for c in data["coords"]])
 
 
 def polar_plan(p: int, polys, names: Sequence[str],

@@ -42,12 +42,11 @@ from struct import Struct
 from typing import Callable, Sequence
 
 from .exact import MultiPoly, var_key
+from .wire import FORMAT
 
 KINDS = ("sum", "neg", "prod", "frob", "scalar")
 
 _BLOCK_LETTERS = ("x", "y", "z", "u", "v")
-
-FORMAT = "wittpolar/1"
 
 
 class DworkCongruenceFailed(ValueError):

@@ -1,16 +1,23 @@
 """CLI subcommands, file formats, exit codes, determinism."""
 
+import io
 import json
+import os
 import random
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittpolar import cowitt, samples
 from wittpolar.cli import main
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import nilpotence_index
+from wittpolar.wire import MAX_DEPTH
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -175,6 +182,40 @@ def test_polarize_output_matches_golden_bytes(capsys):
                        str(DATA / "polarize_f9_times_nil.json"))
     assert rc == 0 and err == ""
     assert out == (DATA / "polarize_f9_times_nil.out.json").read_text()
+
+
+def test_witt_eval_output_matches_golden_bytes(capsys):
+    # (a.b - F(c)) + (V(d) + [v]) in W_3 of pol(x F_4[x]/(x^4)), the
+    # expression shape of the benchmark's cli-cold sessions
+    path = DATA / "witt_eval_f4_nil.json"
+    data = json.loads(path.read_text())
+    assert data["algebra"] == dict(samples.trunc_nil_polar(F4, 4).to_json(),
+                                   format="wittpolar/1")
+    rc, out, err = run(capsys, "witt-eval", str(path))
+    assert rc == 0 and err == ""
+    assert out == (DATA / "witt_eval_f4_nil.out.json").read_text()
+
+
+# Golden `cw` outputs over pol(x F_2[x]/(x^4)): x has a failing stored
+# witness and exceptions at 0 and -2; y has a zero exception at -3.
+CW_GOLDEN = {
+    "cw_validate_nil4_f2_x": ("validate", "x"),
+    "cw_add_nil4_f2_x_y": ("add", "x", "y"),
+    "cw_f_nil4_f2_x": ("f", "x"),
+    "cw_v_nil4_f2_x": ("v", "x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CW_GOLDEN))
+def test_cw_output_matches_golden_bytes(capsys, name):
+    op, *inputs = CW_GOLDEN[name]
+    algebra = DATA / "cw_nil4_f2_algebra.json"
+    assert json.loads(algebra.read_text()) == dict(
+        samples.trunc_nil_polar(F2, 4).to_json(), format="wittpolar/1")
+    rc, out, err = run(capsys, "cw", op, "--algebra", str(algebra),
+                       *(str(DATA / f"cw_nil4_f2_{x}.json") for x in inputs))
+    assert rc == 0 and err == ""
+    assert out == (DATA / f"{name}.out.json").read_text()
 
 
 def test_cw_validate_prints_the_minimal_witness_when_the_stored_one_fails(
@@ -411,6 +452,9 @@ def test_split_rejects_mu_that_is_not_a_list(capsys, tmp_path, algebra_file):
      "exceptions": {"-1": [[1], [0], [0]], "-01": [[0], [1], [0]]}},
     {"tail": [[0], [0], [0]], "exceptions": {"-1_0": [[1], [0], [0]]}},
     {"tail": [[0], [0], [0]], "exceptions": {" -1": [[1], [0], [0]]}},
+    # outside the indices 0 .. -63
+    {"tail": [[0], [0], [0]], "exceptions": {"1": [[1], [0], [0]]}},
+    {"tail": [[0], [0], [0]], "exceptions": {"-64": [[1], [0], [0]]}},
 ])
 def test_cw_rejects_malformed_elements(capsys, tmp_path, algebra_file, bad):
     path = tmp_path / "x.json"
@@ -480,21 +524,17 @@ def test_witt_eval_rejects_json_nested_too_deeply(capsys, tmp_path,
 
 def test_witt_eval_rejects_expressions_nested_too_deeply(
         capsys, tmp_path, algebra_file, cold_families):
-    # from a depth too deep to read or evaluate down to the first one that
-    # evaluates; just above that one, json.load succeeds and the
-    # evaluation itself runs out of stack
-    messages = []
-    for depth in range(sys.getrecursionlimit() // 2, 0, -1):
-        path = _nested_expr_file(tmp_path, algebra_file,
-                                 '{"op": "add", "args": [NODE, %s]}' % _LIT1,
-                                 depth)
-        rc, out, err = run(capsys, "witt-eval", str(path))
-        if rc == 0:
-            break
-        messages.append(_assert_rejected(rc, out, err))
-    assert rc == 0
-    assert all(m.startswith("RecursionError") for m in messages)
-    assert any("JSON" not in m for m in messages)
+    # MAX_DEPTH nodes on the longest path evaluate, with the family lifted
+    # cold at the innermost node; one node more is rejected by the shape
+    # check before anything is evaluated
+    wrap = '{"op": "add", "args": [NODE, %s]}' % _LIT1
+    path = _nested_expr_file(tmp_path, algebra_file, wrap, MAX_DEPTH - 1)
+    rc, out, err = run(capsys, "witt-eval", str(path))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["coords"] == [[[0], [0], [0]]]
+    path = _nested_expr_file(tmp_path, algebra_file, wrap, MAX_DEPTH)
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert f"nodes nest at most {MAX_DEPTH} deep" in msg
 
 
 @pytest.mark.parametrize("length", [0, -3])
@@ -591,6 +631,11 @@ NIL3_F2 = dict(POLARIZE_F2, table=[[[list(F2.coords(c)) for c in entry]
     # valid but for a GF(4) modulus entry outside [0, 2)
     ("polarize", dict(NIL3_F2, dim=2,
                       field={"p": 2, "m": 2, "modulus": [1, -1, 1]})),
+    # fields beyond the envelope, refused before any field is built
+    ("polarize", dict(NIL3_F2, dim=2,
+                      field={"p": 2, "m": 2 ** 64, "modulus": [0, 1]})),
+    ("polarize", dict(NIL3_F2, dim=2,
+                      field={"p": 257, "m": 2, "modulus": [3, 0, 1]})),
 ])
 def test_non_object_json_and_misshapen_tables_are_rejected(
         capsys, tmp_path, command, payload):
@@ -599,3 +644,155 @@ def test_non_object_json_and_misshapen_tables_are_rejected(
     argv = ([command, "validate", "--algebra", str(path), str(path)]
             if command == "cw" else [command, str(path)])
     _assert_rejected(*run(capsys, *argv))
+
+
+# -- the input boundary and exit codes --------------------------------------------
+
+
+def test_witt_eval_names_a_missing_key_and_a_bad_arity(capsys, tmp_path,
+                                                      algebra_file):
+    algebra = json.loads(algebra_file.read_text())
+    lit = {"op": "lit", "coords": [[[1], [0], [0]]]}
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps({"format": "wittpolar/1", "algebra": algebra}))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "missing key 'expr'" in msg
+    path.write_text(json.dumps({"format": "wittpolar/1", "algebra": algebra,
+                                "expr": {"op": "add",
+                                         "args": [lit, lit, lit]}}))
+    msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
+    assert "expr(add).args: must have length 2, got 3" in msg
+
+
+def test_cw_names_the_number_of_inputs_its_op_takes(capsys, tmp_path,
+                                                    algebra_file):
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"tail": [[0], [0], [0]]}))
+    msg = _assert_rejected(*run(capsys, "cw", "add", "--algebra",
+                                str(algebra_file), str(x_path)))
+    assert "cw(add).inputs: must have length 2, got 1" in msg
+    msg = _assert_rejected(*run(capsys, "cw", "f", "--algebra",
+                                str(algebra_file), str(x_path), str(x_path)))
+    assert "cw(f).inputs: must have length 1, got 2" in msg
+
+
+def test_fgl_names_a_coefficient_with_a_zero_denominator(capsys):
+    msg = _assert_rejected(*run(capsys, "fgl", "--p", "2", "--precision",
+                                "4", "--log-coeffs", "1,1/0"))
+    assert "'1/0' is not a rational number" in msg
+
+
+def test_missing_input_and_unwritable_out_files_are_rejected(capsys,
+                                                             tmp_path):
+    missing = tmp_path / "missing.json"
+    msg = _assert_rejected(*run(capsys, "split", str(missing)))
+    assert str(missing) in msg
+    out = tmp_path / "no-such-dir" / "out.json"
+    msg = _assert_rejected(*run(capsys, "witt-poly", "--p", "2", "--n", "1",
+                                "--kind", "sum", "--out", str(out)))
+    assert str(out) in msg
+
+
+def test_an_internal_error_exits_2(capsys, monkeypatch, algebra_file):
+    from wittpolar import cli
+
+    def broken(args):
+        raise TypeError("an internal bug")
+    monkeypatch.setattr(cli, "cmd_split", broken)
+    rc, out, err = run(capsys, "split", str(algebra_file))
+    assert rc == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "internal"
+    assert diag["message"] == "TypeError: an internal bug"
+    assert "in broken" in "".join(diag["traceback"])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_1_without_a_diagnostic(unbuffered):
+    # buffered, the write fails at the flush; unbuffered, inside the command
+    env = dict(os.environ, PYTHONPATH=str(Path(cowitt.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)     # every write to w now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittpolar.cli", "witt-poly", "--p", "2",
+             "--n", "2", "--kind", "sum"],
+            stdout=w, stderr=subprocess.PIPE, timeout=60, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1 and proc.stderr == b""
+
+
+# Mutation fuzz: one leaf of a valid input file replaced by one value from a
+# fixed pool.  Each case is (argv with {i} for input file i, the input
+# files under tests/data, p and q of the payload's field).
+FUZZ_CASES = {
+    "witt-eval": (["witt-eval", "{0}"], ["witt_eval_f4_nil.json"], 2, 4),
+    "cw": (["cw", "add", "--algebra", "{0}", "{1}", "{2}"],
+           ["cw_nil4_f2_algebra.json", "cw_nil4_f2_x.json",
+            "cw_nil4_f2_y.json"], 2, 2),
+    "split": (["split", "{0}"], ["split_scrambled_f9_plus_nil.json"], 3, 9),
+    "polarize": (["polarize", "{0}"], ["polarize_f9_times_nil.json"], 3, 9),
+}
+
+
+def _leaves(value, path=()):
+    """Paths to the scalars, empty lists and empty objects in value."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else None)
+    if not items:
+        yield path
+        return
+    for key, sub in items:
+        yield from _leaves(sub, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    value = json.loads(json.dumps(value))
+    target = value
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return value
+
+
+@st.composite
+def _mutations(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_CASES)))
+    argv, files, p, q = FUZZ_CASES[name]
+    inputs = [json.loads((DATA / f).read_text()) for f in files]
+    i = draw(st.sampled_from(range(len(inputs))))
+    path = draw(st.sampled_from(list(_leaves(inputs[i]))))
+    new = draw(st.sampled_from(["x", True, None, [], {}, -1, 0, p, q, 2 ** 64,
+                                1.5]))
+    inputs[i] = _replaced(inputs[i], path, new)
+    return argv, inputs
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=_mutations())
+def test_one_mutated_leaf_exits_0_or_1_with_a_diagnostic(fuzz_dir, case):
+    argv, inputs = case
+    paths = []
+    for i, data in enumerate(inputs):
+        paths.append(str(fuzz_dir / f"in{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main([a.format(*paths) for a in argv])
+    if rc == 1:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == "validation"
+    else:
+        assert rc == 0 and err.getvalue() == ""
+        assert json.loads(out.getvalue())["format"] == "wittpolar/1"

@@ -35,7 +35,7 @@ def test_cube_expansion_matches_oracle():
     x0, y0 = V("x0"), V("y0")
     lhs = (x0 + y0) ** 3
     assert lhs == brute_cube((x0, y0))
-    assert lhs.coefficient({"x0": 2, "y0": 1}) == 3
+    assert lhs.vars == ("x0", "y0") and lhs.terms[(2, 1)] == 3
 
 
 def test_substitute_square():

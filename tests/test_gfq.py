@@ -169,6 +169,18 @@ def test_field_json_rejects_reducible_modulus():
     assert all(F8.mul(a, F8.inv(a)) == 1 for a in range(1, 8))
 
 
+def test_field_json_outside_the_envelope_is_refused_by_its_shape():
+    from wittpolar.gfq import FqField
+    from wittpolar.wire import WireError
+    # 2^(2^64) candidate moduli: refused before gf_build runs
+    with pytest.raises(WireError, match=r"^field\.m: must be an int in"):
+        FqField.from_json({"p": 2, "m": 2 ** 64, "modulus": [0, 1]})
+    with pytest.raises(WireError, match="at most 65536 elements"):
+        FqField.from_json({"p": 257, "m": 2, "modulus": [3, 0, 1]})
+    with pytest.raises(WireError, match="^field: missing key 'modulus'"):
+        FqField.from_json({"p": 2, "m": 1})
+
+
 def test_from_coords_round_trip_and_short_lists():
     F9 = gf_build(3, 2)
     for a in F9.elements():
