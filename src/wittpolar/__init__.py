@@ -4,10 +4,9 @@ idempotent splitting of reduced algebras, and p-typical formal group laws."""
 from .exact import MultiPoly, Rational, TruncSeries
 from .gfq import (FqField, additive_poly_roots, combine, embed, gf_build,
                   linear_kernel, mat_vec, semilinear_kernel)
-from .ppolar import (LengthNotAdmissible, PolarIdeal, PPolarAlgebra,
-                     check_assoc, extend_scalars, free_polar_basis,
-                     ideal_generated, nilpotence_index, nilradical,
-                     polarize, quotient)
+from .ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
+                     extend_scalars, free_polar_basis, ideal_generated,
+                     nilpotence_index, nilradical, polarize, quotient)
 from .wittuniv import (DworkCongruenceFailed, dwork_lift, ghost_polys,
                        polar_degree_check, universal_polys)
 from .wittmod import (WittVector, frobenius_charp, scalar_mul, teichmuller,

@@ -5,14 +5,27 @@ pair (r, s) certifying that the ideal generated by c and all entries at
 indices <= -r has vanishing s-fold iterated polar power.  The elements with
 zero tail are the unipotent part CW^u = colim(W_0 -> W_1 -> ...) along V.
 
-Addition is the stabilized windowed Witt sum: the entry at index -n is the
-eventual value of the level-m sum component evaluated on the windows
-(a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  The windowed
-polynomials are produced by `wittuniv.dwork_lift`, run inside a quotient of
-Z[window variables] by a monomial ideal; such quotients stay torsion free
-and carry the v -> v^p lift, so the recursion's exact divisions, which are
-its congruence check, survive verbatim, while two sound kill rules keep the
-polynomials tiny:
+A sum or negation whose operands all have zero tails is computed there:
+with D the deepest exception index of any operand, each operand is the
+Witt vector of length n = D + 1 whose coordinate i holds its entry at index
+i - n + 1 (deeper entries are zero, and V, the shift by one index, is the
+transition map of the colimit), and `wittmod.w_add` or `w_neg` adds or
+negates these in W_n(A) through the algebra's memoized plans; coordinate i
+of the result is the entry at index i - n + 1, and the tail stays zero.
+This path is taken while (p, n) lies in the desk-scale envelope
+(`wittuniv.in_envelope`).  Deeper operands take the windows below: the
+first W_n plan of each new length costs a lift over all n levels, which
+grows with n and log p and, over a unital algebra, is the full universal
+family, while the windows stay a few levels deep whatever the depth.
+
+Otherwise addition is the stabilized windowed Witt sum: the entry at index
+-n is the eventual value of the level-m sum component evaluated on the
+windows (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  The
+windowed polynomials are produced by `wittuniv.dwork_lift`, run inside a
+quotient of Z[window variables] by a monomial ideal; such quotients stay
+torsion free and carry the v -> v^p lift, so the recursion's exact
+divisions, which are its congruence check, survive verbatim, while two
+sound kill rules keep the polynomials tiny:
 
   * if the span of every window value is nilpotent, monomials die at
     total degree >= t_total, the product-length threshold of that span;
@@ -43,18 +56,15 @@ base-p carries allow only with at least (p-1)k+1 of them.  Take k = L to
 bound the total degree.  The window's last R = max(0, r-n) positions are
 not deep; when L >= max(R, 1), take k = L - max(R, 1) + 1, whose positions
 of weight below p^k are all deep, to bound the deep degree.  Call level L
-dead when every such monomial vanishes on the window, because a kill rule
-removes it or because it holds a zero entry:
+dead when a kill rule removes every such monomial:
 
-  (a) every tail is zero and n + L > d, where -d is the deepest index
-      holding a nonzero entry, so every position-0 entry is zero;
-  (b) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep;
-  (c) t_total is set and (p-1)L + 1 >= t_total.
+  (a) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep;
+  (b) t_total is set and (p-1)L + 1 >= t_total.
 
 Each condition stays true as L grows, so with L0 the least dead level the
 window at m* = max(start_m, L0 - 1) has the value of every deeper window.
 Deep entries generate a nilpotent ideal (Fontaine, Groupes p-divisibles sur
-les corps locaux, Asterisque 47-48, ch. II), so t_deep is finite and (b)
+les corps locaux, Asterisque 47-48, ch. II), so t_deep is finite and (a)
 always gives a level.
 """
 
@@ -68,8 +78,8 @@ from . import wire
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      nilpotence_index, product_length_threshold,
                      vec_is_zero)
-from .wittmod import eval_polar_poly, polar_plan
-from .wittuniv import _targets, dwork_lift
+from .wittmod import WittVector, eval_polar_poly, polar_plan, w_add, w_neg
+from .wittuniv import _targets, dwork_lift, in_envelope
 
 
 @dataclass(frozen=True)
@@ -225,13 +235,9 @@ def _certified_depth(elems, n: int, r: int, caps: tuple, start_m: int) -> int:
     t_total, t_deep = caps
     R1 = max(1, r - n)
     # -(-(t - 1) // (p - 1)) is the least k with (p-1)k + 1 >= t
-    dead = [R1 - 1 + max(1, -(-(t_deep - 1) // (p - 1)))]           # (b)
+    dead = [R1 - 1 + max(1, -(-(t_deep - 1) // (p - 1)))]           # (a)
     if t_total is not None:
-        dead.append(-(-(t_total - 1) // (p - 1)))                    # (c)
-    if all(vec_is_zero(e.tail) for e in elems):
-        deepest = max([0] + [-i for e in elems
-                             for i, v in e.exceptions.items() if any(v)])
-        dead.append(deepest - n + 1)                                 # (a)
+        dead.append(-(-(t_total - 1) // (p - 1)))                    # (b)
     return max(start_m, min(dead) - 1, 0)
 
 
@@ -249,9 +255,18 @@ def _stabilized_entry(elems, n, op, start_m, caps) -> tuple:
 
 
 def _stabilized_op(elems: list, op: str) -> CoWittElement:
-    """Every window at index -(n_explicit + 1) or deeper holds only tails,
-    all at deep positions, so that entry is the new tail."""
+    """With every tail zero and (p, n), n = max depth + 1, in the
+    desk-scale envelope, `op` in W_n (module docstring).  Otherwise every
+    window at index -(n_explicit + 1) or deeper holds only tails, all at
+    deep positions, so that entry is the new tail."""
     A = elems[0].algebra
+    n = max(e.depth() for e in elems) + 1
+    if in_envelope(A.p, n) and all(vec_is_zero(e.tail) for e in elems):
+        xs = [WittVector(A, tuple(e.entry(i - n + 1) for i in range(n)))
+              for e in elems]
+        z = w_add(*xs) if op == "sum" else w_neg(*xs)
+        return _settled(CoWittElement(
+            A, A.zero, {i - n + 1: v for i, v in enumerate(z.coords)}))
     r = max(e.witness[0] for e in elems)
     caps = _caps_for(A, elems, r)
     n_explicit = max(max(e.depth() for e in elems), r)

@@ -46,13 +46,15 @@ class PTypicalLog:
             raise ValueError(f"{self.p} is not prime")
         if self.coeffs[0] != 1:
             raise ValueError("l_0 must be 1")
+        top = len(self.coeffs) - 1
+        if self.p ** top > self.prec:
+            raise ValueError(f"l_{top} sits at degree {self.p}^{top} = "
+                             f"{self.p ** top}, beyond precision {self.prec}")
 
     def series(self) -> TruncSeries:
         out = [Fraction(0)] * (self.prec + 1)
         for i, l in enumerate(self.coeffs):
-            e = self.p ** i
-            if e <= self.prec:
-                out[e] = Fraction(l)
+            out[self.p ** i] = Fraction(l)
         return TruncSeries(self.prec, out)
 
 

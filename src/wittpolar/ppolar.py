@@ -23,14 +23,25 @@ Ideal closure (`ideal_generated`), the nilpotence index
 (`nilpotence_index`) and the product-length threshold
 (`product_length_threshold`) depend only on the algebra and on the
 subspace they are asked about.  Each algebra remembers their answers in one
-memo, `_ideals`, keyed by the query's kind and the reduced echelon rows of
-that subspace (`gfq.rref(field, vectors)[0]`, which is canonical: equal
-subspaces give equal keys).  A repeated query returns the stored answer
-(the same `PolarIdeal` object for a closure); the function body runs only
-on the first one.  A closure is one `rref` (see `ideal_generated`);
-thresholds grow their spans in rounds, one `rref` per round, and give None
-at the first round equal to the one before (each round depends only on the
-previous one, so that is a fixed point).
+memo, `_ideals`, keyed by the query's kind and canonical reduced echelon
+rows (`gfq.rref(field, vectors)[0]`: equal subspaces give equal keys).
+
+Ideals form a lattice in that memo.  `ideal_generated` scales each nonzero
+generator g to a leading 1, which is its own `rref` row, so its principal
+ideal sits under ("ideal", (g,)) with no elimination to find the key; a
+miss closes it with one `rref`.  The generators fold through a memo of
+pairwise sums keyed by ("sum", rows of I, rows of J): a sum of ideals is
+an ideal, so it costs one `rref` of the union and no closure, and a
+generator already in the running sum is skipped before it is closed.
+Every ideal is stored under its own ("ideal", rows) as well, so equal
+ideals are one `PolarIdeal` object, and a hit costs no `rref` at all.  The
+principal keys are at most the (q^d - 1) / (q - 1) lines of F_q^d, the sum
+keys pairs of ideals of the algebra, so the memo is bounded by the algebra
+whatever the queries.  The nilpotence index is keyed by the rows of its
+ideal; thresholds are keyed by the `rref` of their vectors, grow their
+spans in rounds, one `rref` per round, and give None at the first round
+equal to the one before (each round depends only on the previous one, so
+that is a fixed point).
 """
 
 from __future__ import annotations
@@ -331,26 +342,17 @@ def check_assoc(A: PPolarAlgebra):
 
 
 class PolarIdeal:
-    """F_q-subspace closed under mu(A, ..., A, -), as its `rref` rows."""
+    """F_q-subspace closed under mu(A, ..., A, -), as its `rref` rows.
+
+    The constructor trusts its rows, and only `ideal_generated` and
+    `nilradical` call it, with the canonical `rref` rows of a closed
+    subspace; the package does not export the class."""
 
     __slots__ = ("algebra", "basis")
 
-    def __init__(self, algebra: PPolarAlgebra, basis: Sequence[Sequence[int]],
-                 verify: bool = True):
+    def __init__(self, algebra: PPolarAlgebra, basis: Sequence[tuple]):
         self.algebra = algebra
-        self.basis = tuple(rref(algebra.field, basis)[0])
-        if verify and not self._closed():
-            raise ValueError("subspace is not closed under multiplication")
-
-    def _closed(self) -> bool:
-        A = self.algebra
-        for key in combinations_with_replacement(range(A.dim), A.p - 1):
-            outer = [A.basis_vector(i) for i in key]
-            for b in self.basis:
-                v = A.mu_p(outer + [list(b)])
-                if not in_span(A.field, self.basis, v):
-                    return False
-        return True
+        self.basis = tuple(basis)
 
     @property
     def dim(self) -> int:
@@ -368,27 +370,59 @@ class PolarIdeal:
 
 
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
-    """Smallest F_q-subspace containing gens closed under mu(A,..,A,-).
+    """Smallest F_q-subspace containing gens closed under mu(A,..,A,-):
+    the sum of the principal ideals of the nonzero gens, each keyed by its
+    generator scaled to a leading 1, folded in order through `_ideal_sum`
+    (module docstring)."""
+    F = A.field
+    ideal = None
+    for g in gens:
+        lead = next((c for c in g if c), 0)
+        if not lead:
+            continue
+        g = tuple(g) if lead == 1 else combine(F, (F.inv(lead),), (g,))
+        J = A._ideals.get(("ideal", (g,)))
+        if J is None:
+            if ideal is not None and in_span(F, ideal.basis, g):
+                continue
+            J = A._ideals["ideal", (g,)] = _principal(A, g)
+        ideal = J if ideal is None else _ideal_sum(A, ideal, J)
+    return _canonical(A, ()) if ideal is None else ideal
 
-    One round closes it: the span W of the rows b of gens and of every
-    mu(e_key, b), key a (p-1)-multiset of basis vectors.  By (ASSOC),
-    mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), b)) equals
-    mu(c, b_2, .., b_(p-1), b) with c = mu(a_1, .., a_(p-1), b_1), and
+
+def _canonical(A: PPolarAlgebra, rows: tuple) -> PolarIdeal:
+    """The memo's ideal with `rref` rows `rows`, made on the first call."""
+    return A._ideals.setdefault(("ideal", rows), PolarIdeal(A, rows))
+
+
+def _principal(A: PPolarAlgebra, g: tuple) -> PolarIdeal:
+    """The ideal generated by g.
+
+    One round closes it: the span W of g and of every mu(e_key, g), key a
+    (p-1)-multiset of basis vectors.  By (ASSOC),
+    mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), g)) equals
+    mu(c, b_2, .., b_(p-1), g) with c = mu(a_1, .., a_(p-1), b_1), and
     expanding c in the basis writes that as a combination of the
-    mu(e_key', b), so mu(A, .., A, W) lies in W.  Every algebra satisfies
+    mu(e_key', g), so mu(A, .., A, W) lies in W.  Every algebra satisfies
     (ASSOC): `from_json` and `quotient` check it, and `polarize` (from an
     associative product), `extend_scalars`, `etale.subalgebra`, `samples`
     and `wittmod.base_polar` build only algebras that have it."""
-    F = A.field
-    rows = rref(F, gens)[0]
-    query = ("ideal", tuple(rows))
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    outer = combinations_with_replacement(basis, A.p - 1)
+    return _canonical(A, tuple(rref(A.field, [g] + [
+        A.mu_p([*key, g]) for key in outer])[0]))
+
+
+def _ideal_sum(A: PPolarAlgebra, I: PolarIdeal, J: PolarIdeal) -> PolarIdeal:
+    """I + J, an ideal, so one `rref` of the union and no closure; memoized
+    by the two canonical bases."""
+    if I is J:
+        return I
+    query = ("sum", I.basis, J.basis)
     memo = A._ideals
-    if query in memo:
-        return memo[query]
-    outer = [[A.basis_vector(i) for i in key] for key in
-             combinations_with_replacement(range(A.dim), A.p - 1)]
-    rows = rref(F, rows + [A.mu_p(e + [b]) for e in outer for b in rows])[0]
-    memo[query] = PolarIdeal(A, rows, verify=False)
+    if query not in memo:
+        memo[query] = _canonical(
+            A, tuple(rref(A.field, I.basis + J.basis)[0]))
     return memo[query]
 
 
@@ -428,7 +462,7 @@ def nilradical(A: PPolarAlgebra) -> PolarIdeal:
     its iterated kernel is computed over F_p and stabilizes by iterate d.
     """
     kernel = additive_map_kernel(A.field, lambda v: A.ppow(v, A.dim), A.dim)
-    return PolarIdeal(A, kernel, verify=False)
+    return PolarIdeal(A, rref(A.field, kernel)[0])
 
 
 def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]]):

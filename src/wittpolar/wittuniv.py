@@ -111,11 +111,13 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly],
     squarings inside `power` included, is pw^k with k <= p for a power pw
     kept from level m-1, so no exponent exceeds B = max_m B_m and a field
     of at least B.bit_length() bits never carries into the next; w is the
-    least of 8, 16, 32 and 64 bits that holds B, so that one `struct` call
-    unpacks a key.  The targets are packed once and each component
-    unpacked once, at the end, into a MultiPoly taken as built
-    (`MultiPoly._trusted`: its exponents come from the unpacking and its
-    coefficients are nonzero exact quotients).  The targets must have
+    least power of two, at least 8, whose bits hold B.  Up to 64 bits one
+    `struct` call unpacks a key; wider fields, which a deep ghost target
+    such as x_0^(p^(n-1)) needs once p^(n-1) >= 2^64, are cut from the
+    key's bytes one `int.from_bytes` each.  The targets are packed once
+    and each component unpacked once, at the end, into a MultiPoly taken
+    as built (`MultiPoly._trusted`: its exponents come from the unpacking
+    and its coefficients are nonzero exact quotients).  The targets must have
     integer coefficients.
 
     `kill` is called on exponent tuples, once per distinct monomial per
@@ -131,11 +133,19 @@ def dwork_lift(p: int, targets: Sequence[MultiPoly],
     size = 1
     while bound >> (8 * size):
         size *= 2
-    fields = Struct(f"<{len(names)}{'BHIQ'[size.bit_length() - 1]}")
     width = 8 * size
+    if size <= 8:
+        fields = Struct(f"<{len(names)}{'BHIQ'[size.bit_length() - 1]}")
 
-    def unpack(key: int) -> tuple:
-        return fields.unpack(key.to_bytes(fields.size, "little"))
+        def unpack(key: int) -> tuple:
+            return fields.unpack(key.to_bytes(fields.size, "little"))
+    else:
+        starts = range(0, size * len(names), size)
+
+        def unpack(key: int) -> tuple:
+            b = key.to_bytes(size * len(names), "little")
+            return tuple(int.from_bytes(b[i:i + size], "little")
+                         for i in starts)
 
     killed: dict = {}
 
@@ -256,6 +266,12 @@ def family_to_json(p: int, n: int, kind: str, polys: Sequence[MultiPoly]) -> dic
 _memo: dict = {}
 
 
+def in_envelope(p: int, n: int) -> bool:
+    """Whether (p, n) lies in the desk-scale envelope, where every full
+    family lifts in well under a second."""
+    return (p <= 5 and n <= 2) or (p <= 3 and n <= 4)
+
+
 def universal_polys(p: int, n: int, kind: str) -> list:
     """The universal polynomials for one Witt operation, lifted from their
     ghost targets on the first call for (p, n, kind) in a process and then
@@ -267,7 +283,7 @@ def universal_polys(p: int, n: int, kind: str) -> list:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("length must be >= 1")
-    if not ((p <= 5 and n <= 2) or (p <= 3 and n <= 4)):
+    if not in_envelope(p, n):
         warnings.warn(f"(p={p}, n={n}) exceeds the desk-scale envelope; "
                       "this may be slow", stacklevel=2)
     key = (p, n, kind)

@@ -201,6 +201,7 @@ def test_witt_eval_output_matches_golden_bytes(capsys):
 CW_GOLDEN = {
     "cw_validate_nil4_f2_x": ("validate", "x"),
     "cw_add_nil4_f2_x_y": ("add", "x", "y"),
+    "cw_add_nil4_f2_u_w": ("add", "u", "w"),
     "cw_f_nil4_f2_x": ("f", "x"),
     "cw_v_nil4_f2_x": ("v", "x"),
 }
@@ -680,6 +681,20 @@ def test_fgl_names_a_coefficient_with_a_zero_denominator(capsys):
     msg = _assert_rejected(*run(capsys, "fgl", "--p", "2", "--precision",
                                 "4", "--log-coeffs", "1,1/0"))
     assert "'1/0' is not a rational number" in msg
+
+
+def test_fgl_rejects_log_coefficients_beyond_its_precision(capsys):
+    # l_3 and up sit at degrees 8, 16, 32 > 4: they used to be dropped
+    # silently, giving the output of --log-coeffs 1,1/2,3
+    msg = _assert_rejected(*run(capsys, "fgl", "--p", "2", "--precision",
+                                "4", "--log-coeffs", "1,1/2,3,4,5,6"))
+    assert "l_5 sits at degree 2^5 = 32, beyond precision 4" in msg
+    rc, _, _ = run(capsys, "fgl", "--p", "2", "--precision", "4",
+                   "--log-coeffs", "1,1/2,3")
+    assert rc == 0
+    msg = _assert_rejected(*run(capsys, "fgl", "--p", "3", "--precision",
+                                "0", "--log-coeffs", "1"))
+    assert "beyond precision 0" in msg
 
 
 def test_missing_input_and_unwritable_out_files_are_rejected(capsys,

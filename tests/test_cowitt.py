@@ -1,17 +1,19 @@
 """Co-Witt vectors: validity, stabilized sums, F and V."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar import cowitt, samples
+from wittpolar import cowitt, ppolar, samples
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
                               stabilized_entry, witness_search)
 from wittpolar.gfq import gf_build
-from wittpolar.ppolar import nilpotence_index
-from wittpolar.wittmod import truncate, w_add, witt
+from wittpolar.ppolar import PPolarAlgebra, nilpotence_index, vec_is_zero
+from wittpolar.wittmod import truncate, w_add, w_neg, witt
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -25,6 +27,11 @@ def finite_support(x):
     n = x.length
     return CoWittElement(x.algebra, x.algebra.zero,
                          {i - n + 1: c for i, c in enumerate(x.coords)})
+
+
+def settled(x):
+    """x with its minimal witness."""
+    return CoWittElement(x.algebra, x.tail, x.exceptions, witness_search(x))
 
 
 def rand_cw(A, rng, maxdepth=3):
@@ -97,15 +104,50 @@ def test_offset_independence():
                 assert v0 == v1 == v2
 
 
-def test_finite_support_matches_cwu():
+def test_finite_support_matches_cwu(monkeypatch):
+    # zero-tail operands take W_n and never read a window; the windowed
+    # value at every index is the independent check
+    def window(*args):
+        raise AssertionError("a zero-tail operation read a window")
     rng = random.Random(19)
     for A in (A2, A3):
         for _ in range(8):
             x = samples.random_witt(rng, A, 3)
             y = samples.random_witt(rng, A, 3)
-            # equal at every index, none set below -2
-            assert cw_add(finite_support(x), finite_support(y)) == \
-                finite_support(w_add(x, y))
+            # a shallower operand is V-padded at the deep end
+            y2 = truncate(y, 2)
+            for ws, op, want in (
+                    ([x, y], "sum", w_add(x, y)),
+                    ([x], "neg", w_neg(x)),
+                    ([x, y2], "sum",
+                     w_add(x, witt(A, (A.zero,) + y2.coords)))):
+                elems = [settled(finite_support(w)) for w in ws]
+                with monkeypatch.context() as m:
+                    m.setattr(cowitt, "_stabilized_entry", window)
+                    got = cw_add(*elems) if op == "sum" else cw_neg(*elems)
+                # equal at every index, none set below -2
+                assert got == finite_support(want)
+                for n in range(4):
+                    assert got.entry(-n) == stabilized_entry(elems, n, op)
+
+
+@pytest.mark.parametrize("depth", [41, 63])
+def test_deep_zero_tail_ops_match_the_windows(depth):
+    # beyond the lift envelope zero-tail operands take the windows; W_n of
+    # length depth + 1 needs packed exponent fields past 64 bits, as
+    # 3^depth >= 2^64
+    rng = random.Random(depth)
+    x, y = (settled(CoWittElement(
+        A3, A3.zero, {-i: samples.random_vector(rng, A3)
+                      for i in (0, depth // 2, depth)})) for _ in range(2))
+    xs = [witt(A3, [e.entry(i - depth) for i in range(depth + 1)])
+          for e in (x, y)]
+    for elems, op, got, want in (
+            ([x, y], "sum", cw_add(x, y), w_add(*xs)),
+            ([x], "neg", cw_neg(x), w_neg(xs[0]))):
+        assert got == finite_support(want)
+        for n in range(depth + 2):
+            assert got.entry(-n) == stabilized_entry(elems, n, op), (op, n)
 
 
 def test_embedding_equivariance():
@@ -298,3 +340,56 @@ def test_certified_depth_matches_deeper_windows():
                         assert cowitt._stabilized_entry(
                             elems, n, op, deeper, caps) == v, (n, deeper)
     assert max_r > 0
+
+
+# -- finite support through W_n -------------------------------------------------
+
+
+_ZERO_TAIL = [samples.trunc_nil_polar(gf_build(p, m), N)
+              for p, m in ((2, 1), (3, 1), (2, 2)) for N in (3, 4, 5)] + \
+    [samples.split_polar(F, 1) for F in (F2, F3)]
+
+
+@st.composite
+def zero_tail_pair(draw):
+    """Two elements with zero tails over pol(x F_q[x]/(x^N)), q = 2, 3, 4,
+    or over the unital pol(F_p), p = 2, 3, with their minimal witnesses."""
+    A = draw(st.sampled_from(_ZERO_TAIL))
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+    element = st.builds(lambda exc: settled(CoWittElement(A, A.zero, exc)),
+                        st.dictionaries(st.integers(-3, 0), vec, max_size=4))
+    return draw(element), draw(element)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_tail_pair())
+def test_w_n_path_matches_the_windows(pair):
+    # the W_n result against the windowed value at every index down to
+    # one below the depth, where both give the zero tail
+    x, y = pair
+    for elems, op, got in (([x, y], "sum", cw_add(x, y)),
+                           ([x], "neg", cw_neg(x))):
+        assert vec_is_zero(got.tail)
+        for n in range(max(e.depth() for e in elems) + 2):
+            assert got.entry(-n) == stabilized_entry(elems, n, op), (op, n)
+
+
+def test_repeated_witness_search_makes_no_rref_and_no_mu_call(monkeypatch):
+    data = Path(__file__).with_name("data")
+    A = PPolarAlgebra.from_json(
+        json.loads((data / "cw_nil4_f2_algebra.json").read_text()))
+    x = cowitt.cw_from_json(
+        A, json.loads((data / "cw_nil4_f2_x.json").read_text()))
+    first = witness_search(x)
+    calls = []
+    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
+    monkeypatch.setattr(ppolar, "rref",
+                        lambda *a: calls.append("rref") or real_rref(*a))
+    monkeypatch.setattr(PPolarAlgebra, "mu_p",
+                        lambda self, v: calls.append("mu") or real_mu(self, v))
+    for _ in range(4):
+        assert witness_search(x) == first
+    assert calls == []
+    cold = PPolarAlgebra(A.field, A.dim, A.mu)
+    assert witness_search(CoWittElement(cold, x.tail, x.exceptions)) == first
+    assert "rref" in calls and "mu" in calls

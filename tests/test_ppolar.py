@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittpolar import ppolar, samples
-from wittpolar.gfq import gf_build, in_span
+from wittpolar.gfq import gf_build, in_span, rref
 from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
                               ideal_generated, nilpotence_index,
@@ -309,6 +309,27 @@ def test_repeated_query_makes_no_mu_call(monkeypatch):
     assert calls == []
     assert _queries(_cold_copy(A), gens) == first
     assert calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NIL_ALGEBRAS)), st.data())
+def test_memo_keys_are_canonical_rows(key, data):
+    # principal ideals are keyed by the generator scaled to a leading 1,
+    # sums by the two canonical bases; no key holds raw generators, and
+    # every ideal is the object stored under its own rows
+    A = _cold_copy(NIL_ALGEBRAS[key])
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+    for gens in data.draw(st.lists(st.lists(vec, max_size=4), min_size=1,
+                                   max_size=4)):
+        _queries(A, gens)
+    assert A._ideals
+    for query, answer in A._ideals.items():
+        kind, *bases = query
+        assert kind in ("ideal", "sum", "nilpotence", "threshold")
+        for rows in bases:
+            assert list(rows) == rref(A.field, rows)[0]
+        if kind in ("ideal", "sum"):
+            assert A._ideals["ideal", answer.basis] is answer
 
 
 def test_memo_is_not_shared_between_algebras():
