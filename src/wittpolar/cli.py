@@ -182,6 +182,9 @@ def cmd_fgl(args) -> int:
 def cmd_verify(args) -> int:
     rows = verify_mod.run_suites(seed=args.seed, p_filter=args.p,
                                  suites=[args.suite] if args.suite else None)
+    if not rows:
+        raise CliError(f"no check of --suite {args.suite} runs at "
+                       f"--p {args.p}")
     failures = 0
     for name, ok, detail in rows:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]\n")
@@ -238,7 +241,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--suite", choices=sorted(verify_mod.SUITES))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--p", type=int)
+    sp.add_argument("--p", type=int, choices=(2, 3, 5))
     sp.set_defaults(fn=cmd_verify)
     return ap
 

@@ -27,22 +27,25 @@ torsion free and carry the v -> v^p lift, so the recursion's exact
 divisions, which are its congruence check, survive verbatim, while two
 sound kill rules keep the polynomials tiny:
 
-  * if the span of every window value is nilpotent, monomials die at
-    total degree >= t_total, the product-length threshold of that span;
-  * monomials die at deep-variable degree >= t_deep = p^s, because p^s deep
+  * if A is nilpotent, monomials die at total degree >= t_total = L, the
+    product length of A (`ppolar.product_length`), as every product of L
+    or more elements of A vanishes;
+  * monomials die at deep-variable degree >= t_deep = p^s, s the
+    nilpotence index of the nilradical Nil(A): the deep entries generate
+    a nilpotent ideal (the witness), hence one inside Nil(A), and p^s deep
     factors can be regrouped (scheme independence) into a complete p-ary
-    subtree landing in the vanishing s-fold polar power.
+    subtree landing in the vanishing s-fold polar power of Nil(A).
 
-The kill rules read only which window positions are deep and two caps
-computed once per operation from all operands, so the lifted polynomial
-depends on that shape and not on the entry values: it is built once per
-shape key and memoized, and each window only binds its entries and
-evaluates it on the algebra.
+Both caps are invariants of the algebra, read once per operation from its
+memo (`ppolar`).  The kill rules read only which window positions are deep
+and the caps, so the lifted polynomial depends on that shape and not on
+the entry values: it is built once per shape key and memoized, and each
+window only binds its entries and evaluates it on the algebra.
 
-The witness searches and the caps ask only for ideal closures, nilpotence
-indices and product-length thresholds of subspaces of the algebra; each is
-answered from the algebra's ideal memo (see `ppolar`), so an operation pays
-for a closure only the first time its subspace comes up.
+The witness searches ask only for ideal closures and nilpotence indices of
+subspaces of the algebra; each is answered from the algebra's ideal memo
+(see `ppolar`), so an operation pays for a closure only the first time its
+subspace comes up.
 
 Each entry is read off one window, at a certified depth m*.  Give x_i and
 y_i weight p^i; the top component of the level-L sum or negation is then
@@ -63,9 +66,9 @@ dead when a kill rule removes every such monomial:
 
 Each condition stays true as L grows, so with L0 the least dead level the
 window at m* = max(start_m, L0 - 1) has the value of every deeper window.
-Deep entries generate a nilpotent ideal (Fontaine, Groupes p-divisibles sur
-les corps locaux, Asterisque 47-48, ch. II), so t_deep is finite and (a)
-always gives a level.
+Nil(A) is a nilpotent ideal (Fontaine, Groupes p-divisibles sur les corps
+locaux, Asterisque 47-48, ch. II), so t_deep is finite and (a) always
+gives a level.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from typing import Sequence
 
 from . import wire
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
-                     nilpotence_index, product_length_threshold,
+                     nilpotence_index, nilradical, product_length,
                      vec_is_zero)
 from .wittmod import WittVector, eval_polar_poly, polar_plan, w_add, w_neg
 from .wittuniv import _targets, dwork_lift, in_envelope
@@ -202,36 +205,24 @@ def _window_poly(p: int, m: int, op: str, deep: tuple, caps: tuple) -> tuple:
                       names)
 
 
-def _caps_for(A: PPolarAlgebra, elems: Sequence[CoWittElement], r: int) -> tuple:
-    deep_vals = []
-    all_vals = []
-    for e in elems:
-        deep_vals.extend([v for i, v in e.exceptions.items() if i <= -r])
-        deep_vals.append(e.tail)
-        all_vals.extend(e.exceptions.values())
-        all_vals.append(e.tail)
-    deep_vals = [v for v in deep_vals if any(v)]
-    all_vals = [v for v in all_vals if any(v)]
-    s_star = nilpotence_index(A, ideal_generated(A, deep_vals))
-    if s_star is None:
-        raise ValueError("deep entries do not generate a nilpotent ideal")
-    t_total = product_length_threshold(A, all_vals)
-    return (t_total, A.p ** s_star)
+def _caps(A: PPolarAlgebra) -> tuple:
+    """(t_total, t_deep) of A, the kill caps of every window over it
+    (module docstring)."""
+    return (product_length(A), A.p ** nilpotence_index(A, nilradical(A)))
 
 
 def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
                      start_m: int = 0) -> tuple:
     """The eventual value of the windowed `op` at index -n, read off the
-    window at the certified depth (at least `start_m`)."""
-    r = max(e.witness[0] for e in elems)
-    caps = _caps_for(elems[0].algebra, elems, r)
-    return _stabilized_entry(elems, n, op, start_m, caps)
+    window at the certified depth (at least `start_m`).  Each element is
+    settled first: one with no valid witness raises `ValueError`."""
+    elems = [_settled(e) for e in elems]
+    return _window_entry(elems, n, op, start_m, _caps(elems[0].algebra))
 
 
-def _certified_depth(elems, n: int, r: int, caps: tuple, start_m: int) -> int:
+def _certified_depth(p: int, n: int, r: int, caps: tuple, start_m: int) -> int:
     """Least level m >= start_m whose window value every deeper window
     repeats: one below the least dead level (module docstring)."""
-    p = elems[0].algebra.p
     t_total, t_deep = caps
     R1 = max(1, r - n)
     # -(-(t - 1) // (p - 1)) is the least k with (p-1)k + 1 >= t
@@ -241,13 +232,13 @@ def _certified_depth(elems, n: int, r: int, caps: tuple, start_m: int) -> int:
     return max(start_m, min(dead) - 1, 0)
 
 
-def _stabilized_entry(elems, n, op, start_m, caps) -> tuple:
-    """`stabilized_entry` with the kill caps of `elems` already computed:
-    the top component of `op` on the windows (deepest entry first) at the
-    certified depth."""
+def _window_entry(elems, n, op, start_m, caps) -> tuple:
+    """`stabilized_entry` on settled `elems` with the caps of their
+    algebra: the top component of `op` on the windows (deepest entry
+    first) at the certified depth."""
     A = elems[0].algebra
     r = max(e.witness[0] for e in elems)
-    m = _certified_depth(elems, n, r, caps, start_m)
+    m = _certified_depth(A.p, n, r, caps, start_m)
     idxs = range(-n - m, -n + 1)
     deep = tuple(i <= -r for i in idxs)
     top = _window_poly(A.p, m, op, deep, caps)
@@ -268,12 +259,12 @@ def _stabilized_op(elems: list, op: str) -> CoWittElement:
         return _settled(CoWittElement(
             A, A.zero, {i - n + 1: v for i, v in enumerate(z.coords)}))
     r = max(e.witness[0] for e in elems)
-    caps = _caps_for(A, elems, r)
+    caps = _caps(A)
     n_explicit = max(max(e.depth() for e in elems), r)
-    new_tail = _stabilized_entry(elems, n_explicit + 1, op, 0, caps)
+    new_tail = _window_entry(elems, n_explicit + 1, op, 0, caps)
     exceptions = {}
     for nn in range(n_explicit + 1):
-        v = _stabilized_entry(elems, nn, op, 0, caps)
+        v = _window_entry(elems, nn, op, 0, caps)
         if v != new_tail:
             exceptions[-nn] = v
     return _settled(CoWittElement(A, new_tail, exceptions))

@@ -165,7 +165,7 @@ class StarGroup:
         self.law = law
         nil = nilradical(algebra)
         self.nil_basis = nil.basis
-        self.threshold = product_length_threshold(algebra, nil.basis)
+        self.threshold = product_length_threshold(algebra, nil)
         if law.p != algebra.p:
             raise LawNotPolar("characteristic mismatch")
         for (a, b), _ in law.terms:

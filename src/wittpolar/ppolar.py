@@ -37,11 +37,10 @@ Every ideal is stored under its own ("ideal", rows) as well, so equal
 ideals are one `PolarIdeal` object, and a hit costs no `rref` at all.  The
 principal keys are at most the (q^d - 1) / (q - 1) lines of F_q^d, the sum
 keys pairs of ideals of the algebra, so the memo is bounded by the algebra
-whatever the queries.  The nilpotence index is keyed by the rows of its
-ideal; thresholds are keyed by the `rref` of their vectors, grow their
-spans in rounds, one `rref` per round, and give None at the first round
-equal to the one before (each round depends only on the previous one, so
-that is a fixed point).
+whatever the queries.  The nilpotence index and the product-length
+threshold take an ideal and are keyed by its rows, so a repeated query
+costs no `rref`; the nilradical is stored once, as the lattice's object
+for its rows.
 """
 
 from __future__ import annotations
@@ -344,9 +343,10 @@ def check_assoc(A: PPolarAlgebra):
 class PolarIdeal:
     """F_q-subspace closed under mu(A, ..., A, -), as its `rref` rows.
 
-    The constructor trusts its rows, and only `ideal_generated` and
-    `nilradical` call it, with the canonical `rref` rows of a closed
-    subspace; the package does not export the class."""
+    The constructor trusts its rows, and only `_canonical` calls it, with
+    the canonical `rref` rows of a closed subspace (from `ideal_generated`,
+    `nilradical` and `product_length`); the package does not export the
+    class."""
 
     __slots__ = ("algebra", "basis")
 
@@ -460,57 +460,50 @@ def nilradical(A: PPolarAlgebra) -> PolarIdeal:
 
     The p-power map is additive in characteristic p and F_q-semilinear, so
     its iterated kernel is computed over F_p and stabilizes by iterate d.
+    The ideal is memoized as the lattice's object for its rows.
     """
-    kernel = additive_map_kernel(A.field, lambda v: A.ppow(v, A.dim), A.dim)
-    return PolarIdeal(A, rref(A.field, kernel)[0])
+    memo = A._ideals
+    if ("nilradical",) not in memo:
+        kernel = additive_map_kernel(A.field, lambda v: A.ppow(v, A.dim),
+                                     A.dim)
+        memo["nilradical",] = _canonical(A, tuple(rref(A.field, kernel)[0]))
+    return memo["nilradical",]
 
 
-def product_length_threshold(A: PPolarAlgebra, vectors: Sequence[Sequence[int]]):
-    """Least L = 1 + j(p-1) such that every product of >= L elements drawn
-    from the span of `vectors` vanishes, or None if no such L exists."""
-    span = tuple(rref(A.field, vectors)[0])
-    query = ("threshold", span)
+def product_length_threshold(A: PPolarAlgebra, I: PolarIdeal):
+    """Least L = 1 + j(p-1) such that every product of >= L elements of
+    the ideal I vanishes, or None if no such L exists.
+
+    Level j, the span of the products of 1 + j(p-1) elements of I, is
+    spanned, by multilinearity and scheme independence, by mu applied to
+    basis vectors of I, so it is the `rref` of level j-1's rows multiplied
+    by every (p-1)-multiset of I's rows.  Regrouping p of those factors
+    into one element of I (an ideal) writes a level-j product as a
+    level-(j-1) one, so the levels descend: within dim + 1 rounds one is 0
+    (L found) or equals the one before (a fixed point, None).
+    """
+    query = ("threshold", I.basis)
     memo = A._ideals
     if query not in memo:
-        memo[query] = _length_threshold(A, span)
+        outer = [[I.basis[i] for i in key] for key in
+                 combinations_with_replacement(range(I.dim), A.p - 1)]
+        cur, j = I.basis, 0
+        while cur:
+            nxt = tuple(rref(A.field, [A.mu_p(vs + [w]) for vs in outer
+                                       for w in cur])[0])
+            if nxt == cur:
+                break
+            cur, j = nxt, j + 1
+        memo[query] = None if cur else 1 + j * (A.p - 1)
     return memo[query]
 
 
 def product_length(A: PPolarAlgebra):
-    """The threshold of the whole algebra, its product length L: W_n(A)
-    evaluates only polar monomials of vector degree below L (see
-    `wittmod`).  Unital algebras have no L (None)."""
-    return product_length_threshold(
-        A, [A.basis_vector(i) for i in range(A.dim)])
-
-
-def _length_threshold(A: PPolarAlgebra, span: tuple):
-    """`product_length_threshold` on reduced echelon rows `span`.
-
-    Products of span elements of length 1 + j(p-1) are spanned, by
-    multilinearity and scheme independence, by mu applied to span basis
-    vectors, so each level is the `rref` of the previous level's rows
-    multiplied by every (p-1)-multiset of span rows.  A span that is not
-    closed under mu can cycle without reaching a fixed point (g -> g^2 ->
-    1 -> g in pol(F_4) over F_2), so the rounds also stop, giving None,
-    after (p^(dim + 1) - 1) / (p - 1) + 1 of them.
-    """
-    if not span:
-        return 1
-    p = A.p
-    cap = (p ** (A.dim + 1) - 1) // (p - 1) + 1
-    outer = [[span[i] for i in key] for key in
-             combinations_with_replacement(range(len(span)), p - 1)]
-    cur = span
-    for j in range(1, cap + 1):
-        nxt = tuple(rref(A.field, [A.mu_p(vs + [w]) for vs in outer
-                                   for w in cur])[0])
-        if not nxt:
-            return 1 + j * (p - 1)
-        if nxt == cur:
-            return None
-        cur = nxt
-    return None
+    """The threshold of the unit ideal, whose `rref` rows are the basis:
+    the product length L.  W_n(A) evaluates only polar monomials of vector
+    degree below L (see `wittmod`).  Unital algebras have no L (None)."""
+    unit = _canonical(A, tuple(A.basis_vector(i) for i in range(A.dim)))
+    return product_length_threshold(A, unit)
 
 
 # -- quotients and scalar extension ------------------------------------------

@@ -102,6 +102,8 @@ def suite_fv_relations(seed, p_filter):
     rng = random.Random(seed)
     for field, dims, n in [(gf_build(2, 1), (3,), 3), (gf_build(2, 2), (2,), 2),
                            (gf_build(3, 2), (2,), 2)]:
+        if p_filter and field.p != p_filter:
+            continue
         ok = True
         for d in dims:
             A = samples.trunc_nil_polar(field, d + 1)
@@ -186,6 +188,8 @@ def suite_teichmuller(seed, p_filter):
 
 def suite_dwork(seed, p_filter):
     rows = []
+    if p_filter and p_filter != 2:
+        return rows
     x = MultiPoly.variable("x0")
     comps = dwork_lift(2, [x, x ** 2, x ** 4, x ** 8])
     rows.append(("Dwork membership (x, x^2, x^4, x^8)",

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -359,6 +360,38 @@ def test_verify_teichmuller_suite_filtered(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "Teichmuller" in out
+
+
+def _is_power_of(q, p):
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_verify_p_runs_only_rows_at_that_prime(capsys, p):
+    rc, out, _ = run(capsys, "verify", "--p", str(p), "--seed", "7")
+    rows = out.splitlines()[:-1]
+    assert rc == 0 and rows and all(r.startswith("PASS") for r in rows)
+    assert out.splitlines()[-1] == f"{len(rows)}/{len(rows)} checks passed " \
+                                   f"(seed 7)"
+    # every p, q and GF(q) a row names is a power of the chosen prime; the
+    # Dwork rows are at p = 2 and name no prime
+    for row in rows:
+        for q in re.findall(r"(?:\bp=|\bq=|GF\()(\d+)", row):
+            assert _is_power_of(int(q), p), row
+    assert any("Dwork" in r for r in rows) == (p == 2)
+    # numeric Dieudonne rows run over GF(2), GF(4) and GF(9) only
+    assert any("Dieudonne" in r for r in rows) == (p != 5)
+
+
+@pytest.mark.parametrize("argv", [["--p", "7"], ["--p", "4"],
+                                  ["--suite", "dwork", "--p", "3"],
+                                  ["--suite", "cowitt", "--p", "5"]])
+def test_verify_selection_with_no_rows_exits_1(capsys, argv):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "validation"
 
 
 # -- rejected input ---------------------------------------------------------------

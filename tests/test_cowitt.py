@@ -12,7 +12,8 @@ from wittpolar import cowitt, ppolar, samples
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
                               stabilized_entry, witness_search)
 from wittpolar.gfq import gf_build
-from wittpolar.ppolar import PPolarAlgebra, nilpotence_index, vec_is_zero
+from wittpolar.ppolar import (PPolarAlgebra, nilpotence_index, polarize,
+                              vec_is_zero)
 from wittpolar.wittmod import truncate, w_add, w_neg, witt
 
 F2 = gf_build(2, 1)
@@ -123,7 +124,7 @@ def test_finite_support_matches_cwu(monkeypatch):
                      w_add(x, witt(A, (A.zero,) + y2.coords)))):
                 elems = [settled(finite_support(w)) for w in ws]
                 with monkeypatch.context() as m:
-                    m.setattr(cowitt, "_stabilized_entry", window)
+                    m.setattr(cowitt, "_window_entry", window)
                     got = cw_add(*elems) if op == "sum" else cw_neg(*elems)
                 # equal at every index, none set below -2
                 assert got == finite_support(want)
@@ -317,29 +318,44 @@ def _settled_cw(A, rng):
 def test_certified_depth_matches_deeper_windows():
     # the window at the certified depth m* agrees with the windows at
     # m*+1 .. m*+dim+2 for every entry a sum or negation reads, the new
-    # tail at n_explicit + 1 included, on pol(x F_q[x]/(x^N)) and on
-    # F_2 x x F_2[x]/(x^3), whose unit component allows witnesses with r > 0
+    # tail at n_explicit + 1 included, on pol(x F_q[x]/(x^N)), on
+    # F_2 x x F_2[x]/(x^3), whose unit component allows witnesses with
+    # r > 0, and on the unital pol(F_q[x]/(x^3)), whose nilradical, the
+    # source of t_deep, is neither 0 nor the whole algebra
     rng = random.Random(41)
     max_r = 0
-    for A in [_NIL[(q, N)] for q in (2, 3) for N in (3, 4, 5)] + [_MIXED]:
+    unital = [polarize(F, samples.unital_poly_table(F, 3)) for F in (F2, F3)]
+    for A in [_NIL[(q, N)] for q in (2, 3) for N in (3, 4, 5)] + [_MIXED] \
+            + unital:
+        caps = cowitt._caps(A)
         for _ in range(4):
             x, y = _settled_cw(A, rng), _settled_cw(A, rng)
             for elems, op in (([x, y], "sum"), ([x], "neg")):
                 r = max(e.witness[0] for e in elems)
                 max_r = max(max_r, r)
-                caps = cowitt._caps_for(A, elems, r)
                 depth = max(e.depth() for e in elems)
                 entries = [(max(depth, r) + 1, 0)] + [
                     (n, start_m) for n in range(depth + r + 1)
                     for start_m in (0, 1)]
                 for n, start_m in entries:
-                    m = cowitt._certified_depth(elems, n, r, caps, start_m)
-                    v = cowitt._stabilized_entry(elems, n, op, start_m, caps)
+                    m = cowitt._certified_depth(A.p, n, r, caps, start_m)
+                    v = cowitt._window_entry(elems, n, op, start_m, caps)
                     # start_m = deeper reads the window at that level
                     for deeper in range(m + 1, m + A.dim + 3):
-                        assert cowitt._stabilized_entry(
+                        assert cowitt._window_entry(
                             elems, n, op, deeper, caps) == v, (n, deeper)
     assert max_r > 0
+    nil = [ppolar.nilradical(A).dim for A in unital]
+    assert nil == [2, 2] and [cowitt._caps(A) for A in unital] == [
+        (None, 4), (None, 3)]
+
+
+def test_stabilized_entry_rejects_an_element_with_no_witness():
+    # a unit tail over pol(F_2) generates the unit ideal, never nilpotent
+    B = samples.split_polar(F2, 1)
+    bad = CoWittElement(B, (1,), {}, (0, 3))
+    with pytest.raises(ValueError):
+        stabilized_entry([bad, CoWittElement(B, B.zero)], 0)
 
 
 # -- finite support through W_n -------------------------------------------------

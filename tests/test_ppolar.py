@@ -203,17 +203,23 @@ def test_extend_scalars():
 def test_product_length_threshold():
     A = samples.trunc_nil_polar(F2, 4)
     basis = [A.basis_vector(i) for i in range(3)]
-    assert product_length_threshold(A, basis) == 4
+    assert product_length_threshold(A, ideal_generated(A, basis)) == 4
+    # the ideal (x^2) of x F_2[x]/(x^4): x^2 * x^2 = 0
+    assert product_length_threshold(
+        A, ideal_generated(A, [A.basis_vector(1)])) == 2
     B = samples.trunc_nil_polar(F3, 3)
-    assert product_length_threshold(B, [B.basis_vector(0), B.basis_vector(1)]) == 3
+    assert product_length_threshold(B, ideal_generated(
+        B, [B.basis_vector(0), B.basis_vector(1)])) == 3
     C = samples.split_polar(F2, 1)
-    assert product_length_threshold(C, [(1,)]) is None
+    assert product_length_threshold(C, ideal_generated(C, [(1,)])) is None
+    assert product_length_threshold(C, ideal_generated(C, [])) == 1
 
 
 def test_threshold_of_a_unital_algebra_stops_at_its_fixed_point(monkeypatch):
     # pol(F_3^6) is unital: every level of the threshold loop is the whole
-    # algebra, so it must stop at the first repeat, not run its cap
+    # algebra, so it must stop at the first repeat
     A = samples.split_polar(F3, 6)
+    unit = ideal_generated(A, [A.basis_vector(i) for i in range(A.dim)])
     calls = [0]
     mu_p = PPolarAlgebra.mu_p
 
@@ -222,22 +228,12 @@ def test_threshold_of_a_unital_algebra_stops_at_its_fixed_point(monkeypatch):
         return mu_p(self, vecs)
 
     monkeypatch.setattr(PPolarAlgebra, "mu_p", counted)
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    assert product_length_threshold(A, basis) is None
+    assert product_length_threshold(A, unit) is None
     # one round multiplies each current row by every (p-1)-multiset of rows
     per_round = len(list(combinations_with_replacement(
         range(A.dim), A.p - 1))) * A.dim
-    assert 0 < calls[0] <= (A.dim + 1) * per_round
+    assert calls[0] == per_round
     assert product_length(A) is None
-
-
-def test_threshold_of_a_cycling_span_stops_at_its_cap():
-    # in pol(F_4) over F_2 the spans of g, g^2 = g + 1 and g^3 = 1 follow
-    # each other in a cycle that never repeats its previous round
-    A = samples.field_ext_polar(F2, 2)
-    g = (0, 1)
-    assert A.mu_p([g, g]) == (1, 1) and A.mu_p([g, (1, 1)]) == (1, 0)
-    assert product_length_threshold(A, [g]) is None
 
 
 def test_product_length_is_the_full_basis_threshold():
@@ -250,8 +246,43 @@ def test_product_length_is_the_full_basis_threshold():
                  (samples.split_polar(F2, 2), None),
                  (PPolarAlgebra(F2, 0, {}), 1)):
         assert product_length(A) == L
-        assert L == product_length_threshold(
-            A, [A.basis_vector(i) for i in range(A.dim)])
+        assert L == product_length_threshold(A, ideal_generated(
+            A, [A.basis_vector(i) for i in range(A.dim)]))
+
+
+def test_repeated_product_length_makes_no_rref(monkeypatch):
+    A = samples.polar_direct_sum(samples.trunc_nil_polar(F3, 3),
+                                 samples.trunc_nil_polar(F3, 6))
+    first = product_length(A)
+    calls = []
+    real = ppolar.rref
+    monkeypatch.setattr(ppolar, "rref",
+                        lambda *a: calls.append(1) or real(*a))
+    assert product_length(A) == first == 7
+    assert calls == []
+    # a cold copy makes one `rref` per level, and no other
+    assert product_length(_cold_copy(A)) == first
+    assert len(calls) == (first - 1) // (A.p - 1)
+
+
+def test_repeated_nilradical_is_one_object_with_no_mu_call(monkeypatch):
+    A = samples.polar_direct_sum(samples.split_polar(F2, 1),
+                                 samples.trunc_nil_polar(F2, 4))
+    N = nilradical(A)
+    calls = []
+    real = PPolarAlgebra.mu_p
+    monkeypatch.setattr(PPolarAlgebra, "mu_p",
+                        lambda self, vecs: calls.append(1) or real(self, vecs))
+    # the kernel is found through p-th powers, which skip `mu_p`
+    ppow = PPolarAlgebra.ppow
+    monkeypatch.setattr(PPolarAlgebra, "ppow",
+                        lambda self, *a: calls.append(1) or ppow(self, *a))
+    assert nilradical(A) is N and N.dim == 3
+    assert calls == []
+    # it is the lattice's object for its rows
+    assert A._ideals["ideal", N.basis] is N
+    cold = _cold_copy(A)
+    assert nilradical(cold).basis == N.basis and calls
 
 
 def test_free_polar_basis_examples():
@@ -281,7 +312,7 @@ def _cold_copy(A):
 
 def _queries(A, gens):
     I = ideal_generated(A, gens)
-    return I.basis, nilpotence_index(A, I), product_length_threshold(A, gens)
+    return I.basis, nilpotence_index(A, I), product_length_threshold(A, I)
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,8 +373,8 @@ def test_memo_is_not_shared_between_algebras():
         assert (IA.dim, IB.dim) == (3, 1)
         assert IA.algebra is A and IB.algebra is B
         assert (nilpotence_index(A, IA), nilpotence_index(B, IB)) == (2, 1)
-        assert product_length_threshold(A, gens) == 4
-        assert product_length_threshold(B, gens) == 2
+        assert product_length_threshold(A, IA) == 4
+        assert product_length_threshold(B, IB) == 2
 
 
 # -- the mu_p kernel against the definition -------------------------------------
