@@ -11,6 +11,10 @@ bad-argument type), an unreadable input or unwritable --out file, or
 `etale.ExtensionCapExceeded`.  `verify` also exits 1 when a check fails,
 and any command exits 1 silently when stdout closes early.  Anything else
 is a bug: exit 2 with {"error": "internal"} and the traceback.
+
+Each subcommand imports the modules it uses when it runs, and the parser
+takes its choices from `wire`, so a process loads only what its
+subcommand needs.
 """
 
 from __future__ import annotations
@@ -19,11 +23,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import cowitt, etale, fgl, verify as verify_mod, wire, wittmod, wittuniv
-from .gfq import FqField
-from .ppolar import PPolarAlgebra, polarize
+from . import wire
 
 
 #: `fgl` certifies associativity up to this precision and prints null above
@@ -74,17 +75,15 @@ def _load(path):
 
 
 def cmd_witt_poly(args) -> int:
-    polys = wittuniv.universal_polys(args.p, args.n, args.kind)
-    _emit(wittuniv.family_to_json(args.p, args.n, args.kind, polys), args.out)
+    from .wittuniv import family_to_json, universal_polys
+    polys = universal_polys(args.p, args.n, args.kind)
+    _emit(family_to_json(args.p, args.n, args.kind, polys), args.out)
     return 0
 
 
-_UNARY = {"neg": wittmod.w_neg, "frob": wittmod.frobenius_charp,
-          "versch": wittmod.verschiebung}
-
-
-def _eval_expr(A: PPolarAlgebra, node: dict) -> wittmod.WittVector:
+def _eval_expr(A, node: dict):
     """The value of an expression node that has passed `wire.check`."""
+    from . import wittmod
     op = node["op"]
     if op == "lit":
         return wittmod.witt_from_json(A, node)
@@ -95,10 +94,13 @@ def _eval_expr(A: PPolarAlgebra, node: dict) -> wittmod.WittVector:
         return wittmod.w_add(*(_eval_expr(A, a) for a in node["args"]))
     if op == "prod":
         return wittmod.w_product([_eval_expr(A, a) for a in node["args"]])
-    return _UNARY[op](_eval_expr(A, node["arg"]))
+    unary = {"neg": wittmod.w_neg, "frob": wittmod.frobenius_charp,
+             "versch": wittmod.verschiebung}
+    return unary[op](_eval_expr(A, node["arg"]))
 
 
 def cmd_witt_eval(args) -> int:
+    from .ppolar import PPolarAlgebra
     data = wire.check("witt-eval", _load(args.expr))
     A = PPolarAlgebra.from_json(data["algebra"])
     out = _eval_expr(A, data["expr"]).to_json()
@@ -107,10 +109,9 @@ def cmd_witt_eval(args) -> int:
     return 0
 
 
-_CW_OPS = {"add": cowitt.cw_add, "f": cowitt.cw_F, "v": cowitt.cw_V}
-
-
 def cmd_cw(args) -> int:
+    from . import cowitt
+    from .ppolar import PPolarAlgebra
     wire.check("cw", {"op": args.op, "inputs": args.inputs})
     A = PPolarAlgebra.from_json(_load(args.algebra))
     xs = [cowitt.cw_from_json(A, _load(p)) for p in args.inputs]
@@ -125,13 +126,16 @@ def cmd_cw(args) -> int:
         if cowitt.witness_search(x) is None:
             raise CliError(f"{path} is not a valid co-Witt element: no "
                            f"witness (r, s) makes its deep ideal nilpotent")
-    _emit(_CW_OPS[args.op](*xs).to_json(), args.out)
+    ops = {"add": cowitt.cw_add, "f": cowitt.cw_F, "v": cowitt.cw_V}
+    _emit(ops[args.op](*xs).to_json(), args.out)
     return 0
 
 
 def cmd_split(args) -> int:
+    from .etale import decompose
+    from .ppolar import PPolarAlgebra
     A = PPolarAlgebra.from_json(_load(args.algebra))
-    dec = etale.decompose(A)
+    dec = decompose(A)
     out = dec.to_json()
     out["point_count"] = dec.count
     out["orbits"] = [list(o) for o in dec.orbits()]
@@ -140,6 +144,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_polarize(args) -> int:
+    from .gfq import FqField
+    from .ppolar import polarize
     data = wire.check("polarize", _load(args.algebra))
     field = FqField.from_json(data["field"])
     table = [[tuple(map(field.from_coords, entry)) for entry in row]
@@ -150,6 +156,7 @@ def cmd_polarize(args) -> int:
 
 def _rationals(text: str) -> tuple:
     """The comma-separated rationals of --log-coeffs."""
+    from fractions import Fraction
     out = []
     for c in text.split(","):
         try:
@@ -161,6 +168,7 @@ def _rationals(text: str) -> tuple:
 
 
 def cmd_fgl(args) -> int:
+    from . import fgl
     log = fgl.PTypicalLog(args.p, args.precision, args.log_coeffs)
     exp = fgl.exp_from_log(log)
     ok, offenders = fgl.support_check(exp, args.p)
@@ -180,8 +188,9 @@ def cmd_fgl(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = verify_mod.run_suites(seed=args.seed, p_filter=args.p,
-                                 suites=[args.suite] if args.suite else None)
+    from .verify import run_suites
+    rows = run_suites(seed=args.seed, p_filter=args.p,
+                      suites=[args.suite] if args.suite else None)
     if not rows:
         raise CliError(f"no check of --suite {args.suite} runs at "
                        f"--p {args.p}")
@@ -203,7 +212,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("witt-poly", help="emit universal operation polynomials")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--kind", choices=wittuniv.KINDS, required=True)
+    sp.add_argument("--kind", choices=wire.KINDS, required=True)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_witt_poly)
 
@@ -213,7 +222,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_witt_eval)
 
     sp = sub.add_parser("cw", help="co-Witt operations")
-    sp.add_argument("op", choices=["validate", *_CW_OPS])
+    sp.add_argument("op", choices=list(wire.CW_ARITY))
     sp.add_argument("--algebra", required=True)
     sp.add_argument("inputs", nargs="+", help="co-Witt element JSON files")
     sp.add_argument("--out")
@@ -239,11 +248,20 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_fgl)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
-    sp.add_argument("--suite", choices=sorted(verify_mod.SUITES))
+    sp.add_argument("--suite", choices=sorted(wire.SUITES))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--p", type=int, choices=(2, 3, 5))
     sp.set_defaults(fn=cmd_verify)
     return ap
+
+
+def _bad_input() -> tuple:
+    """The exception types that mean bad input.  Only `etale` raises
+    `ExtensionCapExceeded`, so it is one only once `etale` is loaded."""
+    etale = sys.modules.get(f"{__package__}.etale")
+    if etale is None:
+        return (ValueError,)
+    return (ValueError, etale.ExtensionCapExceeded)
 
 
 def main(argv=None) -> int:
@@ -252,7 +270,7 @@ def main(argv=None) -> int:
         rc = args.fn(args)
         sys.stdout.flush()
         return rc
-    except (ValueError, etale.ExtensionCapExceeded) as exc:
+    except _bad_input() as exc:
         message = (str(exc) if isinstance(exc, CliError)
                    else f"{type(exc).__name__}: {exc}")
         sys.stderr.write(_dump({"error": "validation", "message": message}))

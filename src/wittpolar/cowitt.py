@@ -73,7 +73,6 @@ gives a level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -81,35 +80,34 @@ from . import wire
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      nilpotence_index, nilradical, product_length,
                      vec_is_zero)
+from .record import Record
 from .wittmod import WittVector, eval_polar_poly, polar_plan, w_add, w_neg
 from .wittuniv import _targets, dwork_lift, in_envelope
 
 
-@dataclass(frozen=True)
-class CoWittElement:
-    """Eventually-constant sequence indexed by the nonpositive integers."""
+class CoWittElement(Record):
+    """Eventually-constant sequence indexed by the nonpositive integers.
 
-    algebra: PPolarAlgebra
-    tail: tuple
-    exceptions: dict = field(default_factory=dict)
-    witness: tuple = (0, 0)
+    Entries equal to the tail are dropped from `exceptions`; equality and
+    hashing ignore the witness."""
 
-    def __post_init__(self):
-        A = self.algebra
-        if len(self.tail) != A.dim:
+    __slots__ = ("algebra", "tail", "exceptions", "witness")
+
+    def __init__(self, algebra: PPolarAlgebra, tail: tuple,
+                 exceptions: dict | None = None, witness: tuple = (0, 0)):
+        tail = tuple(tail)
+        if len(tail) != algebra.dim:
             raise ValueError("tail dimension mismatch")
         clean = {}
-        for idx, v in self.exceptions.items():
+        for idx, v in (exceptions or {}).items():
             if idx > 0:
                 raise ValueError("exception indices must be <= 0")
             v = tuple(v)
-            if len(v) != A.dim:
+            if len(v) != algebra.dim:
                 raise ValueError("entry dimension mismatch")
-            if v != tuple(self.tail):
+            if v != tail:
                 clean[int(idx)] = v
-        object.__setattr__(self, "tail", tuple(self.tail))
-        object.__setattr__(self, "exceptions", clean)
-        object.__setattr__(self, "witness", tuple(self.witness))
+        self._set_fields(algebra, tail, clean, tuple(witness))
 
     def entry(self, idx: int) -> tuple:
         if idx > 0:

@@ -14,7 +14,6 @@ zero or supported on a single prime-field entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .gfq import (FqField, additive_map_kernel, additive_poly_roots, combine,
@@ -22,6 +21,7 @@ from .gfq import (FqField, additive_map_kernel, additive_poly_roots, combine,
                   span_elements)
 from .ppolar import (PPolarAlgebra, check_assoc, extend_scalars,
                      induced_algebra, nilradical, quotient)
+from .record import Record
 
 
 class NotReduced(ValueError):
@@ -98,11 +98,12 @@ def _build_e(A: PPolarAlgebra, y, j: int, alphas, beta):
     return combine(F, coeffs, powers)
 
 
-@dataclass(frozen=True)
-class IdempotentResult:
-    e: tuple
-    extension_degree: int
-    algebra: PPolarAlgebra
+class IdempotentResult(Record):
+    __slots__ = ("e", "extension_degree", "algebra")
+
+    def __init__(self, e: tuple, extension_degree: int,
+                 algebra: PPolarAlgebra):
+        self._set_fields(e, extension_degree, algebra)
 
 
 def find_idempotent(A: PPolarAlgebra, y=None) -> IdempotentResult:
@@ -158,19 +159,23 @@ def split_once(A: PPolarAlgebra, e):
     return (ker, ker_rows), (im, im_rows)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Full splitting of the reduced quotient over a finite extension."""
+class Decomposition(Record):
+    """Full splitting of the reduced quotient over a finite extension.
 
-    base_field: FqField
-    field: FqField
-    extension_degree: int
-    nil_dim: int
-    reduced_dim: int
-    factors: tuple          # echelon row spanning each 1-dim factor
-    struct_consts: tuple    # c with mu(v,..,v) = c v per factor
-    frobenius_permutation: tuple
-    change_of_basis: tuple
+    `factors` holds the echelon row spanning each 1-dim factor, and
+    `struct_consts` the c with mu(v,..,v) = c v per factor."""
+
+    __slots__ = ("base_field", "field", "extension_degree", "nil_dim",
+                 "reduced_dim", "factors", "struct_consts",
+                 "frobenius_permutation", "change_of_basis")
+
+    def __init__(self, base_field: FqField, field: FqField,
+                 extension_degree: int, nil_dim: int, reduced_dim: int,
+                 factors: tuple, struct_consts: tuple,
+                 frobenius_permutation: tuple, change_of_basis: tuple):
+        self._set_fields(base_field, field, extension_degree, nil_dim,
+                         reduced_dim, factors, struct_consts,
+                         frobenius_permutation, change_of_basis)
 
     @property
     def count(self) -> int:

@@ -11,13 +11,13 @@ every monomial at or beyond the nilpotency length vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import MultiPoly, TruncSeries
 from .gfq import _is_prime, span_elements
 from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
                      vec_is_zero)
+from .record import Record
 from .wittmod import eval_polar_poly, polar_plan
 
 
@@ -33,23 +33,22 @@ class LawNotIntegral(ValueError):
     """Law has a denominator divisible by p."""
 
 
-@dataclass(frozen=True)
-class PTypicalLog:
-    """log(x) = sum l_i x^(p^i) with l_0 = 1, kept to degree prec."""
+class PTypicalLog(Record):
+    """log(x) = sum l_i x^(p^i) with l_0 = 1, kept to degree prec; coeffs
+    holds the l_i for p^i <= prec."""
 
-    p: int
-    prec: int
-    coeffs: tuple  # l_i for p^i <= prec
+    __slots__ = ("p", "prec", "coeffs")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.coeffs[0] != 1:
+    def __init__(self, p: int, prec: int, coeffs: tuple):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if coeffs[0] != 1:
             raise ValueError("l_0 must be 1")
-        top = len(self.coeffs) - 1
-        if self.p ** top > self.prec:
-            raise ValueError(f"l_{top} sits at degree {self.p}^{top} = "
-                             f"{self.p ** top}, beyond precision {self.prec}")
+        top = len(coeffs) - 1
+        if p ** top > prec:
+            raise ValueError(f"l_{top} sits at degree {p}^{top} = "
+                             f"{p ** top}, beyond precision {prec}")
+        self._set_fields(p, prec, coeffs)
 
     def series(self) -> TruncSeries:
         out = [Fraction(0)] * (self.prec + 1)
@@ -80,13 +79,14 @@ def support_check(s: TruncSeries, p: int):
     return not offenders, offenders
 
 
-@dataclass(frozen=True)
-class BivariateLaw:
-    """Truncated two-variable law F(x, y) = sum F_ab x^a y^b."""
+class BivariateLaw(Record):
+    """Truncated two-variable law F(x, y) = sum F_ab x^a y^b; terms is the
+    sorted tuple of ((a, b), Fraction)."""
 
-    p: int
-    prec: int
-    terms: tuple  # sorted tuple of ((a, b), Fraction)
+    __slots__ = ("p", "prec", "terms")
+
+    def __init__(self, p: int, prec: int, terms: tuple):
+        self._set_fields(p, prec, terms)
 
     def denominator_offenders(self) -> list:
         return [ab for ab, c in self.terms

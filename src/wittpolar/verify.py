@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import factorial
 
-from . import cowitt, etale, fgl, samples, wittmod
+from . import cowitt, etale, fgl, samples, wire, wittmod
 from .exact import MultiPoly
 from .gfq import gf_build
 from .wittuniv import (KINDS, _targets, block_vars, ghost_of_coords,
@@ -419,20 +419,10 @@ def suite_star_groups(seed, p_filter):
     return rows
 
 
-SUITES = {
-    "ghost-roundtrip": suite_ghost_roundtrip,
-    "polar-degree": suite_polar_degree,
-    "group-laws": suite_group_laws,
-    "fv-relations": suite_fv_relations,
-    "teichmuller": suite_teichmuller,
-    "dwork": suite_dwork,
-    "polarization-invariance": suite_polarization_invariance,
-    "etale": suite_etale,
-    "idempotent": suite_idempotent,
-    "fgl": suite_fgl,
-    "cowitt": suite_cowitt,
-    "star-groups": suite_star_groups,
-}
+#: the suite function of each name in `wire.SUITES`: suite_<name>, with
+#: "-" read as "_"
+SUITES = {name: globals()["suite_" + name.replace("-", "_")]
+          for name in wire.SUITES}
 
 
 def run_suites(seed: int = 0, suites=None, p_filter=None) -> list:

@@ -1,4 +1,5 @@
-"""The `wittpolar/1` wire format: the one place that knows payload shapes.
+"""The `wittpolar/1` wire format: the one place that knows payload shapes
+and the names the command line accepts.
 
 `SHAPES` declares the shape of each JSON payload the program reads, and
 `check(name, value)` checks a value against one before any decoder reads
@@ -6,9 +7,11 @@ it.  It raises `WireError`, whose message starts with the path to the
 first bad value, as in `witt-eval.expr(add).args: ...`.  Objects may carry
 "format", which must then be FORMAT; keys a shape does not name are
 ignored.  A shape fixes JSON types, keys, lengths and the resource
-envelope below; what needs the mathematics (p prime, an irreducible
-modulus, digits below p, mu keys in range, (ASSOC), the algebra's
-dimension) is checked by the constructors.  A shape is one of:
+envelope below, and RULES the checks across a shape's keys, such as the
+bound on the work of checking (ASSOC); what needs the mathematics (p
+prime, an irreducible modulus, digits below p, mu keys in range, (ASSOC),
+the algebra's dimension) is checked by the constructors.  A shape is one
+of:
 
   int, str, dict          a JSON value of that type;
   range(lo, hi)           an int in that range;
@@ -16,17 +19,30 @@ dimension) is checked by the constructors.  A shape is one of:
   {key: shape}            an object; a key ending in "?" may be absent;
   (tag, {kind: shape})    a node: an object whose `tag` picks the shape
                           of the rest, nested at most MAX_DEPTH deep;
-  "name"                  SHAPES["name"], then its rule in RULES;
+  "name"                  SHAPES["name"], then its rules in RULES;
   a function              f(value, path, depth), which checks the rest.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 FORMAT = "wittpolar/1"
 MAX_DEPTH = 100         # nodes on the longest path of an expression
 MAX_LENGTH = 64         # Witt coordinates; co-Witt indices 0 .. 1 - MAX_LENGTH
 MAX_DIM = 64            # dimension of an algebra or a polarize table
 MAX_ORDER = 2 ** 16     # elements of a field
+#: pairs of basis multisets `ppolar.check_assoc` may walk to check an
+#: algebra's (ASSOC); a dense algebra at this size takes about a second
+MAX_ASSOC_PAIRS = 10 ** 4
+
+# The names the command line accepts, here so that building its parser
+# loads no module that computes.
+KINDS = ("sum", "neg", "prod", "frob", "scalar")    # universal families
+CW_ARITY = {"validate": 1, "add": 2, "f": 1, "v": 1}    # co-Witt ops
+SUITES = ("ghost-roundtrip", "polar-degree", "group-laws", "fv-relations",
+          "teichmuller", "dwork", "polarization-invariance", "etale",
+          "idempotent", "fgl", "cowitt", "star-groups")     # verify suites
 
 
 class WireError(ValueError):
@@ -46,9 +62,9 @@ def _fail(path: str, problem: str):
 def _check(shape, v, path: str, depth: int):
     if isinstance(shape, str):
         _check(SHAPES[shape], v, path, depth)
-        test, problem = RULES.get(shape, (None, None))
-        if test and not test(v):
-            _fail(path, problem)
+        for test, problem in RULES.get(shape, ()):
+            if not test(v):
+                _fail(path, problem)
     elif isinstance(shape, type):
         if type(v) is not shape:
             _fail(path, f"must be a {shape.__name__}, got {v!r:.40}")
@@ -130,16 +146,26 @@ SHAPES = {
     # the file `witt-eval` reads (`PPolarAlgebra.from_json` checks its
     # algebra), and the input files of each `cw` op
     "witt-eval": {"algebra": dict, "expr": "expr"},
-    "cw": ("op", {op: {"inputs": [str, n, n]}
-                  for op, n in (("validate", 1), ("add", 2), ("f", 1),
-                                ("v", 1))}),
+    "cw": ("op", {op: {"inputs": [str, n, n]} for op, n in CW_ARITY.items()}),
 }
 
+
+def assoc_pairs(p: int, dim: int) -> int:
+    """The pairs of basis multisets, of sizes p and p - 1, that
+    `check_assoc` walks on an algebra of dimension dim."""
+    return comb(dim + p - 1, p) * comb(dim + p - 2, p - 1)
+
+
 RULES = {
-    "field": (lambda v: v["p"] ** v["m"] <= MAX_ORDER,
-              f"fields have at most {MAX_ORDER} elements"),
-    "algebra": (lambda v: v.get("p", v["field"]["p"]) == v["field"]["p"],
-                "p must be the field characteristic"),
-    "polarize": (_square, "table must hold dim rows of dim products e_i e_j, "
-                          "each dim coordinates"),
+    "field": [(lambda v: v["p"] ** v["m"] <= MAX_ORDER,
+               f"fields have at most {MAX_ORDER} elements")],
+    "algebra": [
+        (lambda v: v.get("p", v["field"]["p"]) == v["field"]["p"],
+         "p must be the field characteristic"),
+        (lambda v: assoc_pairs(v["field"]["p"], v["dim"]) <= MAX_ASSOC_PAIRS,
+         f"checking (ASSOC) walks C(dim + p - 1, p) * C(dim + p - 2, p - 1) "
+         f"pairs of basis multisets, at most {MAX_ASSOC_PAIRS}"),
+    ],
+    "polarize": [(_square, "table must hold dim rows of dim products e_i e_j, "
+                           "each dim coordinates")],
 }

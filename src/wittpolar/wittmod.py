@@ -35,7 +35,6 @@ same plan, multiplied into each term's F_p coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Sequence
@@ -44,11 +43,11 @@ from . import wire
 from .gfq import FqField
 from .ppolar import (LengthNotAdmissible, PPolarAlgebra, product_length,
                      vec_is_zero)
+from .record import Record
 from .wittuniv import _targets, dwork_lift, universal_polys, witt_blocks
 
 
-@dataclass(frozen=True, slots=True)
-class WittVector:
+class WittVector(Record):
     """Length-n coordinate vector over a p-polar algebra.
 
     The constructor trusts its coordinates: the operations below build
@@ -56,8 +55,13 @@ class WittVector:
     `teichmuller` and `scalar_witt`, which check the shape.
     """
 
-    algebra: PPolarAlgebra
-    coords: tuple
+    __slots__ = ("algebra", "coords")
+
+    def __init__(self, algebra: PPolarAlgebra, coords: tuple):
+        # every W_n operation builds one: the slots' own setters are the
+        # fastest way in
+        _set_algebra(self, algebra)
+        _set_coords(self, coords)
 
     @property
     def length(self) -> int:
@@ -69,6 +73,10 @@ class WittVector:
     def to_json(self) -> dict:
         F = self.algebra.field
         return {"coords": [[list(F.coords(a)) for a in c] for c in self.coords]}
+
+
+_set_algebra = WittVector.algebra.__set__
+_set_coords = WittVector.coords.__set__
 
 
 def _checked(algebra: PPolarAlgebra, coords: tuple) -> WittVector:

@@ -42,9 +42,7 @@ from struct import Struct
 from typing import Callable, Sequence
 
 from .exact import MultiPoly, var_key
-from .wire import FORMAT
-
-KINDS = ("sum", "neg", "prod", "frob", "scalar")
+from .wire import FORMAT, KINDS
 
 _BLOCK_LETTERS = ("x", "y", "z", "u", "v")
 

@@ -755,6 +755,34 @@ def test_an_internal_error_exits_2(capsys, monkeypatch, algebra_file):
     assert "in broken" in "".join(diag["traceback"])
 
 
+def test_an_exhausted_extension_budget_exits_1(capsys, monkeypatch,
+                                               algebra_file):
+    from wittpolar import etale
+
+    def capped(A):
+        raise etale.ExtensionCapExceeded("no nonzero root within degree 4")
+    monkeypatch.setattr(etale, "decompose", capped)
+    msg = _assert_rejected(*run(capsys, "split", str(algebra_file)))
+    assert msg == "ExtensionCapExceeded: no nonzero root within degree 4"
+
+
+def test_assoc_check_is_bounded_by_its_pair_count(capsys, tmp_path):
+    from time import perf_counter
+
+    from wittpolar.wire import MAX_ASSOC_PAIRS, MAX_DIM, assoc_pairs
+    # every algebra a test, golden file or benchmark reads is inside
+    assert assoc_pairs(3, 9) <= MAX_ASSOC_PAIRS
+    assert assoc_pairs(5, 16) == 60_093_504 > MAX_ASSOC_PAIRS
+    path = tmp_path / "p5d16.json"
+    path.write_text(json.dumps({"field": {"p": 5, "m": 1, "modulus": [0, 1]},
+                                "dim": 16, "mu": []}))
+    t0 = perf_counter()
+    msg = _assert_rejected(*run(capsys, "split", str(path)))
+    assert perf_counter() - t0 < 1.0
+    assert msg.startswith("WireError: algebra: checking (ASSOC) walks")
+    assert assoc_pairs(2, MAX_DIM) > MAX_ASSOC_PAIRS >= assoc_pairs(2, 26)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_closed_stdout_exits_1_without_a_diagnostic(unbuffered):
     # buffered, the write fails at the flush; unbuffered, inside the command

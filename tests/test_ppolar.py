@@ -91,6 +91,35 @@ def test_check_assoc_rejects_spec_counterexample():
     assert not ok and witness is not None
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_assoc_is_invariance_under_every_permutation(data):
+    # the definition: every ordering of 2p-1 basis vectors, multiplied as
+    # mu(mu(first p), last p-1), gives one product per multiset
+    p = data.draw(st.sampled_from([2, 3]))
+    d = data.draw(st.integers(1, 3))
+    mu = {}
+    for key in combinations_with_replacement(range(d), p):
+        if data.draw(st.booleans()):
+            mu[key] = tuple(data.draw(st.integers(0, p - 1)) for _ in range(d))
+    A = PPolarAlgebra(gf_build(p, 1), d, mu)
+    basis = [A.basis_vector(i) for i in range(d)]
+
+    def product(first, last):
+        return A.mu_p([A.mu_p([basis[i] for i in first]),
+                       *[basis[i] for i in last]])
+    seen = {}
+    for idx in iproduct(range(d), repeat=2 * p - 1):
+        seen.setdefault(tuple(sorted(idx)), set()).add(
+            product(idx[:p], idx[p:]))
+    ok, witness = check_assoc(A)
+    assert ok == all(len(values) == 1 for values in seen.values())
+    if not ok:
+        (left, right), base, other = witness
+        assert base == product(left, right) != other
+        assert other in seen[tuple(sorted(left + right))]
+
+
 def test_free_polar_truncation_is_assoc():
     # the span of x^(1 + i(p-1)) in k[x]/(x^(2p)) for p = 3: x, x^3, x^5
     table = [[None] * 3 for _ in range(3)]
