@@ -3,7 +3,9 @@
 A record's fields are its `__slots__`, which its `__init__` sets once
 through `_set_fields` (or the slots' own setters).  Records equal
 records of their exact class with equal fields and hash by their fields;
-assigning or deleting any attribute raises AttributeError.
+assigning or deleting any attribute raises AttributeError.  Copies and
+pickles rebuild a record through its `__init__`, with its fields in
+`__slots__` order as the arguments.
 """
 
 from operator import attrgetter
@@ -34,6 +36,10 @@ class Record:
 
     def __hash__(self):
         return hash(self._fields(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

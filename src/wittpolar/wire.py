@@ -33,7 +33,7 @@ MAX_LENGTH = 64         # Witt coordinates; co-Witt indices 0 .. 1 - MAX_LENGTH
 MAX_DIM = 64            # dimension of an algebra or a polarize table
 MAX_ORDER = 2 ** 16     # elements of a field
 #: pairs of basis multisets `ppolar.check_assoc` may walk to check an
-#: algebra's (ASSOC); a dense algebra at this size takes about a second
+#: algebra's (ASSOC); a dense algebra at this size takes a few seconds
 MAX_ASSOC_PAIRS = 10 ** 4
 
 # The names the command line accepts, here so that building its parser
