@@ -7,10 +7,11 @@ against its shape in `wire` before it is decoded.
 
 Exit 1 means bad input, with a JSON diagnostic {"error": "validation"} on
 stderr and nothing on stdout: a `ValueError` (the library's one
-bad-argument type), an unreadable input or unwritable --out file, or
-`etale.ExtensionCapExceeded`.  `verify` also exits 1 when a check fails,
-and any command exits 1 silently when stdout closes early.  Anything else
-is a bug: exit 2 with {"error": "internal"} and the traceback.
+bad-argument type, `etale.ExtensionCapExceeded` included) or an
+unreadable input or unwritable --out file.  `verify` also exits 1 when a
+check fails, and any command exits 1 silently when stdout closes early.
+Anything else is a bug: exit 2 with {"error": "internal"} and the
+traceback.
 
 Each subcommand imports the modules it uses when it runs, and the parser
 takes its choices from `wire`, so a process loads only what its
@@ -255,22 +256,13 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _bad_input() -> tuple:
-    """The exception types that mean bad input.  Only `etale` raises
-    `ExtensionCapExceeded`, so it is one only once `etale` is loaded."""
-    etale = sys.modules.get(f"{__package__}.etale")
-    if etale is None:
-        return (ValueError,)
-    return (ValueError, etale.ExtensionCapExceeded)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         rc = args.fn(args)
         sys.stdout.flush()
         return rc
-    except _bad_input() as exc:
+    except ValueError as exc:
         message = (str(exc) if isinstance(exc, CliError)
                    else f"{type(exc).__name__}: {exc}")
         sys.stderr.write(_dump({"error": "validation", "message": message}))

@@ -14,7 +14,7 @@ zero or supported on a single prime-field entry.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from .gfq import (FqField, additive_map_kernel, additive_poly_roots, combine,
                   echelon_reduce, embed, linear_kernel, rref, solve,
@@ -28,8 +28,9 @@ class NotReduced(ValueError):
     """Operation requires a vanishing nilradical."""
 
 
-class ExtensionCapExceeded(RuntimeError):
-    """No splitting idempotent found within the extension budget."""
+class ExtensionCapExceeded(ValueError, RuntimeError):
+    """No splitting idempotent found within the extension budget.  A
+    ValueError, so the command line reports it as bad input."""
 
 
 class NotAMorphism(ValueError):
@@ -182,19 +183,8 @@ class Decomposition(Record):
         return len(self.factors)
 
     def orbits(self) -> tuple:
-        seen = set()
-        out = []
-        for i in range(len(self.factors)):
-            if i in seen:
-                continue
-            orb = []
-            j = i
-            while j not in orb:
-                orb.append(j)
-                seen.add(j)
-                j = self.frobenius_permutation[j]
-            out.append(tuple(sorted(orb)))
-        return tuple(sorted(out))
+        return tuple(sorted(tuple(sorted(cyc))
+                            for cyc in _cycles(self.frobenius_permutation)))
 
     def to_json(self) -> dict:
         F = self.field
@@ -212,29 +202,27 @@ class Decomposition(Record):
         }
 
 
-def _cycle_notation(perm: tuple) -> str:
+def _cycles(perm: tuple) -> list:
+    """The cycles of perm, ordered by their least elements, each listed
+    from its least element in the order perm visits it."""
     seen = set()
-    bits = []
+    out = []
     for i in range(len(perm)):
-        if i in seen:
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
+        cyc = []
+        j = i
+        while j not in seen:
             cyc.append(j)
             seen.add(j)
             j = perm[j]
-        if len(cyc) > 1:
-            bits.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(bits) if bits else "id"
-
-
-def _lcm_upto(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out = out * k // gcd(out, k)
+        if cyc:
+            out.append(cyc)
     return out
+
+
+def _cycle_notation(perm: tuple) -> str:
+    bits = ["(" + " ".join(map(str, cyc)) + ")"
+            for cyc in _cycles(perm) if len(cyc) > 1]
+    return "".join(bits) if bits else "id"
 
 
 def _proper_split(sub: PPolarAlgebra):
@@ -266,7 +254,7 @@ def decompose(A: PPolarAlgebra) -> Decomposition:
         return Decomposition(base, base, 1, N.dim, 0, (), (), (), ())
     ext = 1
     Bx = B
-    cap = _lcm_upto(B.dim) * max(2, B.dim)
+    cap = lcm(*range(1, B.dim + 1)) * max(2, B.dim)
     # factor = echelon rows inside Bx's coordinates
     work = [tuple(rref(Bx.field, [Bx.basis_vector(i)
                                   for i in range(Bx.dim)])[0])]

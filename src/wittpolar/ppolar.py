@@ -114,6 +114,12 @@ class PPolarAlgebra:
     def __repr__(self):
         return f"PPolarAlgebra(p={self.p}, dim={self.dim} over {self.field!r})"
 
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__: the kernel, plans
+        # and ideals are memos, refilled on first use (the compiled ones
+        # do not pickle)
+        return type(self), (self.field, self.dim, self.mu)
+
     def kernel(self) -> tuple:
         """(mu, mt, at, q, zero), as compiled plans take them (see
         `wittmod.polar_plan`): the algebra's straight-line mu kernel, which
@@ -302,38 +308,29 @@ def _unit(d: int, i: int) -> tuple:
 
 
 def check_assoc(A: PPolarAlgebra):
-    """True iff 2p-1-fold products are invariant under all transpositions.
+    """True iff 2p-1-fold products are invariant under all permutations.
 
     Products within the first p and last p-1 slots are symmetric by
-    construction, so only the transposition across the mu boundary can
-    fail; it is checked on all sorted multiset pairs, which generates the
-    full symmetric group action.  Returns (ok, witness) where the witness
-    is (indices, value, swapped_value) for the first failure.
+    construction, so the axiom says that g(L, R) = mu(mu(e_L), e_R), for
+    sorted multisets L of p and R of p-1 basis indices, depends only on
+    the union of L and R.  One pass computes each g(L, R) once and compares
+    it with the first split of its union.  Returns (ok, witness), where the
+    witness is ((L0, R0), g(L0, R0), g(L, R)) for the first split (L, R)
+    that differs from its union's first split (L0, R0).
     """
     p, d = A.p, A.dim
     basis = [A.basis_vector(i) for i in range(d)]
-
-    def g(left: tuple, right: tuple) -> tuple:
-        # a zero first argument gives zero without a kernel call
-        if left not in A.mu:
-            return A.zero
-        return A.mu_p([A.mu[left], *[basis[i] for i in right]])
-
+    first = {}  # sorted union -> (its first split, that split's product)
     for left in combinations_with_replacement(range(d), p):
+        head = A.mu.get(left)
         for right in combinations_with_replacement(range(d), p - 1):
-            base = g(left, right)
-            # swap the slot-p element with the slot-(p+1) element
-            for li in set(left):
-                for ri in set(right):
-                    if li == ri:
-                        continue
-                    new_left = tuple(sorted(left[:left.index(li)] +
-                                            left[left.index(li) + 1:] + (ri,)))
-                    new_right = tuple(sorted(right[:right.index(ri)] +
-                                             right[right.index(ri) + 1:] + (li,)))
-                    other = g(new_left, new_right)
-                    if other != base:
-                        return False, ((left, right), base, other)
+            # a zero first argument gives zero without a kernel call
+            value = A.zero if head is None else A.mu_p(
+                [head, *[basis[i] for i in right]])
+            split, base = first.setdefault(tuple(sorted(left + right)),
+                                           ((left, right), value))
+            if value != base:
+                return False, (split, base, value)
     return True, None
 
 

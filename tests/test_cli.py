@@ -401,8 +401,13 @@ def test_verify_selection_with_no_rows_exits_1(capsys, argv):
 def nonassoc_algebra():
     # mu(e0, e1) = e0 on GF(2)^2: mu(mu(e0,e1),e1) = e0 but
     # mu(mu(e1,e1),e0) = 0, so the permutation axiom fails
-    return {"format": "wittpolar/1", "p": 2, "field": F2.to_json(), "dim": 2,
-            "mu": [{"idx": [0, 1], "val": [[1], [0]]}]}
+    return json.loads((DATA / "split_nonassoc_f2.json").read_text())
+
+
+#: the (ASSOC) diagnostic for `nonassoc_algebra`: the union {0, 1, 1} is
+#: first split as ((0, 1), (1,)), with product e0, and ((1, 1), (0,)) gives 0
+NONASSOC_MESSAGE = ("ValueError: mu fails the permutation axiom (ASSOC): "
+                    "(((0, 1), (1,)), (1, 0), (0, 0))")
 
 
 def _assert_rejected(rc, out, err):
@@ -412,12 +417,13 @@ def _assert_rejected(rc, out, err):
     return diag["message"]
 
 
-def test_split_rejects_non_associative_algebra(capsys, tmp_path,
-                                               nonassoc_algebra):
-    path = tmp_path / "nonassoc.json"
-    path.write_text(json.dumps(nonassoc_algebra))
-    msg = _assert_rejected(*run(capsys, "split", str(path)))
-    assert "ASSOC" in msg
+def test_split_rejects_non_associative_algebra(capsys, nonassoc_algebra):
+    assert nonassoc_algebra == {
+        "format": "wittpolar/1", "p": 2, "field": F2.to_json(), "dim": 2,
+        "mu": [{"idx": [0, 1], "val": [[1], [0]]}]}
+    rc, out, err = run(capsys, "split", str(DATA / "split_nonassoc_f2.json"))
+    assert _assert_rejected(rc, out, err) == NONASSOC_MESSAGE
+    assert err == (DATA / "split_nonassoc_f2.err.json").read_text()
 
 
 def test_witt_eval_rejects_non_associative_algebra(capsys, tmp_path,
@@ -428,7 +434,7 @@ def test_witt_eval_rejects_non_associative_algebra(capsys, tmp_path,
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(expr))
     msg = _assert_rejected(*run(capsys, "witt-eval", str(path)))
-    assert "ASSOC" in msg
+    assert msg == NONASSOC_MESSAGE
 
 
 @pytest.mark.parametrize("coord", [1, [1, 1], [2]])

@@ -12,13 +12,11 @@ from wittpolar.cowitt import CoWittElement
 from wittpolar.etale import Decomposition, IdempotentResult, decompose
 from wittpolar.fgl import BivariateLaw, PTypicalLog, group_law
 from wittpolar.gfq import gf_build
-from wittpolar.wittmod import WittVector, witt
+from wittpolar.wittmod import WittVector, w_add, witt
 
 F2 = gf_build(2, 1)
 A = samples.trunc_nil_polar(F2, 3)
 B = samples.split_polar(F2, 2)
-# multiplies nothing: an algebra's compiled mu kernel does not pickle
-C = samples.split_polar(F2, 2)
 LOG = PTypicalLog(2, 4, (Fr(1), Fr(1, 2), Fr(1, 4)))
 
 
@@ -29,8 +27,8 @@ RECORDS = [
      witt(A, [(1, 0), (1, 1)])),
     (CoWittElement, lambda: CoWittElement(A, (0, 1), {-1: (1, 0)}, (1, 1)),
      "tail", CoWittElement(A, (0, 1), {-2: (1, 0)}, (2, 1))),
-    (IdempotentResult, lambda: IdempotentResult((1, 0), 1, C), "e",
-     IdempotentResult((0, 1), 1, C)),
+    (IdempotentResult, lambda: IdempotentResult((1, 0), 1, B), "e",
+     IdempotentResult((0, 1), 1, B)),
     (Decomposition, lambda: decompose(B), "factors",
      decompose(samples.field_ext_polar(F2, 2))),
     (PTypicalLog, lambda: PTypicalLog(2, 4, (Fr(1), Fr(1, 2), Fr(1, 4))),
@@ -59,6 +57,18 @@ def test_records_are_equal_by_value_hashable_and_immutable(cls, make, field,
     assert getattr(x, field) is value and x == y
     for z in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(z) is cls and z == x and hash(z) == hash(x)
+
+
+def test_an_algebra_copies_and_pickles_after_use():
+    # after `w_add` the algebra holds its compiled mu kernel and plans;
+    # a copy is rebuilt from (field, dim, mu) and compiles its own
+    x, y = witt(B, [(1, 0), (0, 1)]), witt(B, [(1, 1), (1, 0)])
+    total = w_add(x, y)
+    for C in (copy.copy(B), copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+        assert type(C) is type(B) and C is not B
+        assert C == B and hash(C) == hash(B)
+        assert (w_add(witt(C, x.coords), witt(C, y.coords))
+                == witt(C, total.coords))
 
 
 def test_record_defaults_and_keywords():
