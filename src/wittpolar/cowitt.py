@@ -20,12 +20,13 @@ family, while the windows stay a few levels deep whatever the depth.
 
 Otherwise addition is the stabilized windowed Witt sum: the entry at index
 -n is the eventual value of the level-m sum component evaluated on the
-windows (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  The
-windowed polynomials are produced by `wittuniv.dwork_lift`, run inside a
-quotient of Z[window variables] by a monomial ideal; such quotients stay
-torsion free and carry the v -> v^p lift, so the recursion's exact
-divisions, which are its congruence check, survive verbatim, while two
-sound kill rules keep the polynomials tiny:
+windows (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  That
+component is the top level of the W_{m+1} sum or negation, and its plan
+comes from the one builder of Witt plans, `wittmod._plan`, which lifts it
+inside a quotient of Z[window variables] by a monomial ideal; such
+quotients stay torsion free and carry the v -> v^p lift, so the lift's
+exact divisions, which are its congruence check, survive verbatim, while
+the window's two caps keep the polynomials tiny:
 
   * if A is nilpotent, monomials die at total degree >= t_total = L, the
     product length of A (`ppolar.product_length`), as every product of L
@@ -37,10 +38,12 @@ sound kill rules keep the polynomials tiny:
     subtree landing in the vanishing s-fold polar power of Nil(A).
 
 Both caps are invariants of the algebra, read once per operation from its
-memo (`ppolar`).  The kill rules read only which window positions are deep
-and the caps, so the lifted polynomial depends on that shape and not on
-the entry values: it is built once per shape key and memoized, and each
-window only binds its entries and evaluates it on the algebra.
+memo (`ppolar`); on a zero mu, t_total is p, so only the linear monomials
+survive.  The caps and the flags of the deep window positions are the
+last arguments of `wittmod._plan`, whose memo holds one plan per
+(p, m + 1, op, t_total, deep, t_deep): the plan depends on that shape and
+not on the entry values, and each window only binds its entries and
+evaluates it on the algebra.
 
 The witness searches ask only for ideal closures and nilpotence indices of
 subspaces of the algebra; each is answered from the algebra's ideal memo
@@ -73,7 +76,6 @@ gives a level.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from . import wire
@@ -81,8 +83,8 @@ from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      nilpotence_index, nilradical, product_length,
                      vec_is_zero)
 from .record import Record
-from .wittmod import WittVector, eval_polar_poly, polar_plan, w_add, w_neg
-from .wittuniv import _targets, dwork_lift, in_envelope
+from .wittmod import WittVector, _plan, eval_polar_poly, w_add, w_neg
+from .wittuniv import in_envelope
 
 
 class CoWittElement(Record):
@@ -176,33 +178,6 @@ def _settled(x: CoWittElement) -> CoWittElement:
 # -- windowed stabilized sums ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _window_poly(p: int, m: int, op: str, deep: tuple, caps: tuple) -> tuple:
-    """Top Witt component of `op` on windows of m+1 variables, mod p,
-    compiled by `polar_plan`.  On a zero mu, t_total is p, so the kill
-    rules leave only the linear monomials.
-
-    The polynomial depends only on the shape, never on the entry values:
-    `deep[i]` flags window position i, and `caps` = (t_total, t_deep).  The
-    ghost targets of `op` at length m+1 (`wittuniv._targets`) are lifted by
-    `dwork_lift` inside the monomial quotient cut out by the kill rules,
-    whose divisions check the congruence there.
-    """
-    if op not in ("sum", "neg"):
-        raise ValueError(f"unknown windowed op {op!r}")
-    t_total, t_deep = caps
-    targets = _targets(p, m + 1, op)
-    names = targets[0].vars
-    deepfl = deep * (len(names) // (m + 1))
-
-    def kill(exp) -> bool:
-        dd = sum(e for e, d in zip(exp, deepfl) if d)
-        return (t_total is not None and sum(exp) >= t_total) or dd >= t_deep
-
-    return polar_plan(p, [dwork_lift(p, targets, kill=kill)[m].reduce_mod(p)],
-                      names)
-
-
 def _caps(A: PPolarAlgebra) -> tuple:
     """(t_total, t_deep) of A, the kill caps of every window over it
     (module docstring)."""
@@ -233,13 +208,15 @@ def _certified_depth(p: int, n: int, r: int, caps: tuple, start_m: int) -> int:
 def _window_entry(elems, n, op, start_m, caps) -> tuple:
     """`stabilized_entry` on settled `elems` with the caps of their
     algebra: the top component of `op` on the windows (deepest entry
-    first) at the certified depth."""
+    first) at the certified depth, by the window plan of `wittmod._plan`."""
+    if op not in ("sum", "neg"):
+        raise ValueError(f"unknown windowed op {op!r}")
     A = elems[0].algebra
     r = max(e.witness[0] for e in elems)
     m = _certified_depth(A.p, n, r, caps, start_m)
     idxs = range(-n - m, -n + 1)
     deep = tuple(i <= -r for i in idxs)
-    top = _window_poly(A.p, m, op, deep, caps)
+    top = _plan(A.p, m + 1, op, caps[0], deep, caps[1])
     return eval_polar_poly(A, top, [e.entry(i) for e in elems for i in idxs])[0]
 
 

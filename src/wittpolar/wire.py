@@ -8,10 +8,10 @@ first bad value, as in `witt-eval.expr(add).args: ...`.  Objects may carry
 "format", which must then be FORMAT; keys a shape does not name are
 ignored.  A shape fixes JSON types, keys, lengths and the resource
 envelope below, and RULES the checks across a shape's keys, such as the
-bound on the work of checking (ASSOC); what needs the mathematics (p
-prime, an irreducible modulus, digits below p, mu keys in range, (ASSOC),
-the algebra's dimension) is checked by the constructors.  A shape is one
-of:
+bounds on the work of checking (ASSOC) and of polarizing; what needs the
+mathematics (p prime, an irreducible modulus, digits below p, mu keys in
+range, (ASSOC), the algebra's dimension) is checked by the constructors.
+A shape is one of:
 
   int, str, dict          a JSON value of that type;
   range(lo, hi)           an int in that range;
@@ -36,6 +36,11 @@ MAX_ORDER = 2 ** 16     # elements of a field
 #: algebra's (ASSOC), at most one mu kernel call each; a dense algebra at
 #: this size takes about a second
 MAX_ASSOC_PAIRS = 10 ** 4
+#: field operations `ppolar.polarize` may spend at worst on a table
+#: (`polarize_ops`); a dense table at this size over GF(p), p <= 5, takes
+#: about a second.  The count leaves out the cost of each product call and
+#: of multiplying without tables (q > 256), so larger p and q take longer
+MAX_POLARIZE_OPS = 10 ** 7
 
 # The names the command line accepts, here so that building its parser
 # loads no module that computes.
@@ -157,6 +162,14 @@ def assoc_pairs(p: int, dim: int) -> int:
     return comb(dim + p - 1, p) * comb(dim + p - 2, p - 1)
 
 
+def polarize_ops(p: int, dim: int) -> int:
+    """The worst-case field operations of `ppolar.polarize` on a table of
+    dimension dim: 2 dim^3 products to check associativity and
+    (p - 1) C(dim + p - 1, p) to build mu, each of at most dim terms of
+    length dim."""
+    return (2 * dim ** 3 + (p - 1) * comb(dim + p - 1, p)) * dim ** 2
+
+
 RULES = {
     "field": [(lambda v: v["p"] ** v["m"] <= MAX_ORDER,
                f"fields have at most {MAX_ORDER} elements")],
@@ -167,6 +180,12 @@ RULES = {
          f"checking (ASSOC) walks C(dim + p - 1, p) * C(dim + p - 2, p - 1) "
          f"pairs of basis multisets, at most {MAX_ASSOC_PAIRS}"),
     ],
-    "polarize": [(_square, "table must hold dim rows of dim products e_i e_j, "
-                           "each dim coordinates")],
+    "polarize": [
+        (_square, "table must hold dim rows of dim products e_i e_j, "
+                  "each dim coordinates"),
+        (lambda v: polarize_ops(v["field"]["p"], len(v["table"]))
+         <= MAX_POLARIZE_OPS,
+         f"polarizing takes up to (2 dim^3 + (p - 1) C(dim + p - 1, p)) "
+         f"dim^2 field operations, at most {MAX_POLARIZE_OPS}"),
+    ],
 }

@@ -15,9 +15,13 @@ polynomials by the test suite).
 One evaluator, `eval_polar_poly` on slot plans compiled by `polar_plan`,
 serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
 law's star product in `fgl`; each caller compiles its polynomials once
-(here per (p, n, kind, L), and each algebra keeps its plans in a dict
-keyed by (kind, n)) and binds inputs by position in one flat tuple, the
-coordinates of each Witt block in turn.  Monomials sharing a sorted prefix
+and binds inputs by position in one flat tuple, the coordinates of each
+Witt block in turn.  W_n(A) and the windows share one lift-and-plan
+builder, `_plan`, memoized per (p, n, kind, L) for a W_n plan, which each
+algebra keeps in a dict keyed by (kind, n), and per
+(p, n, kind, L, deep, t_deep) for a window, the top level of a W_n sum or
+negation lifted under the window's two caps: product length L and the
+degree t_deep in its deep positions.  Monomials sharing a sorted prefix
 share its partial products, each computed once per call.  A plan runs as
 one straight-line Python function per algebra dimension d, written by
 `_plan_source` and compiled once per process on the first evaluation over
@@ -279,26 +283,38 @@ def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _plan(p: int, n: int, kind: str, L):
+def _plan(p: int, n: int, kind: str, L, deep: tuple = (), t_deep=None):
     """The plan of one universal family on the flat input tuple: the
     coordinates of each Witt block in turn, then for the scalar action the
     n scalars of a.
 
-    With L None, the full family from `universal_polys`, so a process lifts
-    it once for every caller.  With a product length L, the family lifted
-    from its ghost targets with every monomial of Witt-block degree >= L
-    killed (the scalars a_i do not count); that set of monomials is an
-    ideal stable under v -> v^p, as `dwork_lift` requires."""
+    With both caps L and t_deep None, the full family from
+    `universal_polys`, so a process lifts it once for every caller.
+    Otherwise the family lifted from its ghost targets with a monomial
+    killed when its Witt-block degree (the scalars a_i do not count) is
+    >= L, or its degree in the variables at the positions i with deep[i]
+    is >= t_deep; each cap kills an ideal stable under v -> v^p, as
+    `dwork_lift` requires.  With `deep` given (a co-Witt window, see
+    `cowitt`), the plan holds the top level alone."""
     blocks = witt_blocks(kind, p) + (("a",) if kind == "scalar" else ())
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
-    if L is None:
+    if L is None and t_deep is None:
         polys = universal_polys(p, n, kind)
     else:
         targets = _targets(p, n, kind)
-        vec = [i for i, v in enumerate(targets[0].vars) if v not in scalars]
-        polys = dwork_lift(p, targets,
-                           kill=lambda e: sum(e[i] for i in vec) >= L)
+        order = targets[0].vars
+        vec = [k for k, v in enumerate(order) if v not in scalars]
+        low = [k for k, v in enumerate(order)
+               if deep and deep[names.index(v) % n]]
+
+        def kill(e) -> bool:
+            return (L is not None and sum(e[k] for k in vec) >= L
+                    or t_deep is not None and sum(e[k] for k in low) >= t_deep)
+
+        polys = dwork_lift(p, targets, kill=kill)
+    if deep:
+        polys = polys[-1:]
     return polar_plan(p, [c.reduce_mod(p) for c in polys], names, scalars)
 
 

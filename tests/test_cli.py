@@ -789,6 +789,36 @@ def test_assoc_check_is_bounded_by_its_pair_count(capsys, tmp_path):
     assert assoc_pairs(2, MAX_DIM) > MAX_ASSOC_PAIRS >= assoc_pairs(2, 26)
 
 
+def test_polarize_is_bounded_by_its_field_operations(capsys, tmp_path):
+    from time import perf_counter
+
+    from wittpolar.wire import MAX_POLARIZE_OPS, polarize_ops
+    # every table a test, golden file or benchmark polarizes is inside: the
+    # golden F_9 x nil table has p = 3, d = 6 and cli-cold's cubic d = 3
+    assert polarize_ops(3, 6) <= MAX_POLARIZE_OPS
+    assert polarize_ops(3, 3) <= MAX_POLARIZE_OPS
+    # the largest tables accepted at p = 2 and p = 5, and one step beyond;
+    # a dense table at (5, 32) takes over 10 s
+    assert polarize_ops(2, 21) <= MAX_POLARIZE_OPS < polarize_ops(2, 22)
+    assert polarize_ops(5, 14) <= MAX_POLARIZE_OPS < polarize_ops(5, 15)
+    assert polarize_ops(5, 32) > MAX_POLARIZE_OPS
+
+    def zero_table(d):
+        path = tmp_path / f"zero{d}.json"
+        path.write_text(json.dumps(dict(POLARIZE_F2, dim=d,
+                                        table=[[[[0]] * d] * d] * d)))
+        return str(path)
+
+    rc, out, err = run(capsys, "polarize", zero_table(21))
+    assert rc == 0 and err == "" and json.loads(out)["dim"] == 21
+    t0 = perf_counter()
+    msg = _assert_rejected(*run(capsys, "polarize", zero_table(22)))
+    assert perf_counter() - t0 < 1.0
+    assert msg == (
+        "WireError: polarize: polarizing takes up to (2 dim^3 + (p - 1) "
+        "C(dim + p - 1, p)) dim^2 field operations, at most 10000000")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_closed_stdout_exits_1_without_a_diagnostic(unbuffered):
     # buffered, the write fails at the flush; unbuffered, inside the command

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar import cowitt, ppolar, samples
+from wittpolar import cowitt, ppolar, samples, wittmod
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
                               stabilized_entry, witness_search)
 from wittpolar.gfq import gf_build
@@ -223,9 +223,9 @@ def test_memo_cold_and_warm_agree():
     rng = random.Random(37)
     for A in (A2, A3):
         pairs = [(rand_cw(A, rng), rand_cw(A, rng)) for _ in range(4)]
-        cowitt._window_poly.cache_clear()
+        wittmod._plan.cache_clear()
         cold = [(cw_add(x, y), cw_neg(x)) for x, y in pairs]
-        assert cowitt._window_poly.cache_info().misses > 0
+        assert wittmod._plan.cache_info().misses > 0
         warm = [(cw_add(x, y), cw_neg(x)) for x, y in pairs]
         assert warm == cold
 
@@ -239,16 +239,16 @@ def test_memo_entry_reused_across_values():
     y2 = CoWittElement(A2, (1, 1, 0), {-2: (0, 1, 1)}, (0, 0))
     # x with its index -1 entry zeroed: the same caps, another zero pattern
     x3 = CoWittElement(A2, (0, 1, 0), {0: (1, 0, 0), -1: (0, 0, 0)}, (0, 0))
-    cowitt._window_poly.cache_clear()
+    wittmod._plan.cache_clear()
     s = cw_add(x, y)
-    info = cowitt._window_poly.cache_info()
+    info = wittmod._plan.cache_info()
     s2 = cw_add(x2, y2)
-    after = cowitt._window_poly.cache_info()
+    after = wittmod._plan.cache_info()
     assert after.misses == info.misses and after.hits > info.hits
     assert after.currsize == info.currsize
     assert s != s2 and s2 == cw_add(y2, x2)
     s3 = cw_add(x3, y)
-    last = cowitt._window_poly.cache_info()
+    last = wittmod._plan.cache_info()
     assert last.misses == info.misses and last.hits > after.hits
     assert s3 != s and s3 == cw_add(y, x3)
 
@@ -260,16 +260,16 @@ def test_memo_builder_keeps_the_congruence_check(monkeypatch):
         # a constant 1 added to t_1 breaks t_1 = phi(t_0) mod p
         t = _targets(p, n, op)
         return [t[0], t[1] + 1] + t[2:]
-    key = (2, 2, "sum", (True, False, False), (None, 4))
-    cowitt._window_poly.cache_clear()
-    monkeypatch.setattr(cowitt, "_targets", broken)
+    key = (2, 3, "sum", None, (True, False, False), 4)
+    wittmod._plan.cache_clear()
+    monkeypatch.setattr(wittmod, "_targets", broken)
     with pytest.raises(DworkCongruenceFailed) as err:
-        cowitt._window_poly(*key)
+        wittmod._plan(*key)
     assert err.value.level == 1
     monkeypatch.undo()
     # the failure was not memoized: the same key now builds
-    assert cowitt._window_poly.cache_info().currsize == 0
-    assert cowitt._window_poly(*key) != ()
+    assert wittmod._plan.cache_info().currsize == 0
+    assert wittmod._plan(*key) != ()
 
 
 _NIL = {(q, N): samples.trunc_nil_polar(gf_build(q, 1), N)
@@ -356,6 +356,14 @@ def test_stabilized_entry_rejects_an_element_with_no_witness():
     bad = CoWittElement(B, (1,), {}, (0, 3))
     with pytest.raises(ValueError):
         stabilized_entry([bad, CoWittElement(B, B.zero)], 0)
+
+
+def test_stabilized_entry_rejects_an_op_without_windows():
+    # the ghost targets exist for prod, frob and scalar too, but windows
+    # are only read for sums and negations
+    x = CoWittElement(A2, (0, 1, 0), {0: (1, 0, 0)}, (0, 0))
+    with pytest.raises(ValueError, match="unknown windowed op 'prod'"):
+        stabilized_entry([x], 0, "prod")
 
 
 # -- finite support through W_n -------------------------------------------------

@@ -446,11 +446,11 @@ def test_plan_source_is_the_same_in_every_process():
     # scalar-action plan (nodes, scalar coefficients) and a co-Witt window
     # plan (a level long enough to be chunked), each unrolled over d = 3
     script = (
-        "from wittpolar import cowitt, wittmod; out = []; "
+        "from wittpolar import wittmod; out = []; "
         "source = wittmod._plan_source; "
         "wittmod._plan_source = lambda *a: out.append(source(*a)) or out[-1]; "
         "wittmod._plan(3, 3, 'scalar', 7)[3]; "
-        "cowitt._window_poly(3, 2, 'sum', (True, False, False), (7, 9))[3]; "
+        "wittmod._plan(3, 3, 'sum', 7, (True, False, False), 9)[3]; "
         "print(''.join(out))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
@@ -532,3 +532,25 @@ def test_truncated_plans_leave_the_family_cache_alone(monkeypatch):
             w_add(x, y), w_neg(x), w_product(fs), scalar_mul(a, x)
     assert wittmod._plan.cache_info().misses == len(algebras) * 4 * 4
     assert reads == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("op", ["sum", "neg"])
+def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
+    # a window plan with no deep position is the top level of the W_n plan
+    # lifted under the same product length, whatever t_deep
+    from wittpolar.ppolar import product_length
+    from wittpolar.wittmod import _plan, eval_polar_poly
+    F = gf_build(p, 1)
+    rng = random.Random(67 + p)
+    for A in (samples.trunc_nil_polar(F, p + 2), samples.trivial_polar(F, 2)):
+        L = product_length(A)
+        for n in (1, 2, 3):
+            family = _plan(p, n, op, L)
+            for t_deep in (1, p ** 2):
+                window = _plan(p, n, op, L, (False,) * n, t_deep)
+                for _ in range(4):
+                    flat = tuple(c for _ in range(2 if op == "sum" else 1)
+                                 for c in rand_witt(rng, A, n).coords)
+                    assert eval_polar_poly(A, window, flat) == \
+                        eval_polar_poly(A, family, flat)[-1:]

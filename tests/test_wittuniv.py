@@ -357,10 +357,11 @@ def test_congruence_checked_in_the_kill_quotient():
     assert comps[0] == x and all(c.is_zero() for c in comps[1:])
 
 
-# The killed monomials of both callers form an ideal stable under v -> v^p,
-# so reducing modulo it is a ring map that commutes with the Frobenius lift
-# and with the ghost map: the lift in the quotient is the image of the full
-# lift, which is the full lift with the killed monomials dropped.
+# The monomials that either cap of `wittmod._plan` kills form an ideal
+# stable under v -> v^p, so reducing modulo it is a ring map that commutes
+# with the Frobenius lift and with the ghost map: the lift in the quotient
+# is the image of the full lift, which is the full lift with the killed
+# monomials dropped.
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (3, 4)])
 @pytest.mark.parametrize("kind", ["sum", "prod", "scalar"])
@@ -382,8 +383,8 @@ def test_kill_lift_drops_the_killed_monomials_of_the_full_lift(p, n, kind):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("op", ["sum", "neg"])
 def test_kill_lift_under_the_cowitt_caps(p, op):
-    # cowitt._window_poly's caps: total degree >= t_total, or degree in the
-    # deep window positions >= t_deep
+    # a co-Witt window's caps in wittmod._plan: total degree >= t_total, or
+    # degree in the deep window positions >= t_deep
     for m in (1, 2, 3):
         targets = _targets(p, m + 1, op)
         names = targets[0].vars
