@@ -168,6 +168,19 @@ def _rationals(text: str) -> tuple:
     return tuple(out)
 
 
+def _precision(text: str) -> int:
+    """The int of --precision, at most `wire.MAX_PRECISION`."""
+    try:
+        D = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if D > wire.MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {wire.MAX_PRECISION}, got {D}")
+    return D
+
+
 def cmd_fgl(args) -> int:
     from . import fgl
     log = fgl.PTypicalLog(args.p, args.precision, args.log_coeffs)
@@ -242,7 +255,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("fgl", help="p-typical log/exp and group-law checks")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--precision", type=int, required=True)
+    sp.add_argument("--precision", type=_precision, required=True)
     sp.add_argument("--log-coeffs", type=_rationals, required=True,
                     help="comma-separated rationals l_0,l_1,... (l_0 = 1)")
     sp.add_argument("--out")

@@ -26,26 +26,21 @@ comes from the one builder of Witt plans, `wittmod._plan`, which lifts it
 inside a quotient of Z[window variables] by a monomial ideal; such
 quotients stay torsion free and carry the v -> v^p lift, so the lift's
 exact divisions, which are its congruence check, survive verbatim, while
-the window's two caps keep the polynomials tiny:
+one cap keeps the polynomials tiny: monomials die at degree >= t_deep in
+the deep positions' variables, t_deep = T(Nil A) the product-length
+threshold (`ppolar`) of the nilradical.  The deep entries generate a
+nilpotent ideal (the witness), hence one inside Nil(A), and t_deep is
+1 mod (p-1), so any t_deep deep factors regroup (scheme independence)
+into one vanishing product.  Over a nilpotent A every settled witness has
+r = 0 (every ideal is nilpotent), so every position is deep, and
+t_deep = T(A) is the product length L: the cap is the total-degree cap of
+W_n(A).  On a zero mu it is p, so
+only the linear monomials survive.  The cap, read once per operation from
+the algebra's memo, and the deep flags are the last arguments of
+`wittmod._plan`, whose memo holds one plan per (p, m + 1, op, t_deep,
+deep): each window only binds its entries and evaluates it.
 
-  * if A is nilpotent, monomials die at total degree >= t_total = L, the
-    product length of A (`ppolar.product_length`), as every product of L
-    or more elements of A vanishes;
-  * monomials die at deep-variable degree >= t_deep = p^s, s the
-    nilpotence index of the nilradical Nil(A): the deep entries generate
-    a nilpotent ideal (the witness), hence one inside Nil(A), and p^s deep
-    factors can be regrouped (scheme independence) into a complete p-ary
-    subtree landing in the vanishing s-fold polar power of Nil(A).
-
-Both caps are invariants of the algebra, read once per operation from its
-memo (`ppolar`); on a zero mu, t_total is p, so only the linear monomials
-survive.  The caps and the flags of the deep window positions are the
-last arguments of `wittmod._plan`, whose memo holds one plan per
-(p, m + 1, op, t_total, deep, t_deep): the plan depends on that shape and
-not on the entry values, and each window only binds its entries and
-evaluates it on the algebra.
-
-The witness searches ask only for ideal closures and nilpotence indices of
+The witness searches ask only for ideal closures and thresholds of
 subspaces of the algebra; each is answered from the algebra's ideal memo
 (see `ppolar`), so an operation pays for a closure only the first time its
 subspace comes up.
@@ -58,16 +53,15 @@ value differ from the level L-1 value only by the monomials in a position-0
 variable (weight 1).  For L >= 1 such a monomial has only factors of weight
 below p^L.  If its factors of weight p^k and above have weights divisible
 by p^k, the factors below p^k sum to a positive multiple of p^k, which
-base-p carries allow only with at least (p-1)k+1 of them.  Take k = L to
-bound the total degree.  The window's last R = max(0, r-n) positions are
-not deep; when L >= max(R, 1), take k = L - max(R, 1) + 1, whose positions
-of weight below p^k are all deep, to bound the deep degree.  Call level L
-dead when a kill rule removes every such monomial:
+base-p carries allow only with at least (p-1)k+1 of them.  The window's
+last R = max(0, r-n) positions are not deep; when L >= max(R, 1), take
+k = L - max(R, 1) + 1, whose positions of weight below p^k are all deep,
+to bound the deep degree.  Call level L dead when the cap removes every
+such monomial:
 
-  (a) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep;
-  (b) t_total is set and (p-1)L + 1 >= t_total.
+  (a) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep.
 
-Each condition stays true as L grows, so with L0 the least dead level the
+The condition stays true as L grows, so with L0 the least dead level the
 window at m* = max(start_m, L0 - 1) has the value of every deeper window.
 Nil(A) is a nilpotent ideal (Fontaine, Groupes p-divisibles sur les corps
 locaux, Asterisque 47-48, ch. II), so t_deep is finite and (a) always
@@ -80,7 +74,7 @@ from typing import Sequence
 
 from . import wire
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
-                     nilpotence_index, nilradical, product_length,
+                     nilpotence_index, nilradical, product_length_threshold,
                      vec_is_zero)
 from .record import Record
 from .wittmod import WittVector, _plan, eval_polar_poly, w_add, w_neg
@@ -178,10 +172,10 @@ def _settled(x: CoWittElement) -> CoWittElement:
 # -- windowed stabilized sums ----------------------------------------------------
 
 
-def _caps(A: PPolarAlgebra) -> tuple:
-    """(t_total, t_deep) of A, the kill caps of every window over it
-    (module docstring)."""
-    return (product_length(A), A.p ** nilpotence_index(A, nilradical(A)))
+def _cap(A: PPolarAlgebra) -> int:
+    """t_deep of A, the kill cap of every window over it (module
+    docstring)."""
+    return product_length_threshold(A, nilradical(A))
 
 
 def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
@@ -190,33 +184,30 @@ def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
     window at the certified depth (at least `start_m`).  Each element is
     settled first: one with no valid witness raises `ValueError`."""
     elems = [_settled(e) for e in elems]
-    return _window_entry(elems, n, op, start_m, _caps(elems[0].algebra))
+    return _window_entry(elems, n, op, start_m, _cap(elems[0].algebra))
 
 
-def _certified_depth(p: int, n: int, r: int, caps: tuple, start_m: int) -> int:
+def _certified_depth(p: int, n: int, r: int, t_deep: int, start_m: int) -> int:
     """Least level m >= start_m whose window value every deeper window
     repeats: one below the least dead level (module docstring)."""
-    t_total, t_deep = caps
     R1 = max(1, r - n)
-    # -(-(t - 1) // (p - 1)) is the least k with (p-1)k + 1 >= t
-    dead = [R1 - 1 + max(1, -(-(t_deep - 1) // (p - 1)))]           # (a)
-    if t_total is not None:
-        dead.append(-(-(t_total - 1) // (p - 1)))                    # (b)
-    return max(start_m, min(dead) - 1, 0)
+    # -(-(t_deep - 1) // (p - 1)) is the least k with (p-1)k + 1 >= t_deep
+    dead = R1 - 1 + max(1, -(-(t_deep - 1) // (p - 1)))
+    return max(start_m, dead - 1)
 
 
-def _window_entry(elems, n, op, start_m, caps) -> tuple:
-    """`stabilized_entry` on settled `elems` with the caps of their
+def _window_entry(elems, n, op, start_m, t_deep) -> tuple:
+    """`stabilized_entry` on settled `elems` with the cap of their
     algebra: the top component of `op` on the windows (deepest entry
     first) at the certified depth, by the window plan of `wittmod._plan`."""
     if op not in ("sum", "neg"):
         raise ValueError(f"unknown windowed op {op!r}")
     A = elems[0].algebra
     r = max(e.witness[0] for e in elems)
-    m = _certified_depth(A.p, n, r, caps, start_m)
+    m = _certified_depth(A.p, n, r, t_deep, start_m)
     idxs = range(-n - m, -n + 1)
     deep = tuple(i <= -r for i in idxs)
-    top = _plan(A.p, m + 1, op, caps[0], deep, caps[1])
+    top = _plan(A.p, m + 1, op, t_deep, deep)
     return eval_polar_poly(A, top, [e.entry(i) for e in elems for i in idxs])[0]
 
 
@@ -234,12 +225,12 @@ def _stabilized_op(elems: list, op: str) -> CoWittElement:
         return _settled(CoWittElement(
             A, A.zero, {i - n + 1: v for i, v in enumerate(z.coords)}))
     r = max(e.witness[0] for e in elems)
-    caps = _caps(A)
+    t_deep = _cap(A)
     n_explicit = max(max(e.depth() for e in elems), r)
-    new_tail = _window_entry(elems, n_explicit + 1, op, 0, caps)
+    new_tail = _window_entry(elems, n_explicit + 1, op, 0, t_deep)
     exceptions = {}
     for nn in range(n_explicit + 1):
-        v = _window_entry(elems, nn, op, 0, caps)
+        v = _window_entry(elems, nn, op, 0, t_deep)
         if v != new_tail:
             exceptions[-nn] = v
     return _settled(CoWittElement(A, new_tail, exceptions))

@@ -19,12 +19,15 @@ value entry, into the output; the field arithmetic goes through
 algebras built apart share one kernel, and each algebra keeps its kernel,
 with the field tables, in a slot (`kernel`).
 
-Ideal closure (`ideal_generated`), the nilpotence index
-(`nilpotence_index`) and the product-length threshold
+Ideal closure (`ideal_generated`) and the product-length threshold
 (`product_length_threshold`) depend only on the algebra and on the
 subspace they are asked about.  Each algebra remembers their answers in one
 memo, `_ideals`, keyed by the query's kind and canonical reduced echelon
 rows (`gfq.rref(field, vectors)[0]`: equal subspaces give equal keys).
+The threshold T of an ideal is the one measure of its nilpotence: the
+product length (`product_length`) is T of the unit ideal, and the
+nilpotence index (`nilpotence_index`), the least s whose s-fold iterated
+polar power vanishes, is the least s with p^s >= T.
 
 Ideals form a lattice in that memo.  `ideal_generated` scales each nonzero
 generator g to a leading 1, which is its own `rref` row, so its principal
@@ -37,16 +40,16 @@ Every ideal is stored under its own ("ideal", rows) as well, so equal
 ideals are one `PolarIdeal` object, and a hit costs no `rref` at all.  The
 principal keys are at most the (q^d - 1) / (q - 1) lines of F_q^d, the sum
 keys pairs of ideals of the algebra, so the memo is bounded by the algebra
-whatever the queries.  The nilpotence index and the product-length
-threshold take an ideal and are keyed by its rows, so a repeated query
-costs no `rref`; the nilradical is stored once, as the lattice's object
-for its rows.
+whatever the queries.  The product-length threshold takes an ideal and is
+keyed by its rows, so a repeated query, or the nilpotence index read off
+it, costs no `rref`; the nilradical is stored once, as the lattice's
+object for its rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from operator import index
 from typing import Iterable, Sequence
 
@@ -423,33 +426,16 @@ def _ideal_sum(A: PPolarAlgebra, I: PolarIdeal, J: PolarIdeal) -> PolarIdeal:
     return memo[query]
 
 
-def polar_power(A: PPolarAlgebra, I: PolarIdeal) -> PolarIdeal:
-    """I^p = the ideal generated by mu(I, ..., I)."""
-    gens = []
-    for key in combinations_with_replacement(range(len(I.basis)), A.p):
-        v = A.mu_p([I.basis[i] for i in key])
-        if any(v):
-            gens.append(v)
-    return ideal_generated(A, gens)
-
-
 def nilpotence_index(A: PPolarAlgebra, I: PolarIdeal):
     """Least s whose s-fold iterated polar power of I vanishes, or None.
 
-    The powers of an ideal form a descending chain of subspaces, so a
-    nonzero power that is still nonzero after dim + 1 steps never vanishes.
+    By (ASSOC) the s-fold polar power of I is the span of the products of
+    p^s elements of I (factors from A regroup into the ideal I), and p^s is
+    an admissible length, so it vanishes exactly when p^s reaches the
+    product-length threshold T of I: s is the least with p^s >= T.
     """
-    query = ("nilpotence", I.basis)
-    memo = A._ideals
-    if query not in memo:
-        memo[query] = None
-        cur = I
-        for s in range(A.dim + 2):
-            if cur.is_zero():
-                memo[query] = s
-                break
-            cur = polar_power(A, cur)
-    return memo[query]
+    T = product_length_threshold(A, I)
+    return None if T is None else next(s for s in count() if A.p ** s >= T)
 
 
 def nilradical(A: PPolarAlgebra) -> PolarIdeal:

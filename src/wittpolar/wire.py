@@ -41,6 +41,9 @@ MAX_ASSOC_PAIRS = 10 ** 4
 #: about a second.  The count leaves out the cost of each product call and
 #: of multiplying without tables (q > 256), so larger p and q take longer
 MAX_POLARIZE_OPS = 10 ** 7
+#: the largest `fgl --precision`; a run at this precision takes under a
+#: second, and each doubling costs about eight times as much
+MAX_PRECISION = 32
 
 # The names the command line accepts, here so that building its parser
 # loads no module that computes.

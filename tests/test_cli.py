@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from wittpolar import cowitt, samples
 from wittpolar.cli import main
 from wittpolar.gfq import gf_build
-from wittpolar.ppolar import nilpotence_index
+from wittpolar.ppolar import nilpotence_index, polarize
 from wittpolar.wire import MAX_DEPTH
 
 F2 = gf_build(2, 1)
@@ -197,25 +197,34 @@ def test_witt_eval_output_matches_golden_bytes(capsys):
     assert out == (DATA / "witt_eval_f4_nil.out.json").read_text()
 
 
-# Golden `cw` outputs over pol(x F_2[x]/(x^4)): x has a failing stored
-# witness and exceptions at 0 and -2; y has a zero exception at -3.
+# The algebras of the golden `cw` files: pol(x F_2[x]/(x^4)) and the
+# unital pol(F_2[x]/(x^3)), whose windows are capped by its nilradical.
+CW_ALGEBRAS = {
+    "nil4_f2": lambda: samples.trunc_nil_polar(F2, 4),
+    "unital3_f2": lambda: polarize(F2, samples.unital_poly_table(F2, 3)),
+}
+# Golden `cw` outputs: (algebra, op, inputs).  Over nil4_f2, x has a
+# failing stored witness and exceptions at 0 and -2; y has a zero exception
+# at -3.  Over unital3_f2, x has tail x and the unit 1 at index -3, so its
+# witness has r > 0 and its sum takes the windows.
 CW_GOLDEN = {
-    "cw_validate_nil4_f2_x": ("validate", "x"),
-    "cw_add_nil4_f2_x_y": ("add", "x", "y"),
-    "cw_add_nil4_f2_u_w": ("add", "u", "w"),
-    "cw_f_nil4_f2_x": ("f", "x"),
-    "cw_v_nil4_f2_x": ("v", "x"),
+    "cw_validate_nil4_f2_x": ("nil4_f2", "validate", "x"),
+    "cw_add_nil4_f2_x_y": ("nil4_f2", "add", "x", "y"),
+    "cw_add_nil4_f2_u_w": ("nil4_f2", "add", "u", "w"),
+    "cw_f_nil4_f2_x": ("nil4_f2", "f", "x"),
+    "cw_v_nil4_f2_x": ("nil4_f2", "v", "x"),
+    "cw_add_unital3_f2_x_x": ("unital3_f2", "add", "x", "x"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CW_GOLDEN))
 def test_cw_output_matches_golden_bytes(capsys, name):
-    op, *inputs = CW_GOLDEN[name]
-    algebra = DATA / "cw_nil4_f2_algebra.json"
+    key, op, *inputs = CW_GOLDEN[name]
+    algebra = DATA / f"cw_{key}_algebra.json"
     assert json.loads(algebra.read_text()) == dict(
-        samples.trunc_nil_polar(F2, 4).to_json(), format="wittpolar/1")
+        CW_ALGEBRAS[key]().to_json(), format="wittpolar/1")
     rc, out, err = run(capsys, "cw", op, "--algebra", str(algebra),
-                       *(str(DATA / f"cw_nil4_f2_{x}.json") for x in inputs))
+                       *(str(DATA / f"cw_{key}_{x}.json") for x in inputs))
     assert rc == 0 and err == ""
     assert out == (DATA / f"{name}.out.json").read_text()
 
@@ -251,6 +260,20 @@ def test_fgl_certifies_associativity_at_precision_16(capsys):
     data = json.loads(out)
     assert data["law_p_integral"] is True
     assert data["law_associative"] is True
+
+
+def test_fgl_precision_is_bounded(capsys):
+    from wittpolar.wire import MAX_PRECISION
+    # every precision a test, `verify` or the benchmark asks for is inside
+    assert MAX_PRECISION >= 16
+    rc, out, err = run(capsys, "fgl", "--p", "3", "--precision",
+                       str(MAX_PRECISION), "--log-coeffs", "1,1/3,1/9,1/27")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["precision"] == MAX_PRECISION
+    msg = _assert_rejected(*run(capsys, "fgl", "--p", "3", "--precision",
+                                str(MAX_PRECISION + 1), "--log-coeffs", "1"))
+    assert msg == (f"argument --precision: must be at most {MAX_PRECISION}, "
+                   f"got {MAX_PRECISION + 1}")
 
 
 def test_fgl_rejects_non_prime(capsys):

@@ -237,7 +237,7 @@ def test_memo_entry_reused_across_values():
     y = CoWittElement(A2, (1, 0, 0), {-2: (0, 1, 0)}, (0, 0))
     x2 = CoWittElement(A2, (0, 1, 1), {0: (1, 1, 0), -1: (0, 0, 1)}, (0, 0))
     y2 = CoWittElement(A2, (1, 1, 0), {-2: (0, 1, 1)}, (0, 0))
-    # x with its index -1 entry zeroed: the same caps, another zero pattern
+    # x with its index -1 entry zeroed: the same cap, another zero pattern
     x3 = CoWittElement(A2, (0, 1, 0), {0: (1, 0, 0), -1: (0, 0, 0)}, (0, 0))
     wittmod._plan.cache_clear()
     s = cw_add(x, y)
@@ -260,7 +260,7 @@ def test_memo_builder_keeps_the_congruence_check(monkeypatch):
         # a constant 1 added to t_1 breaks t_1 = phi(t_0) mod p
         t = _targets(p, n, op)
         return [t[0], t[1] + 1] + t[2:]
-    key = (2, 3, "sum", None, (True, False, False), 4)
+    key = (2, 3, "sum", 4, (True, False, False))
     wittmod._plan.cache_clear()
     monkeypatch.setattr(wittmod, "_targets", broken)
     with pytest.raises(DworkCongruenceFailed) as err:
@@ -327,7 +327,7 @@ def test_certified_depth_matches_deeper_windows():
     unital = [polarize(F, samples.unital_poly_table(F, 3)) for F in (F2, F3)]
     for A in [_NIL[(q, N)] for q in (2, 3) for N in (3, 4, 5)] + [_MIXED] \
             + unital:
-        caps = cowitt._caps(A)
+        cap = cowitt._cap(A)
         for _ in range(4):
             x, y = _settled_cw(A, rng), _settled_cw(A, rng)
             for elems, op in (([x, y], "sum"), ([x], "neg")):
@@ -338,16 +338,48 @@ def test_certified_depth_matches_deeper_windows():
                     (n, start_m) for n in range(depth + r + 1)
                     for start_m in (0, 1)]
                 for n, start_m in entries:
-                    m = cowitt._certified_depth(A.p, n, r, caps, start_m)
-                    v = cowitt._window_entry(elems, n, op, start_m, caps)
+                    m = cowitt._certified_depth(A.p, n, r, cap, start_m)
+                    v = cowitt._window_entry(elems, n, op, start_m, cap)
                     # start_m = deeper reads the window at that level
                     for deeper in range(m + 1, m + A.dim + 3):
                         assert cowitt._window_entry(
-                            elems, n, op, deeper, caps) == v, (n, deeper)
+                            elems, n, op, deeper, cap) == v, (n, deeper)
     assert max_r > 0
     nil = [ppolar.nilradical(A).dim for A in unital]
-    assert nil == [2, 2] and [cowitt._caps(A) for A in unital] == [
-        (None, 4), (None, 3)]
+    assert nil == [2, 2] and [cowitt._cap(A) for A in unital] == [3, 3]
+
+
+# nilpotent algebras, where the window cap must be the product length
+_NILPOTENT = [A2, A3, *_NIL.values(), samples.trivial_polar(F2, 2),
+              samples.trivial_polar(F3, 2),
+              samples.scramble(samples.trunc_nil_polar(F3, 4),
+                               random.Random(7)),
+              samples.polar_direct_sum(samples.trunc_nil_polar(F2, 3),
+                                       samples.trunc_nil_polar(F2, 5))]
+
+
+def test_window_cap_over_a_nilpotent_algebra_is_its_product_length():
+    # Nil(A) = A, so the cap T(Nil A) is the product length L, and the
+    # deep cap alone kills what a total-degree cap L would
+    assert [cowitt._cap(A) for A in _NILPOTENT] == [
+        ppolar.product_length(A) for A in _NILPOTENT]
+    assert all(ppolar.nilradical(A).dim == A.dim for A in _NILPOTENT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_NILPOTENT))), st.data())
+def test_settled_elements_over_a_nilpotent_algebra_have_r_zero(k, data):
+    # every window position is then deep, which is what lets the one cap
+    # stand for the product length
+    A = _NILPOTENT[k]
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+    element = st.builds(lambda tail, exc, w: CoWittElement(A, tail, exc, w),
+                        vec, st.dictionaries(st.integers(-3, 0), vec,
+                                             max_size=3),
+                        st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    x, y = data.draw(element), data.draw(element)
+    assert witness_search(x)[0] == witness_search(y)[0] == 0
+    assert cw_add(x, y).witness[0] == cw_neg(x).witness[0] == 0
 
 
 def test_stabilized_entry_rejects_an_element_with_no_witness():

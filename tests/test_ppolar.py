@@ -388,11 +388,53 @@ def test_memo_keys_are_canonical_rows(key, data):
     assert A._ideals
     for query, answer in A._ideals.items():
         kind, *bases = query
-        assert kind in ("ideal", "sum", "nilpotence", "threshold")
+        assert kind in ("ideal", "sum", "threshold")
         for rows in bases:
             assert list(rows) == rref(A.field, rows)[0]
         if kind in ("ideal", "sum"):
             assert A._ideals["ideal", answer.basis] is answer
+
+
+def _polar_power_chain(A, I):
+    """Reference nilpotence index: least s whose s-fold iterated polar power
+    of I vanishes, or None.  Each power is the ideal generated by mu of its
+    predecessor's basis vectors, p at a time; the powers descend, so one
+    still nonzero after dim + 1 steps never vanishes."""
+    cur = I
+    for s in range(A.dim + 2):
+        if cur.is_zero():
+            return s
+        cur = ideal_generated(A, [
+            A.mu_p([cur.basis[i] for i in key])
+            for key in combinations_with_replacement(range(cur.dim), A.p)])
+    return None
+
+
+def _chain_algebras():
+    out = list(NIL_ALGEBRAS.values())
+    for F in (F2, F3, F4, gf_build(5, 1)):
+        out += [samples.split_polar(F, 2),
+                samples.polar_direct_sum(samples.split_polar(F, 1),
+                                         samples.trunc_nil_polar(F, 4)),
+                polarize(F, samples.unital_poly_table(F, 3))]
+    out.append(samples.trunc_nil_polar(gf_build(5, 1), 7))
+    rng = random.Random(29)
+    return out + [samples.scramble(A, rng) for A in out]
+
+
+CHAIN_ALGEBRAS = _chain_algebras()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(CHAIN_ALGEBRAS))), st.data())
+def test_nilpotence_index_matches_the_polar_power_chain(k, data):
+    # the index is read off the product-length threshold T (least s with
+    # p^s >= T); the chain computes the polar powers themselves
+    A = CHAIN_ALGEBRAS[k]
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+    gens = data.draw(st.lists(vec, max_size=3))
+    for I in (ideal_generated(A, gens), nilradical(A)):
+        assert nilpotence_index(A, I) == _polar_power_chain(A, I)
 
 
 def test_memo_is_not_shared_between_algebras():

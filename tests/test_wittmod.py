@@ -450,7 +450,7 @@ def test_plan_source_is_the_same_in_every_process():
         "source = wittmod._plan_source; "
         "wittmod._plan_source = lambda *a: out.append(source(*a)) or out[-1]; "
         "wittmod._plan(3, 3, 'scalar', 7)[3]; "
-        "wittmod._plan(3, 3, 'sum', 7, (True, False, False), 9)[3]; "
+        "wittmod._plan(3, 3, 'sum', 9, (True, False, False))[3]; "
         "print(''.join(out))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
@@ -537,20 +537,24 @@ def test_truncated_plans_leave_the_family_cache_alone(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("op", ["sum", "neg"])
 def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
-    # a window plan with no deep position is the top level of the W_n plan
-    # lifted under the same product length, whatever t_deep
+    # a window plan with every position deep under cap L is the top level
+    # of the W_n plan under product length L: one kill rule serves both.
+    # With no deep position the cap kills nothing, which only a unital
+    # algebra, where no product vanishes for length alone, can tell
     from wittpolar.ppolar import product_length
     from wittpolar.wittmod import _plan, eval_polar_poly
     F = gf_build(p, 1)
     rng = random.Random(67 + p)
+    unital = samples.split_polar(F, 2)
     for A in (samples.trunc_nil_polar(F, p + 2), samples.trivial_polar(F, 2)):
         L = product_length(A)
         for n in (1, 2, 3):
-            family = _plan(p, n, op, L)
-            for t_deep in (1, p ** 2):
-                window = _plan(p, n, op, L, (False,) * n, t_deep)
+            pairs = [(A, _plan(p, n, op, L, (True,) * n), _plan(p, n, op, L)),
+                     (unital, _plan(p, n, op, L, (False,) * n),
+                      _plan(p, n, op, None))]
+            for B, window, family in pairs:
                 for _ in range(4):
                     flat = tuple(c for _ in range(2 if op == "sum" else 1)
-                                 for c in rand_witt(rng, A, n).coords)
-                    assert eval_polar_poly(A, window, flat) == \
-                        eval_polar_poly(A, family, flat)[-1:]
+                                 for c in rand_witt(rng, B, n).coords)
+                    assert eval_polar_poly(B, window, flat) == \
+                        eval_polar_poly(B, family, flat)[-1:]

@@ -383,8 +383,8 @@ def test_kill_lift_drops_the_killed_monomials_of_the_full_lift(p, n, kind):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("op", ["sum", "neg"])
 def test_kill_lift_under_the_cowitt_caps(p, op):
-    # a co-Witt window's caps in wittmod._plan: total degree >= t_total, or
-    # degree in the deep window positions >= t_deep
+    # two monomial ideals at once, each stable under v -> v^p: total degree
+    # >= t_total, or degree in the deep window positions >= t_deep
     for m in (1, 2, 3):
         targets = _targets(p, m + 1, op)
         names = targets[0].vars
