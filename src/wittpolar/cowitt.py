@@ -5,40 +5,45 @@ pair (r, s) certifying that the ideal generated by c and all entries at
 indices <= -r has vanishing s-fold iterated polar power.  The elements with
 zero tail are the unipotent part CW^u = colim(W_0 -> W_1 -> ...) along V.
 
-A sum or negation whose operands all have zero tails is computed there:
-with D the deepest exception index of any operand, each operand is the
-Witt vector of length n = D + 1 whose coordinate i holds its entry at index
-i - n + 1 (deeper entries are zero, and V, the shift by one index, is the
-transition map of the colimit), and `wittmod.w_add` or `w_neg` adds or
-negates these in W_n(A) through the algebra's memoized plans; coordinate i
-of the result is the entry at index i - n + 1, and the tail stays zero.
-This path is taken while (p, n) lies in the desk-scale envelope
-(`wittuniv.in_envelope`).  Deeper operands take the windows below: the
-first W_n plan of each new length costs a lift over all n levels, which
-grows with n and log p and, over a unital algebra, is the full universal
-family, while the windows stay a few levels deep whatever the depth.
+A sum or negation splits its settled operands at one index k.  Every Witt
+vector is the Witt sum of the V^i[x_i] over its coordinates (Hazewinkel,
+Witt vectors. Part 1, 2009), so each operand is the Witt sum of its deep
+part (its tail and its entries at indices <= -k, zeros above) and its
+shallow part, the Witt vector of length k whose coordinate i holds its
+entry at index i - k + 1 (V, the shift by one index, is the transition
+map of the colimit).  With every tail zero and (p, D + 1), D the deepest
+exception index of any operand, in the desk-scale envelope
+(`wittuniv.in_envelope`), k = D + 1 and the deep parts are zero;
+otherwise k = r, the largest settled witness, so every deep entry lies in
+a nilpotent ideal.  The deep parts go through the windows below.  The
+shallow parts, with the deep result's own entries above -k when these are
+not all zero, are added or negated in W_k(A) by `wittmod.w_add` or
+`w_neg` through the algebra's memoized plans.  A Witt sum of a vector that
+vanishes above -k and one that vanishes at -k and below is their
+concatenation, so the answer is the deep result at indices <= -k followed
+by that W_k vector.  Beyond the envelope, where a W_n lift grows with n and
+log p, deep zero-tail operands take the windows, a few levels deep at any
+depth.
 
-Otherwise addition is the stabilized windowed Witt sum: the entry at index
--n is the eventual value of the level-m sum component evaluated on the
-windows (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m grows.  That
-component is the top level of the W_{m+1} sum or negation, and its plan
-comes from the one builder of Witt plans, `wittmod._plan`, which lifts it
-inside a quotient of Z[window variables] by a monomial ideal; such
-quotients stay torsion free and carry the v -> v^p lift, so the lift's
-exact divisions, which are its congruence check, survive verbatim, while
-one cap keeps the polynomials tiny: monomials die at degree >= t_deep in
-the deep positions' variables, t_deep = T(Nil A) the product-length
-threshold (`ppolar`) of the nilradical.  The deep entries generate a
-nilpotent ideal (the witness), hence one inside Nil(A), and t_deep is
-1 mod (p-1), so any t_deep deep factors regroup (scheme independence)
-into one vanishing product.  Over a nilpotent A every settled witness has
-r = 0 (every ideal is nilpotent), so every position is deep, and
-t_deep = T(A) is the product length L: the cap is the total-degree cap of
-W_n(A).  On a zero mu it is p, so
-only the linear monomials survive.  The cap, read once per operation from
-the algebra's memo, and the deep flags are the last arguments of
-`wittmod._plan`, whose memo holds one plan per (p, m + 1, op, t_deep,
-deep): each window only binds its entries and evaluates it.
+On the deep parts, addition is the stabilized windowed Witt sum: the entry
+at index -n is the eventual value of the level-m sum component evaluated
+on the windows (a_{-n-m}, .., a_{-n}) and (b_{-n-m}, .., b_{-n}) as m
+grows.  That component is the top level of the W_{m+1} sum or negation,
+and its plan comes from the one builder of Witt plans, `wittmod._plan`,
+which lifts it inside a quotient of Z[window variables] by a monomial
+ideal; such quotients stay torsion free and carry the v -> v^p lift, so
+the lift's exact divisions, which are its congruence check, survive
+verbatim, while one cap keeps the polynomials tiny: monomials die at
+Witt-block degree >= t_deep, t_deep = T(Nil A) the product-length
+threshold (`ppolar`) of the nilradical.  Every entry of a deep part lies
+in a nilpotent ideal (the witness), hence in Nil(A), and t_deep is
+1 mod (p-1), so any t_deep factors regroup (scheme independence) into one
+vanishing product.  Over a nilpotent A, t_deep = T(A) is the product
+length L: the cap is that of W_n(A).  On a zero mu it is p, so only the
+linear monomials survive.  The cap is read once per operation from the
+algebra's memo, and `wittmod._plan`'s memo holds one plan per
+(p, m + 1, op, t_deep, top level only): each window only binds its entries
+and evaluates it.
 
 The witness searches ask only for ideal closures and thresholds of
 subspaces of the algebra; each is answered from the algebra's ideal memo
@@ -50,16 +55,12 @@ y_i weight p^i; the top component of the level-L sum or negation is then
 isobaric of weight p^L.  V-padding (binding the position-0 variables to 0
 turns the level-L polynomial into the level L-1 one) makes the level-L
 value differ from the level L-1 value only by the monomials in a position-0
-variable (weight 1).  For L >= 1 such a monomial has only factors of weight
-below p^L.  If its factors of weight p^k and above have weights divisible
-by p^k, the factors below p^k sum to a positive multiple of p^k, which
-base-p carries allow only with at least (p-1)k+1 of them.  The window's
-last R = max(0, r-n) positions are not deep; when L >= max(R, 1), take
-k = L - max(R, 1) + 1, whose positions of weight below p^k are all deep,
-to bound the deep degree.  Call level L dead when the cap removes every
-such monomial:
+variable (weight 1).  For L >= 1 such a monomial has only factors of
+weight below p^L, whose weights sum to p^L, which base-p carries allow only
+with at least (p-1)L+1 of them.  Call level L dead when the cap removes
+every such monomial:
 
-  (a) L >= max(R, 1) and (p-1)(L - max(R, 1) + 1) + 1 >= t_deep.
+  (a) L >= 1 and (p-1)L + 1 >= t_deep.
 
 The condition stays true as L grows, so with L0 the least dead level the
 window at m* = max(start_m, L0 - 1) has the value of every deeper window.
@@ -181,59 +182,69 @@ def _cap(A: PPolarAlgebra) -> int:
 def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
                      start_m: int = 0) -> tuple:
     """The eventual value of the windowed `op` at index -n, read off the
-    window at the certified depth (at least `start_m`).  Each element is
-    settled first: one with no valid witness raises `ValueError`."""
+    window at the certified depth (at least `start_m`); at an index above
+    the settled -r, where a window would hold shallow entries, the entry of
+    the split operation (module docstring).  Each element is settled first:
+    one with no valid witness raises `ValueError`."""
+    if op not in ("sum", "neg"):
+        raise ValueError(f"unknown windowed op {op!r}")
     elems = [_settled(e) for e in elems]
+    if n < max(e.witness[0] for e in elems):
+        return _stabilized_op(elems, op).entry(-n)
     return _window_entry(elems, n, op, start_m, _cap(elems[0].algebra))
 
 
-def _certified_depth(p: int, n: int, r: int, t_deep: int, start_m: int) -> int:
+def _certified_depth(p: int, t_deep: int, start_m: int) -> int:
     """Least level m >= start_m whose window value every deeper window
     repeats: one below the least dead level (module docstring)."""
-    R1 = max(1, r - n)
-    # -(-(t_deep - 1) // (p - 1)) is the least k with (p-1)k + 1 >= t_deep
-    dead = R1 - 1 + max(1, -(-(t_deep - 1) // (p - 1)))
-    return max(start_m, dead - 1)
+    # -(-(t_deep - 1) // (p - 1)) is the least L with (p-1)L + 1 >= t_deep
+    return max(start_m, -(-(t_deep - 1) // (p - 1)) - 1, 0)
 
 
 def _window_entry(elems, n, op, start_m, t_deep) -> tuple:
-    """`stabilized_entry` on settled `elems` with the cap of their
-    algebra: the top component of `op` on the windows (deepest entry
-    first) at the certified depth, by the window plan of `wittmod._plan`."""
-    if op not in ("sum", "neg"):
-        raise ValueError(f"unknown windowed op {op!r}")
+    """The top component of `op` on the windows of `elems` (deepest entry
+    first) at the certified depth, every entry of which lies in Nil(A), by
+    the window plan of `wittmod._plan` under cap t_deep."""
     A = elems[0].algebra
-    r = max(e.witness[0] for e in elems)
-    m = _certified_depth(A.p, n, r, t_deep, start_m)
+    m = _certified_depth(A.p, t_deep, start_m)
     idxs = range(-n - m, -n + 1)
-    deep = tuple(i <= -r for i in idxs)
-    top = _plan(A.p, m + 1, op, t_deep, deep)
+    top = _plan(A.p, m + 1, op, t_deep, True)
     return eval_polar_poly(A, top, [e.entry(i) for e in elems for i in idxs])[0]
 
 
 def _stabilized_op(elems: list, op: str) -> CoWittElement:
-    """With every tail zero and (p, n), n = max depth + 1, in the
-    desk-scale envelope, `op` in W_n (module docstring).  Otherwise every
-    window at index -(n_explicit + 1) or deeper holds only tails, all at
-    deep positions, so that entry is the new tail."""
+    """`op` on settled `elems`, split at k (module docstring): the deep
+    parts through the windows, then the length-k shallow parts and the deep
+    result's own in W_k."""
     A = elems[0].algebra
     n = max(e.depth() for e in elems) + 1
     if in_envelope(A.p, n) and all(vec_is_zero(e.tail) for e in elems):
-        xs = [WittVector(A, tuple(e.entry(i - n + 1) for i in range(n)))
+        k, deep = n, ()     # the deep parts are zero
+    else:
+        k = max(e.witness[0] for e in elems)
+        # at k = 0 the deep parts are the operands
+        deep = [CoWittElement(A, e.tail, {
+            **{-i: A.zero for i in range(k)},
+            **{i: v for i, v in e.exceptions.items() if i <= -k}})
+            for e in elems] if k else elems
+    tail, exceptions = A.zero, {}
+    if deep:
+        t_deep = _cap(A)
+        n_explicit = max(x.depth() for x in deep)
+        # every window at index -(n_explicit + 1) or deeper holds only
+        # tails: that entry is the deep result's tail
+        tail = _window_entry(deep, n_explicit + 1, op, 0, t_deep)
+        exceptions = {-nn: _window_entry(deep, nn, op, 0, t_deep)
+                      for nn in range(n_explicit + 1)}
+    if k:
+        xs = [WittVector(A, tuple(e.entry(i - k + 1) for i in range(k)))
               for e in elems]
         z = w_add(*xs) if op == "sum" else w_neg(*xs)
-        return _settled(CoWittElement(
-            A, A.zero, {i - n + 1: v for i, v in enumerate(z.coords)}))
-    r = max(e.witness[0] for e in elems)
-    t_deep = _cap(A)
-    n_explicit = max(max(e.depth() for e in elems), r)
-    new_tail = _window_entry(elems, n_explicit + 1, op, 0, t_deep)
-    exceptions = {}
-    for nn in range(n_explicit + 1):
-        v = _window_entry(elems, nn, op, 0, t_deep)
-        if v != new_tail:
-            exceptions[-nn] = v
-    return _settled(CoWittElement(A, new_tail, exceptions))
+        own = tuple(exceptions.get(i - k + 1, tail) for i in range(k))
+        if not all(map(vec_is_zero, own)):
+            z = w_add(z, WittVector(A, own))
+        exceptions.update({i - k + 1: v for i, v in enumerate(z.coords)})
+    return _settled(CoWittElement(A, tail, exceptions))
 
 
 def cw_add(x: CoWittElement, y: CoWittElement) -> CoWittElement:

@@ -4,7 +4,7 @@ Polynomials are immutable and stored sparsely: a tuple of variable names
 plus a mapping from exponent tuples to nonzero coefficients (Python ints,
 promoted to Fraction only when a division forces it).  Variable names are
 a block letter followed by a decimal index ("x0", "y3", "a1"); blocks are
-canonically ordered x, y, z, u, v before the scalar block a, so aligning
+ordered x, y, z, u, v, any others, then the scalar block a, so aligning
 two operands is deterministic.  `mul` and `pow` form every product on
 exponent tuples and drop nothing.  The Dwork lift (`wittuniv.dwork_lift`)
 multiplies packed-integer monomials of its own instead; the ghost round

@@ -111,7 +111,9 @@ def group_law(log: PTypicalLog, D: int,
     """
     p = log.p
     if expf is None:
-        expf = exp_from_log(PTypicalLog(p, max(D, log.prec), _extend(log, D)))
+        # the exp coefficients through D need the log's through D alone
+        expf = exp_from_log(log if log.prec >= D
+                            else PTypicalLog(p, D, log.coeffs))
     elif expf.prec < D:
         raise ValueError(f"exp known to precision {expf.prec}, law needs {D}")
     u = {}
@@ -130,17 +132,6 @@ def group_law(log: PTypicalLog, D: int,
         if (a + b - 1) % (p - 1):
             raise AssertionError("law escaped the admissible degrees")
     return BivariateLaw(p, D, tuple(sorted(terms.items())))
-
-
-def _extend(log: PTypicalLog, D: int) -> tuple:
-    coeffs = list(log.coeffs)
-    while log.p ** len(coeffs) <= D:
-        coeffs.append(Fraction(0))
-    i = len(coeffs)
-    while i and log.p ** (i - 1) > D:
-        coeffs.pop()
-        i -= 1
-    return tuple(coeffs)
 
 
 def law_associative(law: BivariateLaw) -> bool:

@@ -17,16 +17,15 @@ serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
 law's star product in `fgl`; each caller compiles its polynomials once
 and binds inputs by position in one flat tuple, the coordinates of each
 Witt block in turn.  W_n(A) and the windows share one lift-and-plan
-builder, `_plan`, with one kill rule, degree >= cap in the capped Witt-block
-variables: memoized per (p, n, kind, L) for a W_n plan, capped at every
-position by the product length L, which each algebra keeps in a dict keyed
-by (kind, n), and per (p, n, kind, t_deep, deep) for a window, the top
-level of a W_n sum or negation capped at its deep positions by t_deep (see
-`cowitt`).  Monomials sharing a sorted prefix share its partial products,
-each computed once per call.  A plan runs as one straight-line Python
-function per algebra dimension d, written by
-`_plan_source` and compiled once per process on the first evaluation over
-a d-dimensional algebra: each partial product is one call of the
+builder, `_plan`, with one kill rule, Witt-block degree >= cap at every
+position: memoized per (p, n, kind, L) for a W_n plan under the product
+length L, which each algebra keeps in a dict keyed by (kind, n), and per
+(p, n, kind, t_deep, True) for a window, the top level alone of a W_n sum
+or negation under t_deep (see `cowitt`).  Monomials sharing a sorted
+prefix share its partial products, each computed once per call.  A plan
+runs as one straight-line Python function per algebra dimension d, written
+by `_plan_source` and compiled once per process on the first evaluation
+over a d-dimensional algebra: each partial product is one call of the
 algebra's compiled mu kernel (`ppolar`), unpacked into its d coordinates
 where a sum reads it, and each coordinate of each polynomial is one
 unrolled expression over those coordinates.  The kernel, the field
@@ -257,11 +256,6 @@ class _PlanFunctions(dict):
     def __init__(self, *shape):
         self.shape = shape
 
-    def __bool__(self):
-        # a plan with nothing compiled yet is still a plan: the operations
-        # below look theirs up as `A._plans.get(..) or _new_plan(..)`
-        return True
-
     def __missing__(self, d: int):
         namespace = {}
         exec(compile(_plan_source(*self.shape, d), "<polar plan>", "exec"),
@@ -284,19 +278,17 @@ def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _plan(p: int, n: int, kind: str, cap, deep: tuple = ()):
+def _plan(p: int, n: int, kind: str, cap, top: bool = False):
     """The plan of one universal family on the flat input tuple: the
     coordinates of each Witt block in turn, then for the scalar action the
     n scalars of a.
 
     With cap None, the full family from `universal_polys`, so a process
     lifts it once for every caller.  Otherwise the family lifted from its
-    ghost targets with a monomial killed when its degree in the capped
-    variables is >= cap: the Witt-block variables (the scalars a_i never
-    count) at the positions i with deep[i] when `deep` is given, at every
-    position otherwise.  That kills an ideal stable under v -> v^p, as
-    `dwork_lift` requires.  With `deep` given (a co-Witt window, see
-    `cowitt`), the plan holds the top level alone."""
+    ghost targets with a monomial killed when its Witt-block degree (the
+    scalars a_i never count) is >= cap, an ideal stable under v -> v^p, as
+    `dwork_lift` requires.  With `top` (a co-Witt window, see `cowitt`),
+    the plan holds the top level alone."""
     blocks = witt_blocks(kind, p) + (("a",) if kind == "scalar" else ())
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
@@ -304,11 +296,10 @@ def _plan(p: int, n: int, kind: str, cap, deep: tuple = ()):
         polys = universal_polys(p, n, kind)
     else:
         targets = _targets(p, n, kind)
-        capped = [k for k, v in enumerate(targets[0].vars) if v not in scalars
-                  and (not deep or deep[names.index(v) % n])]
+        capped = [k for k, v in enumerate(targets[0].vars) if v not in scalars]
         polys = dwork_lift(p, targets,
                            kill=lambda e: sum(e[k] for k in capped) >= cap)
-    if deep:
+    if top:
         polys = polys[-1:]
     return polar_plan(p, [c.reduce_mod(p) for c in polys], names, scalars)
 

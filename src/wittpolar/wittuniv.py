@@ -66,7 +66,8 @@ def witt_blocks(kind: str, p: int) -> tuple:
     if kind in ("neg", "frob", "scalar"):
         return ("x",)
     if kind == "prod":
-        return _BLOCK_LETTERS[:p]
+        # past v: w, ww, .., letters only, after v under `exact.var_key`
+        return (_BLOCK_LETTERS + tuple("w" * k for k in range(1, p)))[:p]
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import (PPolarAlgebra, nilpotence_index, polarize,
                               vec_is_zero)
-from wittpolar.wittmod import truncate, w_add, w_neg, witt
+from wittpolar.wittmod import (eval_polar_poly, polar_plan, truncate, w_add,
+                               w_neg, witt)
+from wittpolar.wittuniv import _targets, dwork_lift, witt_blocks
 
 F2 = gf_build(2, 1)
 F3 = gf_build(3, 1)
@@ -204,8 +207,10 @@ def test_mixed_algebra_with_unit_component():
     assert witness_search(x) is not None and witness_search(y) is not None
     s = cw_add(x, y)
     assert cw_add(y, x) == s
+    # index 0 lies above -r, so this reads the split operation itself
     t = stabilized_entry([x, y], 0, "sum", start_m=1)
-    assert s.entry(0) == t
+    assert s.entry(0) == t == _mixed_window_entry(
+        [settled(x), settled(y)], 0, "sum", start_m=1)
 
 
 def test_json_round_trip():
@@ -260,7 +265,7 @@ def test_memo_builder_keeps_the_congruence_check(monkeypatch):
         # a constant 1 added to t_1 breaks t_1 = phi(t_0) mod p
         t = _targets(p, n, op)
         return [t[0], t[1] + 1] + t[2:]
-    key = (2, 3, "sum", 4, (True, False, False))
+    key = (2, 3, "sum", 4, True)
     wittmod._plan.cache_clear()
     monkeypatch.setattr(wittmod, "_targets", broken)
     with pytest.raises(DworkCongruenceFailed) as err:
@@ -303,6 +308,78 @@ def test_add_commutes_and_neg_inverts_property(triple):
     assert cw_add(cw_add(x, y), z) == cw_add(x, cw_add(y, z))
 
 
+# -- the mixed-cap window, the reference for the split ------------------------
+
+
+@lru_cache(maxsize=None)
+def _mixed_window_plan(p, n, op, t_deep, deep):
+    """The top level of the W_n sum or negation lifted with a monomial
+    killed when its degree in the variables at the positions i with
+    deep[i] is >= t_deep; the positions without the flag stay uncapped."""
+    targets = _targets(p, n, op)
+    names = [f"{b}{i}" for b in witt_blocks(op, p) for i in range(n)]
+    capped = [k for k, v in enumerate(targets[0].vars)
+              if deep[names.index(v) % n]]
+    top = dwork_lift(p, targets,
+                     kill=lambda e: sum(e[k] for k in capped) >= t_deep)[-1]
+    return polar_plan(p, [top.reduce_mod(p)], names)
+
+
+def _mixed_window_entry(elems, n, op, start_m=0):
+    """The entry at index -n of `op` on settled `elems`, read off one
+    window that may also hold shallow entries (indices above -r, r the
+    largest witness), which it leaves uncapped.  Its last R = max(0, r - n)
+    positions are shallow, and its level is dead once
+    (p-1)(L - max(R, 1) + 1) + 1 >= t_deep."""
+    A = elems[0].algebra
+    t_deep = cowitt._cap(A)
+    r = max(e.witness[0] for e in elems)
+    R1 = max(1, r - n)
+    dead = R1 - 1 + max(1, -(-(t_deep - 1) // (A.p - 1)))
+    m = max(start_m, dead - 1)
+    idxs = range(-n - m, -n + 1)
+    plan = _mixed_window_plan(A.p, m + 1, op, t_deep,
+                              tuple(i <= -r for i in idxs))
+    flat = [e.entry(i) for e in elems for i in idxs]
+    return eval_polar_poly(A, plan, flat)[0]
+
+
+_UNITAL = [polarize(F, samples.unital_poly_table(F, 3)) for F in (F2, F3)]
+
+
+@st.composite
+def mixed_window_pair(draw):
+    """Two valid elements with their minimal witnesses over one of
+    `valid_cw_triple`'s algebras or the unital pol(F_q[x]/(x^3)), q = 2, 3,
+    whose tails there lie in the nilradical (first coordinate 0) and whose
+    exceptions may be units."""
+    unital = draw(st.booleans())
+    A = draw(st.sampled_from(_UNITAL) if unital else
+             st.just(_MIXED) | st.sampled_from(list(_NIL.values())))
+    elem = st.integers(0, A.field.q - 1)
+    vec = st.tuples(*[elem] * A.dim)
+    tail = st.tuples(st.just(0), *[elem] * (A.dim - 1)) if unital else vec
+    element = st.builds(
+        lambda t, exc: CoWittElement(A, t, exc, (0, 0)), tail,
+        st.dictionaries(st.integers(-2, 0), vec, max_size=3)).filter(
+            lambda x: witness_search(x) is not None)
+    return settled(draw(element)), settled(draw(element))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_window_pair())
+def test_split_operations_match_the_mixed_cap_window(pair):
+    # every entry of the sum and the negation, the tail included, against
+    # one window per index that leaves the shallow positions uncapped
+    x, y = pair
+    for elems, op, got in (([x, y], "sum", cw_add(x, y)),
+                           ([x], "neg", cw_neg(x))):
+        explicit = max(max(e.depth(), e.witness[0]) for e in elems)
+        assert got.tail == _mixed_window_entry(elems, explicit + 1, op)
+        for n in range(explicit + 1):
+            assert got.entry(-n) == _mixed_window_entry(elems, n, op), (op, n)
+
+
 # -- the certified window depth -------------------------------------------------
 
 
@@ -317,9 +394,10 @@ def _settled_cw(A, rng):
 
 def test_certified_depth_matches_deeper_windows():
     # the window at the certified depth m* agrees with the windows at
-    # m*+1 .. m*+dim+2 for every entry a sum or negation reads, the new
-    # tail at n_explicit + 1 included, on pol(x F_q[x]/(x^N)), on
-    # F_2 x x F_2[x]/(x^3), whose unit component allows witnesses with
+    # m*+1 .. m*+dim+2 for every entry at -r or deeper that a sum or
+    # negation reads, the new tail at n_explicit + 1 included, and the
+    # entries above -r agree with the mixed-cap window, on pol(x F_q[x]/(x^N)),
+    # on F_2 x x F_2[x]/(x^3), whose unit component allows witnesses with
     # r > 0, and on the unital pol(F_q[x]/(x^3)), whose nilradical, the
     # source of t_deep, is neither 0 nor the whole algebra
     rng = random.Random(41)
@@ -338,7 +416,13 @@ def test_certified_depth_matches_deeper_windows():
                     (n, start_m) for n in range(depth + r + 1)
                     for start_m in (0, 1)]
                 for n, start_m in entries:
-                    m = cowitt._certified_depth(A.p, n, r, cap, start_m)
+                    if n < r:
+                        # a window there would hold shallow entries: the
+                        # split operation's entry is checked instead
+                        assert stabilized_entry(elems, n, op, start_m) == \
+                            _mixed_window_entry(elems, n, op, start_m), n
+                        continue
+                    m = cowitt._certified_depth(A.p, cap, start_m)
                     v = cowitt._window_entry(elems, n, op, start_m, cap)
                     # start_m = deeper reads the window at that level
                     for deeper in range(m + 1, m + A.dim + 3):

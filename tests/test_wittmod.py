@@ -25,6 +25,7 @@ F3 = gf_build(3, 1)
 F4 = gf_build(2, 2)
 F9 = gf_build(3, 2)
 F5 = gf_build(5, 1)
+F7 = gf_build(7, 1)
 
 
 def rand_witt(rng, A, n):
@@ -70,6 +71,19 @@ def test_product_of_teichmullers():
     prod = w_product([teichmuller(A, g, 2), teichmuller(A, g1, 2)])
     # g * (g + 1) = g^2 + g = 1
     assert prod.coords == ((1, 0), (0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_seven_ary_product_of_teichmullers(n):
+    # [a_1] .. [a_7] = [mu(a_1, .., a_7)] over pol(F_7), pol(F_49) and the
+    # nilpotent pol(x F_7[x]/(x^3)), where every 7-fold product vanishes
+    rng = random.Random(71 + n)
+    for A in (samples.split_polar(F7, 1), samples.field_ext_polar(F7, 2),
+              samples.trunc_nil_polar(F7, 3)):
+        for _ in range(3):
+            entries = [samples.random_vector(rng, A) for _ in range(7)]
+            prod = w_product([teichmuller(A, a, n) for a in entries])
+            assert prod == teichmuller(A, A.mu_p(entries), n)
 
 
 def test_product_scheme_independence():
@@ -450,7 +464,7 @@ def test_plan_source_is_the_same_in_every_process():
         "source = wittmod._plan_source; "
         "wittmod._plan_source = lambda *a: out.append(source(*a)) or out[-1]; "
         "wittmod._plan(3, 3, 'scalar', 7)[3]; "
-        "wittmod._plan(3, 3, 'sum', 9, (True, False, False))[3]; "
+        "wittmod._plan(3, 3, 'sum', 9, True)[3]; "
         "print(''.join(out))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
@@ -537,24 +551,18 @@ def test_truncated_plans_leave_the_family_cache_alone(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("op", ["sum", "neg"])
 def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
-    # a window plan with every position deep under cap L is the top level
-    # of the W_n plan under product length L: one kill rule serves both.
-    # With no deep position the cap kills nothing, which only a unital
-    # algebra, where no product vanishes for length alone, can tell
+    # a window plan under cap L is the top level of the W_n plan under
+    # product length L: one kill rule serves both
     from wittpolar.ppolar import product_length
     from wittpolar.wittmod import _plan, eval_polar_poly
     F = gf_build(p, 1)
     rng = random.Random(67 + p)
-    unital = samples.split_polar(F, 2)
     for A in (samples.trunc_nil_polar(F, p + 2), samples.trivial_polar(F, 2)):
         L = product_length(A)
         for n in (1, 2, 3):
-            pairs = [(A, _plan(p, n, op, L, (True,) * n), _plan(p, n, op, L)),
-                     (unital, _plan(p, n, op, L, (False,) * n),
-                      _plan(p, n, op, None))]
-            for B, window, family in pairs:
-                for _ in range(4):
-                    flat = tuple(c for _ in range(2 if op == "sum" else 1)
-                                 for c in rand_witt(rng, B, n).coords)
-                    assert eval_polar_poly(B, window, flat) == \
-                        eval_polar_poly(B, family, flat)[-1:]
+            window, family = _plan(p, n, op, L, True), _plan(p, n, op, L)
+            for _ in range(4):
+                flat = tuple(c for _ in range(2 if op == "sum" else 1)
+                             for c in rand_witt(rng, A, n).coords)
+                assert eval_polar_poly(A, window, flat) == \
+                    eval_polar_poly(A, family, flat)[-1:]

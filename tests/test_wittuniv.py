@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar.exact import MultiPoly
+from wittpolar.exact import MultiPoly, var_key
 from wittpolar.wittuniv import (KINDS, DworkCongruenceFailed, _targets,
                                 dwork_lift, family_to_json, ghost_of_coords,
                                 ghost_polys, polar_degree_check,
@@ -268,6 +268,22 @@ def test_polar_degree_certificates():
                        for c in universal_polys(p, n, kind))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_seven_ary_products_lift(n):
+    # p = 7 needs two blocks past x, y, z, u, v; they sort after v and
+    # before the scalar block a.  (7, 3, prod) is far beyond a test's time
+    blocks = witt_blocks("prod", 7)
+    assert len(set(blocks)) == 7 and blocks[:5] == ("x", "y", "z", "u", "v")
+    keys = [var_key(f"{b}0") for b in blocks + ("a",)]
+    assert keys == sorted(keys) and all(b.isalpha() for b in blocks)
+    with pytest.warns(UserWarning, match="envelope"):
+        coords = universal_polys(7, n, "prod")
+    assert all(polar_degree_check(7, "prod", c) for c in coords)
+    targets = _targets(7, n, "prod")
+    for m in range(n):
+        assert ghost_of_coords(7, coords, m) == targets[m]
+
+
 def test_polar_degree_check_rejects():
     assert not polar_degree_check(3, "sum", V("x0") * V("y0"))
     # p = 2 is vacuous
@@ -357,7 +373,7 @@ def test_congruence_checked_in_the_kill_quotient():
     assert comps[0] == x and all(c.is_zero() for c in comps[1:])
 
 
-# The monomials that either cap of `wittmod._plan` kills form an ideal
+# The monomials that the cap of `wittmod._plan` kills form an ideal
 # stable under v -> v^p, so reducing modulo it is a ring map that commutes
 # with the Frobenius lift and with the ghost map: the lift in the quotient
 # is the image of the full lift, which is the full lift with the killed
