@@ -1,11 +1,12 @@
 """Idempotent splitting of reduced p-polar algebras and geometric points.
 
-The constructive pipeline: quotient by the nilradical, then repeatedly
-manufacture idempotents e with e^p = e out of Frobenius-power dependencies
-y^(p^j) = sum alpha_i y^(p^i) and nonzero roots beta of the associated
-additive polynomial, split along the projection y -> e^(p-1) y, and extend
-scalars when the current field carries no proper idempotent.  Every choice
-(basis y, echelon-ordered beta, FIFO work list) is deterministic.
+`decompose` quotients by the nilradical, then splits each factor along
+y -> e^(p-1) y for an idempotent e (e^p = e) from the F_p-linear kernel of
+x -> x^p - x, extending scalars by the factor's dimension when that kernel
+is its unity line alone; each factor carries its own induced algebra.
+Every choice (echelon-ordered e, FIFO work list) is deterministic.
+`find_idempotent` instead builds one e from a Frobenius-power dependence
+y^(p^j) = sum alpha_i y^(p^i) and a root of its additive polynomial.
 
 The functor to free abelian groups on split objects replaces nonzero
 matrix entries of row-wise homomorphisms by 1; rows are admissible only if
@@ -17,8 +18,8 @@ from __future__ import annotations
 from math import lcm
 
 from .gfq import (FqField, additive_map_kernel, additive_poly_roots, combine,
-                  echelon_reduce, embed, linear_kernel, rref, solve,
-                  span_elements)
+                  echelon_reduce, embed, gf_build, linear_kernel, rref,
+                  solve, span_elements)
 from .ppolar import (PPolarAlgebra, check_assoc, extend_scalars,
                      induced_algebra, nilradical, quotient)
 from .record import Record
@@ -246,55 +247,51 @@ def _proper_split(sub: PPolarAlgebra):
 
 def decompose(A: PPolarAlgebra) -> Decomposition:
     """Split A/Nil(A) into one-dimensional factors after a finite extension,
-    recording the Frobenius permutation and the change of basis."""
+    recording the Frobenius permutation and the change of basis.
+
+    Each factor is its induced algebra with its `rref` rows in B's
+    coordinates.  A split keeps `split_once`'s parts: their rows are reduced
+    echelon in the factor's coordinates, so mapped back by one `combine`
+    they are reduced echelon in B's.  An extension extends every carried
+    algebra, and B = A when Nil(A) = 0."""
     N = nilradical(A)
-    B, _, _ = quotient(A, N)
+    B = quotient(A, N)[0] if N.dim else A
     base = A.field
     if B.dim == 0:
         return Decomposition(base, base, 1, N.dim, 0, (), (), (), ())
     ext = 1
-    Bx = B
     cap = lcm(*range(1, B.dim + 1)) * max(2, B.dim)
-    # factor = echelon rows inside Bx's coordinates
-    work = [tuple(rref(Bx.field, [Bx.basis_vector(i)
-                                  for i in range(Bx.dim)])[0])]
+    work = [(B, tuple(B.basis_vector(i) for i in range(B.dim)))]
     done = []
     while work:
-        rows = work.pop(0)
+        sub, rows = work.pop(0)
         if len(rows) == 1:
-            done.append(rows[0])
+            done.append((sub, rows))
             continue
-        sub = subalgebra(Bx, rows)
         split = _proper_split(sub)
         if split is None:
             t = sub.dim
-            if ext * t > cap:
+            ext *= t
+            if ext > cap:
                 raise ExtensionCapExceeded(
-                    f"still unsplit at extension degree {ext * t}")
-            new_ext = ext * t
-            newBx = extend_scalars(B, new_ext)
-            Fold, Fnew = Bx.field, newBx.field
-            lift = lambda row: tuple(embed(Fold, Fnew, a) for a in row)
-            work = [tuple(lift(r) for r in rs) for rs in [rows] + work]
-            done = [lift(r) for r in done]
-            Bx = newBx
-            ext = new_ext
+                    f"still unsplit at extension degree {ext}")
+            F = sub.field
+            big = gf_build(F.p, F.m * t)
+            lift = lambda S, rs: (extend_scalars(S, t), tuple(
+                tuple(embed(F, big, a) for a in r) for r in rs))
+            work = [lift(*item) for item in [(sub, rows)] + work]
+            done = [lift(*item) for item in done]
             continue
-        (ker, ker_rows), (im, im_rows) = split
-        # map rows of the sub-coordinates back into Bx coordinates
-        for part_rows in (ker_rows, im_rows):
-            if not part_rows:
-                continue
-            back = [combine(Bx.field, pr, rows) for pr in part_rows]
-            work.append(tuple(rref(Bx.field, back)[0]))
-    factors = sorted(done)
-    F = Bx.field
-    consts = []
-    for v in factors:
-        coords = _span_coords(F, [v], Bx.mu_p([v] * Bx.p))
-        if coords is None or coords[0] == 0:
-            raise AssertionError("factor is not a field polarization")
-        consts.append(coords[0])
+        for part, part_rows in split:
+            work.append((part, tuple(combine(sub.field, pr, rows)
+                                     for pr in part_rows)))
+    done.sort(key=lambda item: item[1])
+    factors = [rows[0] for _, rows in done]
+    F = done[0][0].field
+    # mu(v, .., v) = c v, read from each line's own algebra
+    consts = tuple(S.mu.get((0,) * S.p, (0,))[0] for S, _ in done)
+    if not all(consts):
+        raise AssertionError("factor is not a field polarization")
     # Frobenius of the base field permutes the factor lines
     perm = []
     for v in factors:
@@ -303,7 +300,7 @@ def decompose(A: PPolarAlgebra) -> Decomposition:
     if sorted(perm) != list(range(len(factors))):
         raise AssertionError("Frobenius does not permute the factors")
     return Decomposition(base, F, ext, N.dim, B.dim, tuple(factors),
-                         tuple(consts), tuple(perm), tuple(factors))
+                         consts, tuple(perm), tuple(factors))
 
 
 def geometric_points(A: PPolarAlgebra):

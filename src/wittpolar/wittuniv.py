@@ -37,7 +37,6 @@ in-process memo.  Nothing is read from or written to disk.
 
 from __future__ import annotations
 
-import warnings
 from struct import Struct
 from typing import Callable, Sequence
 
@@ -282,9 +281,6 @@ def universal_polys(p: int, n: int, kind: str) -> list:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("length must be >= 1")
-    if not in_envelope(p, n):
-        warnings.warn(f"(p={p}, n={n}) exceeds the desk-scale envelope; "
-                      "this may be slow", stacklevel=2)
     key = (p, n, kind)
     if key in _memo:
         return _memo[key]

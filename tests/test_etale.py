@@ -1,17 +1,21 @@
 """Idempotent splitting, decomposition, geometric points, the 0/1 functor."""
 
 import random
+from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittpolar import samples
-from wittpolar.etale import (NotAMorphism, NotReduced, decompose,
-                             find_idempotent, geometric_points, hom_check,
-                             phi_matrix, split_once)
-from wittpolar.gfq import gf_build
-from wittpolar.ppolar import check_assoc, nilradical
+from wittpolar.etale import (Decomposition, ExtensionCapExceeded,
+                             NotAMorphism, NotReduced, _proper_split,
+                             _span_coords, decompose, find_idempotent,
+                             geometric_points, hom_check, phi_matrix,
+                             split_once, subalgebra)
+from wittpolar.gfq import combine, embed, gf_build, rref
+from wittpolar.ppolar import check_assoc, extend_scalars, nilradical, quotient
 from wittpolar.verify import brute_point_count
 
 F2 = gf_build(2, 1)
@@ -236,3 +240,109 @@ def test_decompose_is_invariant_under_scramble(k, seed):
     orbits = decompose(A).orbits()
     if len({len(o) for o in orbits}) <= 1:
         assert decompose(B).orbits() == orbits
+
+
+# -- decompose against the decomposition that rebuilds every factor -------------
+
+
+def _rebuilding_decompose(A):
+    """The reference: each factor rebuilt from all of B by `subalgebra`, and
+    B rebuilt over every new field by `extend_scalars`."""
+    N = nilradical(A)
+    B, _, _ = quotient(A, N)
+    base = A.field
+    if B.dim == 0:
+        return Decomposition(base, base, 1, N.dim, 0, (), (), (), ())
+    ext = 1
+    Bx = B
+    cap = lcm(*range(1, B.dim + 1)) * max(2, B.dim)
+    # factor = echelon rows inside Bx's coordinates
+    work = [tuple(rref(Bx.field, [Bx.basis_vector(i)
+                                  for i in range(Bx.dim)])[0])]
+    done = []
+    while work:
+        rows = work.pop(0)
+        if len(rows) == 1:
+            done.append(rows[0])
+            continue
+        sub = subalgebra(Bx, rows)
+        split = _proper_split(sub)
+        if split is None:
+            t = sub.dim
+            if ext * t > cap:
+                raise ExtensionCapExceeded(
+                    f"still unsplit at extension degree {ext * t}")
+            new_ext = ext * t
+            newBx = extend_scalars(B, new_ext)
+            Fold, Fnew = Bx.field, newBx.field
+            lift = lambda row: tuple(embed(Fold, Fnew, a) for a in row)
+            work = [tuple(lift(r) for r in rs) for rs in [rows] + work]
+            done = [lift(r) for r in done]
+            Bx = newBx
+            ext = new_ext
+            continue
+        (ker, ker_rows), (im, im_rows) = split
+        # map rows of the sub-coordinates back into Bx coordinates
+        for part_rows in (ker_rows, im_rows):
+            if not part_rows:
+                continue
+            back = [combine(Bx.field, pr, rows) for pr in part_rows]
+            work.append(tuple(rref(Bx.field, back)[0]))
+    factors = sorted(done)
+    F = Bx.field
+    consts = []
+    for v in factors:
+        coords = _span_coords(F, [v], Bx.mu_p([v] * Bx.p))
+        if coords is None or coords[0] == 0:
+            raise AssertionError("factor is not a field polarization")
+        consts.append(coords[0])
+    # Frobenius of the base field permutes the factor lines
+    perm = []
+    for v in factors:
+        w = tuple(F.frobenius(a, base.m) for a in v)
+        perm.append(factors.index(rref(F, [w])[0][0]))
+    if sorted(perm) != list(range(len(factors))):
+        raise AssertionError("Frobenius does not permute the factors")
+    return Decomposition(base, F, ext, N.dim, B.dim, tuple(factors),
+                         tuple(consts), tuple(perm), tuple(factors))
+
+
+# field-extension degrees t per base field: t <= 3 over F_2 and F_3, and
+# t <= 2 over F_4 and F_5
+FIELD_DEGREES = ((F2, 3), (F3, 3), (F4, 2), (gf_build(5, 1), 2))
+
+
+@st.composite
+def _scrambled_sums(draw):
+    F, top = draw(st.sampled_from(FIELD_DEGREES))
+    degrees = draw(st.lists(st.integers(1, top), min_size=1, max_size=2))
+    parts = [samples.field_ext_polar(F, t) for t in degrees]
+    if draw(st.booleans()):
+        parts.append(samples.trunc_nil_polar(F, draw(st.integers(2, 3))))
+    return samples.scramble(reduce(samples.polar_direct_sum, parts),
+                            random.Random(draw(st.integers())))
+
+
+# two-step extensions to degree 6: F_4 x F_8 over F_2, F_16 x F_64 over F_4
+# and F_9 x F_27 over F_3, each with and without a nilpotent summand
+TWO_STEP = [
+    samples.scramble(reduce(samples.polar_direct_sum, parts),
+                     random.Random(seed))
+    for seed, parts in enumerate(
+        [samples.field_ext_polar(F, 2), samples.field_ext_polar(F, 3)] + nil
+        for F in (F2, F4, F3)
+        for nil in ([], [samples.trunc_nil_polar(F, 2)]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scrambled_sums())
+def test_decompose_matches_the_rebuilding_reference(A):
+    assert decompose(A).to_json() == _rebuilding_decompose(A).to_json()
+
+
+@pytest.mark.parametrize("k", range(len(TWO_STEP)))
+def test_two_step_decompose_matches_the_rebuilding_reference(k):
+    A = TWO_STEP[k]
+    dec = decompose(A)
+    assert dec.extension_degree == 6
+    assert dec.to_json() == _rebuilding_decompose(A).to_json()

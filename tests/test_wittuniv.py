@@ -276,8 +276,7 @@ def test_seven_ary_products_lift(n):
     assert len(set(blocks)) == 7 and blocks[:5] == ("x", "y", "z", "u", "v")
     keys = [var_key(f"{b}0") for b in blocks + ("a",)]
     assert keys == sorted(keys) and all(b.isalpha() for b in blocks)
-    with pytest.warns(UserWarning, match="envelope"):
-        coords = universal_polys(7, n, "prod")
+    coords = universal_polys(7, n, "prod")
     assert all(polar_degree_check(7, "prod", c) for c in coords)
     targets = _targets(7, n, "prod")
     for m in range(n):
@@ -351,11 +350,6 @@ def test_cold_lifts_are_byte_identical(monkeypatch):
         blobs.append(json.dumps(family, sort_keys=True, separators=(",", ":")))
     assert blobs[0] == blobs[1]
     assert json.loads(blobs[0])["format"] == "wittpolar/1"
-
-
-def test_envelope_warning():
-    with pytest.warns(UserWarning, match="envelope"):
-        universal_polys(5, 3, "neg")
 
 
 def test_congruence_checked_in_the_kill_quotient():
