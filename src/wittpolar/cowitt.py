@@ -45,9 +45,12 @@ algebra's memo, and `wittmod._plan`'s memo holds one plan per
 (p, m + 1, op, t_deep, top level only): each window only binds its entries
 and evaluates it.
 
-The witness searches ask only for ideal closures and thresholds of
-subspaces of the algebra; each is answered from the algebra's ideal memo
-(see `ppolar`), so an operation pays for a closure only the first time its
+Every operation settles its operands and its result (`_settled`): the
+minimal witness is searched for on every call, whatever an element
+stores, and an element that already stores it is used as it is.  The
+witness searches ask only for ideal closures and thresholds of subspaces
+of the algebra; each is answered from the algebra's ideal memo (see
+`ppolar`), so an operation pays for a closure only the first time its
 subspace comes up.
 
 Each entry is read off one window, at a certified depth m*.  Give x_i and
@@ -71,6 +74,7 @@ gives a level.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from . import wire
@@ -104,7 +108,9 @@ class CoWittElement(Record):
                 raise ValueError("entry dimension mismatch")
             if v != tail:
                 clean[int(idx)] = v
-        self._set_fields(algebra, tail, clean, tuple(witness))
+        # plain ints, as `witness_search` gives them: `_settled` keeps an
+        # element whose witness equals the searched one
+        self._set_fields(algebra, tail, clean, tuple(map(index, witness)))
 
     def entry(self, idx: int) -> tuple:
         if idx > 0:
@@ -149,8 +155,9 @@ def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
 
 
 def _deep_ideal(x: CoWittElement, r: int) -> PolarIdeal:
-    gens = [x.tail] + [v for i, v in x.exceptions.items() if i <= -r]
-    return ideal_generated(x.algebra, [g for g in gens if any(g)])
+    # `ideal_generated` skips the zero generators
+    return ideal_generated(x.algebra, [x.tail, *(
+        v for i, v in x.exceptions.items() if i <= -r)])
 
 
 def witness_search(x: CoWittElement):
@@ -163,11 +170,18 @@ def witness_search(x: CoWittElement):
 
 
 def _settled(x: CoWittElement) -> CoWittElement:
-    """The element with its witness replaced by the minimal valid one."""
+    """x with the minimal valid witness, or ValueError.  The full search
+    runs on every call, whatever x stores; x itself is returned when its
+    witness is that one, and otherwise a record sharing its (already
+    clean) fields with the new witness, with no `__init__` pass."""
     w = witness_search(x)
     if w is None:
         raise ValueError("not a valid co-Witt element")
-    return CoWittElement(x.algebra, x.tail, x.exceptions, w)
+    if w == x.witness:
+        return x
+    y = object.__new__(CoWittElement)
+    y._set_fields(x.algebra, x.tail, x.exceptions, w)
+    return y
 
 
 # -- windowed stabilized sums ----------------------------------------------------

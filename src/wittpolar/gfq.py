@@ -24,8 +24,6 @@ from typing import Callable, Sequence
 
 from . import wire
 
-_MUL_TABLE_MAX_Q = 256
-
 
 class FqField:
     """Immutable descriptor of GF(p^m) with element arithmetic."""
@@ -96,7 +94,7 @@ class FqField:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._add_table is None and self.q <= _MUL_TABLE_MAX_Q:
+        if self._add_table is None and self.q <= wire.MAX_TABLE_ORDER:
             self._build_tables()
         if self._add_table is not None:
             return self._add_table[a * self.q + b]
@@ -129,7 +127,7 @@ class FqField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is None and self.q <= _MUL_TABLE_MAX_Q:
+        if self._mul_table is None and self.q <= wire.MAX_TABLE_ORDER:
             self._build_tables()
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
@@ -174,13 +172,13 @@ class FqField:
     def tables(self) -> tuple:
         """(mul, add), each indexed by a * q + b, for inner loops.
 
-        Up to _MUL_TABLE_MAX_Q elements both are lists built once; above it
-        each lookup calls `_mul_direct` / `_add_direct`.  For p = 2 add is
-        XOR and its table is None.
+        Up to `wire.MAX_TABLE_ORDER` elements both are lists built once;
+        above it each lookup calls `_mul_direct` / `_add_direct`.  For
+        p = 2 add is XOR and its table is None.
         """
         if self._mul_table is None:
             q = self.q
-            if q > _MUL_TABLE_MAX_Q:
+            if q > wire.MAX_TABLE_ORDER:
                 return (_Computed(self._mul_direct, q),
                         None if self.p == 2 else _Computed(self._add_direct, q))
             self._build_tables()

@@ -29,9 +29,12 @@ product length (`product_length`) is T of the unit ideal, and the
 nilpotence index (`nilpotence_index`), the least s whose s-fold iterated
 polar power vanishes, is the least s with p^s >= T.
 
-Ideals form a lattice in that memo.  `ideal_generated` scales each nonzero
-generator g to a leading 1, which is its own `rref` row, so its principal
-ideal sits under ("ideal", (g,)) with no elimination to find the key; a
+Ideals form a lattice in that memo.  `ideal_generated` finds the lead of
+each generator g, a tuple or any sequence, with one C-level scan, skips g
+when it is zero, and scales it to a leading 1 when the lead is not 1 (a
+sequence with lead 1 is only made a tuple).  The scaled g is its own
+`rref` row, so its principal ideal sits under ("ideal", (g,)), whatever
+nonzero multiple of g came in, with no elimination to find the key; a
 miss closes it with one `rref`.  The generators fold through a memo of
 pairwise sums keyed by ("sum", rows of I, rows of J): a sum of ideals is
 an ideal, so it costs one `rref` of the union and no closure, and a
@@ -49,7 +52,7 @@ object for its rows.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, count
+from itertools import combinations_with_replacement
 from operator import index
 from typing import Iterable, Sequence
 
@@ -372,15 +375,19 @@ class PolarIdeal:
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
     """Smallest F_q-subspace containing gens closed under mu(A,..,A,-):
     the sum of the principal ideals of the nonzero gens, each keyed by its
-    generator scaled to a leading 1, folded in order through `_ideal_sum`
-    (module docstring)."""
+    generator scaled to a leading 1 (scaled only when its lead is not 1,
+    copied only when it is not a tuple), folded in order through
+    `_ideal_sum` (module docstring).  Zero gens are skipped."""
     F = A.field
     ideal = None
     for g in gens:
-        lead = next((c for c in g if c), 0)
+        lead = next(filter(None, g), 0)
         if not lead:
             continue
-        g = tuple(g) if lead == 1 else combine(F, (F.inv(lead),), (g,))
+        if lead != 1:
+            g = combine(F, (F.inv(lead),), (g,))
+        elif type(g) is not tuple:
+            g = tuple(g)
         J = A._ideals.get(("ideal", (g,)))
         if J is None:
             if ideal is not None and in_span(F, ideal.basis, g):
@@ -435,7 +442,12 @@ def nilpotence_index(A: PPolarAlgebra, I: PolarIdeal):
     product-length threshold T of I: s is the least with p^s >= T.
     """
     T = product_length_threshold(A, I)
-    return None if T is None else next(s for s in count() if A.p ** s >= T)
+    if T is None:
+        return None
+    s, power = 0, 1
+    while power < T:
+        s, power = s + 1, power * A.p
+    return s
 
 
 def nilradical(A: PPolarAlgebra) -> PolarIdeal:

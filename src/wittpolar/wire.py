@@ -36,10 +36,12 @@ MAX_ORDER = 2 ** 16     # elements of a field
 #: algebra's (ASSOC), at most one mu kernel call each; a dense algebra at
 #: this size takes about a second
 MAX_ASSOC_PAIRS = 10 ** 4
-#: field operations `ppolar.polarize` may spend at worst on a table
-#: (`polarize_ops`); a dense table at this size over GF(p), p <= 5, takes
-#: about a second.  The count leaves out the cost of each product call and
-#: of multiplying without tables (q > 256), so larger p and q take longer
+#: fields of at most this many elements add and multiply through tables
+#: (`gfq.FqField.tables`); larger ones compute every operation
+MAX_TABLE_ORDER = 256
+#: weighed operations `ppolar.polarize` may spend at worst on a table
+#: (`polarize_ops`); a dense table at this size takes under a second over
+#: any field
 MAX_POLARIZE_OPS = 10 ** 7
 #: the largest `fgl --precision`; a run at this precision takes under a
 #: second, and each doubling costs about eight times as much
@@ -165,12 +167,17 @@ def assoc_pairs(p: int, dim: int) -> int:
     return comb(dim + p - 1, p) * comb(dim + p - 2, p - 1)
 
 
-def polarize_ops(p: int, dim: int) -> int:
-    """The worst-case field operations of `ppolar.polarize` on a table of
-    dimension dim: 2 dim^3 products to check associativity and
-    (p - 1) C(dim + p - 1, p) to build mu, each of at most dim terms of
-    length dim."""
-    return (2 * dim ** 3 + (p - 1) * comb(dim + p - 1, p)) * dim ** 2
+def polarize_ops(p: int, m: int, dim: int) -> int:
+    """The worst-case work of `ppolar.polarize` on a table of dimension dim
+    over GF(p^m), in table lookups: 2 dim^3 `bilinear_product` calls check
+    associativity and (p - 1) C(dim + p - 1, p) build mu.  Each call costs
+    about 64 lookups of its own, whatever its size, plus at most dim^2
+    field operations (dim terms of length dim), and a field of more than
+    MAX_TABLE_ORDER elements computes each operation at the cost of about
+    16 (m + 1) lookups."""
+    calls = 2 * dim ** 3 + (p - 1) * comb(dim + p - 1, p)
+    op = 1 if p ** m <= MAX_TABLE_ORDER else 16 * (m + 1)
+    return calls * (64 + op * dim ** 2)
 
 
 RULES = {
@@ -186,9 +193,11 @@ RULES = {
     "polarize": [
         (_square, "table must hold dim rows of dim products e_i e_j, "
                   "each dim coordinates"),
-        (lambda v: polarize_ops(v["field"]["p"], len(v["table"]))
-         <= MAX_POLARIZE_OPS,
-         f"polarizing takes up to (2 dim^3 + (p - 1) C(dim + p - 1, p)) "
-         f"dim^2 field operations, at most {MAX_POLARIZE_OPS}"),
+        (lambda v: polarize_ops(v["field"]["p"], v["field"]["m"],
+                                len(v["table"])) <= MAX_POLARIZE_OPS,
+         f"polarizing makes 2 dim^3 + (p - 1) C(dim + p - 1, p) products, "
+         f"each weighed as 64 + w dim^2 operations (w = 1 up to "
+         f"{MAX_TABLE_ORDER} field elements, else 16 (m + 1)), "
+         f"at most {MAX_POLARIZE_OPS}"),
     ],
 }

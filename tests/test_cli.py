@@ -860,28 +860,38 @@ def test_polarize_is_bounded_by_its_field_operations(capsys, tmp_path):
     from wittpolar.wire import MAX_POLARIZE_OPS, polarize_ops
     # every table a test, golden file or benchmark polarizes is inside: the
     # golden F_9 x nil table has p = 3, d = 6 and cli-cold's cubic d = 3
-    assert polarize_ops(3, 6) <= MAX_POLARIZE_OPS
-    assert polarize_ops(3, 3) <= MAX_POLARIZE_OPS
-    # the largest tables accepted at p = 2 and p = 5, and one step beyond;
-    # a dense table at (5, 32) takes over 10 s
-    assert polarize_ops(2, 21) <= MAX_POLARIZE_OPS < polarize_ops(2, 22)
-    assert polarize_ops(5, 14) <= MAX_POLARIZE_OPS < polarize_ops(5, 15)
-    assert polarize_ops(5, 32) > MAX_POLARIZE_OPS
+    assert polarize_ops(3, 2, 6) <= MAX_POLARIZE_OPS
+    assert polarize_ops(3, 1, 3) <= MAX_POLARIZE_OPS
+    # the largest tables accepted at p = 2, at p = 5 and over GF(257), the
+    # first prime field without tables, and one step beyond each
+    assert polarize_ops(2, 1, 21) <= MAX_POLARIZE_OPS < polarize_ops(2, 1, 22)
+    assert polarize_ops(5, 1, 13) <= MAX_POLARIZE_OPS < polarize_ops(5, 1, 14)
+    assert (polarize_ops(257, 1, 1) <= MAX_POLARIZE_OPS
+            < polarize_ops(257, 1, 2))
+    # dense tables that took 3.7-14 s while only field operations counted:
+    # the product calls dominate at large p and small d, and GF(409)
+    # computes every operation
+    for p, d in ((41, 4), (23, 5), (127, 3), (409, 2)):
+        assert polarize_ops(p, 1, d) > MAX_POLARIZE_OPS
 
-    def zero_table(d):
-        path = tmp_path / f"zero{d}.json"
-        path.write_text(json.dumps(dict(POLARIZE_F2, dim=d,
+    def zero_table(p, d):
+        path = tmp_path / f"zero{p}_{d}.json"
+        field = {"p": p, "m": 1, "modulus": [0, 1]}
+        path.write_text(json.dumps(dict(POLARIZE_F2, field=field, dim=d,
                                         table=[[[[0]] * d] * d] * d)))
         return str(path)
 
-    rc, out, err = run(capsys, "polarize", zero_table(21))
-    assert rc == 0 and err == "" and json.loads(out)["dim"] == 21
-    t0 = perf_counter()
-    msg = _assert_rejected(*run(capsys, "polarize", zero_table(22)))
-    assert perf_counter() - t0 < 1.0
-    assert msg == (
-        "WireError: polarize: polarizing takes up to (2 dim^3 + (p - 1) "
-        "C(dim + p - 1, p)) dim^2 field operations, at most 10000000")
+    for p, d in ((2, 21), (257, 1)):
+        rc, out, err = run(capsys, "polarize", zero_table(p, d))
+        assert rc == 0 and err == "" and json.loads(out)["dim"] == d
+        t0 = perf_counter()
+        msg = _assert_rejected(*run(capsys, "polarize", zero_table(p, d + 1)))
+        assert perf_counter() - t0 < 1.0
+        assert msg == (
+            "WireError: polarize: polarizing makes 2 dim^3 + (p - 1) "
+            "C(dim + p - 1, p) products, each weighed as 64 + w dim^2 "
+            "operations (w = 1 up to 256 field elements, else 16 (m + 1)), "
+            "at most 10000000")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -1,5 +1,6 @@
 """Co-Witt vectors: validity, stabilized sums, F and V."""
 
+import copy
 import json
 import random
 from functools import lru_cache
@@ -533,3 +534,52 @@ def test_repeated_witness_search_makes_no_rref_and_no_mu_call(monkeypatch):
     cold = PPolarAlgebra(A.field, A.dim, A.mu)
     assert witness_search(CoWittElement(cold, x.tail, x.exceptions)) == first
     assert "rref" in calls and "mu" in calls
+
+
+# -- settling ------------------------------------------------------------------
+
+
+@st.composite
+def stored_witness_element(draw, A):
+    """A valid element over A whose stored witness is its minimal one, one
+    too large, or a false one (none lies below (0, 0): the element is then
+    zero and keeps its minimal witness), as (element, its minimal witness);
+    tails over the unital algebras lie in the nilradical, as in
+    `mixed_window_pair`."""
+    elem = st.integers(0, A.field.q - 1)
+    vec = st.tuples(*[elem] * A.dim)
+    tail = st.tuples(st.just(0), *[elem] * (A.dim - 1)) if A in _UNITAL \
+        else vec
+    x = draw(st.builds(
+        lambda t, exc: CoWittElement(A, t, exc), tail,
+        st.dictionaries(st.integers(-2, 0), vec, max_size=3)).filter(
+            lambda x: witness_search(x) is not None))
+    r, s = w = witness_search(x)
+    kind = draw(st.sampled_from(("minimal", "large", "false")))
+    if kind == "large":
+        dr, ds = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+            any))
+        w = (r + dr, s + ds)
+    elif kind == "false" and (r, s) != (0, 0):
+        # s fails at r, the least r with a valid s, and no s holds below it
+        w = (r, s - 1) if s else (r - 1, s)
+    return CoWittElement(A, x.tail, x.exceptions, w), (r, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([*_NIL.values(), _MIXED, *_UNITAL]), st.data())
+def test_settling_never_trusts_a_stored_witness(A, data):
+    # against a cold copy of the algebra, whose memos start empty
+    x, wx = data.draw(stored_witness_element(A))
+    y, _ = data.draw(stored_witness_element(A))
+    cold = copy.deepcopy(A)
+    xc, yc = (CoWittElement(cold, e.tail, e.exceptions, e.witness)
+              for e in (x, y))
+    settled_x = cowitt._settled(x)
+    assert settled_x.witness == witness_search(xc) == wx
+    assert (settled_x is x) == (x.witness == wx)
+    assert settled_x == x
+    for warm, cold_op in ((lambda: cw_add(x, y), lambda: cw_add(xc, yc)),
+                          (lambda: cw_neg(x), lambda: cw_neg(xc))):
+        assert (json.dumps(warm().to_json())
+                == json.dumps(cold_op().to_json()))

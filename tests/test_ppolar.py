@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittpolar import ppolar, samples
-from wittpolar.gfq import gf_build, in_span, rref
+from wittpolar.gfq import combine, gf_build, in_span, rref
 from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
                               ideal_generated, nilpotence_index,
@@ -372,6 +372,42 @@ def test_repeated_query_makes_no_mu_call(monkeypatch):
     assert calls == []
     assert _queries(_cold_copy(A), gens) == first
     assert calls
+
+
+# over GF(3), GF(4) and GF(9), where generators need not have a leading 1
+FORM_ALGEBRAS = [A for F in (F3, F4, gf_build(3, 2))
+                 for A in (samples.trunc_nil_polar(F, 4),
+                           polarize(F, samples.unital_poly_table(F, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FORM_ALGEBRAS), st.data())
+def test_ideal_generated_is_blind_to_the_form_of_its_generators(A, data):
+    # lists, non-monic multiples and zero vectors mixed in give the object
+    # of the monic tuples, with no elimination and no product
+    F = A.field
+    vec = st.tuples(*[st.integers(0, F.q - 1)] * A.dim).filter(any)
+    monic = [combine(F, (F.inv(next(filter(None, g))),), (g,))
+             for g in data.draw(st.lists(vec, min_size=1, max_size=4))]
+    I = ideal_generated(A, monic)
+    scales = data.draw(st.lists(st.integers(1, F.q - 1),
+                                min_size=len(monic), max_size=len(monic)))
+    multiples = [combine(F, (c,), (g,)) for c, g in zip(scales, monic)]
+    mixed = list(multiples)
+    for i in data.draw(st.lists(st.integers(0, len(monic)), max_size=3)):
+        mixed.insert(i, A.zero)
+    forms = [[list(g) for g in monic], multiples, mixed,
+             [list(g) for g in mixed]]
+    calls = []
+    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppolar, "rref",
+                   lambda *a: calls.append("rref") or real_rref(*a))
+        mp.setattr(PPolarAlgebra, "mu_p",
+                   lambda self, v: calls.append("mu") or real_mu(self, v))
+        for gens in forms + forms:
+            assert ideal_generated(A, gens) is I
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
