@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import wire
 
@@ -60,16 +61,35 @@ def _emit(obj, out_path):
         raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
-def _load(path):
-    """The JSON value in the file a user named."""
+@contextmanager
+def _reading(path):
+    """The JSON value in the file a user named, decoded in the with block.
+    A key the file repeats (`wire.RepeatedKey`: a JSON object key, found
+    as the file is read, or the idx of two mu entries) is rejected with the
+    file's name."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
     except RecursionError:
         raise CliError(f"RecursionError: {path} nests too deeply for the "
                        f"JSON reader") from None
+    except wire.RepeatedKey as exc:
+        raise CliError(f"{path}: {exc}") from None
+    try:
+        yield value
+    except wire.RepeatedKey as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise wire.RepeatedKey(f"an object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # -- subcommands --------------------------------------------------------------
@@ -102,8 +122,9 @@ def _eval_expr(A, node: dict):
 
 def cmd_witt_eval(args) -> int:
     from .ppolar import PPolarAlgebra
-    data = wire.check("witt-eval", _load(args.expr))
-    A = PPolarAlgebra.from_json(data["algebra"])
+    with _reading(args.expr) as data:
+        wire.check("witt-eval", data)
+        A = PPolarAlgebra.from_json(data["algebra"])
     out = _eval_expr(A, data["expr"]).to_json()
     out["algebra"] = A.to_json()
     _emit(out, args.out)
@@ -114,8 +135,12 @@ def cmd_cw(args) -> int:
     from . import cowitt
     from .ppolar import PPolarAlgebra
     wire.check("cw", {"op": args.op, "inputs": args.inputs})
-    A = PPolarAlgebra.from_json(_load(args.algebra))
-    xs = [cowitt.cw_from_json(A, _load(p)) for p in args.inputs]
+    with _reading(args.algebra) as data:
+        A = PPolarAlgebra.from_json(data)
+    xs = []
+    for path in args.inputs:
+        with _reading(path) as data:
+            xs.append(cowitt.cw_from_json(A, data))
     if args.op == "validate":
         w = cowitt.witness_search(xs[0])
         out = {"valid": w is not None}
@@ -135,7 +160,8 @@ def cmd_cw(args) -> int:
 def cmd_split(args) -> int:
     from .etale import decompose
     from .ppolar import PPolarAlgebra
-    A = PPolarAlgebra.from_json(_load(args.algebra))
+    with _reading(args.algebra) as data:
+        A = PPolarAlgebra.from_json(data)
     dec = decompose(A)
     out = dec.to_json()
     out["point_count"] = dec.count
@@ -147,7 +173,8 @@ def cmd_split(args) -> int:
 def cmd_polarize(args) -> int:
     from .gfq import FqField
     from .ppolar import polarize
-    data = wire.check("polarize", _load(args.algebra))
+    with _reading(args.algebra) as data:
+        wire.check("polarize", data)
     field = FqField.from_json(data["field"])
     table = [[tuple(map(field.from_coords, entry)) for entry in row]
              for row in data["table"]]

@@ -12,7 +12,7 @@ part (its tail and its entries at indices <= -k, zeros above) and its
 shallow part, the Witt vector of length k whose coordinate i holds its
 entry at index i - k + 1 (V, the shift by one index, is the transition
 map of the colimit).  With every tail zero and (p, D + 1), D the deepest
-exception index of any operand, in the desk-scale envelope
+exception index of any operand, small enough that W_{D+1} is cheap
 (`wittuniv.in_envelope`), k = D + 1 and the deep parts are zero;
 otherwise k = r, the largest settled witness, so every deep entry lies in
 a nilpotent ideal.  The deep parts go through the windows below.  The
@@ -21,7 +21,7 @@ not all zero, are added or negated in W_k(A) by `wittmod.w_add` or
 `w_neg` through the algebra's memoized plans.  A Witt sum of a vector that
 vanishes above -k and one that vanishes at -k and below is their
 concatenation, so the answer is the deep result at indices <= -k followed
-by that W_k vector.  Beyond the envelope, where a W_n lift grows with n and
+by that W_k vector.  Beyond that bound, where a W_n lift grows with n and
 log p, deep zero-tail operands take the windows, a few levels deep at any
 depth.
 
@@ -43,15 +43,19 @@ length L: the cap is that of W_n(A).  On a zero mu it is p, so only the
 linear monomials survive.  The cap is read once per operation from the
 algebra's memo, and `wittmod._plan`'s memo holds one plan per
 (p, m + 1, op, t_deep, top level only): each window only binds its entries
-and evaluates it.
+and evaluates it.  All the windows of one operation read one column per
+operand (`_windows`): its deep part's entries, from the deepest any
+window reads up to index 0, each window a slice of it.
 
 Every operation settles its operands and its result (`_settled`): the
 minimal witness is searched for on every call, whatever an element
 stores, and an element that already stores it is used as it is.  The
 witness searches ask only for ideal closures and thresholds of subspaces
-of the algebra; each is answered from the algebra's ideal memo (see
-`ppolar`), so an operation pays for a closure only the first time its
-subspace comes up.
+of the algebra, each answered from the algebra's memos (see `ppolar`):
+each entry, as it stands, is looked up in the line memo, and each sum of
+lines and each threshold in the ideal memo.  So settling entries that have
+come up before is a few dict lookups, and an operation pays for a closure
+only the first time its line or subspace comes up.
 
 Each entry is read off one window, at a certified depth m*.  Give x_i and
 y_i weight p^i; the top component of the level-L sum or negation is then
@@ -119,7 +123,7 @@ class CoWittElement(Record):
 
     def depth(self) -> int:
         """Deepest exception index, as a nonnegative number."""
-        return max((-i for i in self.exceptions), default=0)
+        return -min(self.exceptions, default=0)
 
     def is_zero(self) -> bool:
         return vec_is_zero(self.tail) and not self.exceptions
@@ -155,9 +159,11 @@ def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
 
 
 def _deep_ideal(x: CoWittElement, r: int) -> PolarIdeal:
-    # `ideal_generated` skips the zero generators
-    return ideal_generated(x.algebra, [x.tail, *(
-        v for i, v in x.exceptions.items() if i <= -r)])
+    # `ideal_generated` skips the zero generators; at r = 0 every entry is
+    # deep
+    deep = x.exceptions.values() if not r else (
+        v for i, v in x.exceptions.items() if i <= -r)
+    return ideal_generated(x.algebra, [x.tail, *deep])
 
 
 def witness_search(x: CoWittElement):
@@ -216,14 +222,28 @@ def _certified_depth(p: int, t_deep: int, start_m: int) -> int:
 
 
 def _window_entry(elems, n, op, start_m, t_deep) -> tuple:
-    """The top component of `op` on the windows of `elems` (deepest entry
-    first) at the certified depth, every entry of which lies in Nil(A), by
-    the window plan of `wittmod._plan` under cap t_deep."""
+    """The top component of `op` on the windows of `elems` at index -n:
+    the one-index case of `_windows`."""
+    return _windows(elems, 0, range(n, n + 1), op, start_m, t_deep)[0]
+
+
+def _windows(elems, k, ns, op, start_m, t_deep) -> list:
+    """The top component of `op` at each index -n, n in the range ns, on
+    the windows (deepest entry first) at the certified depth of the deep
+    parts of `elems` below -k, every entry of which lies in Nil(A), by the
+    window plan of `wittmod._plan` under cap t_deep.  Each operand's deep
+    part, its entries at indices <= -k and zeros above, is read once into
+    one column, and every window is a slice of it."""
     A = elems[0].algebra
     m = _certified_depth(A.p, t_deep, start_m)
-    idxs = range(-n - m, -n + 1)
     top = _plan(A.p, m + 1, op, t_deep, True)
-    return eval_polar_poly(A, top, [e.entry(i) for e in elems for i in idxs])[0]
+    deepest, zero = ns[-1] + m, A.zero
+    # index i sits at position i + deepest of each column
+    cols = [[e.exceptions.get(i, e.tail) if i <= -k else zero
+             for i in range(-deepest, 1 - ns[0])] for e in elems]
+    return [eval_polar_poly(A, top, [v for c in cols
+                                     for v in c[ns[-1] - n:deepest - n + 1]])[0]
+            for n in ns]
 
 
 def _stabilized_op(elems: list, op: str) -> CoWittElement:
@@ -232,24 +252,15 @@ def _stabilized_op(elems: list, op: str) -> CoWittElement:
     result's own in W_k."""
     A = elems[0].algebra
     n = max(e.depth() for e in elems) + 1
+    tail, exceptions = A.zero, {}
     if in_envelope(A.p, n) and all(vec_is_zero(e.tail) for e in elems):
-        k, deep = n, ()     # the deep parts are zero
+        k = n               # the deep parts are zero
     else:
         k = max(e.witness[0] for e in elems)
-        # at k = 0 the deep parts are the operands
-        deep = [CoWittElement(A, e.tail, {
-            **{-i: A.zero for i in range(k)},
-            **{i: v for i, v in e.exceptions.items() if i <= -k}})
-            for e in elems] if k else elems
-    tail, exceptions = A.zero, {}
-    if deep:
-        t_deep = _cap(A)
-        n_explicit = max(x.depth() for x in deep)
-        # every window at index -(n_explicit + 1) or deeper holds only
-        # tails: that entry is the deep result's tail
-        tail = _window_entry(deep, n_explicit + 1, op, 0, t_deep)
-        exceptions = {-nn: _window_entry(deep, nn, op, 0, t_deep)
-                      for nn in range(n_explicit + 1)}
+        # every window at index -n or deeper holds only tails: that entry
+        # is the deep result's tail
+        *entries, tail = _windows(elems, k, range(n + 1), op, 0, _cap(A))
+        exceptions = {-nn: v for nn, v in enumerate(entries)}
     if k:
         xs = [WittVector(A, tuple(e.entry(i - k + 1) for i in range(k)))
               for e in elems]

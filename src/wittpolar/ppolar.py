@@ -29,23 +29,23 @@ product length (`product_length`) is T of the unit ideal, and the
 nilpotence index (`nilpotence_index`), the least s whose s-fold iterated
 polar power vanishes, is the least s with p^s >= T.
 
-Ideals form a lattice in that memo.  `ideal_generated` finds the lead of
-each generator g, a tuple or any sequence, with one C-level scan, skips g
-when it is zero, and scales it to a leading 1 when the lead is not 1 (a
-sequence with lead 1 is only made a tuple).  The scaled g is its own
-`rref` row, so its principal ideal sits under ("ideal", (g,)), whatever
-nonzero multiple of g came in, with no elimination to find the key; a
-miss closes it with one `rref`.  The generators fold through a memo of
-pairwise sums keyed by ("sum", rows of I, rows of J): a sum of ideals is
-an ideal, so it costs one `rref` of the union and no closure, and a
-generator already in the running sum is skipped before it is closed.
-Every ideal is stored under its own ("ideal", rows) as well, so equal
-ideals are one `PolarIdeal` object, and a hit costs no `rref` at all.  The
-principal keys are at most the (q^d - 1) / (q - 1) lines of F_q^d, the sum
-keys pairs of ideals of the algebra, so the memo is bounded by the algebra
-whatever the queries.  The product-length threshold takes an ideal and is
-keyed by its rows, so a repeated query, or the nilpotence index read off
-it, costs no `rref`; the nilradical is stored once, as the lattice's
+Ideals form a lattice in that memo.  Principal ideals are keyed by their
+generator scaled to a leading 1: that vector is its own `rref` row, so its
+ideal sits under ("ideal", (g,)), whatever nonzero multiple of g came in,
+with no elimination to find the key, and a miss closes it with one `rref`.
+The generators fold through a memo of pairwise sums keyed by
+("sum", rows of I, rows of J): a sum of ideals is an ideal, so it costs
+one `rref` of the union and no closure.  Every ideal is stored under its
+own ("ideal", rows) as well, so equal ideals are one `PolarIdeal` object,
+and a hit costs no `rref` at all.  The principal keys are at most the
+(q^d - 1) / (q - 1) lines of F_q^d, the sum keys pairs of ideals of the
+algebra, so the memo is bounded by the algebra whatever the queries.  A
+second memo, `_lines`, maps each nonzero generator as it came in, made a
+tuple, to that principal ideal, so a generator seen before costs one dict
+lookup: no scan for its lead and no scaling.  It holds at most the q^d - 1
+nonzero vectors of F_q^d.  The product-length threshold takes an ideal and
+is keyed by its rows, so a repeated query, or the nilpotence index read
+off it, costs no `rref`; the nilradical is stored once, as the lattice's
 object for its rows.
 """
 
@@ -58,7 +58,7 @@ from typing import Iterable, Sequence
 
 from . import wire
 from .gfq import (FqField, additive_map_kernel, combine, echelon_reduce,
-                  embed, gf_build, in_span, rref)
+                  embed, gf_build, rref)
 
 
 class LengthNotAdmissible(ValueError):
@@ -73,7 +73,7 @@ class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
     __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_ideals",
-                 "_kernel", "_plans")
+                 "_lines", "_kernel", "_plans")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -100,6 +100,7 @@ class PPolarAlgebra:
         self.mu = clean
         self.mu_is_zero = not clean
         self._ideals = {}     # (query, rref rows) -> answer
+        self._lines = {}      # nonzero generator -> its principal ideal
         self._kernel = None   # filled by the first `kernel` call
         self._plans = {}      # wittmod's plans, keyed by (kind, n)
 
@@ -374,25 +375,26 @@ class PolarIdeal:
 
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
     """Smallest F_q-subspace containing gens closed under mu(A,..,A,-):
-    the sum of the principal ideals of the nonzero gens, each keyed by its
-    generator scaled to a leading 1 (scaled only when its lead is not 1,
-    copied only when it is not a tuple), folded in order through
-    `_ideal_sum` (module docstring).  Zero gens are skipped."""
-    F = A.field
+    the sum of the principal ideals of the nonzero gens, folded in order
+    through `_ideal_sum`.  Each generator, made a tuple, is looked up in
+    `_lines`; a miss scales it to a leading 1 (only when its lead is not 1)
+    and takes, or closes once, the principal ideal under that key in
+    `_ideals` (module docstring).  Zero gens are skipped."""
+    F, lines = A.field, A._lines
     ideal = None
     for g in gens:
-        lead = next(filter(None, g), 0)
-        if not lead:
-            continue
-        if lead != 1:
-            g = combine(F, (F.inv(lead),), (g,))
-        elif type(g) is not tuple:
+        if type(g) is not tuple:
             g = tuple(g)
-        J = A._ideals.get(("ideal", (g,)))
+        J = lines.get(g)
         if J is None:
-            if ideal is not None and in_span(F, ideal.basis, g):
+            lead = next(filter(None, g), 0)
+            if not lead:
                 continue
-            J = A._ideals["ideal", (g,)] = _principal(A, g)
+            monic = g if lead == 1 else combine(F, (F.inv(lead),), (g,))
+            J = A._ideals.get(("ideal", (monic,)))
+            if J is None:
+                J = A._ideals["ideal", (monic,)] = _principal(A, monic)
+            lines[g] = J
         ideal = J if ideal is None else _ideal_sum(A, ideal, J)
     return _canonical(A, ()) if ideal is None else ideal
 
@@ -426,11 +428,11 @@ def _ideal_sum(A: PPolarAlgebra, I: PolarIdeal, J: PolarIdeal) -> PolarIdeal:
     if I is J:
         return I
     query = ("sum", I.basis, J.basis)
-    memo = A._ideals
-    if query not in memo:
-        memo[query] = _canonical(
+    K = A._ideals.get(query)
+    if K is None:
+        K = A._ideals[query] = _canonical(
             A, tuple(rref(A.field, I.basis + J.basis)[0]))
-    return memo[query]
+    return K
 
 
 def nilpotence_index(A: PPolarAlgebra, I: PolarIdeal):

@@ -11,6 +11,9 @@ envelope below, and RULES the checks across a shape's keys, such as the
 bounds on the work of checking (ASSOC) and of polarizing; what needs the
 mathematics (p prime, an irreducible modulus, digits below p, mu keys in
 range, (ASSOC), the algebra's dimension) is checked by the constructors.
+An algebra's mu entries name distinct idx, and the command line reads its
+files rejecting a JSON object that repeats a key: either repeat raises
+`RepeatedKey`, since a reader would keep one value silently.
 A shape is one of:
 
   int, str, dict          a JSON value of that type;
@@ -58,6 +61,12 @@ SUITES = ("ghost-roundtrip", "polar-degree", "group-laws", "fv-relations",
 
 class WireError(ValueError):
     """A payload that does not have its declared shape."""
+
+
+class RepeatedKey(WireError):
+    """A payload that names one key twice: a JSON object key, or the idx
+    of two mu entries.  A reader would keep one of the two values
+    silently."""
 
 
 def check(name: str, value):
@@ -128,6 +137,16 @@ def _exceptions(v, path: str, depth: int):
         _check("vector", entry, f"{path}[{key!r}]", depth)
 
 
+def _mu(v, path: str, depth: int):
+    _check([{"idx": [int], "val": "vector"}], v, path, depth)
+    first = {}
+    for i, entry in enumerate(v):
+        j = first.setdefault(tuple(entry["idx"]), i)
+        if j != i:
+            raise RepeatedKey(f"{path}[{i}].idx: {entry['idx']} repeats the "
+                              f"idx of {path}[{j}]")
+
+
 def _square(v) -> bool:
     d = len(v["table"])
     return v.get("dim", d) == d and all(
@@ -139,7 +158,7 @@ SHAPES = {
     "field": {"p": range(2, MAX_ORDER + 1), "m": range(1, 17),
               "modulus": [int, 2, 17]},
     "algebra": {"field": "field", "dim": range(MAX_DIM + 1), "p?": int,
-                "mu": [{"idx": [int], "val": "vector"}]},
+                "mu": _mu},
     "witt": {"coords": ["vector", 1, MAX_LENGTH]},
     "expr": ("op", {
         "lit": "witt",

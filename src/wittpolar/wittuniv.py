@@ -265,8 +265,9 @@ _memo: dict = {}
 
 
 def in_envelope(p: int, n: int) -> bool:
-    """Whether (p, n) lies in the desk-scale envelope, where every full
-    family lifts in well under a second."""
+    """Whether `cowitt` adds zero-tail operands of depth n - 1 in W_n(A)
+    instead of through its windows: p <= 5 with n <= 2, or p <= 3 with
+    n <= 4."""
     return (p <= 5 and n <= 2) or (p <= 3 and n <= 4)
 
 

@@ -261,9 +261,9 @@ def test_cw_output_matches_golden_bytes(capsys, name):
      str(DATA / "cw_unital3_f2_x4.json"), str(DATA / "cw_unital3_f2_x4.json")],
 ])
 def test_runs_beyond_the_envelope_write_nothing_on_stderr(argv):
-    # (7, 1, prod) and the W_5 family of x4 + x4 lie outside the desk-scale
-    # envelope.  A fresh process, because pytest records warnings raised in
-    # process instead of letting them reach stderr
+    # (7, 1, prod) and the W_5 family of x4 + x4 lie outside
+    # `wittuniv.in_envelope`.  A fresh process, because pytest records
+    # warnings raised in process instead of letting them reach stderr
     env = dict(os.environ, PYTHONPATH=str(Path(cowitt.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "wittpolar.cli", *argv],
                           capture_output=True, text=True, timeout=120,
@@ -892,6 +892,94 @@ def test_polarize_is_bounded_by_its_field_operations(capsys, tmp_path):
             "C(dim + p - 1, p) products, each weighed as 64 + w dim^2 "
             "operations (w = 1 up to 256 field elements, else 16 (m + 1)), "
             "at most 10000000")
+
+
+# A repeated key used to pick an answer silently: the last mu entry, or
+# the last value of a JSON object key, won and the command exited 0.
+REPEATED_IDX = {"format": "wittpolar/1", "p": 2, "field": F2.to_json(),
+                "dim": 1, "mu": [{"idx": [0, 0], "val": [[0]]},
+                                 {"idx": [0, 0], "val": [[1]]}]}
+
+
+@pytest.mark.parametrize("vals", [([[0]], [[1]]), ([[1]], [[0]])])
+def test_a_repeated_mu_idx_exits_1_naming_the_file_and_the_idx(
+        capsys, tmp_path, vals):
+    # in either order: pol(F_2) (one point) or the zero algebra
+    algebra = dict(REPEATED_IDX, mu=[{"idx": [0, 0], "val": v}
+                                     for v in vals])
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra))
+    want = (f"{path}: algebra.mu[1].idx: [0, 0] repeats the idx of "
+            f"algebra.mu[0]")
+    assert _assert_rejected(*run(capsys, "split", str(path))) == want
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"tail": [[0]]}))
+    assert _assert_rejected(*run(capsys, "cw", "validate", "--algebra",
+                                 str(path), str(x_path))) == want
+    expr = tmp_path / "expr.json"
+    expr.write_text(json.dumps({
+        "format": "wittpolar/1", "algebra": algebra,
+        "expr": {"op": "lit", "coords": [[[1]]]}}))
+    assert _assert_rejected(*run(capsys, "witt-eval", str(expr))) == (
+        f"{expr}: algebra.mu[1].idx: [0, 0] repeats the idx of "
+        f"algebra.mu[0]")
+
+
+@pytest.mark.parametrize("text", [
+    # a co-Witt entry given twice
+    '{"tail": [[0], [1], [1]], "exceptions": {"-2": [[1], [1], [0]], '
+    '"-2": [[0], [0], [1]]}}',
+    # a repeated key that holds the same value is still a repeat
+    '{"tail": [[0], [0], [0]], "tail": [[0], [0], [0]]}',
+])
+def test_a_repeated_key_in_a_cw_file_exits_1_naming_the_file(
+        capsys, tmp_path, algebra_file, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    for op in ("validate", "f"):
+        msg = _assert_rejected(*run(capsys, "cw", op, "--algebra",
+                                    str(algebra_file), str(path)))
+        assert msg.startswith(f"{path}: an object repeats the key ")
+    # the algebra file is read through the same reader
+    msg = _assert_rejected(*run(capsys, "cw", "validate", "--algebra",
+                                str(path), str(path)))
+    assert msg.startswith(f"{path}: an object repeats the key ")
+
+
+def test_a_repeated_key_in_split_polarize_and_witt_eval_files_exits_1(
+        capsys, tmp_path, algebra_file):
+    algebra = algebra_file.read_text()
+    # "dim" twice at the top of an algebra, "p" twice inside its field
+    cases = [("split", '{"dim": 3, ' + algebra[1:], "'dim'"),
+             ("split", algebra.replace('"p": 2,', '"p": 2, "p": 3,', 1),
+              "'p'")]
+    table = json.dumps(NIL3_F2)
+    cases.append(("polarize", '{"table": [], ' + table[1:], "'table'"))
+    lit = '{"op": "lit", "op": "neg", "coords": [[[1], [0], [0]]]}'
+    cases.append(("witt-eval", '{"format": "wittpolar/1", "algebra": '
+                  + algebra + ', "expr": ' + lit + '}', "'op'"))
+    for command, text, key in cases:
+        path = tmp_path / f"{command}.json"
+        path.write_text(text)
+        msg = _assert_rejected(*run(capsys, command, str(path)))
+        assert msg == f"{path}: an object repeats the key {key}", msg
+
+
+def test_repeated_key_goldens_name_the_committed_files(capsys, monkeypatch):
+    # the diagnostics CI compares, run from the root of the repository
+    monkeypatch.chdir(DATA.parent.parent)
+    for argv, golden in (
+            (["split", "tests/data/split_repeated_idx_f2.json"],
+             "split_repeated_idx_f2.err.json"),
+            (["cw", "validate", "--algebra",
+              "tests/data/cw_nil4_f2_algebra.json",
+              "tests/data/cw_nil4_f2_repeated_exception.json"],
+             "cw_validate_nil4_f2_repeated_exception.err.json")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err == (DATA / golden).read_text()
+    algebra = json.loads((DATA / "split_repeated_idx_f2.json").read_text())
+    assert algebra == REPEATED_IDX
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from wittpolar import cowitt, ppolar, samples, wittmod
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
                               stabilized_entry, witness_search)
-from wittpolar.gfq import gf_build
-from wittpolar.ppolar import (PPolarAlgebra, nilpotence_index, polarize,
-                              vec_is_zero)
+from wittpolar.gfq import combine, gf_build, rref
+from wittpolar.ppolar import (PPolarAlgebra, ideal_generated, nilpotence_index,
+                              polarize, vec_is_zero)
 from wittpolar.wittmod import (eval_polar_poly, polar_plan, truncate, w_add,
                                w_neg, witt)
 from wittpolar.wittuniv import _targets, dwork_lift, witt_blocks
@@ -128,7 +129,7 @@ def test_finite_support_matches_cwu(monkeypatch):
                      w_add(x, witt(A, (A.zero,) + y2.coords)))):
                 elems = [settled(finite_support(w)) for w in ws]
                 with monkeypatch.context() as m:
-                    m.setattr(cowitt, "_window_entry", window)
+                    m.setattr(cowitt, "_windows", window)
                     got = cw_add(*elems) if op == "sum" else cw_neg(*elems)
                 # equal at every index, none set below -2
                 assert got == finite_support(want)
@@ -583,3 +584,96 @@ def test_settling_never_trusts_a_stored_witness(A, data):
                           (lambda: cw_neg(x), lambda: cw_neg(xc))):
         assert (json.dumps(warm().to_json())
                 == json.dumps(cold_op().to_json()))
+
+
+# -- the ideal memo against closures from scratch ------------------------------
+
+
+# built once, so the line and ideal memos stay warm across examples: a line
+# cached wrongly by one example is read back by a later one
+_MEMO_ALGEBRAS = [
+    *(samples.trunc_nil_polar(gf_build(*pm), N)
+      for pm in ((2, 1), (3, 1), (2, 2), (3, 2)) for N in (3, 4)),
+    _MIXED,
+    *(polarize(F, samples.unital_poly_table(F, 3)) for F in (F2, F3))]
+
+
+def _closed_from_scratch(A, gens) -> tuple:
+    """The `rref` rows of the ideal generated by gens: the span of gens
+    and of every mu(e_key, v), v a row so far, until it stops growing."""
+    F = A.field
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    outer = list(combinations_with_replacement(basis, A.p - 1))
+    rows = rref(F, [tuple(g) for g in gens])[0]
+    while True:
+        grown = rref(F, rows + [A.mu_p([*key, v]) for key in outer
+                                for v in rows])[0]
+        if grown == rows:
+            return tuple(rows)
+        rows = grown
+
+
+def _nilpotence_from_scratch(A, rows):
+    """Least s whose s-fold iterated polar power of the ideal with these
+    rows vanishes, or None: each power is closed from the products of p
+    rows of the one before; the powers descend, so one still nonzero after
+    dim + 1 steps never vanishes."""
+    for s in range(A.dim + 2):
+        if not rows:
+            return s
+        rows = _closed_from_scratch(A, [
+            A.mu_p(list(vs)) for vs in combinations_with_replacement(rows,
+                                                                     A.p)])
+    return None
+
+
+def _witness_from_scratch(A, x):
+    for r in range(x.depth() + 2):
+        deep = [x.tail, *(v for i, v in x.exceptions.items() if i <= -r)]
+        s = _nilpotence_from_scratch(A, _closed_from_scratch(A, deep))
+        if s is not None:
+            return (r, s)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_MEMO_ALGEBRAS), st.data())
+def test_memoized_ideals_and_witnesses_match_closures_from_scratch(A, data):
+    F = A.field
+    ref = copy.deepcopy(A)      # its memos start empty and stay unused
+    assert not ref._ideals and not ref._lines
+    vec = st.tuples(*[st.integers(0, F.q - 1)] * A.dim)
+    # generators as tuples, lists and nonzero multiples, zeros mixed in
+    gens = data.draw(st.lists(vec, max_size=4))
+    forms = []
+    for g in gens:
+        c = data.draw(st.integers(1, F.q - 1))
+        g = combine(F, (c,), (g,)) if any(g) else g
+        forms.append(list(g) if data.draw(st.booleans()) else g)
+        if data.draw(st.booleans()):
+            forms.append(A.zero)
+    assert ideal_generated(A, forms).basis == _closed_from_scratch(ref, gens)
+    x = CoWittElement(A, data.draw(vec), data.draw(
+        st.dictionaries(st.integers(-3, 0), vec, max_size=3)))
+    want = _witness_from_scratch(ref, x)
+    assert witness_search(x) == want
+    # every line holds the principal ideal of its monic generator, as
+    # stored under that generator's key, and closed from scratch
+    for g, J in A._lines.items():
+        monic = combine(F, (F.inv(next(filter(None, g))),), (g,))
+        assert A._ideals["ideal", (monic,)] is J
+        assert J.basis == _closed_from_scratch(ref, [g])
+    if want is None:
+        return
+    # settling again is dict lookups: no elimination and no product
+    settled_x = cowitt._settled(x)
+    calls = []
+    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppolar, "rref",
+                   lambda *a: calls.append("rref") or real_rref(*a))
+        mp.setattr(PPolarAlgebra, "mu_p",
+                   lambda self, v: calls.append("mu") or real_mu(self, v))
+        assert cowitt._settled(x) == settled_x
+        assert cowitt._settled(settled_x) is settled_x
+    assert calls == []
