@@ -10,10 +10,13 @@ A vector over F_q is a tuple of field ints and a matrix is a list of its
 rows.  `combine` (sum c_i v_i) is the one place that adds and scales
 vectors: `mat_vec`, `rref` and every other module go through it, except
 the mu kernel (the straight-line function that `ppolar._compile_mu`
-generates for each algebra and `PPolarAlgebra.mu_p` calls) and the polar
-plans (the straight-line functions that `wittmod._plan_source` writes
-for each slot plan and algebra dimension, and `wittmod.eval_polar_poly`
-runs).
+generates for each algebra and `PPolarAlgebra.mu_p` calls), the packed
+tables of an algebra over GF(2^m) with at most 256 vectors (which
+`ppolar._compile_tables` fills by XOR, each vector an index whose bits are
+its F_2 digits) and the polar plans (the straight-line functions that
+`wittmod._plan_source` writes for each slot plan and plan key, and
+`wittmod.eval_polar_poly` runs: on coordinates, or on those indices with
+one XOR per sum).
 """
 
 from __future__ import annotations

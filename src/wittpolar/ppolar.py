@@ -16,14 +16,26 @@ sub-multiset share its partial sum) and adds that sum, times each nonzero
 value entry, into the output; the field arithmetic goes through
 `FqField.tables`.
 `_compile_mu` is a module-level memo keyed by (field, dim, mu), so equal
-algebras built apart share one kernel, and each algebra keeps its kernel,
-with the field tables, in a slot (`kernel`).
+algebras built apart share one kernel, and each algebra keeps its kernel
+in a slot.
+
+An algebra over GF(2^m) with at most `wire.MAX_TABLE_ORDER` vectors, Q =
+q^dim <= 256, is a table algebra: each vector is also its index in
+range(Q), the F_2 digits of its coordinates packed into bits, so adding
+two vectors is one XOR of their indices.  `_compile_tables`, memoized like
+`_compile_mu`, builds its tables once: the index <-> tuple maps, the Q^2
+products mu(i, j) and the q * Q scalar multiples as `bytes`, each filled
+from its values on pairs of bits (both products are F_2-bilinear).  The
+compiled plans of such an algebra run on indices wherever they multiply
+(`wittmod`); `kernel` binds the tables with the mu kernel and the field
+tables, and `plan_key` picks the plans' functions.
 
 Ideal closure (`ideal_generated`) and the product-length threshold
 (`product_length_threshold`) depend only on the algebra and on the
-subspace they are asked about.  Each algebra remembers their answers in one
-memo, `_ideals`, keyed by the query's kind and canonical reduced echelon
-rows (`gfq.rref(field, vectors)[0]`: equal subspaces give equal keys).
+subspace they are asked about.  Each algebra keys its ideals in one memo,
+`_ideals`, by the query's kind and canonical reduced echelon rows
+(`gfq.rref(field, vectors)[0]`: equal subspaces give equal keys), and each
+ideal keeps the answers asked of it.
 The threshold T of an ideal is the one measure of its nilpotence: the
 product length (`product_length`) is T of the unit ideal, and the
 nilpotence index (`nilpotence_index`), the least s whose s-fold iterated
@@ -33,26 +45,26 @@ Ideals form a lattice in that memo.  Principal ideals are keyed by their
 generator scaled to a leading 1: that vector is its own `rref` row, so its
 ideal sits under ("ideal", (g,)), whatever nonzero multiple of g came in,
 with no elimination to find the key, and a miss closes it with one `rref`.
-The generators fold through a memo of pairwise sums keyed by
-("sum", rows of I, rows of J): a sum of ideals is an ideal, so it costs
-one `rref` of the union and no closure.  Every ideal is stored under its
-own ("ideal", rows) as well, so equal ideals are one `PolarIdeal` object,
-and a hit costs no `rref` at all.  The principal keys are at most the
-(q^d - 1) / (q - 1) lines of F_q^d, the sum keys pairs of ideals of the
-algebra, so the memo is bounded by the algebra whatever the queries.  A
-second memo, `_lines`, maps each nonzero generator as it came in, made a
-tuple, to that principal ideal, so a generator seen before costs one dict
-lookup: no scan for its lead and no scaling.  It holds at most the q^d - 1
-nonzero vectors of F_q^d.  The product-length threshold takes an ideal and
-is keyed by its rows, so a repeated query, or the nilpotence index read
-off it, costs no `rref`; the nilradical is stored once, as the lattice's
-object for its rows.
+Every ideal is stored under its own ("ideal", rows), so equal ideals are
+one `PolarIdeal` object, and a hit costs no `rref` at all.  The generators
+fold through pairwise sums, each memoized in the first ideal's `_sums`,
+keyed by the second ideal itself (hashed by identity, so no rows are
+hashed): a sum of ideals is an ideal, so it costs one `rref` of the union
+and no closure.  The principal keys are at most the (q^d - 1) / (q - 1)
+lines of F_q^d, the sums pairs of ideals of the algebra, so the memos are
+bounded by the algebra whatever the queries.  A second memo, `_lines`,
+maps each nonzero generator as it came in, made a tuple, to that
+principal ideal, so a generator seen before costs one dict lookup: no scan
+for its lead and no scaling.  It holds at most the q^d - 1 nonzero vectors
+of F_q^d.  The product-length threshold of an ideal is kept on the ideal,
+so a repeated query, or the nilpotence index read off it, costs no `rref`;
+the nilradical is stored once, as the lattice's object for its rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import index
 from typing import Iterable, Sequence
 
@@ -72,8 +84,8 @@ def vec_is_zero(v: Sequence[int]) -> bool:
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
-    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_ideals",
-                 "_lines", "_kernel", "_plans")
+    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "plan_key",
+                 "_ideals", "_lines", "_compiled", "_kernel", "_plans")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -99,8 +111,14 @@ class PPolarAlgebra:
                 clean[key] = val
         self.mu = clean
         self.mu_is_zero = not clean
+        # the key of this algebra's functions in a compiled plan: the
+        # dimension, or ~dim = -1 - dim for a table algebra (see `kernel`),
+        # an int, which hashes at no cost on every evaluation
+        self.plan_key = (~dim if p == 2 and field.q ** dim
+                         <= wire.MAX_TABLE_ORDER else dim)
         self._ideals = {}     # (query, rref rows) -> answer
         self._lines = {}      # nonzero generator -> its principal ideal
+        self._compiled = None  # the mu kernel, filled on its first use
         self._kernel = None   # filled by the first `kernel` call
         self._plans = {}      # wittmod's plans, keyed by (kind, n)
 
@@ -128,28 +146,44 @@ class PPolarAlgebra:
         return type(self), (self.field, self.dim, self.mu)
 
     def kernel(self) -> tuple:
-        """(mu, mt, at, q, zero), as compiled plans take them (see
-        `wittmod.polar_plan`): the algebra's straight-line mu kernel, which
-        takes exactly p vectors and checks nothing, the field tables of
-        `FqField.tables`, q and the zero vector.
+        """What compiled plans take (see `wittmod.polar_plan`): (mu, mt,
+        at, q, zero), the algebra's straight-line mu kernel, which takes
+        exactly p vectors and checks nothing, the field tables of
+        `FqField.tables`, q and the zero vector; for a table algebra
+        (p = 2 and Q = q^dim <= `wire.MAX_TABLE_ORDER`, `plan_key` < 0)
+        then the packed tables of `_compile_tables`, (tmu, tix, tvec, tsm,
+        Q).
 
-        The first call fetches the kernel from the `_compile_mu` memo, which
-        generates and compiles it for the first algebra with this (field,
-        dim, mu); the `_kernel` slot serves every later call.
+        The first call fetches the kernel and tables from the `_compile_mu`
+        and `_compile_tables` memos, which build them for the first algebra
+        with this (field, dim, mu); the `_kernel` slot serves every later
+        call.  `mu_p` and `ppow` need the kernel alone and never build the
+        tables.
         """
         bound = self._kernel
         if bound is None:
             F = self.field
-            bound = self._kernel = (
-                _compile_mu(F, self.dim, tuple(sorted(self.mu.items()))),
-                *F.tables(), F.q, self.zero)
+            bound = (self._compiled_mu(), *F.tables(), F.q, self.zero)
+            if self.plan_key < 0:
+                bound += _compile_tables(F, self.dim,
+                                         tuple(sorted(self.mu.items())))
+            self._kernel = bound
         return bound
 
+    def _compiled_mu(self):
+        """The compiled mu kernel, from the `_compile_mu` memo on the first
+        call and from the `_compiled` slot after."""
+        kernel = self._compiled
+        if kernel is None:
+            kernel = self._compiled = _compile_mu(
+                self.field, self.dim, tuple(sorted(self.mu.items())))
+        return kernel
+
     def mu_p(self, vecs: Sequence[Sequence[int]]) -> tuple:
-        """One application of mu to exactly p vectors, through `kernel`."""
+        """One application of mu to exactly p vectors, through the kernel."""
         if len(vecs) != self.p:
             raise ValueError(f"mu takes exactly {self.p} arguments")
-        return self.kernel()[0](*vecs)
+        return self._compiled_mu()(*vecs)
 
     def mu_eval(self, elements: Sequence[Sequence[int]]) -> tuple:
         """The unique product of the given elements (left-associative scheme)."""
@@ -168,7 +202,7 @@ class PPolarAlgebra:
 
     def ppow(self, v: Sequence[int], times: int = 1) -> tuple:
         """Iterated p-th power v^(p^times), each one call of the kernel."""
-        mu, p = self.kernel()[0], self.p
+        mu, p = self._compiled_mu(), self.p
         for _ in range(times):
             v = mu(*(v,) * p)
         return tuple(v)
@@ -261,6 +295,53 @@ def _compile_mu(field: FqField, dim: int, mu: tuple):
     return namespace["make"](*field.tables())
 
 
+@lru_cache(maxsize=None)
+def _compile_tables(field: FqField, dim: int, mu: tuple) -> tuple:
+    """The packed tables of a table algebra (p = 2, Q = q^dim <=
+    `wire.MAX_TABLE_ORDER`): (tmu, tix, tvec, tsm, Q), built once per process
+    for each (field, dim, mu), with mu its sorted (key, value) pairs.
+
+    A vector is its index among the Q vectors: coordinate r, an element of
+    GF(2^m) whose bits are its F_2 digits, sits at bits m (dim-1-r) .. of
+    it, so the sum of two vectors is the XOR of their indices.  tvec maps
+    an index to its coordinate tuple and tix a tuple back; tmu[i * Q + j]
+    is the index of mu(vec i, vec j) and tsm[a * Q + i] that of a times
+    vec i, for a scalar a, each as `bytes`.  Both products are F_2-bilinear
+    in the bits of their arguments, so only their values on pairs of bits
+    are computed, by the kernel and the field tables (see `_bilinear`).
+    """
+    q, mt = field.q, field.tables()[0]
+    tvec = list(product(range(q), repeat=dim))
+    Q = len(tvec)
+    tix = dict(zip(tvec, range(Q)))
+    kernel = _compile_mu(field, dim, mu)
+    bits = [tvec[1 << b] for b in range(field.m * dim)]
+    tmu = _bilinear([[tix[kernel(u, v)] for v in bits] for u in bits], Q)
+    tsm = _bilinear([[tix[tuple(mt[(1 << b) * q + c] for c in v)]
+                      for v in bits] for b in range(field.m)], Q)
+    return tmu, tix, tvec, tsm, Q
+
+
+def _bilinear(on_bits: list, Q: int) -> bytes:
+    """The table of an F_2-bilinear map f(a, i) into indices below 256, for
+    a < 2^len(on_bits) and i < Q (a power of 2), as `bytes` indexed by
+    a * Q + i, from its values on_bits[b][c] = f(2^b, 2^c).  Each row is
+    one int holding its Q bytes.  The row of 2^b is the XOR over c of
+    on_bits[b][c] times the int whose byte i is bit c of i (a product with
+    no carry), and the rows of 2^b .. 2^(b+1) - 1 are the rows below 2^b,
+    each XORed with it."""
+    planes = [int.from_bytes((bytes(1 << c) + b"\1" * (1 << c))
+                             * (Q >> (c + 1)), "little")
+              for c in range(Q.bit_length() - 1)]
+    table = [0]
+    for values in on_bits:
+        row = 0
+        for v, plane in zip(values, planes):
+            row ^= v * plane
+        table += [row ^ below for below in table]
+    return b"".join(row.to_bytes(Q, "little") for row in table)
+
+
 # -- polarization of honest commutative algebras -----------------------------
 
 
@@ -344,19 +425,28 @@ def check_assoc(A: PPolarAlgebra):
 # -- ideals -------------------------------------------------------------------
 
 
+# the threshold of an ideal not yet asked for it
+_UNKNOWN = object()
+
+
 class PolarIdeal:
     """F_q-subspace closed under mu(A, ..., A, -), as its `rref` rows.
 
     The constructor trusts its rows, and only `_canonical` calls it, with
     the canonical `rref` rows of a closed subspace (from `ideal_generated`,
     `nilradical` and `product_length`); the package does not export the
-    class."""
+    class.  Equal ideals of an algebra are one object, so an ideal
+    compares and hashes by identity, and it keeps the memos keyed by it:
+    its sums with other ideals (`_ideal_sum`) and its product-length
+    threshold."""
 
-    __slots__ = ("algebra", "basis")
+    __slots__ = ("algebra", "basis", "_sums", "_threshold")
 
     def __init__(self, algebra: PPolarAlgebra, basis: Sequence[tuple]):
         self.algebra = algebra
         self.basis = tuple(basis)
+        self._sums = {}     # J -> self + J
+        self._threshold = _UNKNOWN
 
     @property
     def dim(self) -> int:
@@ -364,10 +454,6 @@ class PolarIdeal:
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def __eq__(self, other):
-        return (isinstance(other, PolarIdeal) and self.algebra == other.algebra
-                and self.basis == other.basis)
 
     def __repr__(self):
         return f"PolarIdeal(dim={self.dim} of {self.algebra!r})"
@@ -424,13 +510,12 @@ def _principal(A: PPolarAlgebra, g: tuple) -> PolarIdeal:
 
 def _ideal_sum(A: PPolarAlgebra, I: PolarIdeal, J: PolarIdeal) -> PolarIdeal:
     """I + J, an ideal, so one `rref` of the union and no closure; memoized
-    by the two canonical bases."""
+    in I's sums, keyed by the canonical J."""
     if I is J:
         return I
-    query = ("sum", I.basis, J.basis)
-    K = A._ideals.get(query)
+    K = I._sums.get(J)
     if K is None:
-        K = A._ideals[query] = _canonical(
+        K = I._sums[J] = _canonical(
             A, tuple(rref(A.field, I.basis + J.basis)[0]))
     return K
 
@@ -479,9 +564,8 @@ def product_length_threshold(A: PPolarAlgebra, I: PolarIdeal):
     level-(j-1) one, so the levels descend: within dim + 1 rounds one is 0
     (L found) or equals the one before (a fixed point, None).
     """
-    query = ("threshold", I.basis)
-    memo = A._ideals
-    if query not in memo:
+    T = I._threshold
+    if T is _UNKNOWN:
         outer = [[I.basis[i] for i in key] for key in
                  combinations_with_replacement(range(I.dim), A.p - 1)]
         cur, j = I.basis, 0
@@ -491,8 +575,8 @@ def product_length_threshold(A: PPolarAlgebra, I: PolarIdeal):
             if nxt == cur:
                 break
             cur, j = nxt, j + 1
-        memo[query] = None if cur else 1 + j * (A.p - 1)
-    return memo[query]
+        T = I._threshold = None if cur else 1 + j * (A.p - 1)
+    return T
 
 
 def product_length(A: PPolarAlgebra):

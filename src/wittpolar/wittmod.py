@@ -23,15 +23,22 @@ length L, which each algebra keeps in a dict keyed by (kind, n), and per
 (p, n, kind, t_deep, True) for a window, the top level alone of a W_n sum
 or negation under t_deep (see `cowitt`).  Monomials sharing a sorted
 prefix share its partial products, each computed once per call.  A plan
-runs as one straight-line Python function per algebra dimension d, written
-by `_plan_source` and compiled once per process on the first evaluation
-over a d-dimensional algebra: each partial product is one call of the
-algebra's compiled mu kernel (`ppolar`), unpacked into its d coordinates
-where a sum reads it, and each coordinate of each polynomial is one
-unrolled expression over those coordinates.  The kernel, the field
-tables, q and the zero vector are arguments, so one function serves every
-algebra of that dimension with that plan.  The characteristic-p
-Frobenius calls the kernel directly, once per coordinate.
+runs as one straight-line Python function per plan key of the algebra
+(`PPolarAlgebra.plan_key`), written by `_plan_source` and compiled once
+per process on the first evaluation over an algebra with that key.  The
+key is the dimension d, and the function is in coordinate form: each
+partial product is one call of the algebra's compiled mu kernel
+(`ppolar`), unpacked into its d coordinates where a sum reads it, and
+each coordinate of each polynomial is one unrolled expression over those
+coordinates.  Over a table algebra (p = 2 with q^d <= 256 vectors) the
+key is ~d = -1 - d, and a plan with a partial product runs in table form
+on vector indices: the inputs are mapped to indices once, each partial
+product is one lookup in the algebra's product table and each polynomial
+one XOR chain, mapped back to a tuple once; a plan with none keeps the
+coordinate form, where it never calls mu.  The kernel, the field tables,
+q, the zero vector and any packed tables with their size are arguments,
+so one function serves every algebra with that key and that plan.  The
+characteristic-p Frobenius calls the kernel directly, once per coordinate.
 Scalars act through Witt vectors over the polarization of the base field:
 in `scalar_mul` the scalar coordinates a_i are coefficient slots of the
 same plan, multiplied into each term's F_p coefficient.
@@ -124,8 +131,10 @@ def polar_plan(p: int, polys, names: Sequence[str],
     alone before compiling (see `_plan`).
 
     The plan is returned as its `_PlanFunctions`, shared by equal plans
-    built apart, which compiles one function per algebra dimension;
-    `eval_polar_poly` runs the one for its algebra.
+    built apart, which compiles one function per plan key (the algebra's
+    dimension d, or ~d for a table algebra, whose function runs on vector
+    indices when the plan has a node); `eval_polar_poly` runs the one for
+    its algebra.
     """
     slot = {name: s for s, name in enumerate(names)}
     base = len(names)
@@ -163,41 +172,69 @@ _CHUNK = 8
 
 
 def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
-                 d: int) -> str:
-    """Python source of the plan (nodes, levels) on `width` input slots,
-    unrolled over the d coordinates of the algebra.
+                 key) -> str:
+    """Python source of the plan (nodes, levels) on `width` input slots
+    for the algebras with plan key `key` (`PPolarAlgebra.plan_key`): their
+    dimension d, or ~d = -1 - d for a table algebra.
 
-    `plan(mu, mt, at, q, zero, inputs)` unpacks the inputs into v0, v1, ..,
-    then binds each node to the next name as one call `mu(vi, vj, ..)` of
-    the algebra's kernel.  Each value that a level sums, input or node, is
-    unpacked where it is bound into coordinate locals v{i}_0 .. v{i}_{d-1}
-    (no statement when d = 0).  A coefficient times scalar slots is
-    computed once, as k{i} = mt[k * q + v{s}] one factor at a time, sharing
-    prefixes; each coefficient other than 1 enters the sums as c{i} = k * q,
-    read once.  Coordinate r of a level is one expression over the v{i}_r,
+    The plan's arguments are the algebra's `kernel` tuple, then the inputs:
+    `plan(mu, mt, at, q, zero, inputs)`, with tmu, tix, tvec, tsm, Q before
+    the inputs for a table algebra.  It unpacks the inputs into v0, v1, ..
+    A coefficient times scalar slots is computed once, as
+    k{i} = mt[k * q + v{s}] one factor at a time, sharing prefixes.  Each
+    sum is written as one expression, bound to o{j}_{r} (o{j} in the table
+    form) after every _CHUNK terms and continued from there.  The plan
+    returns one vector per level; a level with no term is `zero`.  The
+    source holds only integer literals and generated names, and the plan
+    is walked in order, so equal plans give equal source.
+
+    Coordinate form, for every plan over a d-dimensional algebra and for
+    the plans with no node over a table algebra: each node is bound to the
+    next name as one call `mu(vi, vj, ..)` of the algebra's kernel.  Each
+    value that a level sums, input or node, is unpacked where it is bound
+    into coordinate locals v{i}_0 .. v{i}_{d-1} (no statement when d = 0).
+    Each coefficient other than 1 enters the sums as c{i} = k * q, read
+    once.  Coordinate r of a level is one expression over the v{i}_r,
     through ^ (p = 2) or at[a * q + b], a term with coefficient c{i} as
-    mt[c{i} + v{i}_r]; after every _CHUNK terms it is bound to o{j}_{r},
-    which the next expression continues.  The plan returns one tuple
-    display of the coordinates per level; a level that is one value is that
-    value, and a level with no term is `zero`.  The source holds only
-    integer literals and generated names, and the plan is walked in order,
-    so equal plans give equal source.
+    mt[c{i} + v{i}_r]; a level that is one value is that value, made a
+    tuple.
+
+    Table form, for a plan with a node over a table algebra (p = 2): each
+    vector input the plan reads is mapped once to its index, tix[v{s}],
+    each node is one lookup tmu[vi * Q + vj], and each level is one XOR
+    chain of indices, a term with scalar slots as tsm[c{i} + v{i}] with
+    c{i} = k * Q (every F_2 coefficient is 1).  Each level is mapped back
+    to its tuple by one lookup tvec[..].
     """
-    summed = {i for terms in levels for c, cs, i in terms
-              if len(terms) > 1 or c != 1 or cs}
+    packed = key < 0                # a table algebra's key
+    d = ~key if packed else key
+    table = packed and nodes
     body = [f"{''.join(f'v{s}, ' for s in range(width))}= inputs"]
+    if table:
+        vectors = {i for args in nodes for i in args}
+        vectors.update(i for terms in levels for c, cs, i in terms)
+        body += [f"v{s} = tix[v{s}]" for s in sorted(vectors) if s < width]
+        body += [f"v{width + k} = tmu[v{i} * Q + v{j}]"
+                 for k, (i, j) in enumerate(nodes)]
+    else:
+        summed = {i for terms in levels for c, cs, i in terms
+                  if len(terms) > 1 or c != 1 or cs}
 
-    def unpack(i: int):
-        if d and i in summed:
-            body.append(f"{''.join(f'v{i}_{r}, ' for r in range(d))}= v{i}")
+        def unpack(i: int):
+            if d and i in summed:
+                body.append(
+                    f"{''.join(f'v{i}_{r}, ' for r in range(d))}= v{i}")
 
-    for s in range(width):
-        unpack(s)
-    for k, args in enumerate(nodes):
-        body.append(f"v{width + k} = mu({', '.join(f'v{i}' for i in args)})")
-        unpack(width + k)
+        for s in range(width):
+            unpack(s)
+        for k, args in enumerate(nodes):
+            body.append(
+                f"v{width + k} = mu({', '.join(f'v{i}' for i in args)})")
+            unpack(width + k)
     coeffs = {}   # (c, scalar slots) -> the name holding the coefficient
-    scaled = {}   # coefficient name or literal -> the name holding it * q
+    # coefficient name or literal -> the name holding it * q (* Q in the
+    # table form)
+    scaled = {}
 
     def coeff(c: int, cs: tuple) -> str:
         if not cs:
@@ -213,6 +250,15 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
     def add(acc: str, term: str) -> str:
         return f"{acc} ^ {term}" if p == 2 else f"at[{acc} * q + {term}]"
 
+    def chain(name: str, terms: list) -> str:
+        expr = terms[0]
+        for t in range(1, len(terms)):
+            if t % _CHUNK == 0:
+                body.append(f"{name} = {expr}")
+                expr = name
+            expr = add(expr, terms[t])
+        return expr
+
     outs = []
     for j, terms in enumerate(levels):
         if not terms:
@@ -220,47 +266,49 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
             continue
         c, cs, i = terms[0]
         if len(terms) == 1 and c == 1 and not cs:
-            # a node is the kernel's tuple; an input may be any sequence
-            outs.append(f"v{i}" if i >= width else f"tuple(v{i})")
+            # a node is the kernel's tuple; in coordinate form an input
+            # may be any sequence
+            outs.append(f"tvec[v{i}]" if table else
+                        f"v{i}" if i >= width else f"tuple(v{i})")
             continue
         vals = []
         for c, cs, i in terms:
             k = coeff(c, cs)
             if k != "1" and k not in scaled:
                 scaled[k] = f"c{len(scaled)}"
-                body.append(f"{scaled[k]} = {k} * q")
+                body.append(f"{scaled[k]} = {k} * {'Q' if table else 'q'}")
             vals.append((scaled.get(k), i))
-        exprs = []
-        for r in range(d):
-            expr = None
-            for t, (cq, i) in enumerate(vals):
-                if t and t % _CHUNK == 0:
-                    body.append(f"o{j}_{r} = {expr}")
-                    expr = f"o{j}_{r}"
-                term = f"v{i}_{r}" if cq is None else f"mt[{cq} + v{i}_{r}]"
-                expr = term if expr is None else add(expr, term)
-            exprs.append(expr)
+        if table:
+            outs.append("tvec[%s]" % chain(f"o{j}", [
+                f"v{i}" if cq is None else f"tsm[{cq} + v{i}]"
+                for cq, i in vals]))
+            continue
+        exprs = [chain(f"o{j}_{r}", [
+            f"v{i}_{r}" if cq is None else f"mt[{cq} + v{i}_{r}]"
+            for cq, i in vals]) for r in range(d)]
         outs.append(f"({''.join(f'{e}, ' for e in exprs)})")
     body.append(f"return ({''.join(f'{o}, ' for o in outs)})")
-    return "".join(["def plan(mu, mt, at, q, zero, inputs):\n",
+    kernel = "mu, mt, at, q, zero" + (", tmu, tix, tvec, tsm, Q" if packed
+                                      else "")
+    return "".join([f"def plan({kernel}, inputs):\n",
                     *[f"    {line}\n" for line in body]])
 
 
 class _PlanFunctions(dict):
-    """A compiled plan: algebra dimension d -> the plan's function for d,
-    generated by `_plan_source` and compiled on the first evaluation over a
-    d-dimensional algebra."""
+    """A compiled plan: plan key (`PPolarAlgebra.plan_key`) -> the plan's
+    function for the algebras with that key, generated by `_plan_source`
+    and compiled on the first evaluation over one of them."""
 
     __slots__ = ("shape",)
 
     def __init__(self, *shape):
         self.shape = shape
 
-    def __missing__(self, d: int):
+    def __missing__(self, key):
         namespace = {}
-        exec(compile(_plan_source(*self.shape, d), "<polar plan>", "exec"),
+        exec(compile(_plan_source(*self.shape, key), "<polar plan>", "exec"),
              namespace)
-        plan = self[d] = namespace["plan"]
+        plan = self[key] = namespace["plan"]
         return plan
 
 
@@ -271,10 +319,12 @@ _plan_functions = lru_cache(maxsize=None)(_PlanFunctions)
 
 def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
     """Evaluate a compiled plan (see `polar_plan`) on A at the flat input
-    tuple: one vector per compiled polynomial.  The plan's function for
-    A.dim calls A's mu kernel and reads the field tables that
-    `PPolarAlgebra.kernel` binds."""
-    return plan[A.dim](*A.kernel(), inputs)
+    tuple: one vector per compiled polynomial.  A's plan key selects the
+    plan's function, in table or coordinate form (`_plan_source`), and it
+    takes what `PPolarAlgebra.kernel` binds: A's mu kernel, the field
+    tables and, for a table algebra, its packed tables.  Vector inputs are
+    tuples, as every vector of the package is."""
+    return plan[A.plan_key](*A.kernel(), inputs)
 
 
 @lru_cache(maxsize=None)

@@ -216,6 +216,21 @@ def test_witt_eval_output_matches_golden_bytes(capsys):
     assert out == (DATA / "witt_eval_f4_nil.out.json").read_text()
 
 
+@pytest.mark.parametrize("N", [3, 4])
+def test_witt_eval_over_gf16_matches_golden_bytes(capsys, N):
+    # (a.b - F(c)) + (V(d) + [v]) in W_4 of pol(x F_16[x]/(x^N)): 256
+    # vectors at N = 3, the largest table algebra, whose plans run on packed
+    # vectors, and 4096 at N = 4, whose plans run on coordinates
+    path = DATA / f"witt_eval_f16_nil{N}.json"
+    data = json.loads(path.read_text())
+    A = samples.trunc_nil_polar(gf_build(2, 4), N)
+    assert data["algebra"] == dict(A.to_json(), format="wittpolar/1")
+    assert A.plan_key == (~2 if N == 3 else 3)
+    rc, out, err = run(capsys, "witt-eval", str(path))
+    assert rc == 0 and err == ""
+    assert out == (DATA / f"witt_eval_f16_nil{N}.out.json").read_text()
+
+
 # The algebras of the golden `cw` files: pol(x F_2[x]/(x^4)) and the
 # unital pol(F_q[x]/(x^3)), q = 2, 3, whose windows are capped by their
 # nilradicals.

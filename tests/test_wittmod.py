@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from wittpolar import samples
 from wittpolar.gfq import gf_build
-from wittpolar.ppolar import nilradical, quotient
-from wittpolar.wittmod import (frobenius_charp, p_mul, scalar_mul,
+from wittpolar.ppolar import nilradical, polarize, product_length, quotient
+from wittpolar.wittmod import (_plan, _plan_source, eval_polar_poly,
+                               frobenius_charp, p_mul, scalar_mul,
                                scalar_phi, scalar_witt, teichmuller,
                                truncate, verschiebung, w_add, w_neg,
                                w_product, w_zero, witt)
@@ -350,8 +351,11 @@ def test_ops_match_per_monomial_reference(k, data):
 
 # plans are unrolled over the algebra's dimension d: every d from 0 to 6 at
 # p = 2, 3, 5, and one field with q > 256, whose tables compute each entry
-# on lookup (kept to n <= 2 there: those lookups are slow)
-DIM_FIELDS = {2: (F2, 4), 3: (F3, 3), 5: (F5, 2), 729: (gf_build(3, 6), 2)}
+# on lookup (kept to n <= 2 there: those lookups are slow).  Over GF(4) and
+# GF(16), q^d = 256 (d = 4 and 2) is the largest table algebra, whose plans
+# run on packed vectors, and every larger d runs on coordinates.
+DIM_FIELDS = {2: (F2, 4), 3: (F3, 3), 4: (F4, 3), 5: (F5, 2),
+              16: (gf_build(2, 4), 2), 729: (gf_build(3, 6), 2)}
 
 
 @lru_cache(maxsize=None)
@@ -566,3 +570,71 @@ def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
                              for c in rand_witt(rng, A, n).coords)
                 assert eval_polar_poly(A, window, flat) == \
                     eval_polar_poly(A, family, flat)[-1:]
+
+
+# -- table form against coordinate form --------------------------------------
+
+
+def _table_algebras():
+    """Table algebras (p = 2, q^dim <= 256) of each kind: nilpotent, split,
+    unital and mu = 0, each with mu != 0 also in a scrambled basis, up to
+    q^dim = 256."""
+    rng = random.Random(71)
+    F16 = gf_build(2, 4)
+    out = []
+    for F, d in ((F2, 4), (F2, 8), (F4, 3), (F4, 4), (F16, 2)):
+        out += [samples.trunc_nil_polar(F, d + 1), samples.split_polar(F, d),
+                samples.trivial_polar(F, d)]
+    out.append(samples.polar_direct_sum(samples.split_polar(F2, 1),
+                                        samples.trunc_nil_polar(F2, 4)))
+    out.append(polarize(F4, samples.unital_poly_table(F4, 3)))
+    return out + [samples.scramble(A, rng) for A in out if A.mu]
+
+
+TABLE_ALGEBRAS = _table_algebras()
+
+
+def _plans(A):
+    """Every plan A's W_n operations (n <= 4) and its co-Witt windows at
+    t_deep = 3 and 5 run, with the number of scalar slots of each."""
+    L = product_length(A)
+    for n in (1, 2, 3, 4):
+        for kind in ("sum", "neg", "prod", "scalar"):
+            yield _plan(2, n, kind, L), n if kind == "scalar" else 0
+        for t_deep in (3, 5):
+            for op in ("sum", "neg"):
+                yield _plan(2, n, op, t_deep, True), 0
+
+
+@pytest.mark.parametrize("k", range(len(TABLE_ALGEBRAS)))
+def test_table_form_matches_coordinate_form_on_every_plan(k):
+    # a plan with a partial product runs on packed vectors over a table
+    # algebra, one with none on coordinates; the coordinate function of
+    # the same plan, for the algebra's dimension, is the reference
+    A = TABLE_ALGEBRAS[k]
+    F, Q = A.field, A.field.q ** A.dim
+    assert A.plan_key == ~A.dim
+    rng = random.Random(73 + k)
+    kernel = A.kernel()
+    tables = 0
+    for plan, scalars in _plans(A):
+        width, nodes = plan.shape[1:3]
+        table = "tmu[" in _plan_source(*plan.shape, A.plan_key)
+        assert table == bool(nodes)
+        tables += table
+        for _ in range(6):
+            flat = tuple([tuple(rng.randrange(F.q) for _ in range(A.dim))
+                          for _ in range(width - scalars)]
+                         + [rng.randrange(F.q) for _ in range(scalars)])
+            assert eval_polar_poly(A, plan, flat) == \
+                plan[A.dim](*kernel[:5], flat)
+    assert tables
+    # over the algebras with at most 64 vectors, the product of two W_1
+    # vectors, one partial product, on every pair: every entry of the
+    # product table is read
+    if Q <= 64:
+        plan = _plan(2, 1, "prod", product_length(A))
+        vectors = list(iproduct(range(F.q), repeat=A.dim))
+        for flat in iproduct(vectors, repeat=2):
+            assert eval_polar_poly(A, plan, flat) == \
+                plan[A.dim](*kernel[:5], flat)
