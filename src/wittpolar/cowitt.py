@@ -47,9 +47,14 @@ and evaluates it.  All the windows of one operation read one column per
 operand (`_windows`): its deep part's entries, from the deepest any
 window reads up to index 0, each window a slice of it.
 
-Every operation settles its operands and its result (`_settled`): the
-minimal witness is searched for on every call, whatever an element
-stores, and an element that already stores it is used as it is.  The
+Every operation settles its result (`_settled`), and a sum or negation
+its operands too, which it splits at their witnesses: the minimal witness
+is searched for on every call, whatever an element stores, and an element
+that already stores it is used as it is.  F and V read no witness.  Their
+result is valid exactly when the operand is: the deep ideal of V(x) at r
+is that of x at r + 1, and an ideal of p-th powers is nilpotent exactly
+when the ideal of their roots is (p equal factors regroup into one), so
+settling the result checks the operand as well.  The
 witness searches ask only for ideal closures and thresholds of subspaces
 of the algebra, each answered from the algebra's memos (see `ppolar`):
 each entry, as it stands, is looked up in the line memo, and each sum of
@@ -86,7 +91,8 @@ from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
                      nilpotence_index, nilradical, product_length_threshold,
                      vec_is_zero)
 from .record import Record
-from .wittmod import WittVector, _plan, eval_polar_poly, w_add, w_neg
+from .wittmod import (WittVector, _frobenius, _plan, eval_polar_poly, w_add,
+                      w_neg)
 from .wittuniv import in_envelope
 
 
@@ -295,21 +301,15 @@ def cw_neg(x: CoWittElement) -> CoWittElement:
 
 
 def cw_F(x: CoWittElement) -> CoWittElement:
-    """Componentwise p-th power in place.  The settled witness of x holds
-    for the result: each p-th power lies in the ideal of its entry."""
-    x = _settled(x)
-    A = x.algebra
-    return CoWittElement(A, A.ppow(x.tail),
-                         {i: A.ppow(v) for i, v in x.exceptions.items()},
-                         x.witness)
+    """Componentwise p-th power in place: the tail and every entry in one
+    evaluation of `wittmod`'s Frobenius plan."""
+    tail, *vals = _frobenius(x.algebra, (x.tail, *x.exceptions.values()))
+    return _settled(CoWittElement(x.algebra, tail,
+                                  dict(zip(x.exceptions, vals))))
 
 
 def cw_V(x: CoWittElement) -> CoWittElement:
-    """Shift toward index 0, dropping the old index-0 entry.  The deep
-    ideal of the result at r - 1 is that of x at r, so the settled witness
-    of x shifts with the entries."""
-    r, s = _settled(x).witness
-    return CoWittElement(x.algebra, x.tail,
-                         {i + 1: v for i, v in x.exceptions.items() if i <= -1},
-                         (max(r - 1, 0), s))
-
+    """Shift toward index 0, dropping the old index-0 entry."""
+    return _settled(CoWittElement(
+        x.algebra, x.tail,
+        {i + 1: v for i, v in x.exceptions.items() if i <= -1}))

@@ -8,9 +8,11 @@ of L or more elements vanishes, `ppolar.product_length`) only the
 monomials of Witt-block degree below L matter: those families are lifted
 directly with the rest killed and never reach `universal_polys`.  Unital
 algebras have no L and evaluate its full families; mu = 0 is L = p.
-Verschiebung is the coordinate shift and the characteristic-p Frobenius is
-the componentwise p-th power (certified against the universal Frobenius
-polynomials by the test suite).
+Verschiebung is the coordinate shift.  The characteristic-p Frobenius is
+the componentwise p-th power x_i -> mu(x_i, .., x_i), the universal
+Frobenius polynomials mod p (certified by the test suite): its plan is
+compiled from that closed form, with no lift, and serves F, p = VF, the
+Frobenius of the scalars and the co-Witt F.
 
 One evaluator, `eval_polar_poly` on slot plans compiled by `polar_plan`,
 serves W_n(A) here, the co-Witt windows in `cowitt` and the formal group
@@ -37,8 +39,7 @@ product is one lookup in the algebra's product table and each polynomial
 one XOR chain, mapped back to a tuple once; a plan with none keeps the
 coordinate form, where it never calls mu.  The kernel, the field tables,
 q, the zero vector and any packed tables with their size are arguments,
-so one function serves every algebra with that key and that plan.  The
-characteristic-p Frobenius calls the kernel directly, once per coordinate.
+so one function serves every algebra with that key and that plan.
 Scalars act through Witt vectors over the polarization of the base field:
 in `scalar_mul` the scalar coordinates a_i are coefficient slots of the
 same plan, multiplied into each term's F_p coefficient.
@@ -51,6 +52,7 @@ from operator import index
 from typing import Sequence
 
 from . import wire
+from .exact import MultiPoly
 from .gfq import FqField
 from .ppolar import (LengthNotAdmissible, PPolarAlgebra, product_length,
                      vec_is_zero)
@@ -338,11 +340,21 @@ def _plan(p: int, n: int, kind: str, cap, top: bool = False):
     ghost targets with a monomial killed when its Witt-block degree (the
     scalars a_i never count) is >= cap, an ideal stable under v -> v^p, as
     `dwork_lift` requires.  With `top` (a co-Witt window, see `cowitt`),
-    the plan holds the top level alone."""
+    the plan holds the top level alone.
+
+    The kind "frob" is the Frobenius on n inputs x_0 .. x_{n-1}: output i
+    is x_i^p, the universal family mod p (which maps W_{n+1} to W_n and
+    never reads x_n), compiled from that closed form with no lift, so its
+    cost is linear in n with or without a cap; the same cap kills every
+    x_i^p when p >= cap."""
     blocks = witt_blocks(kind, p) + (("a",) if kind == "scalar" else ())
     names = [f"{b}{i}" for b in blocks for i in range(n)]
     scalars = frozenset(names[n:]) if kind == "scalar" else frozenset()
-    if cap is None:
+    if kind == "frob":
+        # F(x)_i = x_i^p mod p, the closed form: nothing to lift
+        polys = [MultiPoly((v,), {(p,): 1} if cap is None or p < cap else {})
+                 for v in names]
+    elif cap is None:
         polys = universal_polys(p, n, kind)
     else:
         targets = _targets(p, n, kind)
@@ -409,13 +421,17 @@ def verschiebung(x: WittVector) -> WittVector:
     return WittVector(x.algebra, (x.algebra.zero,) + x.coords)
 
 
+def _frobenius(A: PPolarAlgebra, vecs: tuple) -> tuple:
+    """The p-th power of each of the vectors, by A's "frob" plan."""
+    plan = A._plans.get(("frob", len(vecs))) or _new_plan(A, "frob", len(vecs))
+    return eval_polar_poly(A, plan, vecs)
+
+
 def frobenius_charp(x: WittVector) -> WittVector:
     """F: W_{n+1} -> W_n, componentwise p-th power dropping the last slot."""
     if x.length < 2:
         raise ValueError("Frobenius needs length >= 2")
-    A = x.algebra
-    mu, p = A.kernel()[0], A.p
-    return WittVector(A, tuple([mu(*(c,) * p) for c in x.coords[:-1]]))
+    return WittVector(x.algebra, _frobenius(x.algebra, x.coords[:-1]))
 
 
 def truncate(x: WittVector, n: int) -> WittVector:
@@ -425,10 +441,9 @@ def truncate(x: WittVector, n: int) -> WittVector:
 
 
 def p_mul(x: WittVector) -> WittVector:
-    """Multiplication by p = V(F(x)) at fixed length."""
-    A = x.algebra
-    mu, p = A.kernel()[0], A.p
-    return WittVector(A, (A.zero, *[mu(*(c,) * p) for c in x.coords[:-1]]))
+    """Multiplication by p = V(F(x)) at fixed length; 0 at length 1."""
+    return (verschiebung(frobenius_charp(x)) if x.length > 1
+            else WittVector(x.algebra, (x.algebra.zero,)))
 
 
 # -- scalar action -------------------------------------------------------------
@@ -445,10 +460,9 @@ def scalar_witt(field: FqField, entries: Sequence[int]) -> WittVector:
 
 
 def scalar_phi(a: WittVector) -> WittVector:
-    """Witt Frobenius of the perfect base field: componentwise p-th power."""
-    F = a.algebra.field
-    return WittVector(a.algebra,
-                      tuple((F.frobenius(c[0], 1),) for c in a.coords))
+    """Witt Frobenius of the perfect base field: componentwise p-th power,
+    mu(c, .., c) = c^p in pol(F_q)."""
+    return WittVector(a.algebra, _frobenius(a.algebra, a.coords))
 
 
 def scalar_mul(a: WittVector, x: WittVector) -> WittVector:

@@ -231,6 +231,18 @@ def test_witt_eval_over_gf16_matches_golden_bytes(capsys, N):
     assert out == (DATA / f"witt_eval_f16_nil{N}.out.json").read_text()
 
 
+def test_witt_eval_at_p3_matches_golden_bytes(capsys):
+    # (a.b.c - F(d)) + (V(e) + [v]) in W_4 of the unital pol(F_3[x]/(x^3)):
+    # the Frobenius and Verschiebung at p = 3, on the full families
+    path = DATA / "witt_eval_f3_unital3.json"
+    data = json.loads(path.read_text())
+    A = polarize(F3, samples.unital_poly_table(F3, 3))
+    assert data["algebra"] == dict(A.to_json(), format="wittpolar/1")
+    rc, out, err = run(capsys, "witt-eval", str(path))
+    assert rc == 0 and err == ""
+    assert out == (DATA / "witt_eval_f3_unital3.out.json").read_text()
+
+
 # The algebras of the golden `cw` files: pol(x F_2[x]/(x^4)) and the
 # unital pol(F_q[x]/(x^3)), q = 2, 3, whose windows are capped by their
 # nilradicals.
@@ -728,6 +740,8 @@ def test_cw_f_and_v_print_a_witness_that_holds(capsys, tmp_path,
     assert r >= 0 and s >= 0
     index = nilpotence_index(A, cowitt._deep_ideal(y, r))
     assert index is not None and index <= s
+    # and it is the minimal one, as every operation settles its result
+    assert y.witness == cowitt.witness_search(y)
 
 
 POLARIZE_F2 = {"format": "wittpolar/1", "field": F2.to_json(), "dim": 1}

@@ -586,6 +586,31 @@ def test_settling_never_trusts_a_stored_witness(A, data):
                 == json.dumps(cold_op().to_json()))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([*_NIL.values(), _MIXED, *_UNITAL,
+                        samples.split_polar(F3, 2)]), st.data())
+def test_f_and_v_settle_their_result_and_reject_what_has_no_witness(A, data):
+    # F and V settle only their result: it has a witness exactly when the
+    # operand has one, and the one it carries is the minimal one
+    vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
+    x = data.draw(st.builds(
+        lambda t, exc, w: CoWittElement(A, t, exc, w), vec,
+        st.dictionaries(st.integers(-3, 0), vec, max_size=3),
+        st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    for op in (cw_F, cw_V):
+        if witness_search(x) is None:
+            with pytest.raises(ValueError, match="not a valid"):
+                op(x)
+            continue
+        y = op(x)
+        assert y.witness == witness_search(y)
+        if op is cw_F:
+            assert y.tail == A.ppow(x.tail)
+            assert all(y.entry(-i) == A.ppow(x.entry(-i)) for i in range(5))
+        else:
+            assert all(y.entry(-i) == x.entry(-i - 1) for i in range(5))
+
+
 # -- the ideal memo against closures from scratch ------------------------------
 
 

@@ -413,22 +413,32 @@ def test_ideal_generated_is_blind_to_the_form_of_its_generators(A, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(NIL_ALGEBRAS)), st.data())
 def test_memo_keys_are_canonical_rows(key, data):
-    # principal ideals are keyed by the generator scaled to a leading 1,
-    # sums by the two canonical bases; no key holds raw generators, and
-    # every ideal is the object stored under its own rows
+    # `_ideals` keys each ideal by canonical `rref` rows (its own, or a
+    # principal ideal's generator scaled to a leading 1), plus the one
+    # nilradical entry; no key holds raw generators, every ideal is the
+    # object stored under its own rows, and each ideal's memo of sums
+    # (`PolarIdeal._sums`) holds, for J, the memo's object for I + J
     A = _cold_copy(NIL_ALGEBRAS[key])
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
     for gens in data.draw(st.lists(st.lists(vec, max_size=4), min_size=1,
                                    max_size=4)):
         _queries(A, gens)
-    assert A._ideals
+    # and one sum of two distinct lines: the top power and the generator
+    _queries(A, [A.basis_vector(A.dim - 1), A.basis_vector(0)])
+    nilradical(A)
+    sums = 0
     for query, answer in A._ideals.items():
-        kind, *bases = query
-        assert kind in ("ideal", "sum", "threshold")
-        for rows in bases:
-            assert list(rows) == rref(A.field, rows)[0]
-        if kind in ("ideal", "sum"):
-            assert A._ideals["ideal", answer.basis] is answer
+        assert A._ideals["ideal", answer.basis] is answer
+        if query == ("nilradical",):
+            continue
+        kind, rows = query
+        assert kind == "ideal"
+        assert list(rows) == rref(A.field, rows)[0]
+        for J, K in answer._sums.items():
+            sums += 1
+            assert K is A._ideals["ideal", tuple(rref(
+                A.field, answer.basis + J.basis)[0])]
+    assert ("nilradical",) in A._ideals and sums
 
 
 def _polar_power_chain(A, I):

@@ -293,7 +293,8 @@ def _reference_op(kind, xs, scalars=()):
     from wittpolar.gfq import combine
     from wittpolar.wittuniv import witt_blocks
     A = xs[0].algebra
-    F, n = A.field, xs[0].length
+    # the Frobenius family at n maps W_{n+1} to W_n
+    F, n = A.field, xs[0].length - (kind == "frob")
     bind = {f"{b}{i}": c for b, x in zip(witt_blocks(kind, A.p), xs)
             for i, c in enumerate(x.coords)}
     bind.update({f"a{i}": a for i, a in enumerate(scalars)})
@@ -384,6 +385,9 @@ def test_ops_match_the_reference_in_every_dimension(q, kind, scrambled, d,
     assert w_product(fs).coords == _reference_op("prod", fs)
     assert scalar_mul(scalar_witt(A.field, a), x).coords == \
         _reference_op("scalar", [x], a)
+    if n >= 2:
+        assert frobenius_charp(x).coords == _reference_op("frob", [x])
+        assert p_mul(x).coords == (A.zero, *_reference_op("frob", [x]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -552,6 +556,40 @@ def test_truncated_plans_leave_the_family_cache_alone(monkeypatch):
     assert reads == []
 
 
+def test_frobenius_plans_lift_nothing(monkeypatch):
+    # F, p.x, phi and the co-Witt F run the closed form x_i -> x_i^p: no
+    # Dwork lift and no universal family, at any length, also over unital
+    # algebras (no product length) and on mu = 0 (every power killed)
+    from wittpolar import cowitt, wittmod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Frobenius plan lifted a family")
+
+    monkeypatch.setattr(wittmod, "dwork_lift", refuse)
+    monkeypatch.setattr(wittmod, "universal_polys", refuse)
+    rng = random.Random(89)
+    for A in (samples.trunc_nil_polar(F2, 5), samples.split_polar(F3, 2),
+              polarize(F4, samples.unital_poly_table(F4, 3)),
+              samples.trivial_polar(F3, 2), samples.split_polar(F5, 1)):
+        for n in (1, 2, 5, 64):
+            x = rand_witt(rng, A, n)
+            powers = tuple(A.mu_eval([c] * A.p) for c in x.coords[:-1])
+            assert wittmod._plan.__wrapped__(A.p, n, "frob",
+                                             product_length(A)).shape[1] == n
+            if n > 1:
+                assert frobenius_charp(x).coords == powers
+            assert p_mul(x).coords == (A.zero, *powers)
+        a = samples.random_scalar(rng, A.field, 64)
+        assert scalar_phi(a).coords == tuple(
+            (A.field.frobenius(c[0], 1),) for c in a.coords)
+    A = samples.trunc_nil_polar(F2, 4)
+    x = cowitt.CoWittElement(A, (0, 1, 0), {-3: (1, 1, 0), -1: (1, 0, 1)})
+    y = cowitt.cw_F(x)
+    assert (y.tail, y.exceptions) == (A.ppow(x.tail), {
+        i: A.ppow(v) for i, v in x.exceptions.items()})
+    assert y.witness == cowitt.witness_search(y)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("op", ["sum", "neg"])
 def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
@@ -599,7 +637,7 @@ def _plans(A):
     t_deep = 3 and 5 run, with the number of scalar slots of each."""
     L = product_length(A)
     for n in (1, 2, 3, 4):
-        for kind in ("sum", "neg", "prod", "scalar"):
+        for kind in ("sum", "neg", "prod", "scalar", "frob"):
             yield _plan(2, n, kind, L), n if kind == "scalar" else 0
         for t_deep in (3, 5):
             for op in ("sum", "neg"):
