@@ -1,29 +1,29 @@
 """Co-Witt vectors: nonpositively indexed sequences with nilpotent deep tails.
 
-An element stores one tail value c, a finite exception map, and a witness
-pair (r, s) certifying that the ideal generated by c and all entries at
-indices <= -r has vanishing s-fold iterated polar power.  The elements with
-zero tail are the unipotent part CW^u = colim(W_0 -> W_1 -> ...) along V.
+An element stores one tail value c and a finite exception map.  It is
+valid when some pair (r, s) makes the ideal generated by c and all
+entries at indices <= -r have vanishing s-fold iterated polar power.  The
+sequence does not carry that witness: `witness` searches for the minimal
+one whenever it is read.  The elements with zero tail are the unipotent
+part CW^u = colim(W_0 -> W_1 -> ...) along V.
 
-A sum or negation splits its settled operands at one index k.  Every Witt
-vector is the Witt sum of the V^i[x_i] over its coordinates (Hazewinkel,
-Witt vectors. Part 1, 2009), so each operand is the Witt sum of its deep
-part (its tail and its entries at indices <= -k, zeros above) and its
-shallow part, the Witt vector of length k whose coordinate i holds its
-entry at index i - k + 1 (V, the shift by one index, is the transition
-map of the colimit).  With every tail zero and (p, D + 1), D the deepest
-exception index of any operand, small enough that W_{D+1} is cheap
-(`wittuniv.in_envelope`), k = D + 1 and the deep parts are zero;
-otherwise k = r, the largest settled witness, so every deep entry lies in
-a nilpotent ideal.  The deep parts go through the windows below.  The
-shallow parts, with the deep result's own entries above -k when these are
-not all zero, are added or negated in W_k(A) by `wittmod.w_add` or
-`w_neg` through the algebra's memoized plans.  A Witt sum of a vector that
-vanishes above -k and one that vanishes at -k and below is their
-concatenation, so the answer is the deep result at indices <= -k followed
-by that W_k vector.  Beyond that bound, where a W_n lift grows with n and
-log p, deep zero-tail operands take the windows, a few levels deep at any
-depth.
+A sum or negation splits its operands at one index r, the largest of
+their searched witnesses.  Every Witt vector is the Witt sum of the
+V^i[x_i] over its coordinates (Hazewinkel, Witt vectors. Part 1, 2009),
+so each operand is the Witt sum of its deep part (its tail and its
+entries at indices <= -r, zeros above), every entry of which lies in a
+nilpotent ideal, and its shallow part, the Witt vector of length r whose
+coordinate i holds its entry at index i - r + 1 (V, the shift by one
+index, is the transition map of the colimit).  The deep parts go through
+the windows below.  The shallow parts, with the deep result's own entries
+above -r when these are not all zero, are added or negated in W_r(A) by
+`wittmod.w_add` or `w_neg` through the algebra's memoized plans.  A Witt
+sum of a vector that vanishes above -r and one that vanishes at -r and
+below is their concatenation, so the answer is the deep result at indices
+<= -r followed by that W_r vector.  The search stops at r = D + 1, D the
+deepest exception index, so W_r is never longer than W_{D+1}; over a
+nilpotent algebra r = 0, and the windows, a few levels deep at any depth,
+do all the work.
 
 On the deep parts, addition is the stabilized windowed Witt sum: the entry
 at index -n is the eventual value of the level-m sum component evaluated
@@ -47,20 +47,21 @@ and evaluates it.  All the windows of one operation read one column per
 operand (`_windows`): its deep part's entries, from the deepest any
 window reads up to index 0, each window a slice of it.
 
-Every operation settles its result (`_settled`), and a sum or negation
-its operands too, which it splits at their witnesses: the minimal witness
-is searched for on every call, whatever an element stores, and an element
-that already stores it is used as it is.  F and V read no witness.  Their
-result is valid exactly when the operand is: the deep ideal of V(x) at r
-is that of x at r + 1, and an ideal of p-th powers is nilpotent exactly
-when the ideal of their roots is (p equal factors regroup into one), so
-settling the result checks the operand as well.  The
-witness searches ask only for ideal closures and thresholds of subspaces
-of the algebra, each answered from the algebra's memos (see `ppolar`):
-each entry, as it stands, is looked up in the line memo, and each sum of
-lines and each threshold in the ideal memo.  So settling entries that have
-come up before is a few dict lookups, and an operation pays for a closure
-only the first time its line or subspace comes up.
+Every operation checks its operands: each witness is searched for, and an
+element with none raises `ValueError`.  A sum or negation splits at the
+searched witnesses; its result is valid when its operands are (CW(A) is a
+group), so it is not searched again.  F and V check their operand alone.
+Their result is valid exactly when the operand is: the deep ideal of V(x)
+at r is that of x at r + 1, and an ideal of p-th powers is nilpotent
+exactly when the ideal of their roots is (p equal factors regroup into
+one).  `to_json` prints the witness it searches for, so no output carries
+a false one.  The witness searches ask only for ideal closures and
+thresholds of subspaces of the algebra, each answered from the algebra's
+memos (see `ppolar`): each entry, as it stands, is looked up in the line
+memo, and each sum of lines and each threshold in the ideal memo.  So
+searching again on entries that have come up before is a few dict lookups,
+and an operation pays for a closure only the first time its line or
+subspace comes up.
 
 Each entry is read off one window, at a certified depth m*.  Give x_i and
 y_i weight p^i; the top component of the level-L sum or negation is then
@@ -83,7 +84,6 @@ gives a level.
 
 from __future__ import annotations
 
-from operator import index
 from typing import Sequence
 
 from . import wire
@@ -93,19 +93,19 @@ from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
 from .record import Record
 from .wittmod import (WittVector, _frobenius, _plan, eval_polar_poly, w_add,
                       w_neg)
-from .wittuniv import in_envelope
 
 
 class CoWittElement(Record):
     """Eventually-constant sequence indexed by the nonpositive integers.
 
-    Entries equal to the tail are dropped from `exceptions`; equality and
-    hashing ignore the witness."""
+    Entries equal to the tail are dropped from `exceptions`.  The witness
+    is no field: `witness` is searched for on every read, and the
+    constructor's `witness` argument is accepted and ignored."""
 
-    __slots__ = ("algebra", "tail", "exceptions", "witness")
+    __slots__ = ("algebra", "tail", "exceptions")
 
     def __init__(self, algebra: PPolarAlgebra, tail: tuple,
-                 exceptions: dict | None = None, witness: tuple = (0, 0)):
+                 exceptions: dict | None = None, witness=None):
         tail = tuple(tail)
         if len(tail) != algebra.dim:
             raise ValueError("tail dimension mismatch")
@@ -118,9 +118,12 @@ class CoWittElement(Record):
                 raise ValueError("entry dimension mismatch")
             if v != tail:
                 clean[int(idx)] = v
-        # plain ints, as `witness_search` gives them: `_settled` keeps an
-        # element whose witness equals the searched one
-        self._set_fields(algebra, tail, clean, tuple(map(index, witness)))
+        self._set_fields(algebra, tail, clean)
+
+    @property
+    def witness(self):
+        """The minimal valid (r, s), or None: `witness_search`."""
+        return witness_search(self)
 
     def entry(self, idx: int) -> tuple:
         if idx > 0:
@@ -134,22 +137,18 @@ class CoWittElement(Record):
     def is_zero(self) -> bool:
         return vec_is_zero(self.tail) and not self.exceptions
 
-    def __eq__(self, other):
-        return (isinstance(other, CoWittElement)
-                and self.algebra == other.algebra
-                and self.tail == other.tail
-                and self.exceptions == other.exceptions)
-
     def __hash__(self):
         return hash((self.algebra, self.tail,
                      frozenset(self.exceptions.items())))
 
     def to_json(self) -> dict:
+        """The wire form with the searched witness; `ValueError` when
+        there is none."""
         F = self.algebra.field
         return {"tail": [list(F.coords(a)) for a in self.tail],
                 "exceptions": {str(i): [list(F.coords(a)) for a in v]
                                for i, v in sorted(self.exceptions.items())},
-                "witness": list(self.witness)}
+                "witness": list(_witness(self))}
 
 
 def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
@@ -157,8 +156,7 @@ def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
     F = A.field
     exc = {int(i): tuple(map(F.from_coords, v))
            for i, v in data.get("exceptions", {}).items()}
-    return CoWittElement(A, tuple(map(F.from_coords, data["tail"])), exc,
-                         tuple(data.get("witness", (0, 0))))
+    return CoWittElement(A, tuple(map(F.from_coords, data["tail"])), exc)
 
 
 # -- validity -------------------------------------------------------------------
@@ -181,19 +179,22 @@ def witness_search(x: CoWittElement):
     return None
 
 
-def _settled(x: CoWittElement) -> CoWittElement:
-    """x with the minimal valid witness, or ValueError.  The full search
-    runs on every call, whatever x stores; x itself is returned when its
-    witness is that one, and otherwise a record sharing its (already
-    clean) fields with the new witness, with no `__init__` pass."""
+def _witness(x: CoWittElement) -> tuple:
+    """The searched witness of x, or ValueError when it has none."""
     w = witness_search(x)
     if w is None:
         raise ValueError("not a valid co-Witt element")
-    if w == x.witness:
-        return x
-    y = object.__new__(CoWittElement)
-    y._set_fields(x.algebra, x.tail, x.exceptions, w)
-    return y
+    return w
+
+
+def _split(elems: Sequence[CoWittElement]) -> int:
+    """r, the largest searched witness of `elems`, the split of their sum
+    or negation; ValueError when they live over different algebras or
+    one has no witness."""
+    A = elems[0].algebra
+    if any(e.algebra is not A and e.algebra != A for e in elems):
+        raise ValueError("operands live over different algebras")
+    return max(_witness(e)[0] for e in elems)
 
 
 # -- windowed stabilized sums ----------------------------------------------------
@@ -209,15 +210,20 @@ def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
                      start_m: int = 0) -> tuple:
     """The eventual value of the windowed `op` at index -n, read off the
     window at the certified depth (at least `start_m`); at an index above
-    the settled -r, where a window would hold shallow entries, the entry of
-    the split operation (module docstring).  Each element is settled first:
-    one with no valid witness raises `ValueError`."""
+    -r, r the largest searched witness, where a window would hold shallow
+    entries, the entry of the split operation (module docstring).  No
+    operand, a negative n, operands over different algebras and an
+    element with no valid witness raise `ValueError`."""
     if op not in ("sum", "neg"):
         raise ValueError(f"unknown windowed op {op!r}")
-    elems = [_settled(e) for e in elems]
-    if n < max(e.witness[0] for e in elems):
-        return _stabilized_op(elems, op).entry(-n)
-    return _window_entry(elems, n, op, start_m, _cap(elems[0].algebra))
+    if not elems:
+        raise ValueError("stabilized_entry needs at least one operand")
+    if n < 0:
+        raise ValueError(f"n = {n}: co-Witt entries live at indices <= 0")
+    r = _split(elems)
+    if n < r:
+        return _stabilized_op(elems, op, r).entry(-n)
+    return _windows(elems, 0, (n,), op, start_m, _cap(elems[0].algebra))[0]
 
 
 def _certified_depth(p: int, t_deep: int, start_m: int) -> int:
@@ -227,14 +233,8 @@ def _certified_depth(p: int, t_deep: int, start_m: int) -> int:
     return max(start_m, -(-(t_deep - 1) // (p - 1)) - 1, 0)
 
 
-def _window_entry(elems, n, op, start_m, t_deep) -> tuple:
-    """The top component of `op` on the windows of `elems` at index -n:
-    the one-index case of `_windows`."""
-    return _windows(elems, 0, range(n, n + 1), op, start_m, t_deep)[0]
-
-
 def _windows(elems, k, ns, op, start_m, t_deep) -> list:
-    """The top component of `op` at each index -n, n in the range ns, on
+    """The top component of `op` at each index -n, n in ns ascending, on
     the windows (deepest entry first) at the certified depth of the deep
     parts of `elems` below -k, every entry of which lies in Nil(A), by the
     window plan of `wittmod._plan` under cap t_deep.  Each operand's deep
@@ -252,64 +252,56 @@ def _windows(elems, k, ns, op, start_m, t_deep) -> list:
             for n in ns]
 
 
-def _stabilized_op(elems: list, op: str) -> CoWittElement:
-    """`op` on settled `elems`, split at k (module docstring): the deep
-    parts through the windows, then the length-k shallow parts and the deep
-    result's own in W_k."""
+def _stabilized_op(elems: list, op: str, r: int) -> CoWittElement:
+    """`op` on valid `elems`, split at r, their largest witness (module
+    docstring): the deep parts through the windows, then the length-r
+    shallow parts and the deep result's own in W_r."""
     A = elems[0].algebra
     n = max(e.depth() for e in elems) + 1
-    tail, exceptions = A.zero, {}
-    if in_envelope(A.p, n) and all(vec_is_zero(e.tail) for e in elems):
-        k = n               # the deep parts are zero
-    else:
-        k = max(e.witness[0] for e in elems)
-        # every window at index -n or deeper holds only tails: that entry
-        # is the deep result's tail
-        *entries, tail = _windows(elems, k, range(n + 1), op, 0, _cap(A))
-        exceptions = {-nn: v for nn, v in enumerate(entries)}
-    if k:
-        xs = [WittVector(A, tuple(e.entry(i - k + 1) for i in range(k)))
+    # every window at index -n or deeper holds only tails: that entry is
+    # the deep result's tail
+    *entries, tail = _windows(elems, r, range(n + 1), op, 0, _cap(A))
+    exceptions = {-nn: v for nn, v in enumerate(entries)}
+    if r:
+        xs = [WittVector(A, tuple(e.entry(i - r + 1) for i in range(r)))
               for e in elems]
         z = w_add(*xs) if op == "sum" else w_neg(*xs)
-        own = tuple(exceptions.get(i - k + 1, tail) for i in range(k))
+        own = tuple(exceptions.get(i - r + 1, tail) for i in range(r))
         if not all(map(vec_is_zero, own)):
             z = w_add(z, WittVector(A, own))
-        exceptions.update({i - k + 1: v for i, v in enumerate(z.coords)})
-    return _settled(CoWittElement(A, tail, exceptions))
+        exceptions.update({i - r + 1: v for i, v in enumerate(z.coords)})
+    return CoWittElement(A, tail, exceptions)
 
 
 def cw_add(x: CoWittElement, y: CoWittElement) -> CoWittElement:
     """Stabilized sum; entries deeper than every exception reuse one
     translation-invariant computation for the new tail."""
-    if x.algebra is not y.algebra and x.algebra != y.algebra:
-        raise ValueError("operands live over different algebras")
-    x = _settled(x)
-    y = _settled(y)
+    r = _split((x, y))
     if x.is_zero():
         return y
     if y.is_zero():
         return x
-    return _stabilized_op([x, y], "sum")
+    return _stabilized_op([x, y], "sum", r)
 
 
 def cw_neg(x: CoWittElement) -> CoWittElement:
     """Stabilized windowed Witt negation (componentwise minus for odd p)."""
-    x = _settled(x)
+    r = _split((x,))
     if x.is_zero():
         return x
-    return _stabilized_op([x], "neg")
+    return _stabilized_op([x], "neg", r)
 
 
 def cw_F(x: CoWittElement) -> CoWittElement:
     """Componentwise p-th power in place: the tail and every entry in one
     evaluation of `wittmod`'s Frobenius plan."""
+    _witness(x)
     tail, *vals = _frobenius(x.algebra, (x.tail, *x.exceptions.values()))
-    return _settled(CoWittElement(x.algebra, tail,
-                                  dict(zip(x.exceptions, vals))))
+    return CoWittElement(x.algebra, tail, dict(zip(x.exceptions, vals)))
 
 
 def cw_V(x: CoWittElement) -> CoWittElement:
     """Shift toward index 0, dropping the old index-0 entry."""
-    return _settled(CoWittElement(
-        x.algebra, x.tail,
-        {i + 1: v for i, v in x.exceptions.items() if i <= -1}))
+    _witness(x)
+    return CoWittElement(x.algebra, x.tail, {
+        i + 1: v for i, v in x.exceptions.items() if i <= -1})

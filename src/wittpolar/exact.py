@@ -79,8 +79,8 @@ class MultiPoly:
         """The polynomial on `terms` as given, neither copied nor checked:
         exponent tuples of len(variables) mapped to nonzero ints, as the
         Dwork lift builds them."""
-        poly = object.__new__(cls)
-        poly.vars, poly.terms, poly._hash = variables, terms, None
+        poly = cls()
+        poly.vars, poly.terms = variables, terms
         return poly
 
     @classmethod

@@ -264,13 +264,6 @@ def family_to_json(p: int, n: int, kind: str, polys: Sequence[MultiPoly]) -> dic
 _memo: dict = {}
 
 
-def in_envelope(p: int, n: int) -> bool:
-    """Whether `cowitt` adds zero-tail operands of depth n - 1 in W_n(A)
-    instead of through its windows: p <= 5 with n <= 2, or p <= 3 with
-    n <= 4."""
-    return (p <= 5 and n <= 2) or (p <= 3 and n <= 4)
-
-
 def universal_polys(p: int, n: int, kind: str) -> list:
     """The universal polynomials for one Witt operation, lifted from their
     ghost targets on the first call for (p, n, kind) in a process and then

@@ -288,9 +288,11 @@ def test_cw_output_matches_golden_bytes(capsys, name):
      str(DATA / "cw_unital3_f2_x4.json"), str(DATA / "cw_unital3_f2_x4.json")],
 ])
 def test_runs_beyond_the_envelope_write_nothing_on_stderr(argv):
-    # (7, 1, prod) and the W_5 family of x4 + x4 lie outside
-    # `wittuniv.in_envelope`.  A fresh process, because pytest records
-    # warnings raised in process instead of letting them reach stderr
+    # (7, 1, prod), and x4 + x4, which splits at r = 5 and adds its
+    # shallow parts with the full W_5 sum family, lie beyond the (p, n)
+    # the desk-scale warning once allowed.  A fresh process, because
+    # pytest records warnings raised in process instead of letting them
+    # reach stderr
     env = dict(os.environ, PYTHONPATH=str(Path(cowitt.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "wittpolar.cli", *argv],
                           capture_output=True, text=True, timeout=120,
@@ -740,7 +742,7 @@ def test_cw_f_and_v_print_a_witness_that_holds(capsys, tmp_path,
     assert r >= 0 and s >= 0
     index = nilpotence_index(A, cowitt._deep_ideal(y, r))
     assert index is not None and index <= s
-    # and it is the minimal one, as every operation settles its result
+    # and it is the minimal one, the witness `to_json` searches for
     assert y.witness == cowitt.witness_search(y)
 
 

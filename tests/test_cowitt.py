@@ -110,11 +110,10 @@ def test_offset_independence():
                 assert v0 == v1 == v2
 
 
-def test_finite_support_matches_cwu(monkeypatch):
-    # zero-tail operands take W_n and never read a window; the windowed
-    # value at every index is the independent check
-    def window(*args):
-        raise AssertionError("a zero-tail operation read a window")
+def test_finite_support_matches_cwu():
+    # zero-tail operands over a nilpotent algebra split at r = 0, so the
+    # windows give every entry; W_n and the windowed value at every index
+    # are the independent checks
     rng = random.Random(19)
     for A in (A2, A3):
         for _ in range(8):
@@ -128,9 +127,7 @@ def test_finite_support_matches_cwu(monkeypatch):
                     ([x, y2], "sum",
                      w_add(x, witt(A, (A.zero,) + y2.coords)))):
                 elems = [settled(finite_support(w)) for w in ws]
-                with monkeypatch.context() as m:
-                    m.setattr(cowitt, "_windows", window)
-                    got = cw_add(*elems) if op == "sum" else cw_neg(*elems)
+                got = cw_add(*elems) if op == "sum" else cw_neg(*elems)
                 # equal at every index, none set below -2
                 assert got == finite_support(want)
                 for n in range(4):
@@ -425,11 +422,11 @@ def test_certified_depth_matches_deeper_windows():
                             _mixed_window_entry(elems, n, op, start_m), n
                         continue
                     m = cowitt._certified_depth(A.p, cap, start_m)
-                    v = cowitt._window_entry(elems, n, op, start_m, cap)
+                    v = cowitt._windows(elems, 0, (n,), op, start_m, cap)[0]
                     # start_m = deeper reads the window at that level
                     for deeper in range(m + 1, m + A.dim + 3):
-                        assert cowitt._window_entry(
-                            elems, n, op, deeper, cap) == v, (n, deeper)
+                        assert cowitt._windows(elems, 0, (n,), op, deeper,
+                                               cap)[0] == v, (n, deeper)
     assert max_r > 0
     nil = [ppolar.nilradical(A).dim for A in unital]
     assert nil == [2, 2] and [cowitt._cap(A) for A in unital] == [3, 3]
@@ -474,6 +471,19 @@ def test_stabilized_entry_rejects_an_element_with_no_witness():
     bad = CoWittElement(B, (1,), {}, (0, 3))
     with pytest.raises(ValueError):
         stabilized_entry([bad, CoWittElement(B, B.zero)], 0)
+
+
+@pytest.mark.parametrize("elems, n, message", [
+    # the pair `cw_add` rejects: the windows would mix two tables
+    ([CoWittElement(A2, (0, 1, 0)),
+      CoWittElement(samples.trivial_polar(F2, 3), (0, 0, 1))], 2,
+     "different algebras"),
+    ([CoWittElement(A2, (0, 1, 0))], -1, "indices <= 0"),
+    ([], 0, "at least one operand"),
+])
+def test_stabilized_entry_rejects_bad_operands(elems, n, message):
+    with pytest.raises(ValueError, match=message):
+        stabilized_entry(elems, n)
 
 
 def test_stabilized_entry_rejects_an_op_without_windows():
@@ -537,16 +547,16 @@ def test_repeated_witness_search_makes_no_rref_and_no_mu_call(monkeypatch):
     assert "rref" in calls and "mu" in calls
 
 
-# -- settling ------------------------------------------------------------------
+# -- the derived witness ---------------------------------------------------------
 
 
 @st.composite
 def stored_witness_element(draw, A):
-    """A valid element over A whose stored witness is its minimal one, one
-    too large, or a false one (none lies below (0, 0): the element is then
-    zero and keeps its minimal witness), as (element, its minimal witness);
-    tails over the unital algebras lie in the nilradical, as in
-    `mixed_window_pair`."""
+    """A valid element over A built with its minimal witness, one too
+    large, a false one (none lies below (0, 0): the element is then zero
+    and is built with its minimal witness) or none, as (element, its
+    minimal witness); tails over the unital algebras lie in the
+    nilradical, as in `mixed_window_pair`."""
     elem = st.integers(0, A.field.q - 1)
     vec = st.tuples(*[elem] * A.dim)
     tail = st.tuples(st.just(0), *[elem] * (A.dim - 1)) if A in _UNITAL \
@@ -556,7 +566,7 @@ def stored_witness_element(draw, A):
         st.dictionaries(st.integers(-2, 0), vec, max_size=3)).filter(
             lambda x: witness_search(x) is not None))
     r, s = w = witness_search(x)
-    kind = draw(st.sampled_from(("minimal", "large", "false")))
+    kind = draw(st.sampled_from(("minimal", "large", "false", "absent")))
     if kind == "large":
         dr, ds = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
             any))
@@ -564,34 +574,46 @@ def stored_witness_element(draw, A):
     elif kind == "false" and (r, s) != (0, 0):
         # s fails at r, the least r with a valid s, and no s holds below it
         w = (r, s - 1) if s else (r - 1, s)
+    elif kind == "absent":
+        w = None
     return CoWittElement(A, x.tail, x.exceptions, w), (r, s)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([*_NIL.values(), _MIXED, *_UNITAL]), st.data())
-def test_settling_never_trusts_a_stored_witness(A, data):
-    # against a cold copy of the algebra, whose memos start empty
+def test_a_stored_witness_changes_nothing(A, data):
+    # against elements built with no witness over a cold copy of the
+    # algebra, whose memos start empty
     x, wx = data.draw(stored_witness_element(A))
     y, _ = data.draw(stored_witness_element(A))
     cold = copy.deepcopy(A)
-    xc, yc = (CoWittElement(cold, e.tail, e.exceptions, e.witness)
-              for e in (x, y))
-    settled_x = cowitt._settled(x)
-    assert settled_x.witness == witness_search(xc) == wx
-    assert (settled_x is x) == (x.witness == wx)
-    assert settled_x == x
-    for warm, cold_op in ((lambda: cw_add(x, y), lambda: cw_add(xc, yc)),
-                          (lambda: cw_neg(x), lambda: cw_neg(xc))):
+    xc, yc = (CoWittElement(cold, e.tail, e.exceptions) for e in (x, y))
+    assert x.witness == witness_search(xc) == wx
+    assert x == CoWittElement(A, x.tail, x.exceptions)
+    for warm, cold_op in ((lambda: x, lambda: xc),
+                          (lambda: cw_add(x, y), lambda: cw_add(xc, yc)),
+                          (lambda: cw_neg(x), lambda: cw_neg(xc)),
+                          (lambda: cw_F(x), lambda: cw_F(xc)),
+                          (lambda: cw_V(x), lambda: cw_V(xc))):
         assert (json.dumps(warm().to_json())
                 == json.dumps(cold_op().to_json()))
+
+
+def test_to_json_raises_on_an_element_with_no_witness():
+    # a unit tail over pol(F_2) generates the unit ideal, never nilpotent,
+    # whatever witness the element is built with
+    B = samples.split_polar(F2, 1)
+    for witness in ((0, 3), None):
+        with pytest.raises(ValueError, match="not a valid co-Witt element"):
+            CoWittElement(B, (1,), {}, witness).to_json()
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([*_NIL.values(), _MIXED, *_UNITAL,
                         samples.split_polar(F3, 2)]), st.data())
 def test_f_and_v_settle_their_result_and_reject_what_has_no_witness(A, data):
-    # F and V settle only their result: it has a witness exactly when the
-    # operand has one, and the one it carries is the minimal one
+    # F and V check their operand alone: the result has a witness exactly
+    # when the operand has one, and the one it reads is the minimal one
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
     x = data.draw(st.builds(
         lambda t, exc, w: CoWittElement(A, t, exc, w), vec,
@@ -690,8 +712,7 @@ def test_memoized_ideals_and_witnesses_match_closures_from_scratch(A, data):
         assert J.basis == _closed_from_scratch(ref, [g])
     if want is None:
         return
-    # settling again is dict lookups: no elimination and no product
-    settled_x = cowitt._settled(x)
+    # searching again is dict lookups: no elimination and no product
     calls = []
     real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
     with pytest.MonkeyPatch.context() as mp:
@@ -699,6 +720,6 @@ def test_memoized_ideals_and_witnesses_match_closures_from_scratch(A, data):
                    lambda *a: calls.append("rref") or real_rref(*a))
         mp.setattr(PPolarAlgebra, "mu_p",
                    lambda self, v: calls.append("mu") or real_mu(self, v))
-        assert cowitt._settled(x) == settled_x
-        assert cowitt._settled(settled_x) is settled_x
+        assert witness_search(x) == want
+        assert x.witness == want
     assert calls == []

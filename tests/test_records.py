@@ -8,7 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from wittpolar import samples
-from wittpolar.cowitt import CoWittElement
+from wittpolar.cowitt import CoWittElement, witness_search
 from wittpolar.etale import Decomposition, IdempotentResult, decompose
 from wittpolar.fgl import BivariateLaw, PTypicalLog, group_law
 from wittpolar.gfq import gf_build
@@ -74,9 +74,11 @@ def test_an_algebra_copies_and_pickles_after_use():
 def test_record_defaults_and_keywords():
     assert CoWittElement(A, (0, 0)).exceptions == {}
     assert CoWittElement(A, (0, 0)).witness == (0, 0)
+    # the witness keyword is accepted and ignored: the witness is searched
     x = CoWittElement(algebra=A, tail=[0, 1], exceptions={0: [1, 0]},
                       witness=[1, 1])
-    assert (x.tail, x.exceptions, x.witness) == ((0, 1), {0: (1, 0)}, (1, 1))
+    assert (x.tail, x.exceptions, x.witness) == ((0, 1), {0: (1, 0)}, (0, 2))
+    assert x.witness == witness_search(x)
     assert WittVector(algebra=A, coords=((1, 0),)) == witt(A, [(1, 0)])
 
 

@@ -676,3 +676,11 @@ def test_table_form_matches_coordinate_form_on_every_plan(k):
         for flat in iproduct(vectors, repeat=2):
             assert eval_polar_poly(A, plan, flat) == \
                 plan[A.dim](*kernel[:5], flat)
+    # the Frobenius on all Q vectors in one evaluation, Q <= 256 on every
+    # table algebra: each diagonal entry of the product table is read, the
+    # square of the last vector included, which random draws can miss
+    vectors = tuple(iproduct(range(F.q), repeat=A.dim))
+    plan = _plan(2, Q, "frob", product_length(A))
+    squares = eval_polar_poly(A, plan, vectors)
+    assert squares == plan[A.dim](*kernel[:5], vectors)
+    assert squares == tuple(A.mu_p([v] * A.p) for v in vectors)
