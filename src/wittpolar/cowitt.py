@@ -2,28 +2,33 @@
 
 An element stores one tail value c and a finite exception map.  It is
 valid when some pair (r, s) makes the ideal generated by c and all
-entries at indices <= -r have vanishing s-fold iterated polar power.  The
-sequence does not carry that witness: `witness` searches for the minimal
-one whenever it is read.  The elements with zero tail are the unipotent
-part CW^u = colim(W_0 -> W_1 -> ...) along V.
+entries at indices <= -r have vanishing s-fold iterated polar power.
+Nil(A) is a nilpotent ideal that holds every nilpotent element (Fontaine,
+below), so the ideal generated by a set is nilpotent exactly when the set
+lies in Nil(A): an element is valid exactly when its tail lies in Nil(A),
+and its least r is one more than the depth of its deepest entry outside
+Nil(A), or 0 when there is none (`_least_r`).  The sequence does not
+carry its witness: `witness` derives it whenever it is read, r by that
+membership and s, the nilpotence index of the deep ideal at r, from one
+closure.  The elements with zero tail are the unipotent part
+CW^u = colim(W_0 -> W_1 -> ...) along V.
 
-A sum or negation splits its operands at one index r, the largest of
-their searched witnesses.  Every Witt vector is the Witt sum of the
-V^i[x_i] over its coordinates (Hazewinkel, Witt vectors. Part 1, 2009),
-so each operand is the Witt sum of its deep part (its tail and its
-entries at indices <= -r, zeros above), every entry of which lies in a
-nilpotent ideal, and its shallow part, the Witt vector of length r whose
-coordinate i holds its entry at index i - r + 1 (V, the shift by one
-index, is the transition map of the colimit).  The deep parts go through
-the windows below.  The shallow parts, with the deep result's own entries
-above -r when these are not all zero, are added or negated in W_r(A) by
-`wittmod.w_add` or `w_neg` through the algebra's memoized plans.  A Witt
-sum of a vector that vanishes above -r and one that vanishes at -r and
-below is their concatenation, so the answer is the deep result at indices
-<= -r followed by that W_r vector.  The search stops at r = D + 1, D the
-deepest exception index, so W_r is never longer than W_{D+1}; over a
-nilpotent algebra r = 0, and the windows, a few levels deep at any depth,
-do all the work.
+A sum or negation splits its operands at one index r, the largest of their
+least r (`_split`).  Every Witt vector is the Witt sum of the V^i[x_i]
+over its coordinates (Hazewinkel, Witt vectors. Part 1, 2009), so each
+operand is the Witt sum of its deep part (its tail and its entries at
+indices <= -r, zeros above), every entry of which lies in Nil(A), and its
+shallow part, the Witt vector of length r whose coordinate i holds its
+entry at index i - r + 1 (V, the shift by one index, is the transition map
+of the colimit).  The deep parts go through the windows below.  The
+shallow parts, with the deep result's own entries above -r when these are
+not all zero, are added or negated in W_r(A) by `wittmod.w_add` or `w_neg`
+through the algebra's memoized plans.  A Witt sum of a vector that
+vanishes above -r and one that vanishes at -r and below is their
+concatenation, so the answer is the deep result at indices <= -r followed
+by that W_r vector.  r <= D + 1, D the depth of the deepest exception, so
+W_r is never longer than W_{D+1}; over a nilpotent algebra r = 0, and the
+windows, a few levels deep at any depth, do all the work.
 
 On the deep parts, addition is the stabilized windowed Witt sum: the entry
 at index -n is the eventual value of the level-m sum component evaluated
@@ -36,32 +41,28 @@ the lift's exact divisions, which are its congruence check, survive
 verbatim, while one cap keeps the polynomials tiny: monomials die at
 Witt-block degree >= t_deep, t_deep = T(Nil A) the product-length
 threshold (`ppolar`) of the nilradical.  Every entry of a deep part lies
-in a nilpotent ideal (the witness), hence in Nil(A), and t_deep is
-1 mod (p-1), so any t_deep factors regroup (scheme independence) into one
-vanishing product.  Over a nilpotent A, t_deep = T(A) is the product
-length L: the cap is that of W_n(A).  On a zero mu it is p, so only the
-linear monomials survive.  The cap is read once per operation from the
-algebra's memo, and `wittmod._plan`'s memo holds one plan per
-(p, m + 1, op, t_deep, top level only): each window only binds its entries
-and evaluates it.  All the windows of one operation read one column per
-operand (`_windows`): its deep part's entries, from the deepest any
-window reads up to index 0, each window a slice of it.
+in Nil(A) (the split), and t_deep is 1 mod (p-1), so any t_deep factors
+regroup (scheme independence) into one vanishing product.  Over a
+nilpotent A, t_deep = T(A) is the product length L: the cap is that of
+W_n(A).  On a zero mu it is p, so only the linear monomials survive.  The
+cap is read once per operation from the algebra's memo, and
+`wittmod._plan`'s memo holds one plan per (p, m + 1, op, t_deep, top level
+only): each window only binds its entries and evaluates it.  All the
+windows of one operation read one column per operand (`_windows`): its
+deep part's entries, from the deepest any window reads up to index 0, each
+window a slice of it.
 
-Every operation checks its operands: each witness is searched for, and an
-element with none raises `ValueError`.  A sum or negation splits at the
-searched witnesses; its result is valid when its operands are (CW(A) is a
-group), so it is not searched again.  F and V check their operand alone.
-Their result is valid exactly when the operand is: the deep ideal of V(x)
-at r is that of x at r + 1, and an ideal of p-th powers is nilpotent
-exactly when the ideal of their roots is (p equal factors regroup into
-one).  `to_json` prints the witness it searches for, so no output carries
-a false one.  The witness searches ask only for ideal closures and
-thresholds of subspaces of the algebra, each answered from the algebra's
-memos (see `ppolar`): each entry, as it stands, is looked up in the line
-memo, and each sum of lines and each threshold in the ideal memo.  So
-searching again on entries that have come up before is a few dict lookups,
-and an operation pays for a closure only the first time its line or
-subspace comes up.
+Every operation checks its operands: an element whose tail lies outside
+Nil(A) raises `ValueError`.  A sum or negation of valid elements is valid
+(CW(A) is a group), so its result is not checked again.  F and V check
+their operand alone: their result is valid exactly when the operand is,
+as the tail of F(x) is the p-th power of x's and V keeps x's tail.  No
+operation closes an ideal.  Each tests all its operands' entries for
+membership in Nil(A) at once, through its annihilator
+(`PolarIdeal.outside`), which is empty over a nilpotent algebra, and
+reads t_deep off Nil(A); both are kept on the algebra's memo after its
+first operation.  Only `witness` and `to_json`, which prints the witness,
+close the deep ideal at r, once per call.
 
 Each entry is read off one window, at a certified depth m*.  Give x_i and
 y_i weight p^i; the top component of the level-L sum or negation is then
@@ -88,8 +89,7 @@ from typing import Sequence
 
 from . import wire
 from .ppolar import (PPolarAlgebra, PolarIdeal, ideal_generated,
-                     nilpotence_index, nilradical, product_length_threshold,
-                     vec_is_zero)
+                     nilpotence_index, nilradical, product_length_threshold)
 from .record import Record
 from .wittmod import (WittVector, _frobenius, _plan, eval_polar_poly, w_add,
                       w_neg)
@@ -99,7 +99,7 @@ class CoWittElement(Record):
     """Eventually-constant sequence indexed by the nonpositive integers.
 
     Entries equal to the tail are dropped from `exceptions`.  The witness
-    is no field: `witness` is searched for on every read, and the
+    is no field: `witness` derives it on every read, and the
     constructor's `witness` argument is accepted and ignored."""
 
     __slots__ = ("algebra", "tail", "exceptions")
@@ -135,20 +135,23 @@ class CoWittElement(Record):
         return -min(self.exceptions, default=0)
 
     def is_zero(self) -> bool:
-        return vec_is_zero(self.tail) and not self.exceptions
+        return not any(self.tail) and not self.exceptions
 
     def __hash__(self):
         return hash((self.algebra, self.tail,
                      frozenset(self.exceptions.items())))
 
     def to_json(self) -> dict:
-        """The wire form with the searched witness; `ValueError` when
-        there is none."""
+        """The wire form with the witness; `ValueError` when there is
+        none."""
+        w = witness_search(self)
+        if w is None:
+            raise ValueError("not a valid co-Witt element")
         F = self.algebra.field
         return {"tail": [list(F.coords(a)) for a in self.tail],
                 "exceptions": {str(i): [list(F.coords(a)) for a in v]
                                for i, v in sorted(self.exceptions.items())},
-                "witness": list(_witness(self))}
+                "witness": list(w)}
 
 
 def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
@@ -163,38 +166,48 @@ def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
 
 
 def _deep_ideal(x: CoWittElement, r: int) -> PolarIdeal:
-    # `ideal_generated` skips the zero generators; at r = 0 every entry is
-    # deep
-    deep = x.exceptions.values() if not r else (
-        v for i, v in x.exceptions.items() if i <= -r)
-    return ideal_generated(x.algebra, [x.tail, *deep])
+    # `ideal_generated` skips the zero generators
+    return ideal_generated(x.algebra, [x.tail, *(
+        v for i, v in x.exceptions.items() if i <= -r)])
+
+
+def _least_r(elems: Sequence[CoWittElement]):
+    """The largest of the least r of `elems`, or None when one of them is
+    invalid.  The least r of an element is one more than the depth of its
+    deepest entry outside Nil(A), 0 when there is none, and the element is
+    valid exactly when its tail lies in Nil(A) (module docstring).  One
+    membership test reads every tail and entry of `elems`."""
+    n = len(elems)
+    entries = [(i, v) for e in elems for i, v in e.exceptions.items()]
+    out = nilradical(elems[0].algebra).outside(
+        [e.tail for e in elems] + [v for _, v in entries])
+    if any(out[:n]):
+        return None
+    return max((1 - i for (i, _), f in zip(entries, out[n:]) if f),
+               default=0)
 
 
 def witness_search(x: CoWittElement):
-    """Smallest valid (r, s), or None; validity is monotone in r."""
-    for r in range(x.depth() + 2):
-        s = nilpotence_index(x.algebra, _deep_ideal(x, r))
-        if s is not None:
-            return (r, s)
-    return None
-
-
-def _witness(x: CoWittElement) -> tuple:
-    """The searched witness of x, or ValueError when it has none."""
-    w = witness_search(x)
-    if w is None:
-        raise ValueError("not a valid co-Witt element")
-    return w
+    """The minimal valid (r, s), or None: r from Nil(A) membership
+    (`_least_r`), s the nilpotence index of the deep ideal at r, closed
+    once."""
+    r = _least_r((x,))
+    if r is None:
+        return None
+    return r, nilpotence_index(x.algebra, _deep_ideal(x, r))
 
 
 def _split(elems: Sequence[CoWittElement]) -> int:
-    """r, the largest searched witness of `elems`, the split of their sum
-    or negation; ValueError when they live over different algebras or
-    one has no witness."""
+    """r, the largest of the least r of `elems` (`_least_r`), the split of
+    their sum or negation; ValueError when they live over different
+    algebras or one is invalid."""
     A = elems[0].algebra
     if any(e.algebra is not A and e.algebra != A for e in elems):
         raise ValueError("operands live over different algebras")
-    return max(_witness(e)[0] for e in elems)
+    r = _least_r(elems)
+    if r is None:
+        raise ValueError("not a valid co-Witt element")
+    return r
 
 
 # -- windowed stabilized sums ----------------------------------------------------
@@ -210,10 +223,10 @@ def stabilized_entry(elems: Sequence[CoWittElement], n: int, op: str = "sum",
                      start_m: int = 0) -> tuple:
     """The eventual value of the windowed `op` at index -n, read off the
     window at the certified depth (at least `start_m`); at an index above
-    -r, r the largest searched witness, where a window would hold shallow
-    entries, the entry of the split operation (module docstring).  No
-    operand, a negative n, operands over different algebras and an
-    element with no valid witness raise `ValueError`."""
+    -r, r the split of the operands (`_split`), where a window would hold
+    shallow entries, the entry of the split operation (module docstring).
+    No operand, a negative n, operands over different algebras and an
+    invalid element raise `ValueError`."""
     if op not in ("sum", "neg"):
         raise ValueError(f"unknown windowed op {op!r}")
     if not elems:
@@ -253,9 +266,9 @@ def _windows(elems, k, ns, op, start_m, t_deep) -> list:
 
 
 def _stabilized_op(elems: list, op: str, r: int) -> CoWittElement:
-    """`op` on valid `elems`, split at r, their largest witness (module
-    docstring): the deep parts through the windows, then the length-r
-    shallow parts and the deep result's own in W_r."""
+    """`op` on valid `elems`, split at r (`_split`, module docstring): the
+    deep parts through the windows, then the length-r shallow parts and
+    the deep result's own in W_r."""
     A = elems[0].algebra
     n = max(e.depth() for e in elems) + 1
     # every window at index -n or deeper holds only tails: that entry is
@@ -267,7 +280,7 @@ def _stabilized_op(elems: list, op: str, r: int) -> CoWittElement:
               for e in elems]
         z = w_add(*xs) if op == "sum" else w_neg(*xs)
         own = tuple(exceptions.get(i - r + 1, tail) for i in range(r))
-        if not all(map(vec_is_zero, own)):
+        if any(map(any, own)):
             z = w_add(z, WittVector(A, own))
         exceptions.update({i - r + 1: v for i, v in enumerate(z.coords)})
     return CoWittElement(A, tail, exceptions)
@@ -295,13 +308,13 @@ def cw_neg(x: CoWittElement) -> CoWittElement:
 def cw_F(x: CoWittElement) -> CoWittElement:
     """Componentwise p-th power in place: the tail and every entry in one
     evaluation of `wittmod`'s Frobenius plan."""
-    _witness(x)
+    _split((x,))
     tail, *vals = _frobenius(x.algebra, (x.tail, *x.exceptions.values()))
     return CoWittElement(x.algebra, tail, dict(zip(x.exceptions, vals)))
 
 
 def cw_V(x: CoWittElement) -> CoWittElement:
     """Shift toward index 0, dropping the old index-0 entry."""
-    _witness(x)
+    _split((x,))
     return CoWittElement(x.algebra, x.tail, {
         i + 1: v for i, v in x.exceptions.items() if i <= -1})

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .exact import MultiPoly, TruncSeries
 from .gfq import _is_prime, span_elements
-from .ppolar import (PPolarAlgebra, nilradical, product_length_threshold,
-                     vec_is_zero)
+from .ppolar import PPolarAlgebra, nilradical, product_length_threshold
 from .record import Record
 from .wittmod import eval_polar_poly, polar_plan
 
@@ -154,9 +153,8 @@ class StarGroup:
     def __init__(self, algebra: PPolarAlgebra, law: BivariateLaw):
         self.algebra = algebra
         self.law = law
-        nil = nilradical(algebra)
-        self.nil_basis = nil.basis
-        self.threshold = product_length_threshold(algebra, nil)
+        self.nil = nilradical(algebra)
+        self.threshold = product_length_threshold(algebra, self.nil)
         if law.p != algebra.p:
             raise LawNotPolar("characteristic mismatch")
         for (a, b), _ in law.terms:
@@ -179,11 +177,10 @@ class StarGroup:
 
     def elements(self) -> list:
         F = self.algebra.field
-        return [self.algebra.zero, *span_elements(F, self.nil_basis, F.q)]
+        return [self.algebra.zero, *span_elements(F, self.nil.basis, F.q)]
 
     def _require_nil(self, v):
-        from .gfq import in_span
-        if not in_span(self.algebra.field, self.nil_basis, v):
+        if self.nil.outside([v])[0]:
             raise NonNilpotentElement(f"{v} is not nilpotent")
 
     def star(self, u, v) -> tuple:
@@ -193,7 +190,7 @@ class StarGroup:
                                (tuple(u), tuple(v)))[0]
 
     def order(self) -> int:
-        return self.algebra.field.q ** len(self.nil_basis)
+        return self.algebra.field.q ** self.nil.dim
 
     def star_multiple(self, v, k: int) -> tuple:
         acc = self.algebra.zero
@@ -205,7 +202,7 @@ class StarGroup:
         p = self.algebra.p
         k = 1
         cur = tuple(v)
-        while not vec_is_zero(cur):
+        while any(cur):
             cur = self.star_multiple(cur, p)
             k *= p
             if k > self.order():
@@ -219,12 +216,12 @@ class StarGroup:
         counts = []
         cur = {tuple(v) for v in elems}
         # c_k = #{x : p^k x = 0}; the jumps give the conjugate partition
-        killed = [v for v in cur if vec_is_zero(v)]
+        killed = [v for v in cur if not any(v)]
         counts.append(len(killed))
         mult = {tuple(v): tuple(v) for v in cur}
         while counts[-1] < len(elems):
             mult = {v: self.star_multiple(m, p) for v, m in mult.items()}
-            counts.append(sum(1 for m in mult.values() if vec_is_zero(m)))
+            counts.append(sum(1 for m in mult.values() if not any(m)))
         heights = []
         for k in range(len(counts) - 1):
             ratio = counts[k + 1] // max(counts[k], 1)

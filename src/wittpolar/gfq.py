@@ -557,7 +557,3 @@ def span_elements(field: FqField, basis: Sequence[Sequence[int]],
     for ds in product(range(digits), repeat=len(basis)):
         if any(ds):
             yield combine(field, ds, basis)
-
-
-def in_span(field: FqField, rows: Sequence[tuple], v: Sequence[int]) -> bool:
-    return not any(echelon_reduce(field, rows, v))

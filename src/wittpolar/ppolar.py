@@ -30,35 +30,18 @@ compiled plans of such an algebra run on indices wherever they multiply
 (`wittmod`); `kernel` binds the tables with the mu kernel and the field
 tables, and `plan_key` picks the plans' functions.
 
-Ideal closure (`ideal_generated`) and the product-length threshold
-(`product_length_threshold`) depend only on the algebra and on the
-subspace they are asked about.  Each algebra keys its ideals in one memo,
-`_ideals`, by the query's kind and canonical reduced echelon rows
-(`gfq.rref(field, vectors)[0]`: equal subspaces give equal keys), and each
-ideal keeps the answers asked of it.
-The threshold T of an ideal is the one measure of its nilpotence: the
+Each algebra keeps its ideals in one memo, `_ideals`, keyed by canonical
+reduced echelon rows (`gfq.rref(field, vectors)[0]`: equal subspaces give
+equal keys), so equal ideals are one `PolarIdeal` object.
+`ideal_generated` closes its generators with one `rref` and returns the
+memo's object, and each ideal keeps the answers asked of it: its
+product-length threshold (`product_length_threshold`) and its annihilator
+K, read by the one membership test, `outside` (v lies in I exactly when
+K v = 0).  The nilradical is stored once, as the memo's object for its
+rows.  The threshold T of an ideal is the one measure of its nilpotence: the
 product length (`product_length`) is T of the unit ideal, and the
 nilpotence index (`nilpotence_index`), the least s whose s-fold iterated
 polar power vanishes, is the least s with p^s >= T.
-
-Ideals form a lattice in that memo.  Principal ideals are keyed by their
-generator scaled to a leading 1: that vector is its own `rref` row, so its
-ideal sits under ("ideal", (g,)), whatever nonzero multiple of g came in,
-with no elimination to find the key, and a miss closes it with one `rref`.
-Every ideal is stored under its own ("ideal", rows), so equal ideals are
-one `PolarIdeal` object, and a hit costs no `rref` at all.  The generators
-fold through pairwise sums, each memoized in the first ideal's `_sums`,
-keyed by the second ideal itself (hashed by identity, so no rows are
-hashed): a sum of ideals is an ideal, so it costs one `rref` of the union
-and no closure.  The principal keys are at most the (q^d - 1) / (q - 1)
-lines of F_q^d, the sums pairs of ideals of the algebra, so the memos are
-bounded by the algebra whatever the queries.  A second memo, `_lines`,
-maps each nonzero generator as it came in, made a tuple, to that
-principal ideal, so a generator seen before costs one dict lookup: no scan
-for its lead and no scaling.  It holds at most the q^d - 1 nonzero vectors
-of F_q^d.  The product-length threshold of an ideal is kept on the ideal,
-so a repeated query, or the nilpotence index read off it, costs no `rref`;
-the nilradical is stored once, as the lattice's object for its rows.
 """
 
 from __future__ import annotations
@@ -70,22 +53,18 @@ from typing import Iterable, Sequence
 
 from . import wire
 from .gfq import (FqField, additive_map_kernel, combine, echelon_reduce,
-                  embed, gf_build, rref)
+                  embed, gf_build, linear_kernel, rref)
 
 
 class LengthNotAdmissible(ValueError):
     """Product of n elements requested with n != 1 mod (p-1)."""
 
 
-def vec_is_zero(v: Sequence[int]) -> bool:
-    return not any(v)
-
-
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
     __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "plan_key",
-                 "_ideals", "_lines", "_compiled", "_kernel", "_plans")
+                 "_ideals", "_compiled", "_kernel", "_plans")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -117,7 +96,6 @@ class PPolarAlgebra:
         self.plan_key = (~dim if p == 2 and field.q ** dim
                          <= wire.MAX_TABLE_ORDER else dim)
         self._ideals = {}     # (query, rref rows) -> answer
-        self._lines = {}      # nonzero generator -> its principal ideal
         self._compiled = None  # the mu kernel, filled on its first use
         self._kernel = None   # filled by the first `kernel` call
         self._plans = {}      # wittmod's plans, keyed by (kind, n)
@@ -425,7 +403,7 @@ def check_assoc(A: PPolarAlgebra):
 # -- ideals -------------------------------------------------------------------
 
 
-# the threshold of an ideal not yet asked for it
+# an answer an ideal has not yet been asked for
 _UNKNOWN = object()
 
 
@@ -436,17 +414,16 @@ class PolarIdeal:
     the canonical `rref` rows of a closed subspace (from `ideal_generated`,
     `nilradical` and `product_length`); the package does not export the
     class.  Equal ideals of an algebra are one object, so an ideal
-    compares and hashes by identity, and it keeps the memos keyed by it:
-    its sums with other ideals (`_ideal_sum`) and its product-length
-    threshold."""
+    compares and hashes by identity, and it keeps the answers asked of it:
+    its product-length threshold and its annihilator (`outside`)."""
 
-    __slots__ = ("algebra", "basis", "_sums", "_threshold")
+    __slots__ = ("algebra", "basis", "_threshold", "_annihilator")
 
     def __init__(self, algebra: PPolarAlgebra, basis: Sequence[tuple]):
         self.algebra = algebra
         self.basis = tuple(basis)
-        self._sums = {}     # J -> self + J
         self._threshold = _UNKNOWN
+        self._annihilator = _UNKNOWN
 
     @property
     def dim(self) -> int:
@@ -455,69 +432,53 @@ class PolarIdeal:
     def is_zero(self) -> bool:
         return not self.basis
 
+    def outside(self, vectors: Sequence[Sequence[int]]) -> list:
+        """For each of `vectors` in order, whether it lies outside I: the
+        one membership test.
+
+        v lies in I exactly when K v = 0, K the annihilator of I (the
+        vectors k with k . b = 0 for every row b of I), found once by
+        `linear_kernel` and kept on the ideal.  So one `combine` per k, of
+        the coordinate columns of all the vectors, tests them all.  When I
+        is the whole algebra K is empty and the test does no field work."""
+        K = self._annihilator
+        if K is _UNKNOWN:
+            A = self.algebra
+            K = self._annihilator = linear_kernel(A.field,
+                                                  [*self.basis, A.zero])
+        if not (K and vectors):
+            return [False] * len(vectors)
+        F, columns = self.algebra.field, list(zip(*vectors))
+        return list(map(any, zip(*[combine(F, k, columns) for k in K])))
+
     def __repr__(self):
         return f"PolarIdeal(dim={self.dim} of {self.algebra!r})"
 
 
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
-    """Smallest F_q-subspace containing gens closed under mu(A,..,A,-):
-    the sum of the principal ideals of the nonzero gens, folded in order
-    through `_ideal_sum`.  Each generator, made a tuple, is looked up in
-    `_lines`; a miss scales it to a leading 1 (only when its lead is not 1)
-    and takes, or closes once, the principal ideal under that key in
-    `_ideals` (module docstring).  Zero gens are skipped."""
-    F, lines = A.field, A._lines
-    ideal = None
-    for g in gens:
-        if type(g) is not tuple:
-            g = tuple(g)
-        J = lines.get(g)
-        if J is None:
-            lead = next(filter(None, g), 0)
-            if not lead:
-                continue
-            monic = g if lead == 1 else combine(F, (F.inv(lead),), (g,))
-            J = A._ideals.get(("ideal", (monic,)))
-            if J is None:
-                J = A._ideals["ideal", (monic,)] = _principal(A, monic)
-            lines[g] = J
-        ideal = J if ideal is None else _ideal_sum(A, ideal, J)
-    return _canonical(A, ()) if ideal is None else ideal
+    """Smallest F_q-subspace containing gens closed under mu(A,..,A,-),
+    the memo's object for its rows: one `rref` of the nonzero gens and of
+    every mu(e_key, g), key a (p-1)-multiset of basis vectors.
+
+    That span is the sum of the principal ideals of the gens, each closed
+    in one round: by (ASSOC), mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), g))
+    equals mu(c, b_2, .., b_(p-1), g) with c = mu(a_1, .., a_(p-1), b_1),
+    and expanding c in the basis writes that as a combination of the
+    mu(e_key', g), so mu(A, .., A, W) lies in W for W the span of g and of
+    every mu(e_key, g); and a sum of ideals is an ideal.  Every algebra
+    satisfies (ASSOC): `from_json` and `quotient` check it, and `polarize`
+    (from an associative product), `extend_scalars`, `etale.subalgebra`,
+    `samples` and `wittmod.base_polar` build only algebras that have it."""
+    gens = [g for g in map(tuple, gens) if any(g)]
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    outer = list(combinations_with_replacement(basis, A.p - 1))
+    return _canonical(A, tuple(rref(A.field, gens + [
+        A.mu_p([*key, g]) for g in gens for key in outer])[0]))
 
 
 def _canonical(A: PPolarAlgebra, rows: tuple) -> PolarIdeal:
     """The memo's ideal with `rref` rows `rows`, made on the first call."""
     return A._ideals.setdefault(("ideal", rows), PolarIdeal(A, rows))
-
-
-def _principal(A: PPolarAlgebra, g: tuple) -> PolarIdeal:
-    """The ideal generated by g.
-
-    One round closes it: the span W of g and of every mu(e_key, g), key a
-    (p-1)-multiset of basis vectors.  By (ASSOC),
-    mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), g)) equals
-    mu(c, b_2, .., b_(p-1), g) with c = mu(a_1, .., a_(p-1), b_1), and
-    expanding c in the basis writes that as a combination of the
-    mu(e_key', g), so mu(A, .., A, W) lies in W.  Every algebra satisfies
-    (ASSOC): `from_json` and `quotient` check it, and `polarize` (from an
-    associative product), `extend_scalars`, `etale.subalgebra`, `samples`
-    and `wittmod.base_polar` build only algebras that have it."""
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    outer = combinations_with_replacement(basis, A.p - 1)
-    return _canonical(A, tuple(rref(A.field, [g] + [
-        A.mu_p([*key, g]) for key in outer])[0]))
-
-
-def _ideal_sum(A: PPolarAlgebra, I: PolarIdeal, J: PolarIdeal) -> PolarIdeal:
-    """I + J, an ideal, so one `rref` of the union and no closure; memoized
-    in I's sums, keyed by the canonical J."""
-    if I is J:
-        return I
-    K = I._sums.get(J)
-    if K is None:
-        K = I._sums[J] = _canonical(
-            A, tuple(rref(A.field, I.basis + J.basis)[0]))
-    return K
 
 
 def nilpotence_index(A: PPolarAlgebra, I: PolarIdeal):
@@ -542,7 +503,7 @@ def nilradical(A: PPolarAlgebra) -> PolarIdeal:
 
     The p-power map is additive in characteristic p and F_q-semilinear, so
     its iterated kernel is computed over F_p and stabilizes by iterate d.
-    The ideal is memoized as the lattice's object for its rows.
+    The ideal is stored once, as the memo's object for its rows.
     """
     memo = A._ideals
     if ("nilradical",) not in memo:

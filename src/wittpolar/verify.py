@@ -376,7 +376,7 @@ def suite_cowitt(seed, p_filter):
                 exc = {-rng.randrange(0, 3): samples.random_vector(rng, A)
                        for _ in range(rng.randrange(0, 3))}
                 return cowitt.CoWittElement(
-                    A, samples.random_vector(rng, A), exc, (0, 2))
+                    A, samples.random_vector(rng, A), exc)
             x, y = rnd(), rnd()
             if (cowitt.witness_search(x) is None
                     or cowitt.witness_search(y) is None):

@@ -54,8 +54,7 @@ from typing import Sequence
 from . import wire
 from .exact import MultiPoly
 from .gfq import FqField
-from .ppolar import (LengthNotAdmissible, PPolarAlgebra, product_length,
-                     vec_is_zero)
+from .ppolar import LengthNotAdmissible, PPolarAlgebra, product_length
 from .record import Record
 from .wittuniv import _targets, dwork_lift, universal_polys, witt_blocks
 
@@ -81,7 +80,7 @@ class WittVector(Record):
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(c) for c in self.coords)
+        return not any(map(any, self.coords))
 
     def to_json(self) -> dict:
         F = self.algebra.field

@@ -243,13 +243,17 @@ def test_witt_eval_at_p3_matches_golden_bytes(capsys):
     assert out == (DATA / "witt_eval_f3_unital3.out.json").read_text()
 
 
-# The algebras of the golden `cw` files: pol(x F_2[x]/(x^4)) and the
+# The algebras of the golden `cw` files: pol(x F_2[x]/(x^4)), the
 # unital pol(F_q[x]/(x^3)), q = 2, 3, whose windows are capped by their
-# nilradicals.
+# nilradicals, and F_3 x x F_3[x]/(x^4) in scrambled coordinates, whose
+# nilradical is no coordinate subspace.
 CW_ALGEBRAS = {
     "nil4_f2": lambda: samples.trunc_nil_polar(F2, 4),
     "unital3_f2": lambda: polarize(F2, samples.unital_poly_table(F2, 3)),
     "unital3_f3": lambda: polarize(F3, samples.unital_poly_table(F3, 3)),
+    "scrambled_f3": lambda: samples.scramble(samples.polar_direct_sum(
+        samples.split_polar(F3, 1), samples.trunc_nil_polar(F3, 4)),
+        random.Random(2)),
 }
 # Golden `cw` outputs: (algebra, op, inputs).  Over nil4_f2, x has a
 # failing stored witness and exceptions at 0 and -2; y has a zero exception
@@ -257,7 +261,9 @@ CW_ALGEBRAS = {
 # witness has r = 4 and its sum splits at k = r: the tail and the entries
 # at -4 and deeper take the windows, the rest W_4; x4 has its unit at -4,
 # so k = 5, a W_5 family outside the envelope.  Over unital3_f3, x has
-# tail x and the unit 1 at index -2: k = r = 3 at p = 3.
+# tail x and the unit 1 at index -2: k = r = 3 at p = 3.  Over
+# scrambled_f3, x and y have nilpotent tails and units at index -1, so
+# their sum splits at r = 2.
 CW_GOLDEN = {
     "cw_validate_nil4_f2_x": ("nil4_f2", "validate", "x"),
     "cw_add_nil4_f2_x_y": ("nil4_f2", "add", "x", "y"),
@@ -267,6 +273,7 @@ CW_GOLDEN = {
     "cw_add_unital3_f2_x_x": ("unital3_f2", "add", "x", "x"),
     "cw_add_unital3_f2_x4_x4": ("unital3_f2", "add", "x4", "x4"),
     "cw_add_unital3_f3_x_x": ("unital3_f3", "add", "x", "x"),
+    "cw_add_scrambled_f3_x_y": ("scrambled_f3", "add", "x", "y"),
 }
 
 

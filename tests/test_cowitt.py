@@ -5,18 +5,18 @@ import json
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from pathlib import Path
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar import cowitt, ppolar, samples, wittmod
+from wittpolar import cowitt, gfq, ppolar, samples, wittmod
 from wittpolar.cowitt import (CoWittElement, cw_F, cw_V, cw_add, cw_neg,
                               stabilized_entry, witness_search)
 from wittpolar.gfq import combine, gf_build, rref
 from wittpolar.ppolar import (PPolarAlgebra, ideal_generated, nilpotence_index,
-                              polarize, vec_is_zero)
+                              polarize)
 from wittpolar.wittmod import (eval_polar_poly, polar_plan, truncate, w_add,
                                w_neg, witt)
 from wittpolar.wittuniv import _targets, dwork_lift, witt_blocks
@@ -33,11 +33,6 @@ def finite_support(x):
     n = x.length
     return CoWittElement(x.algebra, x.algebra.zero,
                          {i - n + 1: c for i, c in enumerate(x.coords)})
-
-
-def settled(x):
-    """x with its minimal witness."""
-    return CoWittElement(x.algebra, x.tail, x.exceptions, witness_search(x))
 
 
 def rand_cw(A, rng, maxdepth=3):
@@ -126,7 +121,7 @@ def test_finite_support_matches_cwu():
                     ([x], "neg", w_neg(x)),
                     ([x, y2], "sum",
                      w_add(x, witt(A, (A.zero,) + y2.coords)))):
-                elems = [settled(finite_support(w)) for w in ws]
+                elems = [finite_support(w) for w in ws]
                 got = cw_add(*elems) if op == "sum" else cw_neg(*elems)
                 # equal at every index, none set below -2
                 assert got == finite_support(want)
@@ -140,9 +135,9 @@ def test_deep_zero_tail_ops_match_the_windows(depth):
     # length depth + 1 needs packed exponent fields past 64 bits, as
     # 3^depth >= 2^64
     rng = random.Random(depth)
-    x, y = (settled(CoWittElement(
+    x, y = (CoWittElement(
         A3, A3.zero, {-i: samples.random_vector(rng, A3)
-                      for i in (0, depth // 2, depth)})) for _ in range(2))
+                      for i in (0, depth // 2, depth)}) for _ in range(2))
     xs = [witt(A3, [e.entry(i - depth) for i in range(depth + 1)])
           for e in (x, y)]
     for elems, op, got, want in (
@@ -209,7 +204,7 @@ def test_mixed_algebra_with_unit_component():
     # index 0 lies above -r, so this reads the split operation itself
     t = stabilized_entry([x, y], 0, "sum", start_m=1)
     assert s.entry(0) == t == _mixed_window_entry(
-        [settled(x), settled(y)], 0, "sum", start_m=1)
+        [x, y], 0, "sum", start_m=1)
 
 
 def test_json_round_trip():
@@ -325,7 +320,7 @@ def _mixed_window_plan(p, n, op, t_deep, deep):
 
 
 def _mixed_window_entry(elems, n, op, start_m=0):
-    """The entry at index -n of `op` on settled `elems`, read off one
+    """The entry at index -n of `op` on valid `elems`, read off one
     window that may also hold shallow entries (indices above -r, r the
     largest witness), which it leaves uncapped.  Its last R = max(0, r - n)
     positions are shallow, and its level is dead once
@@ -362,7 +357,7 @@ def mixed_window_pair(draw):
         lambda t, exc: CoWittElement(A, t, exc, (0, 0)), tail,
         st.dictionaries(st.integers(-2, 0), vec, max_size=3)).filter(
             lambda x: witness_search(x) is not None)
-    return settled(draw(element)), settled(draw(element))
+    return draw(element), draw(element)
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,13 +377,12 @@ def test_split_operations_match_the_mixed_cap_window(pair):
 # -- the certified window depth -------------------------------------------------
 
 
-def _settled_cw(A, rng):
-    """A random valid element with its minimal witness."""
+def _valid_cw(A, rng):
+    """A random valid element."""
     while True:
         x = rand_cw(A, rng)
-        w = witness_search(x)
-        if w is not None:
-            return CoWittElement(A, x.tail, x.exceptions, w)
+        if witness_search(x) is not None:
+            return x
 
 
 def test_certified_depth_matches_deeper_windows():
@@ -406,7 +400,7 @@ def test_certified_depth_matches_deeper_windows():
             + unital:
         cap = cowitt._cap(A)
         for _ in range(4):
-            x, y = _settled_cw(A, rng), _settled_cw(A, rng)
+            x, y = _valid_cw(A, rng), _valid_cw(A, rng)
             for elems, op in (([x, y], "sum"), ([x], "neg")):
                 r = max(e.witness[0] for e in elems)
                 max_r = max(max_r, r)
@@ -505,46 +499,54 @@ _ZERO_TAIL = [samples.trunc_nil_polar(gf_build(p, m), N)
 @st.composite
 def zero_tail_pair(draw):
     """Two elements with zero tails over pol(x F_q[x]/(x^N)), q = 2, 3, 4,
-    or over the unital pol(F_p), p = 2, 3, with their minimal witnesses."""
+    or over the unital pol(F_p), p = 2, 3."""
     A = draw(st.sampled_from(_ZERO_TAIL))
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
-    element = st.builds(lambda exc: settled(CoWittElement(A, A.zero, exc)),
+    element = st.builds(lambda exc: CoWittElement(A, A.zero, exc),
                         st.dictionaries(st.integers(-3, 0), vec, max_size=4))
     return draw(element), draw(element)
 
 
 @settings(max_examples=40, deadline=None)
 @given(zero_tail_pair())
-def test_w_n_path_matches_the_windows(pair):
-    # the W_n result against the windowed value at every index down to
+def test_zero_tail_sums_and_negations_match_the_windows(pair):
+    # the split result against the windowed value at every index down to
     # one below the depth, where both give the zero tail
     x, y = pair
     for elems, op, got in (([x, y], "sum", cw_add(x, y)),
                            ([x], "neg", cw_neg(x))):
-        assert vec_is_zero(got.tail)
+        assert not any(got.tail)
         for n in range(max(e.depth() for e in elems) + 2):
             assert got.entry(-n) == stabilized_entry(elems, n, op), (op, n)
 
 
-def test_repeated_witness_search_makes_no_rref_and_no_mu_call(monkeypatch):
-    data = Path(__file__).with_name("data")
-    A = PPolarAlgebra.from_json(
-        json.loads((data / "cw_nil4_f2_algebra.json").read_text()))
-    x = cowitt.cw_from_json(
-        A, json.loads((data / "cw_nil4_f2_x.json").read_text()))
-    first = witness_search(x)
+def test_warm_sums_and_negations_call_neither_rref_nor_mu_p(monkeypatch):
+    # after an algebra's first sum and negation, which find Nil(A), its
+    # annihilator and its threshold (and, at r > 0, the product length that
+    # W_r's plans read), an operation only tests membership and evaluates
+    # plans: no elimination and no product through `mu_p`, at r = 0 and at
+    # r > 0, over a nilpotent, a unital, a mixed and a scrambled algebra
+    rng = random.Random(43)
+    algebras = [A2, _UNITAL[0], _MIXED, samples.scramble(_MIXED, rng)]
+    pairs = {id(A): sorted(((_valid_cw(A, rng), _valid_cw(A, rng))
+                            for _ in range(8)), key=cowitt._split,
+                           reverse=True) for A in algebras}
+    for A in algebras:
+        x, y = pairs[id(A)][0]
+        cw_add(x, y), cw_neg(x)
     calls = []
-    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
-    monkeypatch.setattr(ppolar, "rref",
-                        lambda *a: calls.append("rref") or real_rref(*a))
+    real_rref, real_mu = gfq.rref, PPolarAlgebra.mu_p
+    for module in (gfq, ppolar):
+        monkeypatch.setattr(module, "rref",
+                            lambda *a: calls.append("rref") or real_rref(*a))
     monkeypatch.setattr(PPolarAlgebra, "mu_p",
                         lambda self, v: calls.append("mu") or real_mu(self, v))
-    for _ in range(4):
-        assert witness_search(x) == first
-    assert calls == []
-    cold = PPolarAlgebra(A.field, A.dim, A.mu)
-    assert witness_search(CoWittElement(cold, x.tail, x.exceptions)) == first
-    assert "rref" in calls and "mu" in calls
+    splits = set()
+    for A in algebras:
+        for x, y in pairs[id(A)][1:]:
+            splits.add(cowitt._split((x, y)))
+            cw_add(x, y), cw_neg(x), cw_neg(y)
+    assert calls == [] and 0 in splits and max(splits) > 0
 
 
 # -- the derived witness ---------------------------------------------------------
@@ -611,9 +613,10 @@ def test_to_json_raises_on_an_element_with_no_witness():
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([*_NIL.values(), _MIXED, *_UNITAL,
                         samples.split_polar(F3, 2)]), st.data())
-def test_f_and_v_settle_their_result_and_reject_what_has_no_witness(A, data):
-    # F and V check their operand alone: the result has a witness exactly
-    # when the operand has one, and the one it reads is the minimal one
+def test_f_and_v_act_entrywise_and_reject_what_has_no_witness(A, data):
+    # F and V check their operand alone: an operand with no witness raises,
+    # and a valid one gives a valid result, the p-th power of each entry
+    # or the shift of the entries by one index
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
     x = data.draw(st.builds(
         lambda t, exc, w: CoWittElement(A, t, exc, w), vec,
@@ -625,7 +628,7 @@ def test_f_and_v_settle_their_result_and_reject_what_has_no_witness(A, data):
                 op(x)
             continue
         y = op(x)
-        assert y.witness == witness_search(y)
+        assert y.witness is not None
         if op is cw_F:
             assert y.tail == A.ppow(x.tail)
             assert all(y.entry(-i) == A.ppow(x.entry(-i)) for i in range(5))
@@ -636,8 +639,8 @@ def test_f_and_v_settle_their_result_and_reject_what_has_no_witness(A, data):
 # -- the ideal memo against closures from scratch ------------------------------
 
 
-# built once, so the line and ideal memos stay warm across examples: a line
-# cached wrongly by one example is read back by a later one
+# built once, so the ideal memo stays warm across examples: an ideal or
+# annihilator kept wrongly by one example is read back by a later one
 _MEMO_ALGEBRAS = [
     *(samples.trunc_nil_polar(gf_build(*pm), N)
       for pm in ((2, 1), (3, 1), (2, 2), (3, 2)) for N in (3, 4)),
@@ -688,7 +691,7 @@ def _witness_from_scratch(A, x):
 def test_memoized_ideals_and_witnesses_match_closures_from_scratch(A, data):
     F = A.field
     ref = copy.deepcopy(A)      # its memos start empty and stay unused
-    assert not ref._ideals and not ref._lines
+    assert not ref._ideals
     vec = st.tuples(*[st.integers(0, F.q - 1)] * A.dim)
     # generators as tuples, lists and nonzero multiples, zeros mixed in
     gens = data.draw(st.lists(vec, max_size=4))
@@ -704,22 +707,83 @@ def test_memoized_ideals_and_witnesses_match_closures_from_scratch(A, data):
         st.dictionaries(st.integers(-3, 0), vec, max_size=3)))
     want = _witness_from_scratch(ref, x)
     assert witness_search(x) == want
-    # every line holds the principal ideal of its monic generator, as
-    # stored under that generator's key, and closed from scratch
-    for g, J in A._lines.items():
-        monic = combine(F, (F.inv(next(filter(None, g))),), (g,))
-        assert A._ideals["ideal", (monic,)] is J
-        assert J.basis == _closed_from_scratch(ref, [g])
+    assert x.witness == want
+
+
+# -- the split index against a reference that climbs r ------------------------
+
+
+F4 = gf_build(2, 2)
+
+
+def _reference_algebras():
+    rng = random.Random(53)
+    out = []
+    for F in (F2, F3, F4):
+        unital = polarize(F, samples.unital_poly_table(F, 3))
+        mixed = samples.polar_direct_sum(samples.split_polar(F, 1),
+                                         samples.trunc_nil_polar(F, 3))
+        out += [samples.trunc_nil_polar(F, 4), unital, mixed,
+                samples.scramble(unital, rng), samples.scramble(mixed, rng),
+                samples.trivial_polar(F, 2), samples.field_ext_polar(F, 2)]
+    return out
+
+
+# built once, so Nil(A) and its annihilator stay warm across examples
+_REFERENCE_ALGEBRAS = _reference_algebras()
+
+
+def _nilpotence_from_levels(A, rows):
+    """Least s with p^s >= T, or None, T the least length 1 + j(p-1) at
+    which every product of elements of the ideal with these rows vanishes:
+    level j, the span of those products of length 1 + j(p-1), is the span
+    of mu of every ordered (p-1)-tuple of rows and a row of level j - 1;
+    the levels descend, so one still nonzero after dim + 1 steps never
+    vanishes."""
+    level = list(rows)
+    for j in range(A.dim + 2):
+        if not level:
+            T, s = 1 + j * (A.p - 1), 0
+            while A.p ** s < T:
+                s += 1
+            return s
+        level = rref(A.field, [A.mu_p([*vs, w]) for vs in
+                               iproduct(rows, repeat=A.p - 1)
+                               for w in level])[0]
+    return None
+
+
+def _witness_from_levels(A, x):
+    """The least r whose deep ideal, closed from scratch, is nilpotent,
+    with its s, or None."""
+    for r in range(x.depth() + 2):
+        deep = [x.tail, *(v for i, v in x.exceptions.items() if i <= -r)]
+        s = _nilpotence_from_levels(A, _closed_from_scratch(A, deep))
+        if s is not None:
+            return (r, s)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_REFERENCE_ALGEBRAS))), st.data())
+def test_split_index_and_witness_match_a_reference_climbing_r(k, data):
+    # r is read off Nil(A) membership; the reference climbs r, closing
+    # each deep ideal and reading its nilpotence off product-length levels
+    A = _REFERENCE_ALGEBRAS[k]
+    F = A.field
+    vec = st.tuples(*[st.integers(0, F.q - 1)] * A.dim)
+    nil = ppolar.nilradical(A).basis
+    in_nil = st.lists(st.integers(0, F.q - 1), min_size=len(nil),
+                      max_size=len(nil)).map(
+        lambda cs: combine(F, cs, nil) if nil else A.zero)
+    tail = data.draw(vec | in_nil)
+    entry = vec | in_nil
+    x = CoWittElement(A, tail, data.draw(
+        st.dictionaries(st.integers(-3, 0), entry, max_size=4)))
+    want = _witness_from_levels(A, x)
+    assert witness_search(x) == want
     if want is None:
-        return
-    # searching again is dict lookups: no elimination and no product
-    calls = []
-    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ppolar, "rref",
-                   lambda *a: calls.append("rref") or real_rref(*a))
-        mp.setattr(PPolarAlgebra, "mu_p",
-                   lambda self, v: calls.append("mu") or real_mu(self, v))
-        assert witness_search(x) == want
-        assert x.witness == want
-    assert calls == []
+        with pytest.raises(ValueError, match="not a valid"):
+            cowitt._split((x,))
+    else:
+        assert cowitt._split((x,)) == want[0]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittpolar import ppolar, samples
-from wittpolar.gfq import combine, gf_build, in_span, rref
+from wittpolar.gfq import combine, echelon_reduce, gf_build, rref
 from wittpolar.ppolar import (LengthNotAdmissible, PPolarAlgebra, check_assoc,
                               extend_scalars, free_polar_basis,
                               ideal_generated, nilpotence_index,
@@ -205,7 +205,25 @@ def test_nilradical_is_ideal():
         for key in combinations_with_replacement(range(A.dim), A.p - 1):
             for b in N.basis:
                 v = A.mu_p([A.basis_vector(i) for i in key] + [list(b)])
-                assert in_span(A.field, N.basis, v)
+                assert not any(echelon_reduce(A.field, N.basis, v))
+
+
+def test_outside_is_membership_by_elimination():
+    # the annihilator test agrees with elimination against the rows on
+    # every vector, all at once and one at a time, for ideals with an
+    # empty annihilator (the nilradical of a nilpotent algebra) and not
+    rng = random.Random(13)
+    for F in (F2, F3, F4):
+        nil = samples.trunc_nil_polar(F, 2)
+        A = samples.scramble(samples.polar_direct_sum(
+            samples.split_polar(F, 1), nil), rng)
+        for I in (nilradical(nil), nilradical(A), ideal_generated(A, []),
+                  ideal_generated(A, [samples.random_vector(rng, A)])):
+            vs = list(iproduct(range(F.q), repeat=I.algebra.dim))
+            want = [any(echelon_reduce(F, I.basis, v)) for v in vs]
+            assert I.outside(vs) == want
+            assert [I.outside([v])[0] for v in vs] == want
+            assert I.outside([]) == []
 
 
 def test_trivial_mu_pair_identical_tensors():
@@ -311,7 +329,7 @@ def test_repeated_nilradical_is_one_object_with_no_mu_call(monkeypatch):
                         lambda self, *a: calls.append(1) or ppow(self, *a))
     assert nilradical(A) is N and N.dim == 3
     assert calls == []
-    # it is the lattice's object for its rows
+    # it is the memo's object for its rows
     assert A._ideals["ideal", N.basis] is N
     cold = _cold_copy(A)
     assert nilradical(cold).basis == N.basis and calls
@@ -357,23 +375,6 @@ def test_memo_answers_equal_memo_cold_answers(key, data):
     assert _queries(A, gens) == _queries(_cold_copy(A), gens)
 
 
-def test_repeated_query_makes_no_mu_call(monkeypatch):
-    A = samples.trunc_nil_polar(F3, 5)
-    gens = [(0, 1, 0, 2)]
-    first = _queries(A, gens)
-    I = ideal_generated(A, gens)
-    calls = []
-    real = PPolarAlgebra.mu_p
-    monkeypatch.setattr(PPolarAlgebra, "mu_p",
-                        lambda self, vecs: calls.append(1) or real(self, vecs))
-    assert _queries(A, gens) == first
-    # the key is the subspace: another spanning set of it hits as well
-    assert ideal_generated(A, [(0, 2, 0, 1), (0, 0, 0, 0)]) is I
-    assert calls == []
-    assert _queries(_cold_copy(A), gens) == first
-    assert calls
-
-
 # over GF(3), GF(4) and GF(9), where generators need not have a leading 1
 FORM_ALGEBRAS = [A for F in (F3, F4, gf_build(3, 2))
                  for A in (samples.trunc_nil_polar(F, 4),
@@ -384,7 +385,7 @@ FORM_ALGEBRAS = [A for F in (F3, F4, gf_build(3, 2))
 @given(st.sampled_from(FORM_ALGEBRAS), st.data())
 def test_ideal_generated_is_blind_to_the_form_of_its_generators(A, data):
     # lists, non-monic multiples and zero vectors mixed in give the object
-    # of the monic tuples, with no elimination and no product
+    # of the monic tuples
     F = A.field
     vec = st.tuples(*[st.integers(0, F.q - 1)] * A.dim).filter(any)
     monic = [combine(F, (F.inv(next(filter(None, g))),), (g,))
@@ -398,35 +399,22 @@ def test_ideal_generated_is_blind_to_the_form_of_its_generators(A, data):
         mixed.insert(i, A.zero)
     forms = [[list(g) for g in monic], multiples, mixed,
              [list(g) for g in mixed]]
-    calls = []
-    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ppolar, "rref",
-                   lambda *a: calls.append("rref") or real_rref(*a))
-        mp.setattr(PPolarAlgebra, "mu_p",
-                   lambda self, v: calls.append("mu") or real_mu(self, v))
-        for gens in forms + forms:
-            assert ideal_generated(A, gens) is I
-    assert calls == []
+    for gens in forms + forms:
+        assert ideal_generated(A, gens) is I
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(NIL_ALGEBRAS)), st.data())
 def test_memo_keys_are_canonical_rows(key, data):
-    # `_ideals` keys each ideal by canonical `rref` rows (its own, or a
-    # principal ideal's generator scaled to a leading 1), plus the one
-    # nilradical entry; no key holds raw generators, every ideal is the
-    # object stored under its own rows, and each ideal's memo of sums
-    # (`PolarIdeal._sums`) holds, for J, the memo's object for I + J
+    # `_ideals` keys each ideal by its canonical `rref` rows, plus the one
+    # nilradical entry; no key holds raw generators, and every ideal is the
+    # object stored under its own rows
     A = _cold_copy(NIL_ALGEBRAS[key])
     vec = st.tuples(*[st.integers(0, A.field.q - 1)] * A.dim)
     for gens in data.draw(st.lists(st.lists(vec, max_size=4), min_size=1,
                                    max_size=4)):
         _queries(A, gens)
-    # and one sum of two distinct lines: the top power and the generator
-    _queries(A, [A.basis_vector(A.dim - 1), A.basis_vector(0)])
     nilradical(A)
-    sums = 0
     for query, answer in A._ideals.items():
         assert A._ideals["ideal", answer.basis] is answer
         if query == ("nilradical",):
@@ -434,11 +422,7 @@ def test_memo_keys_are_canonical_rows(key, data):
         kind, rows = query
         assert kind == "ideal"
         assert list(rows) == rref(A.field, rows)[0]
-        for J, K in answer._sums.items():
-            sums += 1
-            assert K is A._ideals["ideal", tuple(rref(
-                A.field, answer.basis + J.basis)[0])]
-    assert ("nilradical",) in A._ideals and sums
+    assert ("nilradical",) in A._ideals
 
 
 def _polar_power_chain(A, I):
