@@ -375,6 +375,31 @@ def test_memo_answers_equal_memo_cold_answers(key, data):
     assert _queries(A, gens) == _queries(_cold_copy(A), gens)
 
 
+def test_repeated_query_closes_once_and_reuses_the_threshold(monkeypatch):
+    # a repeated query makes only the closure: one mu product per generator
+    # and (p-1)-multiset of basis vectors, then one `rref`; it returns the
+    # memo's object, whose stored threshold answers without another product
+    A = samples.trunc_nil_polar(F3, 5)
+    gens = [(0, 1, 0, 2)]
+    first = _queries(A, gens)
+    I = ideal_generated(A, gens)
+    calls = []
+    real_rref, real_mu = ppolar.rref, PPolarAlgebra.mu_p
+    monkeypatch.setattr(ppolar, "rref",
+                        lambda *a: calls.append("rref") or real_rref(*a))
+    monkeypatch.setattr(PPolarAlgebra, "mu_p",
+                        lambda self, v: calls.append("mu") or real_mu(self, v))
+    assert _queries(A, gens) == first
+    keys = list(combinations_with_replacement(range(A.dim), A.p - 1))
+    assert calls == ["mu"] * len(gens) * len(keys) + ["rref"]
+    # another spanning set of the subspace gives the same object
+    assert ideal_generated(A, [(0, 2, 0, 1), (0, 0, 0, 0)]) is I
+    # a cold copy also closes the threshold's levels, one `rref` each
+    calls.clear()
+    assert _queries(_cold_copy(A), gens) == first
+    assert calls.count("rref") > 1
+
+
 # over GF(3), GF(4) and GF(9), where generators need not have a leading 1
 FORM_ALGEBRAS = [A for F in (F3, F4, gf_build(3, 2))
                  for A in (samples.trunc_nil_polar(F, 4),
