@@ -33,15 +33,18 @@ tables, and `plan_key` picks the plans' functions.
 Each algebra keeps its ideals in one memo, `_ideals`, keyed by canonical
 reduced echelon rows (`gfq.rref(field, vectors)[0]`: equal subspaces give
 equal keys), so equal ideals are one `PolarIdeal` object.
-`ideal_generated` closes its generators with one `rref` and returns the
-memo's object, and each ideal keeps the answers asked of it: its
-product-length threshold (`product_length_threshold`) and its annihilator
-K, read by the one membership test, `outside` (v lies in I exactly when
-K v = 0).  The nilradical is stored once, as the memo's object for its
-rows.  The threshold T of an ideal is the one measure of its nilpotence: the
-product length (`product_length`) is T of the unit ideal, and the
-nilpotence index (`nilpotence_index`), the least s whose s-fold iterated
-polar power vanishes, is the least s with p^s >= T.
+`ideal_generated` reduces its generators to their `rref` rows, at most
+dim of them, closes those with one more `rref` and returns the memo's
+object.  The closure and each level of `product_length_threshold` take
+their products from one step, `_products`: mu of every (p-1)-multiset of
+some vectors with each of some rows.  Each ideal keeps the answers asked
+of it: its product-length threshold (`product_length_threshold`) and its
+annihilator K, read by the one membership test, `outside` (v lies in I
+exactly when K v = 0).  The nilradical is stored once, as the memo's
+object for its rows.  The threshold T of an ideal is the one measure of
+its nilpotence: the product length (`product_length`) is T of the unit
+ideal, and the nilpotence index (`nilpotence_index`), the least s whose
+s-fold iterated polar power vanishes, is the least s with p^s >= T.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class PPolarAlgebra:
         # an int, which hashes at no cost on every evaluation
         self.plan_key = (~dim if p == 2 and field.q ** dim
                          <= wire.MAX_TABLE_ORDER else dim)
-        self._ideals = {}     # (query, rref rows) -> answer
+        # ("ideal", rref rows) -> that PolarIdeal, ("nilradical",) -> Nil(A)
+        self._ideals = {}
         self._compiled = None  # the mu kernel, filled on its first use
         self._kernel = None   # filled by the first `kernel` call
         self._plans = {}      # wittmod's plans, keyed by (kind, n)
@@ -457,23 +461,32 @@ class PolarIdeal:
 
 def ideal_generated(A: PPolarAlgebra, gens: Iterable[Sequence[int]]) -> PolarIdeal:
     """Smallest F_q-subspace containing gens closed under mu(A,..,A,-),
-    the memo's object for its rows: one `rref` of the nonzero gens and of
-    every mu(e_key, g), key a (p-1)-multiset of basis vectors.
+    the memo's object for its rows: the `rref` rows g of the gens, at most
+    dim of them, then one `rref` of those rows and of every mu(e_key, g),
+    key a (p-1)-multiset of basis vectors (`_products`).
 
-    That span is the sum of the principal ideals of the gens, each closed
-    in one round: by (ASSOC), mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), g))
-    equals mu(c, b_2, .., b_(p-1), g) with c = mu(a_1, .., a_(p-1), b_1),
-    and expanding c in the basis writes that as a combination of the
+    mu is linear in its last argument, so the rows generate the ideal of
+    the gens, and that ideal is the sum of the principal ideals of the
+    rows, each closed in one round: by (ASSOC),
+    mu(a_1, .., a_(p-1), mu(b_1, .., b_(p-1), g)) equals
+    mu(c, b_2, .., b_(p-1), g) with c = mu(a_1, .., a_(p-1), b_1), and
+    expanding c in the basis writes that as a combination of the
     mu(e_key', g), so mu(A, .., A, W) lies in W for W the span of g and of
     every mu(e_key, g); and a sum of ideals is an ideal.  Every algebra
     satisfies (ASSOC): `from_json` and `quotient` check it, and `polarize`
     (from an associative product), `extend_scalars`, `etale.subalgebra`,
     `samples` and `wittmod.base_polar` build only algebras that have it."""
-    gens = [g for g in map(tuple, gens) if any(g)]
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    outer = list(combinations_with_replacement(basis, A.p - 1))
-    return _canonical(A, tuple(rref(A.field, gens + [
-        A.mu_p([*key, g]) for g in gens for key in outer])[0]))
+    rows = rref(A.field, gens)[0]
+    rows += _products(A, [A.basis_vector(i) for i in range(A.dim)], rows)
+    return _canonical(A, tuple(rref(A.field, rows)[0]))
+
+
+def _products(A: PPolarAlgebra, outer: Sequence, rows: Sequence) -> list:
+    """mu(v_1, .., v_(p-1), w) for every (p-1)-multiset of `outer` and
+    every w in `rows`: the one step of an ideal's closure and of the
+    levels of its threshold."""
+    return [A.mu_p([*vs, w]) for vs in
+            combinations_with_replacement(outer, A.p - 1) for w in rows]
 
 
 def _canonical(A: PPolarAlgebra, rows: tuple) -> PolarIdeal:
@@ -520,19 +533,17 @@ def product_length_threshold(A: PPolarAlgebra, I: PolarIdeal):
     Level j, the span of the products of 1 + j(p-1) elements of I, is
     spanned, by multilinearity and scheme independence, by mu applied to
     basis vectors of I, so it is the `rref` of level j-1's rows multiplied
-    by every (p-1)-multiset of I's rows.  Regrouping p of those factors
-    into one element of I (an ideal) writes a level-j product as a
-    level-(j-1) one, so the levels descend: within dim + 1 rounds one is 0
-    (L found) or equals the one before (a fixed point, None).
+    by every (p-1)-multiset of I's rows (`_products`).  Regrouping p of
+    those factors into one element of I (an ideal) writes a level-j
+    product as a level-(j-1) one, so the levels descend: within dim + 1
+    rounds one is 0 (L found) or equals the one before (a fixed point,
+    None).
     """
     T = I._threshold
     if T is _UNKNOWN:
-        outer = [[I.basis[i] for i in key] for key in
-                 combinations_with_replacement(range(I.dim), A.p - 1)]
         cur, j = I.basis, 0
         while cur:
-            nxt = tuple(rref(A.field, [A.mu_p(vs + [w]) for vs in outer
-                                       for w in cur])[0])
+            nxt = tuple(rref(A.field, _products(A, I.basis, cur))[0])
             if nxt == cur:
                 break
             cur, j = nxt, j + 1

@@ -254,6 +254,9 @@ CW_ALGEBRAS = {
     "scrambled_f3": lambda: samples.scramble(samples.polar_direct_sum(
         samples.split_polar(F3, 1), samples.trunc_nil_polar(F3, 4)),
         random.Random(2)),
+    "scrambled9_f3": lambda: samples.scramble(samples.polar_direct_sum(
+        samples.split_polar(F3, 1), samples.trunc_nil_polar(F3, 9)),
+        random.Random(2)),
 }
 # Golden `cw` outputs: (algebra, op, inputs).  Over nil4_f2, x has a
 # failing stored witness and exceptions at 0 and -2; y has a zero exception
@@ -263,7 +266,9 @@ CW_ALGEBRAS = {
 # so k = 5, a W_5 family outside the envelope.  Over unital3_f3, x has
 # tail x and the unit 1 at index -2: k = r = 3 at p = 3.  Over
 # scrambled_f3, x and y have nilpotent tails and units at index -1, so
-# their sum splits at r = 2.
+# their sum splits at r = 2.  Over scrambled9_f3 (dim 9), x and y have
+# nilpotent tails, units at index -1 and nilpotent entries down to -40:
+# witnesses (2, 2), each read closing a deep ideal of 40 generators.
 CW_GOLDEN = {
     "cw_validate_nil4_f2_x": ("nil4_f2", "validate", "x"),
     "cw_add_nil4_f2_x_y": ("nil4_f2", "add", "x", "y"),
@@ -274,6 +279,8 @@ CW_GOLDEN = {
     "cw_add_unital3_f2_x4_x4": ("unital3_f2", "add", "x4", "x4"),
     "cw_add_unital3_f3_x_x": ("unital3_f3", "add", "x", "x"),
     "cw_add_scrambled_f3_x_y": ("scrambled_f3", "add", "x", "y"),
+    "cw_add_scrambled9_f3_x_y": ("scrambled9_f3", "add", "x", "y"),
+    "cw_validate_scrambled9_f3_x": ("scrambled9_f3", "validate", "x"),
 }
 
 

@@ -552,6 +552,29 @@ def test_warm_sums_and_negations_call_neither_rref_nor_mu_p(monkeypatch):
 # -- the derived witness ---------------------------------------------------------
 
 
+def test_a_witness_read_makes_as_many_products_at_any_depth(monkeypatch):
+    # the deep ideal's closure multiplies its rows, at most dim of them,
+    # not its entries: reading the witness of a depth-8 and of a depth-64
+    # element, each over a fresh copy of pol(x F_5[x]/(x^7)), makes as many
+    # `mu_p` calls
+    A = samples.trunc_nil_polar(gf_build(5, 1), 7)
+    calls, real_mu = [], PPolarAlgebra.mu_p
+    monkeypatch.setattr(PPolarAlgebra, "mu_p",
+                        lambda self, v: calls.append(1) or real_mu(self, v))
+    witnesses, counts = set(), []
+    for depth in (8, 64):
+        B = PPolarAlgebra(A.field, A.dim, A.mu)
+        # entries c x^k, k = 2..6, under the tail x^3: the deep ideal is
+        # x^2 A at every depth
+        x = CoWittElement(B, B.basis_vector(2), {
+            -i: tuple((1 + i % 4) * (j == 1 + i % 5) for j in range(B.dim))
+            for i in range(depth + 1)})
+        calls.clear()
+        witnesses.add(x.witness)
+        counts.append(len(calls))
+    assert witnesses == {(0, 1)} and counts[0] == counts[1] > 0
+
+
 @st.composite
 def stored_witness_element(draw, A):
     """A valid element over A built with its minimal witness, one too

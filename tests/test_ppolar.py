@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -376,11 +377,13 @@ def test_memo_answers_equal_memo_cold_answers(key, data):
 
 
 def test_repeated_query_closes_once_and_reuses_the_threshold(monkeypatch):
-    # a repeated query makes only the closure: one mu product per generator
-    # and (p-1)-multiset of basis vectors, then one `rref`; it returns the
-    # memo's object, whose stored threshold answers without another product
+    # a repeated query makes only the closure: one `rref` of the generators,
+    # one mu product per independent row and (p-1)-multiset of basis
+    # vectors, then one `rref`; it returns the memo's object, whose stored
+    # threshold answers without another product
     A = samples.trunc_nil_polar(F3, 5)
-    gens = [(0, 1, 0, 2)]
+    # two proportional generators: one row
+    gens, rank = [(0, 1, 0, 2), (0, 2, 0, 1)], 1
     first = _queries(A, gens)
     I = ideal_generated(A, gens)
     calls = []
@@ -391,13 +394,32 @@ def test_repeated_query_closes_once_and_reuses_the_threshold(monkeypatch):
                         lambda self, v: calls.append("mu") or real_mu(self, v))
     assert _queries(A, gens) == first
     keys = list(combinations_with_replacement(range(A.dim), A.p - 1))
-    assert calls == ["mu"] * len(gens) * len(keys) + ["rref"]
+    assert calls == ["rref"] + ["mu"] * rank * len(keys) + ["rref"]
     # another spanning set of the subspace gives the same object
     assert ideal_generated(A, [(0, 2, 0, 1), (0, 0, 0, 0)]) is I
     # a cold copy also closes the threshold's levels, one `rref` each
     calls.clear()
     assert _queries(_cold_copy(A), gens) == first
     assert calls.count("rref") > 1
+
+
+def test_closure_products_are_bounded_by_the_rank_of_the_generators(
+        monkeypatch):
+    # twelve generators spanning a plane of pol(x F_5[x]/(x^7)) (d = 6):
+    # the closure multiplies its two rows, not the twelve generators, by
+    # every 4-multiset of basis vectors, C(d + p - 2, p - 1) = 126 of them
+    F5 = gf_build(5, 1)
+    A = samples.trunc_nil_polar(F5, 7)
+    u, w = (1, 0, 2, 0, 0, 3), (0, 0, 1, 4, 0, 0)
+    gens = [combine(F5, (a, b), (u, w))
+            for a, b in iproduct(range(5), (0, 1, 3)) if a or b][:12]
+    assert len(gens) == 12 and len(rref(F5, gens)[0]) == 2
+    calls, real_mu = [], PPolarAlgebra.mu_p
+    monkeypatch.setattr(PPolarAlgebra, "mu_p",
+                        lambda self, v: calls.append(1) or real_mu(self, v))
+    I = ideal_generated(A, gens)
+    assert len(calls) == 2 * comb(A.dim + A.p - 2, A.p - 1) == 252
+    assert I is ideal_generated(A, [u, w])
 
 
 # over GF(3), GF(4) and GF(9), where generators need not have a leading 1
