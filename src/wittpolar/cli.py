@@ -149,7 +149,7 @@ def cmd_cw(args) -> int:
         _emit(out, args.out)
         return 0
     for x, path in zip(xs, args.inputs):
-        if cowitt.witness_search(x) is None:
+        if cowitt._least_r((x,)) is None:
             raise CliError(f"{path} is not a valid co-Witt element: no "
                            f"witness (r, s) makes its deep ideal nilpotent")
     ops = {"add": cowitt.cw_add, "f": cowitt.cw_F, "v": cowitt.cw_V}

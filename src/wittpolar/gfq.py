@@ -12,7 +12,7 @@ vectors: `mat_vec`, `rref` and every other module go through it, except
 the mu kernel (the straight-line function that `ppolar._compile_mu`
 generates for each algebra and `PPolarAlgebra.mu_p` calls), the packed
 tables of an algebra over GF(2^m) with at most 256 vectors (which
-`ppolar._compile_tables` fills by XOR, each vector an index whose bits are
+`wittmod._compile_tables` fills by XOR, each vector an index whose bits are
 its F_2 digits) and the polar plans (the straight-line functions that
 `wittmod._plan_source` writes for each slot plan and plan key, and
 `wittmod.eval_polar_poly` runs: on coordinates, or on those indices with

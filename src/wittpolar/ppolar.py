@@ -17,18 +17,9 @@ value entry, into the output; the field arithmetic goes through
 `FqField.tables`.
 `_compile_mu` is a module-level memo keyed by (field, dim, mu), so equal
 algebras built apart share one kernel, and each algebra keeps its kernel
-in a slot.
-
-An algebra over GF(2^m) with at most `wire.MAX_TABLE_ORDER` vectors, Q =
-q^dim <= 256, is a table algebra: each vector is also its index in
-range(Q), the F_2 digits of its coordinates packed into bits, so adding
-two vectors is one XOR of their indices.  `_compile_tables`, memoized like
-`_compile_mu`, builds its tables once: the index <-> tuple maps, the Q^2
-products mu(i, j) and the q * Q scalar multiples as `bytes`, each filled
-from its values on pairs of bits (both products are F_2-bilinear).  The
-compiled plans of such an algebra run on indices wherever they multiply
-(`wittmod`); `kernel` binds the tables with the mu kernel and the field
-tables, and `plan_key` picks the plans' functions.
+in a slot.  How `wittmod`'s plans run on an algebra (their key, their
+arguments and the packed tables of a table algebra) is decided there, by
+`wittmod._bind`; the algebra only holds that binding and its plans.
 
 Each algebra keeps its ideals in one memo, `_ideals`, keyed by canonical
 reduced echelon rows (`gfq.rref(field, vectors)[0]`: equal subspaces give
@@ -50,7 +41,7 @@ s-fold iterated polar power vanishes, is the least s with p^s >= T.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from operator import index
 from typing import Iterable, Sequence
 
@@ -66,8 +57,8 @@ class LengthNotAdmissible(ValueError):
 class PPolarAlgebra:
     """Symmetric p-multilinear structure on F_q^d satisfying (ASSOC)."""
 
-    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "plan_key",
-                 "_ideals", "_compiled", "_kernel", "_plans")
+    __slots__ = ("field", "p", "dim", "mu", "mu_is_zero", "_ideals",
+                 "_compiled", "_bound", "_plans")
 
     def __init__(self, field: FqField, dim: int, mu: dict):
         self.field = field
@@ -93,16 +84,14 @@ class PPolarAlgebra:
                 clean[key] = val
         self.mu = clean
         self.mu_is_zero = not clean
-        # the key of this algebra's functions in a compiled plan: the
-        # dimension, or ~dim = -1 - dim for a table algebra (see `kernel`),
-        # an int, which hashes at no cost on every evaluation
-        self.plan_key = (~dim if p == 2 and field.q ** dim
-                         <= wire.MAX_TABLE_ORDER else dim)
         # ("ideal", rref rows) -> that PolarIdeal, ("nilradical",) -> Nil(A)
         self._ideals = {}
         self._compiled = None  # the mu kernel, filled on its first use
-        self._kernel = None   # filled by the first `kernel` call
-        self._plans = {}      # wittmod's plans, keyed by (kind, n)
+        # wittmod's: how its plans run on this algebra, (plan key,
+        # arguments), filled on the first evaluation (`wittmod._bind`), and
+        # its plans, keyed by (kind, n)
+        self._bound = None
+        self._plans = {}
 
     @property
     def zero(self) -> tuple:
@@ -122,35 +111,10 @@ class PPolarAlgebra:
         return f"PPolarAlgebra(p={self.p}, dim={self.dim} over {self.field!r})"
 
     def __reduce__(self):
-        # copies and pickles rebuild through __init__: the kernel, plans
-        # and ideals are memos, refilled on first use (the compiled ones
-        # do not pickle)
+        # copies and pickles rebuild through __init__: the mu kernel,
+        # wittmod's binding and plans and the ideals are memos, refilled on
+        # first use (the compiled ones do not pickle)
         return type(self), (self.field, self.dim, self.mu)
-
-    def kernel(self) -> tuple:
-        """What compiled plans take (see `wittmod.polar_plan`): (mu, mt,
-        at, q, zero), the algebra's straight-line mu kernel, which takes
-        exactly p vectors and checks nothing, the field tables of
-        `FqField.tables`, q and the zero vector; for a table algebra
-        (p = 2 and Q = q^dim <= `wire.MAX_TABLE_ORDER`, `plan_key` < 0)
-        then the packed tables of `_compile_tables`, (tmu, tix, tvec, tsm,
-        Q).
-
-        The first call fetches the kernel and tables from the `_compile_mu`
-        and `_compile_tables` memos, which build them for the first algebra
-        with this (field, dim, mu); the `_kernel` slot serves every later
-        call.  `mu_p` and `ppow` need the kernel alone and never build the
-        tables.
-        """
-        bound = self._kernel
-        if bound is None:
-            F = self.field
-            bound = (self._compiled_mu(), *F.tables(), F.q, self.zero)
-            if self.plan_key < 0:
-                bound += _compile_tables(F, self.dim,
-                                         tuple(sorted(self.mu.items())))
-            self._kernel = bound
-        return bound
 
     def _compiled_mu(self):
         """The compiled mu kernel, from the `_compile_mu` memo on the first
@@ -275,53 +239,6 @@ def _compile_mu(field: FqField, dim: int, mu: tuple):
     exec(compile(_mu_source(field, dim, mu), "<mu kernel>", "exec"),
          namespace)
     return namespace["make"](*field.tables())
-
-
-@lru_cache(maxsize=None)
-def _compile_tables(field: FqField, dim: int, mu: tuple) -> tuple:
-    """The packed tables of a table algebra (p = 2, Q = q^dim <=
-    `wire.MAX_TABLE_ORDER`): (tmu, tix, tvec, tsm, Q), built once per process
-    for each (field, dim, mu), with mu its sorted (key, value) pairs.
-
-    A vector is its index among the Q vectors: coordinate r, an element of
-    GF(2^m) whose bits are its F_2 digits, sits at bits m (dim-1-r) .. of
-    it, so the sum of two vectors is the XOR of their indices.  tvec maps
-    an index to its coordinate tuple and tix a tuple back; tmu[i * Q + j]
-    is the index of mu(vec i, vec j) and tsm[a * Q + i] that of a times
-    vec i, for a scalar a, each as `bytes`.  Both products are F_2-bilinear
-    in the bits of their arguments, so only their values on pairs of bits
-    are computed, by the kernel and the field tables (see `_bilinear`).
-    """
-    q, mt = field.q, field.tables()[0]
-    tvec = list(product(range(q), repeat=dim))
-    Q = len(tvec)
-    tix = dict(zip(tvec, range(Q)))
-    kernel = _compile_mu(field, dim, mu)
-    bits = [tvec[1 << b] for b in range(field.m * dim)]
-    tmu = _bilinear([[tix[kernel(u, v)] for v in bits] for u in bits], Q)
-    tsm = _bilinear([[tix[tuple(mt[(1 << b) * q + c] for c in v)]
-                      for v in bits] for b in range(field.m)], Q)
-    return tmu, tix, tvec, tsm, Q
-
-
-def _bilinear(on_bits: list, Q: int) -> bytes:
-    """The table of an F_2-bilinear map f(a, i) into indices below 256, for
-    a < 2^len(on_bits) and i < Q (a power of 2), as `bytes` indexed by
-    a * Q + i, from its values on_bits[b][c] = f(2^b, 2^c).  Each row is
-    one int holding its Q bytes.  The row of 2^b is the XOR over c of
-    on_bits[b][c] times the int whose byte i is bit c of i (a product with
-    no carry), and the rows of 2^b .. 2^(b+1) - 1 are the rows below 2^b,
-    each XORed with it."""
-    planes = [int.from_bytes((bytes(1 << c) + b"\1" * (1 << c))
-                             * (Q >> (c + 1)), "little")
-              for c in range(Q.bit_length() - 1)]
-    table = [0]
-    for values in on_bits:
-        row = 0
-        for v, plane in zip(values, planes):
-            row ^= v * plane
-        table += [row ^ below for below in table]
-    return b"".join(row.to_bytes(Q, "little") for row in table)
 
 
 # -- polarization of honest commutative algebras -----------------------------

@@ -378,8 +378,7 @@ def suite_cowitt(seed, p_filter):
                 return cowitt.CoWittElement(
                     A, samples.random_vector(rng, A), exc)
             x, y = rnd(), rnd()
-            if (cowitt.witness_search(x) is None
-                    or cowitt.witness_search(y) is None):
+            if cowitt._least_r((x, y)) is None:
                 ok = False
                 continue
             s = cowitt.cw_add(x, y)

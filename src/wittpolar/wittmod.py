@@ -25,21 +25,31 @@ length L, which each algebra keeps in a dict keyed by (kind, n), and per
 (p, n, kind, t_deep, True) for a window, the top level alone of a W_n sum
 or negation under t_deep (see `cowitt`).  Monomials sharing a sorted
 prefix share its partial products, each computed once per call.  A plan
-runs as one straight-line Python function per plan key of the algebra
-(`PPolarAlgebra.plan_key`), written by `_plan_source` and compiled once
-per process on the first evaluation over an algebra with that key.  The
-key is the dimension d, and the function is in coordinate form: each
-partial product is one call of the algebra's compiled mu kernel
-(`ppolar`), unpacked into its d coordinates where a sum reads it, and
-each coordinate of each polynomial is one unrolled expression over those
-coordinates.  Over a table algebra (p = 2 with q^d <= 256 vectors) the
-key is ~d = -1 - d, and a plan with a partial product runs in table form
-on vector indices: the inputs are mapped to indices once, each partial
-product is one lookup in the algebra's product table and each polynomial
+runs as one straight-line Python function per plan key, written by
+`_plan_source` and compiled once per process on the first evaluation over
+an algebra with that key.  One function, `_bind`, decides how plans run on
+an algebra: its plan key and the arguments every plan function takes, kept
+on the algebra after the first evaluation.  In general the key is the
+dimension d, and the function is in coordinate form: each partial product
+is one call of the algebra's compiled mu kernel (`ppolar`), unpacked into
+its d coordinates where a sum reads it, and each coordinate of each
+polynomial is one unrolled expression over those coordinates.
+
+An algebra over GF(2^m) with at most `wire.MAX_TABLE_ORDER` vectors, Q =
+q^d <= 256, is a table algebra, with key ~d = -1 - d: each vector is also
+its index in range(Q), the F_2 digits of its coordinates packed into bits,
+so adding two vectors is one XOR of their indices.  `_compile_tables`,
+memoized per (field, d, mu) like the mu kernel, builds its tables once:
+the index <-> tuple maps, the Q^2 products mu(i, j) and the q * Q scalar
+multiples as `bytes`, each filled from its values on pairs of bits (both
+products are F_2-bilinear).  A plan with a partial product runs in table
+form on vector indices: the inputs are mapped to indices once, each
+partial product is one lookup in the product table and each polynomial
 one XOR chain, mapped back to a tuple once; a plan with none keeps the
 coordinate form, where it never calls mu.  The kernel, the field tables,
 q, the zero vector and any packed tables with their size are arguments,
 so one function serves every algebra with that key and that plan.
+
 Scalars act through Witt vectors over the polarization of the base field:
 in `scalar_mul` the scalar coordinates a_i are coefficient slots of the
 same plan, multiplied into each term's F_p coefficient.
@@ -48,13 +58,15 @@ same plan, multiplied into each term's F_p coefficient.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from operator import index
 from typing import Sequence
 
 from . import wire
 from .exact import MultiPoly
 from .gfq import FqField
-from .ppolar import LengthNotAdmissible, PPolarAlgebra, product_length
+from .ppolar import (LengthNotAdmissible, PPolarAlgebra, _compile_mu,
+                     product_length)
 from .record import Record
 from .wittuniv import _targets, dwork_lift, universal_polys, witt_blocks
 
@@ -175,10 +187,10 @@ _CHUNK = 8
 def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
                  key) -> str:
     """Python source of the plan (nodes, levels) on `width` input slots
-    for the algebras with plan key `key` (`PPolarAlgebra.plan_key`): their
-    dimension d, or ~d = -1 - d for a table algebra.
+    for the algebras with plan key `key` (`_bind`): their dimension d, or
+    ~d = -1 - d for a table algebra.
 
-    The plan's arguments are the algebra's `kernel` tuple, then the inputs:
+    The plan's arguments are the algebra's bound arguments, then the inputs:
     `plan(mu, mt, at, q, zero, inputs)`, with tmu, tix, tvec, tsm, Q before
     the inputs for a table algebra.  It unpacks the inputs into v0, v1, ..
     A coefficient times scalar slots is computed once, as
@@ -296,9 +308,9 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
 
 
 class _PlanFunctions(dict):
-    """A compiled plan: plan key (`PPolarAlgebra.plan_key`) -> the plan's
-    function for the algebras with that key, generated by `_plan_source`
-    and compiled on the first evaluation over one of them."""
+    """A compiled plan: plan key (`_bind`) -> the plan's function for the
+    algebras with that key, generated by `_plan_source` and compiled on the
+    first evaluation over one of them."""
 
     __slots__ = ("shape",)
 
@@ -318,14 +330,86 @@ class _PlanFunctions(dict):
 _plan_functions = lru_cache(maxsize=None)(_PlanFunctions)
 
 
+def _bind(A: PPolarAlgebra) -> tuple:
+    """How plans run on A, (key, args), kept in A's `_bound` slot: the
+    plan key selects each plan's function and args are what it takes
+    before the inputs (see `_plan_source`).
+
+    The key is ~d for a table algebra (p = 2 and Q = q^d <=
+    `wire.MAX_TABLE_ORDER`), else the dimension d, an int, which hashes at
+    no cost on every evaluation.  args are (mu, mt, at, q, zero): A's
+    straight-line mu kernel, which takes exactly p vectors and checks
+    nothing, the field tables of `FqField.tables`, q and the zero vector;
+    for a table algebra then its packed tables, (tmu, tix, tvec, tsm, Q).
+    The kernel and tables come from the `_compile_mu` and
+    `_compile_tables` memos, which build them for the first algebra with
+    this (field, d, mu); `mu_p` and `ppow` need the kernel alone and never
+    build the tables."""
+    F, d = A.field, A.dim
+    key = ~d if A.p == 2 and F.q ** d <= wire.MAX_TABLE_ORDER else d
+    args = (A._compiled_mu(), *F.tables(), F.q, A.zero)
+    if key < 0:
+        args += _compile_tables(F, d, tuple(sorted(A.mu.items())))
+    bound = A._bound = key, args
+    return bound
+
+
+@lru_cache(maxsize=None)
+def _compile_tables(field: FqField, dim: int, mu: tuple) -> tuple:
+    """The packed tables of a table algebra (p = 2, Q = q^dim <=
+    `wire.MAX_TABLE_ORDER`): (tmu, tix, tvec, tsm, Q), built once per process
+    for each (field, dim, mu), with mu its sorted (key, value) pairs.
+
+    A vector is its index among the Q vectors: coordinate r, an element of
+    GF(2^m) whose bits are its F_2 digits, sits at bits m (dim-1-r) .. of
+    it, so the sum of two vectors is the XOR of their indices.  tvec maps
+    an index to its coordinate tuple and tix a tuple back; tmu[i * Q + j]
+    is the index of mu(vec i, vec j) and tsm[a * Q + i] that of a times
+    vec i, for a scalar a, each as `bytes`.  Both products are F_2-bilinear
+    in the bits of their arguments, so only their values on pairs of bits
+    are computed, by the kernel and the field tables (see `_bilinear`).
+    """
+    q, mt = field.q, field.tables()[0]
+    tvec = list(product(range(q), repeat=dim))
+    Q = len(tvec)
+    tix = dict(zip(tvec, range(Q)))
+    kernel = _compile_mu(field, dim, mu)
+    bits = [tvec[1 << b] for b in range(field.m * dim)]
+    tmu = _bilinear([[tix[kernel(u, v)] for v in bits] for u in bits], Q)
+    tsm = _bilinear([[tix[tuple(mt[(1 << b) * q + c] for c in v)]
+                      for v in bits] for b in range(field.m)], Q)
+    return tmu, tix, tvec, tsm, Q
+
+
+def _bilinear(on_bits: list, Q: int) -> bytes:
+    """The table of an F_2-bilinear map f(a, i) into indices below 256, for
+    a < 2^len(on_bits) and i < Q (a power of 2), as `bytes` indexed by
+    a * Q + i, from its values on_bits[b][c] = f(2^b, 2^c).  Each row is
+    one int holding its Q bytes.  The row of 2^b is the XOR over c of
+    on_bits[b][c] times the int whose byte i is bit c of i (a product with
+    no carry), and the rows of 2^b .. 2^(b+1) - 1 are the rows below 2^b,
+    each XORed with it."""
+    planes = [int.from_bytes((bytes(1 << c) + b"\1" * (1 << c))
+                             * (Q >> (c + 1)), "little")
+              for c in range(Q.bit_length() - 1)]
+    table = [0]
+    for values in on_bits:
+        row = 0
+        for v, plane in zip(values, planes):
+            row ^= v * plane
+        table += [row ^ below for below in table]
+    return b"".join(row.to_bytes(Q, "little") for row in table)
+
+
 def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
     """Evaluate a compiled plan (see `polar_plan`) on A at the flat input
     tuple: one vector per compiled polynomial.  A's plan key selects the
     plan's function, in table or coordinate form (`_plan_source`), and it
-    takes what `PPolarAlgebra.kernel` binds: A's mu kernel, the field
-    tables and, for a table algebra, its packed tables.  Vector inputs are
+    takes A's bound arguments (`_bind`): A's mu kernel, the field tables
+    and, for a table algebra, its packed tables.  Vector inputs are
     tuples, as every vector of the package is."""
-    return plan[A.plan_key](*A.kernel(), inputs)
+    key, args = A._bound or _bind(A)
+    return plan[key](*args, inputs)
 
 
 @lru_cache(maxsize=None)

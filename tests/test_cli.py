@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpolar import cowitt, samples
+from wittpolar import cowitt, samples, wittmod
 from wittpolar.cli import main
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import nilpotence_index, polarize
@@ -225,7 +225,7 @@ def test_witt_eval_over_gf16_matches_golden_bytes(capsys, N):
     data = json.loads(path.read_text())
     A = samples.trunc_nil_polar(gf_build(2, 4), N)
     assert data["algebra"] == dict(A.to_json(), format="wittpolar/1")
-    assert A.plan_key == (~2 if N == 3 else 3)
+    assert wittmod._bind(A)[0] == (~2 if N == 3 else 3)
     rc, out, err = run(capsys, "witt-eval", str(path))
     assert rc == 0 and err == ""
     assert out == (DATA / f"witt_eval_f16_nil{N}.out.json").read_text()
@@ -294,6 +294,29 @@ def test_cw_output_matches_golden_bytes(capsys, name):
                        *(str(DATA / f"cw_{key}_{x}.json") for x in inputs))
     assert rc == 0 and err == ""
     assert out == (DATA / f"{name}.out.json").read_text()
+
+
+def test_cw_add_closes_only_the_printed_witness_ideal(capsys, monkeypatch):
+    # the inputs are checked by Nil(A) membership, which closes no ideal;
+    # the one closure is the deep ideal of the sum at its printed witness
+    closed = []
+    generate = cowitt.ideal_generated
+
+    def counted(A, gens):
+        closed.append(generate(A, gens))
+        return closed[-1]
+
+    monkeypatch.setattr(cowitt, "ideal_generated", counted)
+    algebra = DATA / "cw_scrambled9_f3_algebra.json"
+    rc, out, err = run(capsys, "cw", "add", "--algebra", str(algebra),
+                       *(str(DATA / f"cw_scrambled9_f3_{x}.json")
+                         for x in "xy"))
+    assert rc == 0 and err == ""
+    A = CW_ALGEBRAS["scrambled9_f3"]()
+    data = json.loads(out)
+    assert len(closed) == 1
+    assert closed[0].basis == cowitt._deep_ideal(
+        cowitt.cw_from_json(A, data), data["witness"][0]).basis
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wittpolar import samples
 from wittpolar.gfq import gf_build
 from wittpolar.ppolar import nilradical, polarize, product_length, quotient
-from wittpolar.wittmod import (_plan, _plan_source, eval_polar_poly,
+from wittpolar.wittmod import (_bind, _plan, _plan_source, eval_polar_poly,
                                frobenius_charp, p_mul, scalar_mul,
                                scalar_phi, scalar_witt, teichmuller,
                                truncate, verschiebung, w_add, w_neg,
@@ -651,13 +651,13 @@ def test_table_form_matches_coordinate_form_on_every_plan(k):
     # the same plan, for the algebra's dimension, is the reference
     A = TABLE_ALGEBRAS[k]
     F, Q = A.field, A.field.q ** A.dim
-    assert A.plan_key == ~A.dim
+    key, kernel = _bind(A)
+    assert key == ~A.dim
     rng = random.Random(73 + k)
-    kernel = A.kernel()
     tables = 0
     for plan, scalars in _plans(A):
         width, nodes = plan.shape[1:3]
-        table = "tmu[" in _plan_source(*plan.shape, A.plan_key)
+        table = "tmu[" in _plan_source(*plan.shape, key)
         assert table == bool(nodes)
         tables += table
         for _ in range(6):
@@ -684,3 +684,49 @@ def test_table_form_matches_coordinate_form_on_every_plan(k):
     squares = eval_polar_poly(A, plan, vectors)
     assert squares == plan[A.dim](*kernel[:5], vectors)
     assert squares == tuple(A.mu_p([v] * A.p) for v in vectors)
+
+
+def test_equal_table_algebras_built_apart_share_one_set_of_tables(
+        monkeypatch):
+    # the packed tables are memoized per (field, dim, mu): two equal
+    # algebras with Q = 4^3 = 64 vectors, built apart, fill them once and
+    # bind the same product table
+    from wittpolar import wittmod
+    built = []
+    bilinear = wittmod._bilinear
+
+    def counted(*args):
+        built.append(args)
+        return bilinear(*args)
+
+    wittmod._compile_tables.cache_clear()
+    monkeypatch.setattr(wittmod, "_bilinear", counted)
+    A, B = samples.trunc_nil_polar(F4, 4), samples.trunc_nil_polar(F4, 4)
+    assert A is not B
+    x = witt(A, [(1, 2, 3), (0, 1, 2)])
+    for C in (A, B):
+        y = witt(C, x.coords)
+        assert w_product([y, y]).coords == _reference_op("prod", [x, x])
+    assert len(built) == 2  # tmu and tsm, once
+    (key, args), (key_b, args_b) = A._bound, B._bound
+    assert key == key_b == ~3
+    assert args[5] is args_b[5]
+
+
+@pytest.mark.parametrize("p, m, d, table", [
+    (2, 1, 8, True), (2, 4, 2, True), (2, 8, 1, True),  # Q = 256
+    (2, 1, 9, False),                                   # Q = 512
+    (3, 1, 2, False), (3, 2, 2, False), (3, 1, 5, False),  # Q = 9, 81, 243
+])
+def test_plan_key_is_minus_one_minus_d_exactly_on_table_algebras(p, m, d,
+                                                                table):
+    # a table algebra has p = 2 and at most 256 vectors; its plans take
+    # the packed tables (tmu, tix, tvec, tsm, Q) after the mu kernel, the
+    # field tables, q and the zero vector
+    A = samples.trunc_nil_polar(gf_build(p, m), d + 1)
+    key, args = _bind(A)
+    assert A._bound == (key, args)
+    assert key == (~d if table else d)
+    assert len(args) == (10 if table else 5)
+    if table:
+        assert args[-1] == A.field.q ** d == 256
