@@ -4,7 +4,7 @@ A code line holds at least one token of code: blank lines, comment lines
 and docstrings (the leading string of a module, class or function) are not
 counted.  Run from anywhere:
 
-    python tools/src_lines.py [package directory]
+    python tools/src_lines.py
 
 It prints one `<count> <module>` row per module, then the total.
 """
@@ -47,10 +47,9 @@ def code_lines(path: Path) -> int:
     return len(lines - docs)
 
 
-def main(argv: list) -> int:
-    src = Path(argv[0]) if argv else SRC
+def main() -> int:
     total = 0
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         n = code_lines(path)
         total += n
         print(f"{n:6d} {path.stem}")
@@ -59,4 +58,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
