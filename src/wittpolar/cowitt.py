@@ -46,23 +46,25 @@ regroup (scheme independence) into one vanishing product.  Over a
 nilpotent A, t_deep = T(A) is the product length L: the cap is that of
 W_n(A).  On a zero mu it is p, so only the linear monomials survive.  The
 cap is read once per operation from the algebra's memo, and
-`wittmod._plan`'s memo holds one plan per (p, m + 1, op, t_deep, top level
-only): each window only binds its entries and evaluates it.  All the
-windows of one operation read one column per operand (`_windows`): its
-deep part's entries, from the deepest any window reads up to index 0, each
-window a slice of it.
+`wittmod._plan`'s memo holds one window plan per (p, m + 1, op, t_deep,
+top level only), which sweeps: an operation builds one column per operand
+(`_windows`), its deep part's entries from the deepest any window reads up
+to index 0, and one call of the plan returns the top component on every
+window of m + 1 consecutive entries of the columns.
 
 Every operation checks its operands: an element whose tail lies outside
 Nil(A) raises `ValueError`.  A sum or negation of valid elements is valid
-(CW(A) is a group), so its result is not checked again.  F and V check
-their operand alone: their result is valid exactly when the operand is,
-as the tail of F(x) is the p-th power of x's and V keeps x's tail.  No
+(CW(A) is a group), so its result is not checked again, and it is built
+without the constructor's checks on outside data (`_trusted`).  F and V
+check their operand alone: their result is valid exactly when the operand
+is, as the tail of F(x) is the p-th power of x's and V keeps x's tail.  No
 operation closes an ideal.  Each tests all its operands' entries for
 membership in Nil(A) at once, through its annihilator
-(`PolarIdeal.outside`), which is empty over a nilpotent algebra, and
-reads t_deep off Nil(A); both are kept on the algebra's memo after its
-first operation.  Only `witness` and `to_json`, which prints the witness,
-close the deep ideal at r, once per call.
+(`PolarIdeal.outside`), and reads t_deep off Nil(A); both are kept on the
+algebra's memo after its first operation.  Over a nilpotent algebra,
+Nil(A) = A, there is nothing to test: every element is valid with r = 0.
+Only `witness` and `to_json`, which prints the witness, close the deep
+ideal at r, once per call.
 
 Each entry is read off one window, at a certified depth m*.  Give x_i and
 y_i weight p^i; the top component of the level-L sum or negation is then
@@ -85,6 +87,7 @@ gives a level.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from . import wire
@@ -111,13 +114,16 @@ class CoWittElement(Record):
             raise ValueError("tail dimension mismatch")
         clean = {}
         for idx, v in (exceptions or {}).items():
+            # an int or TypeError: int() would round -1.5 onto -1, where
+            # it could overwrite the entry given at -1
+            idx = index(idx)
             if idx > 0:
                 raise ValueError("exception indices must be <= 0")
             v = tuple(v)
             if len(v) != algebra.dim:
                 raise ValueError("entry dimension mismatch")
             if v != tail:
-                clean[int(idx)] = v
+                clean[idx] = v
         self._set_fields(algebra, tail, clean)
 
     @property
@@ -154,6 +160,15 @@ class CoWittElement(Record):
                 "witness": list(w)}
 
 
+def _trusted(A: PPolarAlgebra, tail: tuple, entries: dict) -> CoWittElement:
+    """The element with this tail and these entries, built from results of
+    the operations below, which hold well-formed tuples at indices <= 0:
+    entries equal to the tail are dropped, and nothing is checked."""
+    x = CoWittElement.__new__(CoWittElement)
+    x._set_fields(A, tail, {i: v for i, v in entries.items() if v != tail})
+    return x
+
+
 def cw_from_json(A: PPolarAlgebra, data: dict) -> CoWittElement:
     wire.check("cowitt", data)
     F = A.field
@@ -176,11 +191,16 @@ def _least_r(elems: Sequence[CoWittElement]):
     invalid.  The least r of an element is one more than the depth of its
     deepest entry outside Nil(A), 0 when there is none, and the element is
     valid exactly when its tail lies in Nil(A) (module docstring).  One
-    membership test reads every tail and entry of `elems`."""
+    membership test reads every tail and entry of `elems`, and none is
+    needed when Nil(A) is all of A (A nilpotent): every element is valid,
+    with least r 0."""
+    A = elems[0].algebra
+    nil = nilradical(A)
+    if nil.dim == A.dim:
+        return 0
     n = len(elems)
     entries = [(i, v) for e in elems for i, v in e.exceptions.items()]
-    out = nilradical(elems[0].algebra).outside(
-        [e.tail for e in elems] + [v for _, v in entries])
+    out = nil.outside([e.tail for e in elems] + [v for _, v in entries])
     if any(out[:n]):
         return None
     return max((1 - i for (i, _), f in zip(entries, out[n:]) if f),
@@ -247,22 +267,21 @@ def _certified_depth(p: int, t_deep: int, start_m: int) -> int:
 
 
 def _windows(elems, k, ns, op, start_m, t_deep) -> list:
-    """The top component of `op` at each index -n, n in ns ascending, on
-    the windows (deepest entry first) at the certified depth of the deep
-    parts of `elems` below -k, every entry of which lies in Nil(A), by the
-    window plan of `wittmod._plan` under cap t_deep.  Each operand's deep
-    part, its entries at indices <= -k and zeros above, is read once into
-    one column, and every window is a slice of it."""
+    """The top component of `op` at each index -n, n in ns, consecutive
+    integers from the deepest n down, on the windows (deepest entry first)
+    at the certified depth of the deep parts of `elems` below -k, k <=
+    ns[0], every entry of which lies in Nil(A): one call of the window plan
+    of `wittmod._plan` under cap t_deep, which sweeps every window.  Each
+    operand's deep part, its entries at indices <= -k and zeros above, is
+    read once into one column, from the deepest index a window reads,
+    -ns[0] - m, up to -ns[-1]."""
     A = elems[0].algebra
     m = _certified_depth(A.p, t_deep, start_m)
-    top = _plan(A.p, m + 1, op, t_deep, True)
-    deepest, zero = ns[-1] + m, A.zero
-    # index i sits at position i + deepest of each column
-    cols = [[e.exceptions.get(i, e.tail) if i <= -k else zero
-             for i in range(-deepest, 1 - ns[0])] for e in elems]
-    return [eval_polar_poly(A, top, [v for c in cols
-                                     for v in c[ns[-1] - n:deepest - n + 1]])[0]
-            for n in ns]
+    hi, lo = ns[0], ns[-1]
+    top = max(k, lo)    # the deep part's entries end at index -top
+    cols = [[e.exceptions.get(i, e.tail) for i in range(-hi - m, 1 - top)]
+            + [A.zero] * (top - lo) for e in elems]
+    return eval_polar_poly(A, _plan(A.p, m + 1, op, t_deep, True), cols)
 
 
 def _stabilized_op(elems: list, op: str, r: int) -> CoWittElement:
@@ -273,8 +292,8 @@ def _stabilized_op(elems: list, op: str, r: int) -> CoWittElement:
     n = max(e.depth() for e in elems) + 1
     # every window at index -n or deeper holds only tails: that entry is
     # the deep result's tail
-    *entries, tail = _windows(elems, r, range(n + 1), op, 0, _cap(A))
-    exceptions = {-nn: v for nn, v in enumerate(entries)}
+    tail, *entries = _windows(elems, r, range(n, -1, -1), op, 0, _cap(A))
+    exceptions = dict(zip(range(1 - n, 1), entries))
     if r:
         xs = [WittVector(A, tuple(e.entry(i - r + 1) for i in range(r)))
               for e in elems]
@@ -283,7 +302,7 @@ def _stabilized_op(elems: list, op: str, r: int) -> CoWittElement:
         if any(map(any, own)):
             z = w_add(z, WittVector(A, own))
         exceptions.update({i - r + 1: v for i, v in enumerate(z.coords)})
-    return CoWittElement(A, tail, exceptions)
+    return _trusted(A, tail, exceptions)
 
 
 def cw_add(x: CoWittElement, y: CoWittElement) -> CoWittElement:

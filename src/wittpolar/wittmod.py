@@ -22,14 +22,18 @@ Witt block in turn.  W_n(A) and the windows share one lift-and-plan
 builder, `_plan`, with one kill rule, Witt-block degree >= cap at every
 position: memoized per (p, n, kind, L) for a W_n plan under the product
 length L, which each algebra keeps in a dict keyed by (kind, n), and per
-(p, n, kind, t_deep, True) for a window, the top level alone of a W_n sum
-or negation under t_deep (see `cowitt`).  Monomials sharing a sorted
-prefix share its partial products, each computed once per call.  A plan
-runs as one straight-line Python function per plan key, written by
-`_plan_source` and compiled once per process on the first evaluation over
-an algebra with that key.  One function, `_bind`, decides how plans run on
-an algebra: its plan key and the arguments every plan function takes, kept
-on the algebra after the first evaluation.  In general the key is the
+(p, n, kind, t_deep, True) for the windows, the top level alone of a W_n
+sum or negation under t_deep (see `cowitt`), swept: it takes one column
+per Witt block and returns that level on the window of n entries at every
+offset of the columns, all in one call.  Monomials sharing a sorted
+prefix share its partial products, each computed once per call (per
+window in a sweep).  A plan runs as one straight-line Python function per
+plan key, a window plan as one loop over the offsets around that
+straight-line body, written by `_plan_source` and compiled once per
+process on the first evaluation over an algebra with that key.  One
+function, `_bind`, decides how plans run on an algebra: its plan key and
+the arguments every plan function takes, kept on the algebra after the
+first evaluation.  In general the key is the
 dimension d, and the function is in coordinate form: each partial product
 is one call of the algebra's compiled mu kernel (`ppolar`), unpacked into
 its d coordinates where a sum reads it, and each coordinate of each
@@ -149,6 +153,13 @@ def polar_plan(p: int, polys, names: Sequence[str],
     indices when the plan has a node); `eval_polar_poly` runs the one for
     its algebra.
     """
+    return _plan_functions(p, *_schedule(p, polys, names, scalars), 0)
+
+
+def _schedule(p: int, polys, names: Sequence[str], scalars: frozenset):
+    """The plan of `polar_plan` as (width, nodes, levels): the number of
+    input slots, the nodes in evaluation order and one tuple of terms per
+    polynomial."""
     slot = {name: s for s, name in enumerate(names)}
     base = len(names)
     nodes: dict = {}    # node -> its value index, in evaluation order
@@ -177,7 +188,7 @@ def polar_plan(p: int, polys, names: Sequence[str],
                 # else): the plan's source is generated from it
                 terms.append((index(c % p), tuple(cs), at))
         levels.append(tuple(terms))
-    return _plan_functions(p, base, tuple(nodes), tuple(levels))
+    return base, tuple(nodes), tuple(levels)
 
 
 # terms per emitted sum expression: bounds the nesting of each expression
@@ -185,7 +196,7 @@ _CHUNK = 8
 
 
 def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
-                 key) -> str:
+                 window: int, key) -> str:
     """Python source of the plan (nodes, levels) on `width` input slots
     for the algebras with plan key `key` (`_bind`): their dimension d, or
     ~d = -1 - d for a table algebra.
@@ -201,6 +212,13 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
     source holds only integer literals and generated names, and the plan
     is walked in order, so equal plans give equal source.
 
+    A window plan (`window` > 0, no scalar slot, one level: see `_plan`)
+    sweeps.  Its inputs are one column w{b} per Witt block, and slot
+    s = b * window + i reads entry o + i of column b at window offset o.
+    One loop over zip(w0, w0[1:], ..) binds v0, v1, .. at each offset in
+    turn and returns the level's vector at every offset, offset 0 first;
+    the lines that no offset changes, c{i} = k * q, come before it.
+
     Coordinate form, for every plan over a d-dimensional algebra and for
     the plans with no node over a table algebra: each node is bound to the
     next name as one call `mu(vi, vj, ..)` of the algebra's kernel.  Each
@@ -213,20 +231,31 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
     tuple.
 
     Table form, for a plan with a node over a table algebra (p = 2): each
-    vector input the plan reads is mapped once to its index, tix[v{s}],
-    each node is one lookup tmu[vi * Q + vj], and each level is one XOR
-    chain of indices, a term with scalar slots as tsm[c{i} + v{i}] with
-    c{i} = k * Q (every F_2 coefficient is 1).  Each level is mapped back
-    to its tuple by one lookup tvec[..].
+    vector input the plan reads is mapped once to its index, tix[v{s}]
+    (each entry of every column, in a window plan), each node is one
+    lookup tmu[vi * Q + vj], and each level is one XOR chain of indices,
+    a term with scalar slots as tsm[c{i} + v{i}] with c{i} = k * Q (every
+    F_2 coefficient is 1).  Each level is mapped back to its tuple by one
+    lookup tvec[..].
     """
     packed = key < 0                # a table algebra's key
     d = ~key if packed else key
     table = packed and nodes
-    body = [f"{''.join(f'v{s}, ' for s in range(width))}= inputs"]
+    targets = "".join(f"v{s}, " for s in range(width))
+    cols = [f"w{b}" for b in range(width // window)] if window else []
+    # the lines before a sweep's loop, then those run at each offset
+    pre = [f"{''.join(f'{w}, ' for w in cols) if window else targets}"
+           f"= inputs"]
+    body = []
     if table:
-        vectors = {i for args in nodes for i in args}
-        vectors.update(i for terms in levels for c, cs, i in terms)
-        body += [f"v{s} = tix[v{s}]" for s in sorted(vectors) if s < width]
+        if window:
+            # a window plan reads every column
+            pre += [f"{w} = [*map(tix.__getitem__, {w})]" for w in cols]
+        else:
+            vectors = {i for args in nodes for i in args}
+            vectors.update(i for terms in levels for c, cs, i in terms)
+            pre += [f"v{s} = tix[v{s}]" for s in sorted(vectors)
+                    if s < width]
         body += [f"v{width + k} = tmu[v{i} * Q + v{j}]"
                  for k, (i, j) in enumerate(nodes)]
     else:
@@ -289,7 +318,8 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
             k = coeff(c, cs)
             if k != "1" and k not in scaled:
                 scaled[k] = f"c{len(scaled)}"
-                body.append(f"{scaled[k]} = {k} * {'Q' if table else 'q'}")
+                (pre if window else body).append(
+                    f"{scaled[k]} = {k} * {'Q' if table else 'q'}")
             vals.append((scaled.get(k), i))
         if table:
             outs.append("tvec[%s]" % chain(f"o{j}", [
@@ -300,11 +330,20 @@ def _plan_source(p: int, width: int, nodes: tuple, levels: tuple,
             f"v{i}_{r}" if cq is None else f"mt[{cq} + v{i}_{r}]"
             for cq, i in vals]) for r in range(d)]
         outs.append(f"({''.join(f'{e}, ' for e in exprs)})")
-    body.append(f"return ({''.join(f'{o}, ' for o in outs)})")
+    if window:
+        (top,) = outs
+        slices = ", ".join(f"{w}[{i}:]" if i else w
+                           for w in cols for i in range(window))
+        lines = [*pre, "out = []", f"for {targets}in zip({slices}):",
+                 *[f"    {line}" for line in body], f"    out.append({top})",
+                 "return out"]
+    else:
+        lines = [*pre, *body,
+                 f"return ({''.join(f'{o}, ' for o in outs)})"]
     kernel = "mu, mt, at, q, zero" + (", tmu, tix, tvec, tsm, Q" if packed
                                       else "")
     return "".join([f"def plan({kernel}, inputs):\n",
-                    *[f"    {line}\n" for line in body]])
+                    *[f"    {line}\n" for line in lines]])
 
 
 class _PlanFunctions(dict):
@@ -325,8 +364,8 @@ class _PlanFunctions(dict):
         return plan
 
 
-# one `_PlanFunctions` per plan (p, width, nodes, levels) in a process, so
-# equal plans built apart compile once per dimension
+# one `_PlanFunctions` per plan (p, width, nodes, levels, window) in a
+# process, so equal plans built apart compile once per dimension
 _plan_functions = lru_cache(maxsize=None)(_PlanFunctions)
 
 
@@ -401,9 +440,11 @@ def _bilinear(on_bits: list, Q: int) -> bytes:
     return b"".join(row.to_bytes(Q, "little") for row in table)
 
 
-def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
+def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence):
     """Evaluate a compiled plan (see `polar_plan`) on A at the flat input
-    tuple: one vector per compiled polynomial.  A's plan key selects the
+    tuple: one vector per compiled polynomial; a window plan (`_plan`)
+    takes one column per Witt block instead and returns a list, its top
+    component at every window offset.  A's plan key selects the
     plan's function, in table or coordinate form (`_plan_source`), and it
     takes A's bound arguments (`_bind`): A's mu kernel, the field tables
     and, for a table algebra, its packed tables.  Vector inputs are
@@ -416,14 +457,18 @@ def eval_polar_poly(A: PPolarAlgebra, plan, inputs: Sequence) -> tuple:
 def _plan(p: int, n: int, kind: str, cap, top: bool = False):
     """The plan of one universal family on the flat input tuple: the
     coordinates of each Witt block in turn, then for the scalar action the
-    n scalars of a.
+    n scalars of a; a window plan takes columns instead (below).
 
     With cap None, the full family from `universal_polys`, so a process
     lifts it once for every caller.  Otherwise the family lifted from its
     ghost targets with a monomial killed when its Witt-block degree (the
     scalars a_i never count) is >= cap, an ideal stable under v -> v^p, as
-    `dwork_lift` requires.  With `top` (a co-Witt window, see `cowitt`),
-    the plan holds the top level alone.
+    `dwork_lift` requires.  With `top` (the co-Witt windows, see
+    `cowitt`), the plan is the top level alone, swept: it takes one column
+    per Witt block, of any length >= n, and returns the top component on
+    the window of its n entries at each offset o, entries o .. o + n - 1
+    of each column, one loop inside its compiled function
+    (`_plan_source`).
 
     The kind "frob" is the Frobenius on n inputs x_0 .. x_{n-1}: output i
     is x_i^p, the universal family mod p (which maps W_{n+1} to W_n and
@@ -446,7 +491,8 @@ def _plan(p: int, n: int, kind: str, cap, top: bool = False):
                            kill=lambda e: sum(e[k] for k in capped) >= cap)
     if top:
         polys = polys[-1:]
-    return polar_plan(p, [c.reduce_mod(p) for c in polys], names, scalars)
+    return _plan_functions(p, *_schedule(p, [c.reduce_mod(p) for c in polys],
+                                         names, scalars), n if top else 0)
 
 
 def _check_pair(x: WittVector, y: WittVector):

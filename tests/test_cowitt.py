@@ -549,6 +549,49 @@ def test_warm_sums_and_negations_call_neither_rref_nor_mu_p(monkeypatch):
     assert calls == [] and 0 in splits and max(splits) > 0
 
 
+@pytest.mark.parametrize("depth", [1, 8, 32])
+def test_a_warm_operation_over_a_nilpotent_algebra_is_one_plan_call(
+        monkeypatch, depth):
+    # Nil(A) = A: every element is valid with r = 0, so no membership test
+    # runs, and one call of the window plan sweeps every window of the
+    # deep part; over a mixed and a unital algebra the test still runs and
+    # still rejects an invalid operand
+    rng = random.Random(89 + depth)
+
+    def element(A):
+        return CoWittElement(A, samples.random_vector(rng, A), {
+            -i: samples.random_vector(rng, A) for i in range(depth)})
+    calls = []
+    real_outside = ppolar.PolarIdeal.outside
+    monkeypatch.setattr(ppolar.PolarIdeal, "outside", lambda self, vs: (
+        calls.append("outside") or real_outside(self, vs)))
+    for A in (A2, A3):
+        x, y = element(A), element(A)
+        cw_add(x, y), cw_neg(x)
+        cap = cowitt._cap(A)
+        m = cowitt._certified_depth(A.p, cap, 0)
+        key = A._bound[0]
+        for op, run in (("sum", lambda: cw_add(x, y)),
+                        ("neg", lambda: cw_neg(y))):
+            plan = wittmod._plan(A.p, m + 1, op, cap, True)
+            monkeypatch.setitem(plan, key, lambda *a, f=plan[key], op=op: (
+                calls.append(op) or f(*a)))
+            calls.clear()
+            run()
+            assert calls == [op]
+    for A in (_MIXED, _UNITAL[1]):
+        x = _valid_cw(A, rng)
+        calls.clear()
+        cw_add(x, x), cw_neg(x)
+        assert calls.count("outside") == 2
+        bad = CoWittElement(A, A.basis_vector(0), {-depth: A.zero})
+        assert witness_search(bad) is None
+        with pytest.raises(ValueError, match="not a valid co-Witt element"):
+            cw_add(x, bad)
+        with pytest.raises(ValueError, match="not a valid co-Witt element"):
+            cw_neg(bad)
+
+
 # -- the derived witness ---------------------------------------------------------
 
 

@@ -99,6 +99,15 @@ def test_cowitt_constructor_checks(tail, exceptions, message):
         CoWittElement(A, tail, exceptions)
 
 
+@pytest.mark.parametrize("exceptions", [
+    {-1.5: (1, 0)}, {-1: (0, 1), -1.5: (1, 0)}, {-1.0: (1, 0)},
+])
+def test_cowitt_constructor_rejects_an_index_that_is_no_int(exceptions):
+    # int() would store -1.5 at index -1, over the entry given there
+    with pytest.raises(TypeError):
+        CoWittElement(A, (0, 1), exceptions)
+
+
 @pytest.mark.parametrize("p, prec, coeffs, message", [
     (4, 4, (Fr(1), Fr(1, 4)), "4 is not prime"),
     (2, 4, (Fr(2), Fr(1, 2)), "l_0 must be 1"),

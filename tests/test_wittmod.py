@@ -594,7 +594,8 @@ def test_frobenius_plans_lift_nothing(monkeypatch):
 @pytest.mark.parametrize("op", ["sum", "neg"])
 def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
     # a window plan under cap L is the top level of the W_n plan under
-    # product length L: one kill rule serves both
+    # product length L: one kill rule serves both.  The window plan takes
+    # one column per Witt block, here of n entries: one window
     from wittpolar.ppolar import product_length
     from wittpolar.wittmod import _plan, eval_polar_poly
     F = gf_build(p, 1)
@@ -604,10 +605,11 @@ def test_window_plans_and_witt_plans_come_from_one_lift(p, op):
         for n in (1, 2, 3):
             window, family = _plan(p, n, op, L, True), _plan(p, n, op, L)
             for _ in range(4):
-                flat = tuple(c for _ in range(2 if op == "sum" else 1)
-                             for c in rand_witt(rng, A, n).coords)
-                assert eval_polar_poly(A, window, flat) == \
-                    eval_polar_poly(A, family, flat)[-1:]
+                cols = [rand_witt(rng, A, n).coords
+                        for _ in range(2 if op == "sum" else 1)]
+                flat = tuple(c for col in cols for c in col)
+                assert eval_polar_poly(A, window, cols) == \
+                    list(eval_polar_poly(A, family, flat)[-1:])
 
 
 # -- table form against coordinate form --------------------------------------
@@ -648,7 +650,9 @@ def _plans(A):
 def test_table_form_matches_coordinate_form_on_every_plan(k):
     # a plan with a partial product runs on packed vectors over a table
     # algebra, one with none on coordinates; the coordinate function of
-    # the same plan, for the algebra's dimension, is the reference
+    # the same plan, for the algebra's dimension, is the reference.  A
+    # window plan sweeps columns of window + 3 entries: both loops are
+    # compared at 4 offsets
     A = TABLE_ALGEBRAS[k]
     F, Q = A.field, A.field.q ** A.dim
     key, kernel = _bind(A)
@@ -656,16 +660,21 @@ def test_table_form_matches_coordinate_form_on_every_plan(k):
     rng = random.Random(73 + k)
     tables = 0
     for plan, scalars in _plans(A):
-        width, nodes = plan.shape[1:3]
+        width, nodes, _, window = plan.shape[1:]
         table = "tmu[" in _plan_source(*plan.shape, key)
         assert table == bool(nodes)
         tables += table
+        vec = lambda: samples.random_vector(rng, A)  # noqa: E731
         for _ in range(6):
-            flat = tuple([tuple(rng.randrange(F.q) for _ in range(A.dim))
-                          for _ in range(width - scalars)]
-                         + [rng.randrange(F.q) for _ in range(scalars)])
-            assert eval_polar_poly(A, plan, flat) == \
-                plan[A.dim](*kernel[:5], flat)
+            if window:
+                inputs = [[vec() for _ in range(window + 3)]
+                          for _ in range(width // window)]
+            else:
+                inputs = tuple([vec() for _ in range(width - scalars)]
+                               + [rng.randrange(F.q) for _ in range(scalars)])
+            got = eval_polar_poly(A, plan, inputs)
+            assert got == plan[A.dim](*kernel[:5], inputs)
+            assert len(got) == (4 if window else len(plan.shape[3]))
     assert tables
     # over the algebras with at most 64 vectors, the product of two W_1
     # vectors, one partial product, on every pair: every entry of the
@@ -684,6 +693,52 @@ def test_table_form_matches_coordinate_form_on_every_plan(k):
     squares = eval_polar_poly(A, plan, vectors)
     assert squares == plan[A.dim](*kernel[:5], vectors)
     assert squares == tuple(A.mu_p([v] * A.p) for v in vectors)
+
+
+# -- swept windows against the capped W_{m+1} plans ------------------------
+
+
+SWEEP_ALGEBRAS = [
+    *TABLE_ALGEBRAS,
+    # coordinate form: 512 vectors at p = 2, and p = 3 and 5
+    samples.polar_direct_sum(samples.trunc_nil_polar(F2, 4),
+                             samples.trivial_polar(F2, 6)),
+    samples.trunc_nil_polar(F3, 4), samples.trunc_nil_polar(F9, 3),
+    samples.trunc_nil_polar(F5, 7),
+    # t_deep from a proper nilradical
+    *(polarize(F, samples.unital_poly_table(F, 3)) for F in (F2, F3, F5)),
+    samples.polar_direct_sum(samples.split_polar(F2, 1),
+                             samples.trunc_nil_polar(F2, 3)),
+    samples.polar_direct_sum(samples.split_polar(F3, 1),
+                             samples.trunc_nil_polar(F3, 4)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(SWEEP_ALGEBRAS)))
+def test_swept_window_plan_matches_the_capped_family_at_every_offset(k):
+    # a window plan loops over the offsets of its columns inside one
+    # compiled function; the reference is the flat plan of the W_{m+1}
+    # family under the same cap t_deep, whose last coordinate on the
+    # window's slice of each column is the window's value there: on one
+    # window, on 9, and on all-zero columns
+    from wittpolar.cowitt import _cap, _certified_depth
+    A = SWEEP_ALGEBRAS[k]
+    t_deep = _cap(A)
+    rng = random.Random(79 + k)
+    for m in sorted({0, _certified_depth(A.p, t_deep, 0)}):
+        for op, blocks in (("sum", 2), ("neg", 1)):
+            window = _plan(A.p, m + 1, op, t_deep, True)
+            family = _plan(A.p, m + 1, op, t_deep)
+            for windows, zero in ((1, False), (9, False), (9, True)):
+                cols = [[A.zero if zero else samples.random_vector(rng, A)
+                         for _ in range(m + windows)] for _ in range(blocks)]
+                got = eval_polar_poly(A, window, cols)
+                assert len(got) == windows
+                for o, v in enumerate(got):
+                    flat = tuple(c for col in cols for c in col[o:o + m + 1])
+                    assert v == eval_polar_poly(A, family, flat)[-1], (m, o)
+                if zero:
+                    assert got == [A.zero] * windows
 
 
 def test_equal_table_algebras_built_apart_share_one_set_of_tables(
